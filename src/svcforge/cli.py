@@ -447,10 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
     p.add_argument("--formant-ratio-range", type=float, nargs=2,
                    default=[defaults.FORMANT_RATIO_LO, defaults.FORMANT_RATIO_HI],
-                   metavar=("LO", "HI"), help="formant warp ratio range")
+                   metavar=("LO", "HI"),
+                   help="formant warp ratio range, within [0.5, 2]")
     p.add_argument("--pitch-semitone-range", type=float, nargs=2,
                    default=[defaults.PITCH_SEMITONE_LO, defaults.PITCH_SEMITONE_HI],
-                   metavar=("LO", "HI"), help="pitch shift range in semitones")
+                   metavar=("LO", "HI"),
+                   help="pitch shift range in semitones, within [-12, 12]")
     p.add_argument("--eq-bands", type=int, default=defaults.EQ_BANDS,
                    help="number of peaking EQ bands (default %(default)s)")
     p.add_argument("--eq-gain-range-db", type=float, nargs=2,

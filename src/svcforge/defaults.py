@@ -7,7 +7,7 @@ table rather than hard-coding values.
 
 from __future__ import annotations
 
-DEFAULTS_VERSION = "1"
+DEFAULTS_VERSION = "2"
 
 # Canonical pipeline rate and frame grid (10 ms hop, 40 ms window).
 SAMPLE_RATE = 24000
@@ -48,6 +48,7 @@ EQ_FC_HI_HZ = 10000.0
 FORMANT_QUEFRENCY_CUTOFF_SEC = 0.00125
 WSOLA_SEGMENT_SEC = 0.025
 WSOLA_SEARCH_SEC = 0.0075
+PITCH_INNER_RATE_STEP_HZ = 100
 
 # Pitch conversion
 QUANTIZE_CENTS = 100

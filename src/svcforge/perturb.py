@@ -9,6 +9,7 @@ seed, `random_perturb_pair` is bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ from . import defaults
 from .audio import AudioClip, resample
 from .errors import InvalidParameterError, RateMismatchError
 from .pitch import semitones_to_ratio
+
+# Formant and pitch ratios are limited to one octave either way; the
+# semitone bound is the same octave, 2^(+/-12/12) = [0.5, 2].
+RATIO_LO, RATIO_HI = 0.5, 2.0
+MAX_PITCH_SEMITONES = 12.0
 
 
 @dataclass(frozen=True)
@@ -35,10 +41,19 @@ class PerturbConfig:
         for name in ("formant_ratio_range", "pitch_semitone_range",
                      "eq_gain_range_db", "eq_q_range"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidParameterError(f"{name}: bounds must be finite")
             if lo > hi:
                 raise InvalidParameterError(f"{name}: lo must be <= hi")
-        if self.formant_ratio_range[0] <= 0:
-            raise InvalidParameterError("formant ratios must be positive")
+        lo, hi = self.formant_ratio_range
+        if lo < RATIO_LO or hi > RATIO_HI:
+            raise InvalidParameterError(
+                f"formant_ratio_range must lie within [{RATIO_LO}, {RATIO_HI}]")
+        lo, hi = self.pitch_semitone_range
+        if lo < -MAX_PITCH_SEMITONES or hi > MAX_PITCH_SEMITONES:
+            raise InvalidParameterError(
+                f"pitch_semitone_range must lie within "
+                f"+/-{MAX_PITCH_SEMITONES:g} semitones")
         if self.eq_q_range[0] <= 0:
             raise InvalidParameterError("Q must be positive")
         if self.eq_bands < 1:
@@ -143,7 +158,7 @@ def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
     is resampled at f / rho (clamped at the edges), recombined with the
     residual and the original phase, and overlap-added back.
     """
-    if not 0.5 <= rho <= 2.0:
+    if not RATIO_LO <= rho <= RATIO_HI:
         raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
     if clip.sample_rate != defaults.SAMPLE_RATE:
         raise RateMismatchError(
@@ -216,14 +231,22 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
 def pitch_randomize(clip: AudioClip, ratio: float) -> AudioClip:
     """Scale F0 by `ratio` while keeping the original duration.
 
-    Resamples the waveform by 1/ratio (pitch and duration both move), then
-    WSOLA-stretches back to the input length.
+    Resamples the waveform to an inner rate of sample_rate / ratio (pitch
+    and duration both move), then WSOLA-stretches back to the input length.
+
+    The inner rate is snapped to a 100 Hz grid (PITCH_INNER_RATE_STEP_HZ),
+    which keeps the resampler's reduced up/down factors at or below 480 at
+    24 kHz instead of up to tens of thousands. The realised ratio,
+    sample_rate / inner_rate, is therefore quantised: at 24 kHz it is
+    within 7.3 cents of `ratio` (worst case near ratio 2, inner rate
+    12 kHz). An empty clip comes back empty.
     """
-    if not 0.5 <= ratio <= 2.0:
+    if not RATIO_LO <= ratio <= RATIO_HI:
         raise InvalidParameterError(f"ratio must be in [0.5, 2], got {ratio}")
-    if ratio == 1.0:
+    if ratio == 1.0 or clip.samples.size == 0:
         return AudioClip(clip.samples.copy(), clip.sample_rate)
-    inner_rate = int(round(clip.sample_rate / ratio))
+    step = defaults.PITCH_INNER_RATE_STEP_HZ
+    inner_rate = step * round(clip.sample_rate / ratio / step)
     shifted = resample(clip, inner_rate)
     stretched = _wsola_stretch(shifted.samples, clip.samples.size, clip.sample_rate)
     return AudioClip(stretched, clip.sample_rate)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svcforge.audio import write_wav
+from svcforge.audio import AudioClip, read_wav, write_wav
 from svcforge.cli import main
 from svcforge.svcf import read_tensor, write_tensor
 from svcforge.synth import sawtooth, sine
@@ -126,6 +126,35 @@ def test_perturb_deterministic(tmp_path, wavs, capsys):
     assert outs[0] == outs[1]
 
 
+def test_perturb_empty_wav(tmp_path, capsys):
+    src = tmp_path / "empty.wav"
+    write_wav(AudioClip(np.zeros(0), 24000), src)
+    pa, pb = tmp_path / "pa.wav", tmp_path / "pb.wav"
+    code, summary = run_cli(capsys, "perturb", "--in", str(src), "--out-a", str(pa),
+                            "--out-b", str(pb), "--seed", "0")
+    assert code == 0
+    assert summary["duration_sec"] == 0.0
+    for path in (pa, pb):
+        assert read_wav(path).samples.size == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pitch-semitone-range", "-20", "20"],
+    ["--formant-ratio-range", "0.3", "1.0"],
+    ["--eq-q-range", "nan", "1"],
+    ["--eq-q-range", "1", "inf"],
+])
+def test_perturb_rejects_bad_ranges_for_every_seed(tmp_path, wavs, capsys, flags):
+    a, _ = wavs
+    pa, pb = tmp_path / "pa.wav", tmp_path / "pb.wav"
+    for seed in range(4):
+        code, summary = run_cli(capsys, "perturb", "--in", str(a), "--out-a", str(pa),
+                                "--out-b", str(pb), "--seed", str(seed), *flags)
+        assert code == 2
+        assert summary is None
+        assert not pa.exists() and not pb.exists()
+
+
 def test_segment_vad(tmp_path, wavs, capsys):
     a, _ = wavs
     out = tmp_path / "seg.json"
@@ -211,7 +240,7 @@ def test_eval_f0(tmp_path, capsys):
 def test_config_show_lists_defaults(capsys):
     code, summary = run_cli(capsys, "config", "show")
     assert code == 0
-    assert summary["defaults_version"] == "1"
+    assert summary["defaults_version"] == "2"
     values = summary["values"]
     assert values["SAMPLE_RATE"] == 24000
     assert values["DIFFUSION_STEPS"] == 100

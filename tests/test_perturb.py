@@ -1,3 +1,5 @@
+from math import gcd, log2
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,8 @@ from svcforge.perturb import (
     pitch_randomize,
     random_perturb_pair,
 )
-from svcforge.pitch import estimate_f0
+from svcforge import perturb
+from svcforge.pitch import estimate_f0, semitones_to_ratio
 from svcforge.synth import sawtooth, sine, vowel
 
 
@@ -167,6 +170,7 @@ def test_pitch_randomize_identity():
 @pytest.mark.parametrize("freq,ratio,synth_fn", [
     (220.0, 1.5, sawtooth),
     (440.0, 0.5, sine),
+    (220.0, semitones_to_ratio(5.37), sawtooth),  # off the 100 Hz inner-rate grid
 ])
 def test_pitch_randomize_ratio(freq, ratio, synth_fn):
     clip = synth_fn(freq, 1.0)
@@ -178,6 +182,34 @@ def test_pitch_randomize_ratio(freq, ratio, synth_fn):
 def test_pitch_randomize_validation():
     with pytest.raises(InvalidParameterError):
         pitch_randomize(sine(220, 0.2), 2.4)
+
+
+def test_pitch_randomize_empty_clip():
+    out = pitch_randomize(AudioClip(np.zeros(0), 24000), 1.5)
+    assert out.samples.size == 0
+    assert out.sample_rate == 24000
+
+
+def test_pitch_randomize_inner_rate_grid(monkeypatch):
+    """The inner resampling rate keeps the reduced up/down factors small and
+    realises the requested ratio to within 7.3 cents at 24 kHz."""
+    rates = []
+
+    def fake_resample(clip, target_rate):
+        rates.append(target_rate)
+        return clip
+
+    monkeypatch.setattr(perturb, "resample", fake_resample)
+    sr = 24000
+    clip = AudioClip(np.zeros(480), sr)
+    ratios = [float(r) for r in np.linspace(0.5, 2.0, 301) if r != 1.0]
+    for ratio in ratios:
+        pitch_randomize(clip, ratio)
+    assert len(rates) == len(ratios)
+    for ratio, inner in zip(ratios, rates):
+        g = gcd(sr, inner)
+        assert max(inner // g, sr // g) <= 480
+        assert abs(1200 * log2((sr / inner) / ratio)) <= 7.3
 
 
 # -- seeded pair generator ---------------------------------------------------
@@ -221,3 +253,19 @@ def test_config_validation():
         PerturbConfig(eq_bands=0)
     with pytest.raises(InvalidParameterError):
         PerturbConfig(eq_q_range=(0.0, 1.0))
+    nan, inf = float("nan"), float("inf")
+    for kwargs in [
+        {"eq_q_range": (nan, 1.0)},
+        {"eq_q_range": (1.0, inf)},
+        {"pitch_semitone_range": (nan, 1.0)},
+        {"formant_ratio_range": (inf, inf)},
+        {"eq_gain_range_db": (-inf, 0.0)},
+        {"pitch_semitone_range": (-20.0, 20.0)},
+        {"pitch_semitone_range": (0.0, 12.5)},
+        {"formant_ratio_range": (0.4, 1.0)},
+        {"formant_ratio_range": (1.0, 2.1)},
+    ]:
+        with pytest.raises(InvalidParameterError):
+            PerturbConfig(**kwargs)
+    # the edges of the accepted ranges are valid
+    PerturbConfig(pitch_semitone_range=(-12.0, 12.0), formant_ratio_range=(0.5, 2.0))
