@@ -7,38 +7,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from svcforge.diffusion import (
     CLN_PARAM_NAMES,
-    ConditionSet,
     ToyDenoiser,
     TrainConfig,
     evaluate_l2,
     finetune_cln,
     linear_schedule,
     pseudo_speaker_embedding,
+    toy_dataset,
     train_toy,
 )
 
 
-def make_dataset(n_items, dim, seed):
-    rng = np.random.default_rng(seed)
-    dataset = []
-    for k in range(n_items):
-        cond = ConditionSet(
-            linguistic=rng.normal(size=(4, 8)),
-            log_f0_vuv=rng.normal(size=(4, 2)),
-            loudness=rng.normal(size=4),
-            speaker_embedding=pseudo_speaker_embedding(seed + k, 4),
-        )
-        dataset.append((rng.normal(scale=0.5, size=dim), cond))
-    return dataset
-
-
 def main() -> int:
     sched = linear_schedule()
-    dataset = make_dataset(n_items=8, dim=8, seed=1)
+    dataset = toy_dataset(model_dim=8, ling_dim=8, speaker_dim=4, n_items=8, seed=1)
     model = ToyDenoiser(dim=8, cond_dim=dataset[0][1].summary().size,
                         speaker_dim=4, hidden=48, seed=2)
 

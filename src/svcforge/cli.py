@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from .diffusion import (
     pseudo_speaker_embedding,
     sample,
     save_model,
+    toy_dataset,
     train_toy,
 )
 from .errors import SvcforgeError
@@ -64,7 +66,7 @@ from .pitchconv import (
     save_stats,
 )
 from .perturb import PerturbConfig, random_perturb_pair
-from .svcf import atomic_write_bytes, read_tensor, write_tensor
+from .svcf import atomic_write_bytes, read_json, read_tensor, write_tensor
 
 
 class _UsageError(Exception):
@@ -74,10 +76,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _default_jobs() -> int:
-    return int(os.environ.get("SVCFORGE_JOBS", "1"))
 
 
 def _run_jobs(items, fn, jobs: int) -> list:
@@ -99,7 +97,16 @@ def _frame_config(args) -> FrameConfig:
     )
 
 
-def _add_frame_flags(p: argparse.ArgumentParser) -> None:
+def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by the subcommands that run F0 analysis over WAV files."""
+    # a string default goes through type=int, so a bad SVCFORGE_JOBS is a
+    # usage error at parse time, and only when --jobs is not given
+    p.add_argument("--jobs", type=int, default=os.environ.get("SVCFORGE_JOBS", "1"),
+                   help="parallel workers over files (default: SVCFORGE_JOBS or 1)")
+    p.add_argument("--f0-floor", type=float, default=defaults.F0_FLOOR_HZ,
+                   help="lowest F0 candidate in Hz (default %(default)s)")
+    p.add_argument("--f0-ceil", type=float, default=defaults.F0_CEIL_HZ,
+                   help="highest F0 candidate in Hz (default %(default)s)")
     p.add_argument("--hop", type=int, default=defaults.HOP,
                    help="hop size in samples (default %(default)s)")
     p.add_argument("--win-length", type=int, default=defaults.WIN_LENGTH,
@@ -164,14 +171,11 @@ def _policy_from_args(args) -> ConversionPolicy:
     policy = ConversionPolicy.cross_domain() if args.policy == "cross-domain" \
         else ConversionPolicy.in_domain()
     if args.scale_sigma:
-        policy = ConversionPolicy(True, policy.quantize_cents,
-                                  policy.cross_domain_offset_semitones)
+        policy = replace(policy, scale_sigma=True)
     if args.quantize_cents is not None:
-        policy = ConversionPolicy(policy.scale_sigma, args.quantize_cents,
-                                  policy.cross_domain_offset_semitones)
+        policy = replace(policy, quantize_cents=args.quantize_cents)
     if args.offset_semitones is not None:
-        policy = ConversionPolicy(policy.scale_sigma, policy.quantize_cents,
-                                  args.offset_semitones)
+        policy = replace(policy, cross_domain_offset_semitones=args.offset_semitones)
     return policy
 
 
@@ -251,7 +255,7 @@ def _cmd_manifest_compose(args) -> dict:
     manifest_path = args.manifest or str(reference_manifest_path())
     manifest = read_manifest(manifest_path)
     if args.spec.endswith(".json"):
-        spec = TrainingSetSpec.from_json(json.loads(Path(args.spec).read_text()))
+        spec = TrainingSetSpec.from_json(read_json(args.spec, "training-set spec"))
     else:
         spec = canonical_spec(args.spec)
     selected, hours = compose_training_set(manifest, spec)
@@ -266,25 +270,6 @@ def _cmd_manifest_compose(args) -> dict:
     }
 
 
-def _toy_training_data(model_dim: int, ling_dim: int, speaker_dim: int,
-                       n_items: int, seed: int) -> list:
-    """Deterministic synthetic (x0, condition) pairs for the desk-scale
-    ddpm subcommands."""
-    rng = np.random.default_rng(seed)
-    dataset = []
-    for _ in range(n_items):
-        x0 = rng.normal(scale=0.5, size=model_dim)
-        cond = ConditionSet(
-            linguistic=rng.normal(size=(4, ling_dim)),
-            log_f0_vuv=rng.normal(size=(4, 2)),
-            loudness=rng.normal(size=4),
-            speaker_embedding=pseudo_speaker_embedding(
-                int(rng.integers(1 << 31)), speaker_dim),
-        )
-        dataset.append((x0, cond))
-    return dataset
-
-
 _TOY_LING_DIM = 8
 
 
@@ -294,8 +279,8 @@ def _cmd_ddpm_train(args) -> dict:
                         speaker_dim=args.speaker_dim,
                         num_steps=sched.num_steps, hidden=args.hidden,
                         seed=args.seed)
-    dataset = _toy_training_data(args.dim, _TOY_LING_DIM, args.speaker_dim,
-                                 n_items=8, seed=args.seed)
+    dataset = toy_dataset(args.dim, _TOY_LING_DIM, args.speaker_dim,
+                          n_items=8, seed=args.seed)
     history = train_toy(model, dataset, sched, TrainConfig(
         steps=args.steps, lr=args.lr, p_uncond=args.p_uncond, seed=args.seed))
     save_model(model, args.out_dir)
@@ -311,8 +296,8 @@ def _cmd_ddpm_finetune(args) -> dict:
     model = load_model(args.model_dir)
     sched = linear_schedule(model.num_steps)
     target = pseudo_speaker_embedding(args.seed, model.speaker_dim)
-    dataset = _toy_training_data(model.dim, _TOY_LING_DIM, model.speaker_dim,
-                                 n_items=8, seed=args.seed + 1)
+    dataset = toy_dataset(model.dim, _TOY_LING_DIM, model.speaker_dim,
+                          n_items=8, seed=args.seed + 1)
     finetune_cln(model, dataset, sched, iterations=args.iterations,
                  target_embedding=target, lr=args.lr, seed=args.seed)
     save_model(model, args.out_dir)
@@ -393,13 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="output directory for SVCF files")
     p.add_argument("--seed", type=int, default=0,
                    help="seed recorded in the summary (extraction is deterministic)")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="parallel workers over files (default: SVCFORGE_JOBS or 1)")
-    p.add_argument("--f0-floor", type=float, default=defaults.F0_FLOOR_HZ,
-                   help="lowest F0 candidate in Hz (default %(default)s)")
-    p.add_argument("--f0-ceil", type=float, default=defaults.F0_CEIL_HZ,
-                   help="highest F0 candidate in Hz (default %(default)s)")
-    _add_frame_flags(p)
+    _add_analysis_flags(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("f0-stats",
@@ -412,13 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="training",
                    help="provenance of the audio the stats come from; use "
                         "'evaluation' explicitly when no training material exists")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="parallel workers over files (default: SVCFORGE_JOBS or 1)")
-    p.add_argument("--f0-floor", type=float, default=defaults.F0_FLOOR_HZ,
-                   help="lowest F0 candidate in Hz (default %(default)s)")
-    p.add_argument("--f0-ceil", type=float, default=defaults.F0_CEIL_HZ,
-                   help="highest F0 candidate in Hz (default %(default)s)")
-    _add_frame_flags(p)
+    _add_analysis_flags(p)
     p.set_defaults(func=_cmd_f0_stats)
 
     p = sub.add_parser("convert-pitch",
@@ -457,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of peaking EQ bands (default %(default)s)")
     p.add_argument("--eq-gain-range-db", type=float, nargs=2,
                    default=[defaults.EQ_GAIN_LO_DB, defaults.EQ_GAIN_HI_DB],
-                   metavar=("LO", "HI"), help="EQ gain range in dB")
+                   metavar=("LO", "HI"), help="EQ gain range in dB, within [-24, 24]")
     p.add_argument("--eq-q-range", type=float, nargs=2,
                    default=[defaults.EQ_Q_LO, defaults.EQ_Q_HI],
                    metavar=("LO", "HI"), help="EQ quality-factor range")

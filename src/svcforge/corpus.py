@@ -25,7 +25,7 @@ from .errors import (
     OverlappingNotesError,
     UnknownSpecError,
 )
-from .svcf import atomic_write_bytes
+from .svcf import atomic_write_bytes, read_json
 
 SVCC_TARGET_SPEAKERS = ("IDF1", "IDM1", "CDF1", "CDM1")
 
@@ -147,7 +147,7 @@ class TrainingSetSpec:
                     doc.get("always_include_datasets", ())
                 ),
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ManifestFormatError(f"bad training-set spec: {exc}") from exc
 
 
@@ -294,18 +294,14 @@ class NoteEvent:
             return cls(onset_sec=float(doc["onset_sec"]),
                        offset_sec=float(doc["offset_sec"]),
                        pitch=int(pitch) if pitch is not None else None)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ManifestFormatError(f"bad note event: {exc}") from exc
 
 
 def read_notes(path: str | os.PathLike) -> list:
-    p = Path(path)
-    if not p.exists():
-        raise MissingFileError(f"no such notes file: {p}")
-    try:
-        docs = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestFormatError(f"{p}: {exc}") from exc
+    docs = read_json(path, "notes file")
+    if not isinstance(docs, list):
+        raise ManifestFormatError(f"{path}: notes file must hold a JSON array")
     return [NoteEvent.from_json(d) for d in docs]
 
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -28,22 +28,21 @@ from .contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
 from .errors import (
     InvalidParameterError,
     ManifestFormatError,
-    MissingFileError,
     ShapeMismatchError,
     ZeroNormError,
 )
-from .svcf import atomic_write_bytes, read_tensor, write_tensor
+from .svcf import atomic_write_bytes, read_json, read_tensor, write_tensor
 
 _LN_EPS = 1e-5  # layer-norm variance epsilon
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step beta with the derived alpha and cumulative-product tables."""
+    """Per-step beta with the alpha and cumulative-product tables derived from it."""
 
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -51,9 +50,10 @@ class NoiseSchedule:
             raise InvalidParameterError("beta must be a nonempty 1-D array")
         if np.any(beta <= 0) or np.any(beta >= 1):
             raise InvalidParameterError("need 0 < beta[t] < 1")
+        alpha = 1.0 - beta
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=np.float64))
-        object.__setattr__(self, "alpha_bar", np.asarray(self.alpha_bar, dtype=np.float64))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha_bar", np.cumprod(alpha))
 
     @property
     def num_steps(self) -> int:
@@ -84,9 +84,7 @@ def linear_schedule(num_steps: int = defaults.DIFFUSION_STEPS,
         raise InvalidParameterError("num_steps must be >= 1")
     if not 0 < beta_start <= beta_end < 1:
         raise InvalidParameterError("need 0 < beta_start <= beta_end < 1")
-    beta = np.linspace(beta_start, beta_end, num_steps)
-    alpha = 1.0 - beta
-    return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return NoiseSchedule(np.linspace(beta_start, beta_end, num_steps))
 
 
 def q_sample(x0: np.ndarray, t: int, eps: np.ndarray,
@@ -319,17 +317,6 @@ class ToyDenoiser:
 
     # -- plumbing ---------------------------------------------------------
 
-    def cln_params(self) -> CLNParams:
-        p = self.params
-        return CLNParams(p["cln_w_gamma"], p["cln_b_gamma"],
-                         p["cln_w_beta"], p["cln_b_beta"])
-
-    def clone(self) -> "ToyDenoiser":
-        other = ToyDenoiser(self.dim, self.cond_dim, self.speaker_dim,
-                            self.num_steps, self.hidden, self.time_freqs)
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        return other
-
     def param_hash(self, names=None) -> str:
         """SHA-256 over the raw bytes of the named parameters (all if None)."""
         digest = hashlib.sha256()
@@ -351,25 +338,39 @@ class ToyDenoiser:
             raise InvalidParameterError(
                 "conditional call needs a speaker embedding in the condition set"
             )
+        if cond.speaker_embedding.size != self.speaker_dim:
+            raise ShapeMismatchError(f"want a {self.speaker_dim}-entry speaker embedding")
         return cond.speaker_embedding
 
     # -- forward / backward -------------------------------------------------
 
+    def _forward(self, x_t: np.ndarray, t: int, cond: ConditionSet,
+                 unconditional: bool) -> tuple:
+        """Prediction for (..., dim) inputs plus the activations the backward
+        pass reuses; the CLN is rounded as gamma * h_hat + beta."""
+        x_t = np.asarray(x_t, dtype=np.float64)
+        if x_t.shape[-1:] != (self.dim,):
+            raise ShapeMismatchError(f"last axis must be {self.dim}")
+        p = self.params
+        e = self._embedding(cond, unconditional)
+        fixed = np.concatenate([self.time_embedding(t), cond.summary()])
+        inp = np.empty(x_t.shape[:-1] + (self.dim + fixed.size,))
+        inp[..., :self.dim] = x_t
+        inp[..., self.dim:] = fixed
+        h = inp @ p["w1"].T + p["b1"]
+        centred = h - h.mean(axis=-1, keepdims=True)
+        s = np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + _LN_EPS)
+        h_hat = centred / s
+        gamma = p["cln_w_gamma"] @ e + p["cln_b_gamma"]
+        beta = p["cln_w_beta"] @ e + p["cln_b_beta"]
+        a = np.tanh(gamma * h_hat + beta)
+        out = a @ p["w2"].T + p["b2"]
+        return out, (inp, e, h_hat, s, gamma, a)
+
     def predict_eps(self, x_t: np.ndarray, t: int, cond: ConditionSet,
                     unconditional: bool = False) -> np.ndarray:
         """Deterministic epsilon prediction; accepts (..., dim) batches."""
-        x_t = np.asarray(x_t, dtype=np.float64)
-        if x_t.shape[-1] != self.dim:
-            raise ShapeMismatchError(f"last axis must be {self.dim}")
-        e = self._embedding(cond, unconditional)
-        fixed = np.concatenate([self.time_embedding(t), cond.summary()])
-        inp = np.concatenate(
-            [x_t, np.broadcast_to(fixed, x_t.shape[:-1] + fixed.shape)], axis=-1
-        )
-        h = inp @ self.params["w1"].T + self.params["b1"]
-        y = conditional_layer_norm(h, e, self.cln_params())
-        a = np.tanh(y)
-        return a @ self.params["w2"].T + self.params["b2"]
+        return self._forward(x_t, t, cond, unconditional)[0]
 
     def l2_loss_and_grads(self, x_t: np.ndarray, t: int, cond: ConditionSet,
                           eps_target: np.ndarray,
@@ -380,25 +381,12 @@ class ToyDenoiser:
         eps_target = np.asarray(eps_target, dtype=np.float64)
         if x_t.ndim != 1 or eps_target.shape != x_t.shape:
             raise ShapeMismatchError("loss path expects matching 1-D vectors")
-        p = self.params
-        e = self._embedding(cond, unconditional)
-
-        inp = np.concatenate([x_t, self.time_embedding(t), cond.summary()])
-        h = p["w1"] @ inp + p["b1"]
-        mean = h.mean()
-        var = h.var()
-        s = math.sqrt(var + _LN_EPS)
-        h_hat = (h - mean) / s
-        gamma = p["cln_w_gamma"] @ e + p["cln_b_gamma"]
-        beta = p["cln_w_beta"] @ e + p["cln_b_beta"]
-        y = gamma * h_hat + beta
-        a = np.tanh(y)
-        out = p["w2"] @ a + p["b2"]
+        out, (inp, e, h_hat, s, gamma, a) = self._forward(x_t, t, cond, unconditional)
         r = out - eps_target
         loss = float(r @ r)
 
         g_out = 2.0 * r
-        g_a = p["w2"].T @ g_out
+        g_a = self.params["w2"].T @ g_out
         g_y = g_a * (1.0 - a * a)
         g_hhat = g_y * gamma
         g_h = (g_hhat - g_hhat.mean() - h_hat * np.mean(g_hhat * h_hat)) / s
@@ -432,6 +420,14 @@ class TrainConfig:
     seed: int = 0
 
 
+def _draw(rng: np.random.Generator, dataset: list, sched: NoiseSchedule) -> tuple:
+    """One (x0, cond, t, eps) draw; the RNG draws the dataset index, then
+    the timestep t, then the noise eps."""
+    x0, cond = dataset[int(rng.integers(len(dataset)))]
+    t = int(rng.integers(1, sched.num_steps + 1))
+    return x0, cond, t, rng.standard_normal(np.shape(x0))
+
+
 def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
               cfg: TrainConfig) -> np.ndarray:
     """Epsilon-prediction training loop; returns the per-step loss history.
@@ -442,12 +438,12 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     """
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
+    if cfg.steps < 1:
+        raise InvalidParameterError("steps must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     history = np.empty(cfg.steps)
     for n in range(cfg.steps):
-        x0, cond = dataset[int(rng.integers(len(dataset)))]
-        t = int(rng.integers(1, sched.num_steps + 1))
-        eps = rng.standard_normal(np.shape(x0))
+        x0, cond, t, eps = _draw(rng, dataset, sched)
         drop = rng.random() < cfg.p_uncond
         x_t = q_sample(x0, t, eps, sched)
         loss, grads = model.l2_loss_and_grads(x_t, t, cond, eps,
@@ -481,9 +477,7 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
         raise InvalidParameterError("dataset must be nonempty")
     rng = np.random.default_rng(seed)
     for _ in range(iterations):
-        x0, cond = dataset[int(rng.integers(len(dataset)))]
-        t = int(rng.integers(1, sched.num_steps + 1))
-        eps = rng.standard_normal(np.shape(x0))
+        x0, cond, t, eps = _draw(rng, dataset, sched)
         x_t = q_sample(x0, t, eps, sched)
         fixed = replace(cond, speaker_embedding=emb)
         _, grads = model.l2_loss_and_grads(x_t, t, fixed, eps)
@@ -499,9 +493,7 @@ def evaluate_l2(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(n_draws):
-        x0, cond = dataset[int(rng.integers(len(dataset)))]
-        t = int(rng.integers(1, sched.num_steps + 1))
-        eps = rng.standard_normal(np.shape(x0))
+        x0, cond, t, eps = _draw(rng, dataset, sched)
         if embedding is not None:
             cond = replace(cond, speaker_embedding=embedding)
         loss, _ = model.l2_loss_and_grads(q_sample(x0, t, eps, sched), t, cond, eps)
@@ -518,6 +510,25 @@ def pseudo_speaker_embedding(seed: int, dim: int) -> np.ndarray:
     if norm == 0:
         raise ZeroNormError("degenerate zero draw")
     return v / norm
+
+
+def toy_dataset(model_dim: int, ling_dim: int, speaker_dim: int,
+                n_items: int, seed: int) -> list:
+    """Deterministic synthetic (x0, condition) pairs for the desk-scale
+    model, each with 4-frame condition tracks and a unit speaker embedding."""
+    rng = np.random.default_rng(seed)
+    dataset = []
+    for _ in range(n_items):
+        x0 = rng.normal(scale=0.5, size=model_dim)
+        cond = ConditionSet(
+            linguistic=rng.normal(size=(4, ling_dim)),
+            log_f0_vuv=rng.normal(size=(4, 2)),
+            loudness=rng.normal(size=4),
+            speaker_embedding=pseudo_speaker_embedding(
+                int(rng.integers(1 << 31)), speaker_dim),
+        )
+        dataset.append((x0, cond))
+    return dataset
 
 
 # -- model serialization ----------------------------------------------------
@@ -548,10 +559,8 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:
     d = Path(directory)
     index_path = d / "index.json"
-    if not index_path.exists():
-        raise MissingFileError(f"no model index at {index_path}")
+    index = read_json(index_path, "model index")
     try:
-        index = json.loads(index_path.read_text())
         model = ToyDenoiser(
             dim=index["dim"], cond_dim=index["cond_dim"],
             speaker_dim=index["speaker_dim"], num_steps=index["num_steps"],
@@ -559,6 +568,6 @@ def load_model(directory: str | os.PathLike) -> ToyDenoiser:
         )
         for name, fname in index["params"].items():
             model.params[name] = read_tensor(d / fname).astype(np.float64)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ManifestFormatError(f"bad model index {index_path}: {exc}") from exc
     return model

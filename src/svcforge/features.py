@@ -1,7 +1,7 @@
 """Frame-synchronous spectral features on a shared 10 ms grid.
 
-STFT, 80-bin log-mel spectrogram, and A-weighted loudness all share one
-FrameConfig so that every per-frame track lines up with every other.
+STFT/ISTFT, 80-bin log-mel spectrogram, and A-weighted loudness all share
+one FrameConfig so that every per-frame track lines up with every other.
 Framing is non-centered (no padding): T = 1 + (n - win) // hop.
 """
 
@@ -19,6 +19,11 @@ from .errors import (
     RateMismatchError,
     ShapeMismatchError,
 )
+
+
+def hann(n: int) -> np.ndarray:
+    """Periodic Hann window of length n."""
+    return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,7 @@ class FrameConfig:
 
     def window(self) -> np.ndarray:
         """Periodic Hann."""
-        n = np.arange(self.win_length)
-        return 0.5 - 0.5 * np.cos(2 * np.pi * n / self.win_length)
+        return hann(self.win_length)
 
     def bin_frequencies(self) -> np.ndarray:
         return np.arange(self.n_bins) * self.sample_rate / self.fft_size
@@ -80,6 +84,26 @@ def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
         )
     frames = frame_signal(clip.samples, cfg) * cfg.window()
     return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+
+
+def istft(spec: np.ndarray, cfg: FrameConfig, n_samples: int) -> np.ndarray:
+    """Weighted overlap-add inverse of `stft`, `n_samples` long.
+
+    Frames are windowed again, overlap-added and divided by the summed
+    squared window where that exceeds 1e-8; uncovered samples stay zero.
+    """
+    win = cfg.window()
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.win_length] * win
+    n_out = max(n_samples, (frames.shape[0] - 1) * cfg.hop + cfg.win_length)
+    y = np.zeros(n_out)
+    wsum = np.zeros(n_out)
+    for m in range(frames.shape[0]):
+        start = m * cfg.hop
+        y[start:start + cfg.win_length] += frames[m]
+        wsum[start:start + cfg.win_length] += win ** 2
+    good = wsum > 1e-8
+    y[good] /= wsum[good]
+    return y[:n_samples]
 
 
 def hz_to_mel(f_hz):

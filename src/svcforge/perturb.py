@@ -18,12 +18,16 @@ from scipy.signal import lfilter
 from . import defaults
 from .audio import AudioClip, resample
 from .errors import InvalidParameterError, RateMismatchError
+from .features import FrameConfig, hann, istft, stft
 from .pitch import semitones_to_ratio
 
 # Formant and pitch ratios are limited to one octave either way; the
-# semitone bound is the same octave, 2^(+/-12/12) = [0.5, 2].
+# semitone bound is the same octave, 2^(+/-12/12) = [0.5, 2]. EQ gains are
+# limited to twice the default +/-12 dB span, far below the ~12,000 dB at
+# which the biquad's 10^(gain/40) overflows.
 RATIO_LO, RATIO_HI = 0.5, 2.0
 MAX_PITCH_SEMITONES = 12.0
+MAX_EQ_GAIN_DB = 24.0
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,10 @@ class PerturbConfig:
             raise InvalidParameterError(
                 f"pitch_semitone_range must lie within "
                 f"+/-{MAX_PITCH_SEMITONES:g} semitones")
+        lo, hi = self.eq_gain_range_db
+        if lo < -MAX_EQ_GAIN_DB or hi > MAX_EQ_GAIN_DB:
+            raise InvalidParameterError(
+                f"eq_gain_range_db must lie within +/-{MAX_EQ_GAIN_DB:g} dB")
         if self.eq_q_range[0] <= 0:
             raise InvalidParameterError("Q must be positive")
         if self.eq_bands < 1:
@@ -117,37 +125,9 @@ def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
     return AudioClip(np.asarray(y, dtype=np.float64), clip.sample_rate)
 
 
-# --- STFT machinery owned by the formant shifter -------------------------
 # 1024-point frames, quarter-window hop, periodic Hann on both analysis and
 # synthesis (COLA at this hop), so the rho = 1 path is a clean round trip.
-
-_FFT = 1024
-_HOP = _FFT // 4
-
-
-def _hann(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
-
-
-def _stft_anal(x: np.ndarray) -> np.ndarray:
-    n_frames = 1 + (len(x) - _FFT) // _HOP
-    idx = np.arange(_FFT)[None, :] + _HOP * np.arange(n_frames)[:, None]
-    return np.fft.rfft(x[idx] * _hann(_FFT), axis=1)
-
-
-def _istft_wola(spec: np.ndarray, out_len: int) -> np.ndarray:
-    win = _hann(_FFT)
-    frames = np.fft.irfft(spec, n=_FFT, axis=1) * win
-    y = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-    for m in range(frames.shape[0]):
-        start = m * _HOP
-        stop = min(start + _FFT, out_len)
-        y[start:stop] += frames[m, :stop - start]
-        wsum[start:stop] += win[:stop - start] ** 2
-    good = wsum > 1e-8
-    y[good] /= wsum[good]
-    return y
+_FORMANT_FRAMES = FrameConfig(hop=256, win_length=1024, fft_size=1024)
 
 
 def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
@@ -165,16 +145,16 @@ def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
             f"formant_shift expects {defaults.SAMPLE_RATE} Hz, got {clip.sample_rate}"
         )
     n = clip.samples.size
-    pad = _FFT
-    x = np.concatenate([np.zeros(pad), clip.samples, np.zeros(pad + _FFT)])
-    spec = _stft_anal(x)
+    n_fft = _FORMANT_FRAMES.fft_size
+    x = np.concatenate([np.zeros(n_fft), clip.samples, np.zeros(2 * n_fft)])
+    spec = stft(AudioClip(x, clip.sample_rate), _FORMANT_FRAMES)
     mag = np.abs(spec)
     phase = np.angle(spec)
     log_mag = np.log(np.maximum(mag, 1e-10))
 
     qcut = int(round(defaults.FORMANT_QUEFRENCY_CUTOFF_SEC * clip.sample_rate))
-    cep = np.fft.irfft(log_mag, n=_FFT, axis=1)
-    lifter = np.zeros(_FFT)
+    cep = np.fft.irfft(log_mag, n=n_fft, axis=1)
+    lifter = np.zeros(n_fft)
     lifter[:qcut + 1] = 1.0
     lifter[-qcut:] = 1.0
     env = np.fft.rfft(cep * lifter, axis=1).real
@@ -188,8 +168,8 @@ def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
     env_warped = env[:, i0] * (1.0 - frac) + env[:, i1] * frac
 
     new_mag = np.exp(env_warped + resid)
-    y = _istft_wola(new_mag * np.exp(1j * phase), len(x))
-    return AudioClip(y[pad:pad + n], clip.sample_rate)
+    y = istft(new_mag * np.exp(1j * phase), _FORMANT_FRAMES, len(x))
+    return AudioClip(y[n_fft:n_fft + n], clip.sample_rate)
 
 
 def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarray:
@@ -201,7 +181,7 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
     seg = int(round(defaults.WSOLA_SEGMENT_SEC * sample_rate))
     search = int(round(defaults.WSOLA_SEARCH_SEC * sample_rate))
     hop = seg // 2
-    win = _hann(seg)
+    win = hann(seg)
     scale = len(x) / target_len
 
     xp = np.concatenate([x, np.zeros(seg + search + 1)])

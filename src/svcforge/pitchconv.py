@@ -13,7 +13,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,11 +21,10 @@ from .errors import (
     DegenerateStatsError,
     InvalidParameterError,
     ManifestFormatError,
-    MissingFileError,
     NoVoicedFramesError,
 )
 from .pitch import F0Track
-from .svcf import atomic_write_bytes
+from .svcf import atomic_write_bytes, read_json
 
 _LN2 = math.log(2.0)
 
@@ -146,16 +144,13 @@ def save_stats(stats: SpeakerF0Stats, path: str | os.PathLike) -> None:
 
 
 def load_stats(path: str | os.PathLike) -> SpeakerF0Stats:
-    p = Path(path)
-    if not p.exists():
-        raise MissingFileError(f"no such stats file: {p}")
+    doc = read_json(path, "stats file")
     try:
-        doc = json.loads(p.read_text())
         return SpeakerF0Stats(
             speaker_id=doc["speaker_id"],
             mean_log_f0=float(doc["mean_log_f0"]),
             std_log_f0=float(doc["std_log_f0"]),
             n_voiced_frames=int(doc["n_voiced_frames"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ManifestFormatError(f"bad stats file {p}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestFormatError(f"bad stats file {path}: {exc}") from exc

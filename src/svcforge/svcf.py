@@ -13,6 +13,7 @@ Writes are temp-then-rename so a failed run never leaves a partial file.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
@@ -20,7 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingFileError, TensorFormatError, UnwritablePathError
+from .errors import (
+    ManifestFormatError,
+    MissingFileError,
+    TensorFormatError,
+    UnwritablePathError,
+)
 
 MAGIC = b"SVCF"
 VERSION = 1
@@ -71,3 +77,16 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
             raise
     except OSError as exc:
         raise UnwritablePathError(f"cannot write {p}: {exc}") from exc
+
+
+def read_json(path: str | os.PathLike, what: str):
+    """Parse the UTF-8 JSON document at `path`; `what` names it in errors.
+    A missing path or a directory is a MissingFileError, text that is not
+    UTF-8 or not JSON a ManifestFormatError; callers check the fields."""
+    p = Path(path)
+    if not p.is_file():
+        raise MissingFileError(f"no such {what}: {p}")
+    try:
+        return json.loads(p.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ManifestFormatError(f"bad {what} {p}: {exc}") from exc

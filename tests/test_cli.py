@@ -143,6 +143,7 @@ def test_perturb_empty_wav(tmp_path, capsys):
     ["--formant-ratio-range", "0.3", "1.0"],
     ["--eq-q-range", "nan", "1"],
     ["--eq-q-range", "1", "inf"],
+    ["--eq-gain-range-db", "1e6", "1e6"],
 ])
 def test_perturb_rejects_bad_ranges_for_every_seed(tmp_path, wavs, capsys, flags):
     a, _ = wavs
@@ -206,6 +207,16 @@ def test_ddpm_train_finetune_sample_deterministic(tmp_path, capsys):
     assert s1.read_bytes() == s2.read_bytes()
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_ddpm_train_rejects_nonpositive_steps(tmp_path, capsys, steps):
+    out_dir = tmp_path / "model"
+    code, summary = run_cli(capsys, "ddpm", "train", "--out-dir", str(out_dir),
+                            "--seed", "0", "--steps", steps)
+    assert code == 2
+    assert summary is None
+    assert not out_dir.exists()
+
+
 def test_ddpm_sample_oracle_mode(tmp_path, capsys):
     out = tmp_path / "o.svcf"
     code, summary = run_cli(capsys, "ddpm", "sample", "--oracle-mean", "0.5",
@@ -262,6 +273,68 @@ def test_exit_codes(tmp_path, capsys):
     # unknown spec name is a data error
     code, _ = run_cli(capsys, "manifest", "compose", "--spec", "bogus")
     assert code == 2
+
+
+def test_bad_jobs_environment_is_a_usage_error(tmp_path, wavs, capsys, monkeypatch):
+    a, _ = wavs
+    monkeypatch.setenv("SVCFORGE_JOBS", "abc")
+    out = tmp_path / "out"
+    code = main(["extract", "--in", str(a), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and "--jobs" in err
+    assert not out.exists()
+    # subcommands without --jobs never look at it
+    code, _ = run_cli(capsys, "config", "show")
+    assert code == 0
+    # an explicit flag wins over the environment
+    code, summary = run_cli(capsys, "extract", "--in", str(a), "--out-dir", str(out),
+                            "--jobs", "2")
+    assert code == 0
+    assert len(summary["files"]) == 1
+
+
+def _bad_json_document(path, kind):
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"\xff\xfe\x00\x81 binary")
+    elif kind == "malformed":
+        path.write_text('{"truncated": ')
+    elif kind == "wrong-type":
+        path.write_text("3")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8", "malformed",
+                                  "wrong-type"])
+@pytest.mark.parametrize("reader", ["notes", "stats", "model-index", "spec"])
+def test_json_readers_reject_bad_documents(tmp_path, capsys, reader, kind):
+    out = tmp_path / "out.svcf"
+    if reader == "notes":
+        doc = tmp_path / "notes.json"
+        argv = ["segment", "--mode", "rest", "--notes", str(doc), "--out", str(out)]
+    elif reader == "stats":
+        doc = tmp_path / "stats.json"
+        track = tmp_path / "f0.svcf"
+        write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+        argv = ["convert-pitch", "--in", str(track), "--out", str(out),
+                "--source-stats", str(doc), "--target-stats", str(doc)]
+    elif reader == "model-index":
+        model_dir = tmp_path / "model"
+        model_dir.mkdir()
+        doc = model_dir / "index.json"
+        argv = ["ddpm", "sample", "--model-dir", str(model_dir), "--out", str(out),
+                "--seed", "0"]
+    else:
+        doc = tmp_path / "spec.json"
+        argv = ["manifest", "compose", "--spec", str(doc), "--out", str(out)]
+    _bad_json_document(doc, kind)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from svcforge.diffusion import (
     CLN_PARAM_NAMES,
     CLNParams,
     ConditionSet,
+    NoiseSchedule,
     ToyDenoiser,
     TrainConfig,
     analytic_gaussian_denoiser,
@@ -25,7 +28,11 @@ from svcforge.diffusion import (
     save_model,
     train_toy,
 )
-from svcforge.errors import InvalidParameterError, ShapeMismatchError
+from svcforge.errors import (
+    InvalidParameterError,
+    ManifestFormatError,
+    ShapeMismatchError,
+)
 
 SCHED = linear_schedule()
 
@@ -63,6 +70,15 @@ def test_default_schedule_alpha_bar():
     assert 0.0 < SCHED.alpha_bar_at(100) < 0.5
     bars = [SCHED.alpha_bar_at(t) for t in range(1, 101)]
     assert np.all(np.diff(bars) < 0)
+
+
+def test_schedule_derives_alpha_tables_from_beta():
+    beta = np.array([0.1, 0.2, 0.05])
+    sched = NoiseSchedule(beta)
+    assert np.array_equal(sched.alpha, 1.0 - beta)
+    assert np.array_equal(sched.alpha_bar, np.cumprod(1.0 - beta))
+    with pytest.raises(TypeError):
+        NoiseSchedule(beta, alpha=1.0 - beta, alpha_bar=np.ones(3))
 
 
 def test_schedule_validation():
@@ -312,6 +328,49 @@ def test_predict_eps_batched_matches_single():
     assert np.allclose(stacked, singles, atol=1e-14)
 
 
+def _reference_predict_eps(model, x_t, t, cond, unconditional):
+    """w2 tanh(CLN(w1 inp + b1)) + b2 with conditional_layer_norm as the CLN."""
+    p = model.params
+    e = np.zeros(model.speaker_dim) if unconditional else cond.speaker_embedding
+    fixed = np.concatenate([model.time_embedding(t), cond.summary()])
+    inp = np.concatenate(
+        [x_t, np.broadcast_to(fixed, x_t.shape[:-1] + fixed.shape)], axis=-1)
+    h = inp @ p["w1"].T + p["b1"]
+    cln = CLNParams(*(p[name] for name in CLN_PARAM_NAMES))
+    return np.tanh(conditional_layer_norm(h, e, cln)) @ p["w2"].T + p["b2"]
+
+
+def test_predict_eps_matches_reference_composition():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        cond = _cond(seed=seed, speaker_dim=4)
+        model = ToyDenoiser(dim=5, cond_dim=cond.summary().size, speaker_dim=4,
+                            hidden=12, seed=seed)
+        for name in CLN_PARAM_NAMES:  # move the CLN off its identity init
+            model.params[name] = rng.normal(size=model.params[name].shape)
+        for shape in [(5,), (7, 5)]:
+            x_t = rng.normal(size=shape)
+            t = int(rng.integers(1, SCHED.num_steps + 1))
+            for unconditional in (False, True):
+                got = model.predict_eps(x_t, t, cond, unconditional=unconditional)
+                want = _reference_predict_eps(model, x_t, t, cond, unconditional)
+                assert got.shape == shape
+                assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_forward_checks_shapes():
+    model, cond = _toy()
+    wrong_speaker = replace(cond, speaker_embedding=pseudo_speaker_embedding(0, 2))
+    with pytest.raises(ShapeMismatchError):
+        model.predict_eps(np.zeros(4), 3, cond)
+    with pytest.raises(ShapeMismatchError):
+        model.predict_eps(np.zeros(3), 3, wrong_speaker)
+    with pytest.raises(ShapeMismatchError):
+        model.l2_loss_and_grads(np.zeros(4), 3, cond, np.zeros(4))
+    with pytest.raises(ShapeMismatchError):
+        model.l2_loss_and_grads(np.zeros(3), 3, wrong_speaker, np.zeros(3))
+
+
 # -- training loops -----------------------------------------------------------
 
 def _toy_dataset(n_items, dim, seed):
@@ -403,6 +462,13 @@ def test_train_empty_dataset_rejected():
         train_toy(model, [], SCHED, TrainConfig(steps=1))
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_train_nonpositive_steps_rejected(steps):
+    model, cond = _toy()
+    with pytest.raises(InvalidParameterError):
+        train_toy(model, [(np.zeros(3), cond)], SCHED, TrainConfig(steps=steps))
+
+
 # -- fine-tuning ----------------------------------------------------------------
 
 def test_finetune_zero_iterations_is_noop():
@@ -472,3 +538,14 @@ def test_model_save_load_roundtrip(tmp_path):
     a = model.predict_eps(x, 10, cond)
     b = back.predict_eps(x, 10, cond)
     assert np.allclose(a, b, atol=1e-5)  # float32 storage quantization
+
+
+def test_model_index_with_malformed_params_rejected(tmp_path):
+    model, _ = _toy()
+    save_model(model, tmp_path / "m")
+    index_path = tmp_path / "m" / "index.json"
+    index = json.loads(index_path.read_text())
+    index["params"] = sorted(index["params"].values())
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(ManifestFormatError):
+        load_model(tmp_path / "m")

@@ -17,6 +17,7 @@ from svcforge.features import (
     a_weight_db,
     build_mel_filterbank,
     hz_to_mel,
+    istft,
     log_mel,
     loudness,
     stft,
@@ -82,6 +83,23 @@ def test_stft_errors():
         stft(AudioClip(np.zeros(4000), 16000), CFG)
     with pytest.raises(ClipTooShortError):
         stft(AudioClip(np.zeros(CFG.win_length - 1), CFG.sample_rate), CFG)
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    FrameConfig(hop=256, win_length=1024, fft_size=1024),  # formant shifter's grid
+], ids=["canonical", "formant"])
+def test_istft_inverts_stft_where_fully_covered(cfg):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(cfg.win_length * 6 + 77)
+    spec = stft(AudioClip(x, cfg.sample_rate), cfg)
+    y = istft(spec, cfg, x.size)
+    # samples from the end of the first window to the start of the last are
+    # covered by a full window's worth of frames
+    covered = slice(cfg.win_length, (spec.shape[0] - 1) * cfg.hop + 1)
+    assert np.allclose(y[covered], x[covered], rtol=0, atol=1e-12)
+    # nothing past the last frame is invented
+    assert np.all(y[(spec.shape[0] - 1) * cfg.hop + cfg.win_length:] == 0)
 
 
 def test_mel_scale_formula():

@@ -264,8 +264,11 @@ def test_config_validation():
         {"pitch_semitone_range": (0.0, 12.5)},
         {"formant_ratio_range": (0.4, 1.0)},
         {"formant_ratio_range": (1.0, 2.1)},
+        {"eq_gain_range_db": (-24.5, 0.0)},
+        {"eq_gain_range_db": (1e6, 1e6)},
     ]:
         with pytest.raises(InvalidParameterError):
             PerturbConfig(**kwargs)
     # the edges of the accepted ranges are valid
-    PerturbConfig(pitch_semitone_range=(-12.0, 12.0), formant_ratio_range=(0.5, 2.0))
+    PerturbConfig(pitch_semitone_range=(-12.0, 12.0), formant_ratio_range=(0.5, 2.0),
+                  eq_gain_range_db=(-24.0, 24.0))
