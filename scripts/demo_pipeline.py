@@ -45,8 +45,8 @@ def main() -> int:
 
     # features for the singing clip
     spec = stft(singing, cfg)
-    write_tensor(out_dir / "singing.mel.svcf", log_mel(spec, fb).frames)
-    write_tensor(out_dir / "singing.loudness.svcf", loudness(spec, cfg).values)
+    write_tensor(out_dir / "singing.mel.svcf", log_mel(spec, fb))
+    write_tensor(out_dir / "singing.loudness.svcf", loudness(spec, cfg))
     sing_track = estimate_f0(singing, cfg)
     write_tensor(out_dir / "singing.f0.svcf", sing_track.to_array())
 

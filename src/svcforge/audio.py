@@ -19,10 +19,9 @@ from . import defaults
 from .errors import (
     InvalidParameterError,
     MalformedWavError,
-    MissingFileError,
     UnsupportedEncodingError,
 )
-from .svcf import atomic_write_bytes
+from .svcf import atomic_write_bytes, read_bytes
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,7 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     by 2^(bits-1). The clip keeps the file's native sample rate.
     """
     p = Path(path)
-    if not p.exists():
-        raise MissingFileError(f"no such file: {p}")
-    blob = p.read_bytes()
+    blob = read_bytes(p, "file")
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise MalformedWavError(f"{p}: not a RIFF/WAVE file")
 

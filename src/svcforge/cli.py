@@ -47,15 +47,8 @@ from .diffusion import (
     toy_dataset,
     train_toy,
 )
-from .errors import SvcforgeError
-from .features import (
-    CANONICAL_FRAME_CONFIG,
-    FrameConfig,
-    build_mel_filterbank,
-    log_mel,
-    loudness,
-    stft,
-)
+from .errors import InvalidParameterError, SvcforgeError
+from .features import FrameConfig, build_mel_filterbank, log_mel, loudness, stft
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0
 from .pitchconv import (
@@ -90,7 +83,7 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _frame_config(args) -> FrameConfig:
+def _frame_grid(args) -> FrameConfig:
     return FrameConfig(
         sample_rate=defaults.SAMPLE_RATE,
         hop=args.hop, win_length=args.win_length, fft_size=args.fft_size,
@@ -122,8 +115,13 @@ def _load_clip_at_canonical_rate(path: str) -> AudioClip:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_extract(args) -> dict:
-    cfg = _frame_config(args)
+    cfg = _frame_grid(args)
     fb = build_mel_filterbank(cfg)
+    stems = [Path(path).stem for path in args.inputs]
+    if len(set(stems)) < len(stems):
+        raise InvalidParameterError(
+            "inputs share a file stem, so their outputs would overwrite each other"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -139,10 +137,10 @@ def _cmd_extract(args) -> dict:
             "loudness": str(out_dir / f"{stem}.loudness.svcf"),
             "f0": str(out_dir / f"{stem}.f0.svcf"),
         }
-        write_tensor(files["mel"], mel.frames)
-        write_tensor(files["loudness"], loud.values)
+        write_tensor(files["mel"], mel)
+        write_tensor(files["loudness"], loud)
         write_tensor(files["f0"], track.to_array())
-        return {"input": path, "frames": int(mel.frames.shape[0]),
+        return {"input": path, "frames": int(mel.shape[0]),
                 "duration_sec": clip.duration_sec, "outputs": files}
 
     results = _run_jobs(args.inputs, work, args.jobs)
@@ -150,7 +148,7 @@ def _cmd_extract(args) -> dict:
 
 
 def _cmd_f0_stats(args) -> dict:
-    cfg = _frame_config(args)
+    cfg = _frame_grid(args)
 
     def work(path: str) -> F0Track:
         return estimate_f0(_load_clip_at_canonical_rate(path), cfg,
@@ -181,8 +179,7 @@ def _policy_from_args(args) -> ConversionPolicy:
 
 def _cmd_convert_pitch(args) -> dict:
     policy = _policy_from_args(args)
-    cfg = CANONICAL_FRAME_CONFIG
-    track = F0Track.from_array(read_tensor(args.input), cfg)
+    track = F0Track.from_array(read_tensor(args.input))
     stats_x = load_stats(args.source_stats)
     stats_y = load_stats(args.target_stats)
     converted = convert_logf0(track, stats_x, stats_y, policy)
@@ -352,9 +349,8 @@ def _cmd_eval_cossim(args) -> dict:
 
 
 def _cmd_eval_f0(args) -> dict:
-    cfg = CANONICAL_FRAME_CONFIG
-    track_a = F0Track.from_array(read_tensor(args.a), cfg)
-    track_b = F0Track.from_array(read_tensor(args.b), cfg)
+    track_a = F0Track.from_array(read_tensor(args.a))
+    track_b = F0Track.from_array(read_tensor(args.b))
     result = f0_metrics(track_a, track_b)
     return {"command": "eval f0", "rmse_cents": result.rmse_cents,
             "vuv_error_rate": result.vuv_error_rate}

@@ -21,11 +21,10 @@ from .audio import AudioClip
 from .errors import (
     InvalidParameterError,
     ManifestFormatError,
-    MissingFileError,
     OverlappingNotesError,
     UnknownSpecError,
 )
-from .svcf import atomic_write_bytes, read_json
+from .svcf import atomic_write_bytes, read_bytes, read_json
 
 SVCC_TARGET_SPEAKERS = ("IDF1", "IDM1", "CDF1", "CDM1")
 
@@ -76,17 +75,19 @@ class ManifestEntry:
 
 
 def read_manifest(path: str | os.PathLike) -> list:
-    p = Path(path)
-    if not p.exists():
-        raise MissingFileError(f"no such manifest: {p}")
+    """Entries of a UTF-8 JSONL manifest; blank lines are skipped."""
+    try:
+        text = read_bytes(path, "manifest").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestFormatError(f"bad manifest {path}: {exc}") from exc
     entries = []
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ManifestFormatError(f"{p}:{lineno}: {exc}") from exc
+            raise ManifestFormatError(f"{path}:{lineno}: {exc}") from exc
         entries.append(ManifestEntry.from_json(doc))
     return entries
 
@@ -136,16 +137,24 @@ class TrainingSetSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainingSetSpec":
+        """Parse a spec object; each filter is a JSON array of strings, and
+        `languages`/`kinds` may also be null (or absent) for "any"."""
+        def names(key, default):
+            value = doc.get(key, default)
+            if value is None and default is None:
+                return None
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ManifestFormatError(
+                    f"bad training-set spec: {key} must be an array of strings"
+                )
+            return frozenset(value)
+
         try:
-            langs = doc.get("languages")
-            kinds = doc.get("kinds")
             return cls(
                 name=str(doc["name"]),
-                languages=frozenset(langs) if langs is not None else None,
-                kinds=frozenset(kinds) if kinds is not None else None,
-                always_include_datasets=frozenset(
-                    doc.get("always_include_datasets", ())
-                ),
+                languages=names("languages", None),
+                kinds=names("kinds", None),
+                always_include_datasets=names("always_include_datasets", []),
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise ManifestFormatError(f"bad training-set spec: {exc}") from exc

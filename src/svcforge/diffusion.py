@@ -286,8 +286,7 @@ class ToyDenoiser:
     Input is concat(x_t, sinusoidal time embedding, condition summary); the
     speaker embedding enters only through the CLN affines. Unconditional
     mode feeds the zero embedding, so the CLN biases act as learned null
-    parameters. Instances count unconditional calls in `uncond_calls` for
-    test instrumentation.
+    parameters.
     """
 
     def __init__(self, dim: int, cond_dim: int, speaker_dim: int,
@@ -313,7 +312,6 @@ class ToyDenoiser:
             "w2": rng.standard_normal((dim, hidden)) / math.sqrt(hidden),
             "b2": np.zeros(dim),
         }
-        self.uncond_calls = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -332,7 +330,6 @@ class ToyDenoiser:
 
     def _embedding(self, cond: ConditionSet, unconditional: bool) -> np.ndarray:
         if unconditional:
-            self.uncond_calls += 1
             return np.zeros(self.speaker_dim)
         if cond.speaker_embedding is None:
             raise InvalidParameterError(
@@ -557,17 +554,38 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
 
 
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:
+    """Inverse of `save_model`. The index must name exactly the parameters of
+    a model with its dimensions, each file inside `directory`, each tensor
+    finite and of that parameter's shape; anything else is a
+    ManifestFormatError."""
     d = Path(directory)
     index_path = d / "index.json"
     index = read_json(index_path, "model index")
+
+    def bad(why):
+        return ManifestFormatError(f"bad model index {index_path}: {why}")
+
     try:
         model = ToyDenoiser(
             dim=index["dim"], cond_dim=index["cond_dim"],
             speaker_dim=index["speaker_dim"], num_steps=index["num_steps"],
             hidden=index["hidden"], time_freqs=index["time_freqs"],
         )
-        for name, fname in index["params"].items():
-            model.params[name] = read_tensor(d / fname).astype(np.float64)
+        files = index["params"]
+        if sorted(files) != sorted(model.params):
+            raise bad(f"params must name exactly {sorted(model.params)}")
+        root = d.resolve()
+        for name, fname in files.items():
+            path = d / fname
+            if root not in path.resolve().parents:
+                raise bad(f"{name} file {fname!r} is outside the model directory")
+            value = read_tensor(path).astype(np.float64)
+            if value.shape != model.params[name].shape:
+                raise bad(f"{name} has shape {value.shape}, "
+                          f"expected {model.params[name].shape}")
+            if not np.all(np.isfinite(value)):
+                raise bad(f"{name} has non-finite entries")
+            model.params[name] = value
     except (AttributeError, KeyError, TypeError) as exc:
-        raise ManifestFormatError(f"bad model index {index_path}: {exc}") from exc
+        raise bad(exc) from exc
     return model

@@ -124,7 +124,6 @@ class MelFilterbank:
 
     weights: np.ndarray
     edges_hz: np.ndarray
-    frame_config: FrameConfig
 
     @property
     def center_frequencies(self) -> np.ndarray:
@@ -150,19 +149,12 @@ def build_mel_filterbank(cfg: FrameConfig, n_mels: int = defaults.N_MELS,
         raise InvalidParameterError(
             "mel filters narrower than one FFT bin; increase fft_size"
         )
-    return MelFilterbank(weights, edges, cfg)
+    return MelFilterbank(weights, edges)
 
 
-@dataclass(frozen=True)
-class MelSpectrogram:
-    """Natural-log mel energies, shape [T, n_mels]."""
-
-    frames: np.ndarray
-    frame_config: FrameConfig
-
-
-def log_mel(spec: np.ndarray, fb: MelFilterbank) -> MelSpectrogram:
-    """Log of (filterbank x power spectrum), floored at log(1e-10)."""
+def log_mel(spec: np.ndarray, fb: MelFilterbank) -> np.ndarray:
+    """Natural-log mel energies [T, n_mels]: log of (filterbank x power
+    spectrum), floored at log(1e-10)."""
     if spec.ndim != 2 or spec.shape[1] != fb.weights.shape[1]:
         raise ShapeMismatchError(
             f"spectrogram has {spec.shape} bins, filterbank expects "
@@ -170,8 +162,7 @@ def log_mel(spec: np.ndarray, fb: MelFilterbank) -> MelSpectrogram:
         )
     power = np.abs(spec) ** 2
     mel = power @ fb.weights.T
-    return MelSpectrogram(np.log(np.maximum(mel, defaults.POWER_FLOOR)),
-                          fb.frame_config)
+    return np.log(np.maximum(mel, defaults.POWER_FLOOR))
 
 
 def a_weight_db(f_hz):
@@ -195,16 +186,9 @@ def a_weight_db(f_hz):
     return float(out) if np.isscalar(f_hz) else out
 
 
-@dataclass(frozen=True)
-class LoudnessTrack:
-    """Per-frame A-weighted loudness in dB on the FrameConfig grid."""
-
-    values: np.ndarray
-    frame_config: FrameConfig
-
-
-def loudness(spec: np.ndarray, cfg: FrameConfig) -> LoudnessTrack:
-    """L = 10 log10(sum_k wA(f_k) P(k) + 1e-10) per frame.
+def loudness(spec: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Per-frame A-weighted loudness in dB, shape [T]:
+    L = 10 log10(sum_k wA(f_k) P(k) + 1e-10).
 
     wA is the linear-power A weight 10^(A/10); P the one-sided power
     spectrum. A zero frame therefore reads -100 dB.
@@ -216,5 +200,4 @@ def loudness(spec: np.ndarray, cfg: FrameConfig) -> LoudnessTrack:
         )
     w = 10.0 ** (a_weight_db(cfg.bin_frequencies()) / 10.0)
     power = np.abs(spec) ** 2
-    vals = 10.0 * np.log10(power @ w + defaults.POWER_FLOOR)
-    return LoudnessTrack(vals, cfg)
+    return 10.0 * np.log10(power @ w + defaults.POWER_FLOOR)

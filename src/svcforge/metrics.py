@@ -7,35 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ZeroNormError
+from .errors import InvalidParameterError, ShapeMismatchError, ZeroNormError
 from .pitch import F0Track, cents_between
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A speaker (or other) embedding with a provenance tag."""
-
-    values: np.ndarray
-    source_id: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ShapeMismatchError("embedding must be 1-D")
-        if not np.all(np.isfinite(vals)):
-            raise ZeroNormError("embedding must be finite")
-        object.__setattr__(self, "values", vals)
-
-
-def _as_vector(v) -> np.ndarray:
-    return v.values if isinstance(v, EmbeddingVector) else np.asarray(v, dtype=np.float64)
 
 
 def cosine_similarity(a, b) -> float:
     """a.b / (|a||b|), clipped into [-1, 1]."""
-    va, vb = _as_vector(a), _as_vector(b)
+    va, vb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise ShapeMismatchError(f"dims disagree: {va.shape} vs {vb.shape}")
+    if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
+        raise InvalidParameterError("cosine similarity needs finite input")
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na == 0 or nb == 0:
         raise ZeroNormError("cosine similarity undefined for zero-norm input")

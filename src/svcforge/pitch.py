@@ -11,7 +11,7 @@ and median-smooths each voiced run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,49 +27,43 @@ _PEAK_MARGIN = 0.02
 
 @dataclass(frozen=True)
 class F0Track:
-    """Per-frame F0 in Hz (0 when unvoiced), natural-log F0 (NaN when
-    unvoiced), and the voiced/unvoiced flag."""
+    """Per-frame F0 in Hz, 0 on unvoiced frames. The voiced/unvoiced flag
+    (F0 > 0) and the natural-log F0 (NaN when unvoiced) derive from it."""
 
     f0_hz: np.ndarray
-    log_f0: np.ndarray
-    vuv: np.ndarray
-    frame_config: FrameConfig
+    vuv: np.ndarray = field(init=False)
+    log_f0: np.ndarray = field(init=False)
 
     def __post_init__(self):
         f0 = np.asarray(self.f0_hz, dtype=np.float64)
-        lf = np.asarray(self.log_f0, dtype=np.float64)
-        vuv = np.asarray(self.vuv, dtype=bool)
-        if not (f0.shape == lf.shape == vuv.shape) or f0.ndim != 1:
-            raise ShapeMismatchError("f0_hz, log_f0, vuv must be equal 1-D arrays")
-        if not np.array_equal(vuv, f0 > 0):
-            raise InvalidParameterError("vuv flag must equal (f0_hz > 0)")
-        if not np.allclose(lf[vuv], np.log(f0[vuv]), rtol=0, atol=1e-12):
-            raise InvalidParameterError("log_f0 must equal ln(f0_hz) on voiced frames")
-        if not np.all(np.isnan(lf[~vuv])):
-            raise InvalidParameterError("log_f0 must be NaN on unvoiced frames")
-        object.__setattr__(self, "f0_hz", f0)
-        object.__setattr__(self, "log_f0", lf)
-        object.__setattr__(self, "vuv", vuv)
-
-    @classmethod
-    def from_f0_hz(cls, f0_hz: np.ndarray, cfg: FrameConfig) -> "F0Track":
-        f0 = np.asarray(f0_hz, dtype=np.float64)
+        if f0.ndim != 1:
+            raise ShapeMismatchError("f0_hz must be a 1-D array")
+        if not np.all(np.isfinite(f0)) or np.any(f0 < 0):
+            raise InvalidParameterError("f0_hz must be finite and >= 0")
         vuv = f0 > 0
-        lf = np.full(f0.shape, np.nan)
-        lf[vuv] = np.log(f0[vuv])
-        return cls(f0, lf, vuv, cfg)
+        log_f0 = np.full(f0.shape, np.nan)
+        log_f0[vuv] = np.log(f0[vuv])
+        object.__setattr__(self, "f0_hz", f0)
+        object.__setattr__(self, "vuv", vuv)
+        object.__setattr__(self, "log_f0", log_f0)
 
     def to_array(self) -> np.ndarray:
         """[T, 2] matrix (f0_hz, vuv as 0/1) for SVCF serialization."""
         return np.stack([self.f0_hz, self.vuv.astype(np.float64)], axis=1)
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, cfg: FrameConfig) -> "F0Track":
+    def from_array(cls, arr: np.ndarray) -> "F0Track":
+        """Inverse of `to_array`. Every entry must be finite and every frame
+        flagged voiced must have F0 > 0; unvoiced frames read as F0 0."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ShapeMismatchError("expected a [T, 2] (f0, vuv) matrix")
-        f0 = np.where(arr[:, 1] > 0.5, arr[:, 0], 0.0)
-        return cls.from_f0_hz(f0, cfg)
+        if not np.all(np.isfinite(arr)):
+            raise InvalidParameterError("F0 track has non-finite entries")
+        voiced = arr[:, 1] > 0.5
+        if np.any(arr[voiced, 0] <= 0):
+            raise InvalidParameterError("F0 track has a voiced frame with F0 <= 0")
+        return cls(np.where(voiced, arr[:, 0], 0.0))
 
 
 def _normalized_autocorr(frames: np.ndarray, max_lag: int) -> np.ndarray:
@@ -165,7 +159,7 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
 
     vuv = f0 > 0
     f0 = _median_smooth_runs(f0, vuv)
-    return F0Track.from_f0_hz(f0, cfg)
+    return F0Track(f0)
 
 
 def semitones_to_ratio(semitones: float) -> float:

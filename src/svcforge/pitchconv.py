@@ -130,7 +130,7 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
 
     f0 = np.zeros_like(track.f0_hz)
     f0[track.vuv] = np.exp(out)
-    return F0Track.from_f0_hz(f0, track.frame_config)
+    return F0Track(f0)
 
 
 def save_stats(stats: SpeakerF0Stats, path: str | os.PathLike) -> None:

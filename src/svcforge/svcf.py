@@ -43,9 +43,7 @@ def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
     """Read an SVCF file back into a float32 array."""
     p = Path(path)
-    if not p.exists():
-        raise MissingFileError(f"no such tensor file: {p}")
-    blob = p.read_bytes()
+    blob = read_bytes(p, "tensor file")
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise TensorFormatError(f"{p}: bad magic (not an SVCF file)")
     version, ndim = struct.unpack_from("<II", blob, 4)
@@ -79,14 +77,20 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
         raise UnwritablePathError(f"cannot write {p}: {exc}") from exc
 
 
-def read_json(path: str | os.PathLike, what: str):
-    """Parse the UTF-8 JSON document at `path`; `what` names it in errors.
-    A missing path or a directory is a MissingFileError, text that is not
-    UTF-8 or not JSON a ManifestFormatError; callers check the fields."""
+def read_bytes(path: str | os.PathLike, what: str) -> bytes:
+    """Contents of the regular file at `path`; `what` names it in errors.
+    A missing path, a directory or any other non-file is a MissingFileError."""
     p = Path(path)
     if not p.is_file():
         raise MissingFileError(f"no such {what}: {p}")
+    return p.read_bytes()
+
+
+def read_json(path: str | os.PathLike, what: str):
+    """Parse the UTF-8 JSON document at `path` (see `read_bytes`); text that
+    is not UTF-8 or not JSON is a ManifestFormatError; callers check the
+    fields."""
     try:
-        return json.loads(p.read_bytes().decode("utf-8"))
+        return json.loads(read_bytes(path, what).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestFormatError(f"bad {what} {p}: {exc}") from exc
+        raise ManifestFormatError(f"bad {what} {path}: {exc}") from exc

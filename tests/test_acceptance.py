@@ -78,7 +78,7 @@ def criterion(num, name):
 def test_criterion_01():
     rng = np.random.default_rng(100)
     f0 = np.where(rng.random(2000) < 0.25, 0.0, rng.uniform(90, 900, 2000))
-    track = F0Track.from_f0_hz(f0, CFG)
+    track = F0Track(f0)
     stats_x = compute_f0_stats([track], "x")
     stats_y = SpeakerF0Stats("y", math.log(320.0), 0.27, 1234)
 
@@ -97,7 +97,7 @@ def test_criterion_01():
 def test_criterion_02():
     rng = np.random.default_rng(101)
     f0 = np.where(rng.random(500) < 0.3, 0.0, rng.uniform(100, 700, 500))
-    track = F0Track.from_f0_hz(f0, CFG)
+    track = F0Track(f0)
 
     # cross-domain with matched means: every voiced frame moves exactly
     # +600 cents, a ratio of 2^0.5

@@ -8,6 +8,7 @@ import pytest
 
 from svcforge.audio import AudioClip, read_wav, write_wav
 from svcforge.cli import main
+from svcforge.diffusion import ToyDenoiser, save_model
 from svcforge.svcf import read_tensor, write_tensor
 from svcforge.synth import sawtooth, sine
 
@@ -305,9 +306,26 @@ def _bad_json_document(path, kind):
         path.write_text("3")
 
 
+def _assert_rejected(capsys, argv, *outputs):
+    """Exit 2 with one stderr line, no stdout and none of `outputs` written."""
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    for out in outputs:
+        assert not out.exists()
+
+
+def _write_stats(path):
+    path.write_text(json.dumps({"speaker_id": "s", "mean_log_f0": 5.4,
+                                "std_log_f0": 0.1, "n_voiced_frames": 10}))
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8", "malformed",
                                   "wrong-type"])
-@pytest.mark.parametrize("reader", ["notes", "stats", "model-index", "spec"])
+@pytest.mark.parametrize("reader", ["notes", "stats", "model-index", "spec",
+                                    "wav", "svcf", "manifest"])
 def test_json_readers_reject_bad_documents(tmp_path, capsys, reader, kind):
     out = tmp_path / "out.svcf"
     if reader == "notes":
@@ -325,16 +343,99 @@ def test_json_readers_reject_bad_documents(tmp_path, capsys, reader, kind):
         doc = model_dir / "index.json"
         argv = ["ddpm", "sample", "--model-dir", str(model_dir), "--out", str(out),
                 "--seed", "0"]
-    else:
+    elif reader == "spec":
         doc = tmp_path / "spec.json"
         argv = ["manifest", "compose", "--spec", str(doc), "--out", str(out)]
+    elif reader == "wav":
+        doc = tmp_path / "in.wav"
+        argv = ["segment", "--mode", "vad", "--in", str(doc), "--out", str(out)]
+    elif reader == "svcf":
+        doc = tmp_path / "f0.svcf"
+        stats = tmp_path / "stats.json"
+        _write_stats(stats)
+        argv = ["convert-pitch", "--in", str(doc), "--out", str(out),
+                "--source-stats", str(stats), "--target-stats", str(stats)]
+    else:
+        doc = tmp_path / "manifest.jsonl"
+        argv = ["manifest", "compose", "--manifest", str(doc), "--spec", "final",
+                "--out", str(out)]
     _bad_json_document(doc, kind)
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert not out.exists()
+    _assert_rejected(capsys, argv, out)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("languages", "en"),
+    ("kinds", "singing"),
+    ("always_include_datasets", "svcc2023"),
+    ("languages", ["en", 3]),
+    ("always_include_datasets", None),
+])
+def test_manifest_compose_spec_filters_must_be_arrays(tmp_path, capsys, key, value):
+    spec = {"name": "s", "languages": ["en"], "kinds": None, key: value}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out.jsonl"
+    _assert_rejected(capsys, ["manifest", "compose", "--spec", spec_path, "--out", out],
+                     out)
+
+
+def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
+    inputs = [tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"]
+    for path, clip in zip(inputs, (sine(440, 0.3), sawtooth(220, 0.3))):
+        path.parent.mkdir()
+        write_wav(clip, path)
+    out_dir = tmp_path / "out"
+    _assert_rejected(capsys, ["extract", "--in", inputs[0], "--in", inputs[1],
+                              "--out-dir", out_dir], out_dir)
+
+
+@pytest.mark.parametrize("corruption", ["wrong-shape", "missing-param", "outside-path",
+                                        "non-finite"])
+def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
+    model_dir = tmp_path / "model"
+    save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+    index_path = model_dir / "index.json"
+    index = json.loads(index_path.read_text())
+    w1 = read_tensor(model_dir / "w1.svcf")
+    if corruption == "wrong-shape":
+        write_tensor(model_dir / "w1.svcf", w1[:, :-1])
+    elif corruption == "missing-param":
+        del index["params"]["b2"]
+    elif corruption == "outside-path":
+        write_tensor(tmp_path / "outside.svcf", w1)
+        index["params"]["w1"] = "../outside.svcf"
+    else:
+        w1[0, 0] = np.nan
+        write_tensor(model_dir / "w1.svcf", w1)
+    index_path.write_text(json.dumps(index))
+    out = tmp_path / "s.svcf"
+    _assert_rejected(capsys, ["ddpm", "sample", "--model-dir", model_dir, "--out", out,
+                              "--seed", "0"], out)
+
+
+@pytest.mark.parametrize("command, tensor", [
+    ("convert-pitch", [[220.0, 1.0], [np.nan, 1.0]]),
+    ("convert-pitch", [[220.0, 1.0], [-220.0, 1.0]]),
+    ("eval-f0", [[220.0, 1.0], [np.nan, 1.0]]),
+    ("eval-f0", [[220.0, 1.0], [-220.0, 1.0]]),
+    ("eval-cossim", [1.0, np.nan]),
+])
+def test_tensors_with_bad_values_rejected(tmp_path, capsys, command, tensor):
+    bad, good = tmp_path / "bad.svcf", tmp_path / "good.svcf"
+    write_tensor(bad, np.array(tensor, dtype=np.float32))
+    out = tmp_path / "out.svcf"
+    if command == "convert-pitch":
+        stats = tmp_path / "stats.json"
+        _write_stats(stats)
+        argv = ["convert-pitch", "--in", bad, "--out", out,
+                "--source-stats", stats, "--target-stats", stats]
+    elif command == "eval-f0":
+        write_tensor(good, np.array([[220.0, 1.0], [220.0, 1.0]], dtype=np.float32))
+        argv = ["eval", "f0", "--a", good, "--b", bad]
+    else:
+        write_tensor(good, np.array([1.0, 0.0], dtype=np.float32))
+        argv = ["eval", "cossim", "--a", bad, "--b", good]
+    _assert_rejected(capsys, argv, out)
 
 
 @pytest.mark.parametrize("argv", [

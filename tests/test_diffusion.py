@@ -390,19 +390,34 @@ def test_train_reduces_loss():
     assert hist[-50:].mean() < hist[:50].mean()
 
 
+def _spy_unconditional(model):
+    """Record the `unconditional` flag of every loss call on `model`."""
+    flags = []
+    loss_and_grads = model.l2_loss_and_grads
+
+    def spy(*args, unconditional=False, **kwargs):
+        flags.append(unconditional)
+        return loss_and_grads(*args, unconditional=unconditional, **kwargs)
+
+    model.l2_loss_and_grads = spy
+    return flags
+
+
 def test_p_uncond_zero_never_visits_unconditional():
     model, cond = _toy(dim=2, seed=5)
+    flags = _spy_unconditional(model)
     hist = train_toy(model, [(np.zeros(2), cond)], SCHED,
                      TrainConfig(steps=100, lr=1e-3, p_uncond=0.0, seed=1))
-    assert model.uncond_calls == 0
+    assert len(flags) == 100 and not any(flags)
     assert hist.size == 100
 
 
 def test_p_uncond_positive_visits_unconditional():
     model, cond = _toy(dim=2, seed=5)
+    flags = _spy_unconditional(model)
     train_toy(model, [(np.zeros(2), cond)], SCHED,
               TrainConfig(steps=200, lr=1e-3, p_uncond=0.3, seed=1))
-    assert model.uncond_calls > 0
+    assert len(flags) == 200 and any(flags)
 
 
 def _reference_pure_l2_loop(model, dataset, sched, steps, lr, p_uncond, seed):

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svcforge.errors import ShapeMismatchError, ZeroNormError
-from svcforge.features import CANONICAL_FRAME_CONFIG as CFG
-from svcforge.metrics import EmbeddingVector, cosine_similarity, f0_metrics
+from svcforge.errors import InvalidParameterError, ShapeMismatchError, ZeroNormError
+from svcforge.metrics import cosine_similarity, f0_metrics
 from svcforge.pitch import F0Track
 
 
 def _track(values):
-    return F0Track.from_f0_hz(np.asarray(values, dtype=float), CFG)
+    return F0Track(np.asarray(values, dtype=float))
 
 
 def test_cosine_anchors():
-    a = EmbeddingVector(np.array([1.0, 1.0, 0.0]), "a")
-    b = EmbeddingVector(np.array([1.0, 0.0, 0.0]), "b")
+    a = np.array([1.0, 1.0, 0.0])
+    b = np.array([1.0, 0.0, 0.0])
     assert cosine_similarity(a, a) == pytest.approx(1.0)
     assert cosine_similarity(a, b) == pytest.approx(1 / np.sqrt(2))
     assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
@@ -25,6 +24,11 @@ def test_cosine_errors():
         cosine_similarity(np.ones(3), np.ones(4))
     with pytest.raises(ZeroNormError):
         cosine_similarity(np.zeros(3), np.ones(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError):
+            cosine_similarity(np.array([1.0, bad]), np.ones(2))
+        with pytest.raises(InvalidParameterError):
+            cosine_similarity(np.ones(2), np.array([bad, 1.0]))
 
 
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from svcforge.audio import AudioClip, resample
-from svcforge.errors import InvalidParameterError, RateMismatchError
+from svcforge.errors import InvalidParameterError, RateMismatchError, ShapeMismatchError
 from svcforge.features import CANONICAL_FRAME_CONFIG as CFG
 from svcforge.pitch import (
     F0Track,
@@ -69,18 +69,29 @@ def test_pitch_shift_consistency():
 
 
 def test_track_invariants_enforced():
-    with pytest.raises(InvalidParameterError):
-        F0Track(np.array([100.0]), np.array([np.log(100.0)]),
-                np.array([False]), CFG)
-    with pytest.raises(InvalidParameterError):
-        F0Track(np.array([100.0]), np.array([4.0]), np.array([True]), CFG)
+    track = F0Track(np.array([100.0, 0.0, 250.0]))
+    assert np.array_equal(track.vuv, [True, False, True])
+    assert track.log_f0[0] == np.log(100.0) and track.log_f0[2] == np.log(250.0)
+    assert np.isnan(track.log_f0[1])
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(InvalidParameterError):
+            F0Track(np.array([100.0, bad]))
+    with pytest.raises(ShapeMismatchError):
+        F0Track(np.array([[100.0]]))
+    # serialized tracks: no non-finite entry, no voiced frame at F0 <= 0
+    for row in ([np.nan, 1.0], [-220.0, 1.0], [0.0, 1.0], [np.nan, 0.0], [220.0, np.inf]):
+        with pytest.raises(InvalidParameterError):
+            F0Track.from_array(np.array([[220.0, 1.0], row]))
 
 
 def test_track_array_roundtrip():
     track = estimate_f0(sine(440, 0.5), CFG)
-    back = F0Track.from_array(track.to_array(), CFG)
+    back = F0Track.from_array(track.to_array())
     assert np.array_equal(back.f0_hz, track.f0_hz)
     assert np.array_equal(back.vuv, track.vuv)
+    # an unvoiced frame reads as F0 0 whatever its stored F0
+    back = F0Track.from_array(np.array([[220.0, 1.0], [-5.0, 0.0], [180.0, 0.0]]))
+    assert np.array_equal(back.f0_hz, [220.0, 0.0, 0.0])
 
 
 def test_semitone_ratios():

@@ -9,7 +9,6 @@ from svcforge.errors import (
     InvalidParameterError,
     NoVoicedFramesError,
 )
-from svcforge.features import CANONICAL_FRAME_CONFIG as CFG
 from svcforge.pitch import F0Track, cents_between
 from svcforge.pitchconv import (
     ConversionPolicy,
@@ -26,7 +25,7 @@ IDENTITY = ConversionPolicy(scale_sigma=False, quantize_cents=0,
 
 
 def _track(f0_values):
-    return F0Track.from_f0_hz(np.asarray(f0_values, dtype=float), CFG)
+    return F0Track(np.asarray(f0_values, dtype=float))
 
 
 def test_stats_constant_track():
