@@ -47,11 +47,29 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# A KSDATAFORMAT_SUBTYPE_* GUID is a 16-bit format tag followed by these bytes.
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_subformat(p: Path, fmt_body: bytes) -> int:
+    """The format tag a WAVE_FORMAT_EXTENSIBLE fmt chunk's SubFormat GUID
+    carries (1 for PCM, 3 for IEEE float, ...)."""
+    if len(fmt_body) < 40:
+        raise MalformedWavError(f"{p}: extensible fmt chunk shorter than 40 bytes")
+    guid = fmt_body[24:40]
+    if guid[2:] != _SUBFORMAT_GUID_TAIL:
+        raise UnsupportedEncodingError(f"{p}: extensible sub-format {guid.hex()} is not supported")
+    return struct.unpack_from("<H", guid)[0]
+
+
 def read_wav(path: str | os.PathLike) -> AudioClip:
     """Read a RIFF/WAVE file (16/24-bit PCM or 32-bit float, mono or stereo).
 
-    Stereo is averaged down to mono. Integer samples are scaled to [-1, 1]
-    by 2^(bits-1). The clip keeps the file's native sample rate.
+    The format may also be given as WAVE_FORMAT_EXTENSIBLE with a PCM or
+    IEEE-float sub-format. Stereo is averaged down to mono. Integer samples
+    are scaled to [-1, 1] by 2^(bits-1). The clip keeps the file's native
+    sample rate.
     """
     p = Path(path)
     blob = read_bytes(p, "file")
@@ -71,6 +89,8 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
             if size < 16:
                 raise MalformedWavError(f"{p}: fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
+                fmt = (_extensible_subformat(p, body),) + fmt[1:]
         elif chunk_id == b"data":
             raw = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned

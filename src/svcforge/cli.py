@@ -183,11 +183,11 @@ def _cmd_convert_pitch(args) -> dict:
     stats_x = load_stats(args.source_stats)
     stats_y = load_stats(args.target_stats)
     converted = convert_logf0(track, stats_x, stats_y, policy)
-    write_tensor(args.out, converted.to_array())
     voiced = track.vuv
     median_shift = float(np.median(
         cents_between(track.f0_hz[voiced], converted.f0_hz[voiced])
     )) if np.any(voiced) else None
+    write_tensor(args.out, converted.to_array())
     return {
         "command": "convert-pitch", "out": args.out,
         "policy": {

@@ -12,8 +12,10 @@ from .pitch import F0Track, cents_between
 
 
 def cosine_similarity(a, b) -> float:
-    """a.b / (|a||b|), clipped into [-1, 1]."""
+    """a.b / (|a||b|) of two vectors, clipped into [-1, 1]."""
     va, vb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if va.ndim != 1:
+        raise ShapeMismatchError(f"cosine similarity needs vectors, got shape {va.shape}")
     if va.shape != vb.shape:
         raise ShapeMismatchError(f"dims disagree: {va.shape} vs {vb.shape}")
     if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):

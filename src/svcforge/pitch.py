@@ -7,6 +7,10 @@ the earliest peak within a small margin of the global maximum (guards
 against octave-down picks on strongly harmonic material), refines the lag
 by parabolic interpolation, gates voicing on peak height and frame energy,
 and median-smooths each voiced run.
+
+It runs block-wise: the autocorrelation and the peak picking go over fixed
+blocks of frames as array operations, so memory stays bounded however long
+the clip is, and the run-median smoother is one array pass over the track.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from .features import FrameConfig, frame_signal
 # Peaks within this much of the frame's best normalized correlation compete
 # on lag; the shortest wins.
 _PEAK_MARGIN = 0.02
+# Frames analysed at once. A multiple of 16, so the FFT groups rows as it
+# would over the whole clip; it bounds the autocorrelation's working set
+# to a few [block, fft] arrays whatever the clip's length.
+_BLOCK_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -86,26 +94,54 @@ def _normalized_autocorr(frames: np.ndarray, max_lag: int) -> np.ndarray:
     return np.where(denom > 0, corr / np.maximum(denom, 1e-300), 0.0)
 
 
+def _pick_f0(frames: np.ndarray, sr: int, lag_min: int, lag_max: int,
+             f_floor: float, f_ceil: float) -> np.ndarray:
+    """F0 of each frame of a block, 0 where it is unvoiced.
+
+    A frame's peaks are the local maxima of its correlation over
+    [lag_min + 1, lag_max - 1] that reach the voicing threshold; the
+    earliest within `_PEAK_MARGIN` of the best one wins, and its lag is
+    refined by a parabola through it and its two neighbours.
+    """
+    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    energy_ok = rms >= 10.0 ** (defaults.VUV_ENERGY_FLOOR_DBFS / 20.0)
+    r = _normalized_autocorr(frames, lag_max + 1)
+    mid = r[:, lag_min + 1:lag_max]
+    if mid.shape[1] == 0:  # lag range too narrow to hold a peak
+        return np.zeros(frames.shape[0])
+    peak = ((mid > r[:, lag_min:lag_max - 1]) & (mid >= r[:, lag_min + 2:lag_max + 1])
+            & (mid >= defaults.VUV_PEAK_THRESHOLD))
+    best = np.where(peak, mid, -np.inf).max(axis=1)
+    lag = np.argmax(peak & (mid >= best[:, None] - _PEAK_MARGIN), axis=1) + lag_min + 1
+    # parabolic refinement around the integer lag
+    rows = np.arange(r.shape[0])
+    y0, y1, y2 = r[rows, lag - 1], r[rows, lag], r[rows, lag + 1]
+    denom = y0 - 2 * y1 + y2
+    delta = np.zeros_like(denom)
+    np.divide(0.5 * (y0 - y2), denom, out=delta, where=np.abs(denom) > 1e-12)
+    delta = np.clip(delta, -0.5, 0.5)
+    f0 = np.clip(sr / (lag + delta), f_floor, f_ceil)
+    return np.where(energy_ok & peak.any(axis=1), f0, 0.0)
+
+
 def _median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
                         width: int = defaults.F0_MEDIAN_WIDTH) -> np.ndarray:
-    out = f0.copy()
-    half = width // 2
-    i = 0
-    while i < len(f0):
-        if not vuv[i]:
-            i += 1
-            continue
-        j = i
-        while j < len(f0) and vuv[j]:
-            j += 1
-        seg = f0[i:j]
-        smoothed = np.array([
-            np.median(seg[max(0, k - half):k + half + 1])
-            for k in range(len(seg))
-        ])
-        out[i:j] = smoothed
-        i = j
-    return out
+    """Centred running median of `width` frames within each voiced run.
+
+    Windows are clipped to the run, so a run's edge frames take the median
+    of fewer values (the mean of the middle two for an even count).
+    """
+    n = f0.size
+    idx = np.arange(n)
+    start = np.maximum.accumulate(np.where(vuv, 0, idx + 1))  # first frame of the run
+    stop = np.minimum.accumulate(np.where(vuv, n, idx)[::-1])[::-1]  # one past its last
+    nb = idx[:, None] + np.arange(-(width // 2), width // 2 + 1)
+    inside = (nb >= start[:, None]) & (nb < stop[:, None])
+    win = np.sort(np.where(inside, f0[np.clip(nb, 0, n - 1)], np.nan), axis=1)
+    count = inside.sum(axis=1)
+    lo = win[idx, np.maximum(count - 1, 0) // 2]
+    hi = win[idx, count // 2]
+    return np.where(vuv, (lo + hi) / 2, f0)
 
 
 def estimate_f0(clip: AudioClip, cfg: FrameConfig,
@@ -131,35 +167,11 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
         )
 
     frames = frame_signal(clip.samples, cfg)
-    rms = np.sqrt(np.mean(frames * frames, axis=1))
-    energy_ok = rms >= 10.0 ** (defaults.VUV_ENERGY_FLOOR_DBFS / 20.0)
-    r = _normalized_autocorr(frames, lag_max + 1)
-
-    n_frames = frames.shape[0]
-    f0 = np.zeros(n_frames)
-    for t in range(n_frames):
-        if not energy_ok[t]:
-            continue
-        row = r[t]
-        seg = row[lag_min:lag_max + 1]
-        peaks = np.flatnonzero(
-            (seg[1:-1] > seg[:-2]) & (seg[1:-1] >= seg[2:])
-        ) + lag_min + 1
-        peaks = peaks[row[peaks] >= defaults.VUV_PEAK_THRESHOLD]
-        if peaks.size == 0:
-            continue
-        best = row[peaks].max()
-        lag = int(peaks[row[peaks] >= best - _PEAK_MARGIN][0])
-        # parabolic refinement around the integer lag
-        y0, y1, y2 = row[lag - 1], row[lag], row[lag + 1]
-        denom = y0 - 2 * y1 + y2
-        delta = 0.5 * (y0 - y2) / denom if abs(denom) > 1e-12 else 0.0
-        delta = float(np.clip(delta, -0.5, 0.5))
-        f0[t] = float(np.clip(sr / (lag + delta), f_floor, f_ceil))
-
-    vuv = f0 > 0
-    f0 = _median_smooth_runs(f0, vuv)
-    return F0Track(f0)
+    f0 = np.concatenate([
+        _pick_f0(frames[i:i + _BLOCK_FRAMES], sr, lag_min, lag_max, f_floor, f_ceil)
+        for i in range(0, frames.shape[0], _BLOCK_FRAMES)
+    ])
+    return F0Track(_median_smooth_runs(f0, f0 > 0))
 
 
 def semitones_to_ratio(semitones: float) -> float:

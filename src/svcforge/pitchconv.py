@@ -112,24 +112,30 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
 
     With scale_sigma: f_hat = (sy/sx) (f - mx) + my. Without: a constant
     shift my - mx, quantized per policy. The cross-domain offset is added
-    last either way. Unvoiced frames pass through untouched.
+    last either way. Unvoiced frames pass through untouched; a voiced frame
+    whose converted F0 overflows or underflows to 0 Hz is an error.
     """
+    if policy.scale_sigma and stats_x.std_log_f0 == 0:
+        raise DegenerateStatsError(
+            f"source {stats_x.speaker_id!r} has zero log-F0 variance"
+        )
     lf = track.log_f0[track.vuv]
-    if policy.scale_sigma:
-        if stats_x.std_log_f0 == 0:
-            raise DegenerateStatsError(
-                f"source {stats_x.speaker_id!r} has zero log-F0 variance"
-            )
-        out = (stats_y.std_log_f0 / stats_x.std_log_f0) * (lf - stats_x.mean_log_f0) \
-            + stats_y.mean_log_f0
-    else:
-        delta_cents = (stats_y.mean_log_f0 - stats_x.mean_log_f0) * 1200.0 / _LN2
-        delta_cents = quantize_shift_cents(delta_cents, policy.quantize_cents)
-        out = lf + delta_cents * _LN2 / 1200.0
-    out = out + policy.cross_domain_offset_semitones * _LN2 / 12.0
-
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if policy.scale_sigma:
+            out = (stats_y.std_log_f0 / stats_x.std_log_f0) * (lf - stats_x.mean_log_f0) \
+                + stats_y.mean_log_f0
+        else:
+            delta_cents = (stats_y.mean_log_f0 - stats_x.mean_log_f0) * 1200.0 / _LN2
+            delta_cents = quantize_shift_cents(delta_cents, policy.quantize_cents)
+            out = lf + delta_cents * _LN2 / 1200.0
+        out = out + policy.cross_domain_offset_semitones * _LN2 / 12.0
+        voiced_f0 = np.exp(out)
+    if not np.all(np.isfinite(voiced_f0) & (voiced_f0 > 0)):
+        raise InvalidParameterError(
+            "converted F0 is not a finite positive frequency on a voiced frame"
+        )
     f0 = np.zeros_like(track.f0_hz)
-    f0[track.vuv] = np.exp(out)
+    f0[track.vuv] = voiced_f0
     return F0Track(f0)
 
 

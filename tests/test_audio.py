@@ -84,6 +84,64 @@ def test_unsupported_encoding(tmp_path):
         read_wav(p)
 
 
+def _wav(fmt_body, data):
+    fmt = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + bytes(len(fmt_body) & 1)
+    chunks = fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _fmt_body(tag, channels, bits, rate=44100):
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+
+
+_PCM_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_body(subformat, channels, bits, guid_tail=_PCM_GUID_TAIL):
+    return (_fmt_body(0xFFFE, channels, bits)
+            + struct.pack("<HHI", 22, bits, 0x3 if channels == 2 else 0x4)
+            + struct.pack("<H", subformat) + guid_tail)
+
+
+@pytest.mark.parametrize("tag, bits, channels", [(1, 24, 2), (1, 16, 1), (3, 32, 2)],
+                         ids=["pcm24-stereo", "pcm16-mono", "float32-stereo"])
+def test_extensible_reads_equal_to_its_plain_twin(tmp_path, tag, bits, channels):
+    rng = np.random.default_rng(bits)
+    if tag == 3:
+        data = rng.uniform(-1, 1, 50 * channels).astype("<f4").tobytes()
+    else:
+        data = rng.integers(0, 256, 50 * channels * bits // 8, dtype=np.uint8).tobytes()
+    plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    plain.write_bytes(_wav(_fmt_body(tag, channels, bits), data))
+    ext.write_bytes(_wav(_extensible_body(tag, channels, bits), data))
+    a, b = read_wav(plain), read_wav(ext)
+    assert b.sample_rate == a.sample_rate == 44100
+    assert a.samples.size == 50
+    assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("size", [16, 18, 24, 39])
+def test_extensible_fmt_shorter_than_40_bytes_is_malformed(tmp_path, size):
+    p = tmp_path / "short.wav"
+    p.write_bytes(_wav(_extensible_body(1, 1, 16)[:size], b"\0\0"))
+    with pytest.raises(MalformedWavError):
+        read_wav(p)
+
+
+@pytest.mark.parametrize("subformat, bits, guid_tail", [
+    (7, 8, _PCM_GUID_TAIL),
+    (1, 32, _PCM_GUID_TAIL),
+    (3, 64, _PCM_GUID_TAIL),
+    (1, 16, bytes(14)),
+], ids=["mulaw", "pcm32", "float64", "not-a-ksdataformat-guid"])
+def test_extensible_other_subformats_unsupported(tmp_path, subformat, bits, guid_tail):
+    p = tmp_path / "other.wav"
+    p.write_bytes(_wav(_extensible_body(subformat, 1, bits, guid_tail), bytes(bits // 8 * 4)))
+    with pytest.raises(UnsupportedEncodingError):
+        read_wav(p)
+
+
 def test_write_roundtrip_sine(tmp_path):
     clip = sine(440, 1.0, amplitude=0.9)
     p = tmp_path / "s.wav"

@@ -438,6 +438,31 @@ def test_tensors_with_bad_values_rejected(tmp_path, capsys, command, tensor):
     _assert_rejected(capsys, argv, out)
 
 
+def test_eval_cossim_rejects_tensors_above_two_dimensions(tmp_path, capsys):
+    cube, vec = tmp_path / "cube.svcf", tmp_path / "vec.svcf"
+    write_tensor(cube, np.ones((2, 2, 2), dtype=np.float32))
+    write_tensor(vec, np.ones(2, dtype=np.float32))
+    _assert_rejected(capsys, ["eval", "cossim", "--a", cube, "--b", cube])
+    _assert_rejected(capsys, ["eval", "cossim", "--a", vec, "--b", cube])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f0_hz", [[220.0, 221.0], [800.0, 801.0]],
+                         ids=["underflow", "overflow"])
+def test_convert_pitch_rejects_f0_out_of_range_before_writing(tmp_path, capsys, f0_hz):
+    track = tmp_path / "in.svcf"
+    write_tensor(track, np.array([[f, 1.0] for f in f0_hz], dtype=np.float32))
+    source, target = tmp_path / "x.json", tmp_path / "y.json"
+    source.write_text(json.dumps({"speaker_id": "x", "mean_log_f0": 5.99,
+                                  "std_log_f0": 0.001, "n_voiced_frames": 10}))
+    target.write_text(json.dumps({"speaker_id": "y", "mean_log_f0": 5.4,
+                                  "std_log_f0": 100.0, "n_voiced_frames": 10}))
+    out = tmp_path / "out.svcf"
+    _assert_rejected(capsys, ["convert-pitch", "--in", track, "--out", out,
+                              "--source-stats", source, "--target-stats", target,
+                              "--scale-sigma"], out)
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "--help"],
     ["f0-stats", "--help"],

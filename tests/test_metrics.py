@@ -20,8 +20,10 @@ def test_cosine_anchors():
 
 
 def test_cosine_errors():
-    with pytest.raises(ShapeMismatchError):
-        cosine_similarity(np.ones(3), np.ones(4))
+    for a, b in ((np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2))),
+                 (np.ones((2, 2, 2)), np.ones((2, 2, 2))), (np.float64(1.0), np.float64(1.0))):
+        with pytest.raises(ShapeMismatchError):
+            cosine_similarity(a, b)
     with pytest.raises(ZeroNormError):
         cosine_similarity(np.zeros(3), np.ones(3))
     for bad in (np.nan, np.inf, -np.inf):

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from svcforge import defaults
 from svcforge.audio import AudioClip, resample
 from svcforge.errors import InvalidParameterError, RateMismatchError, ShapeMismatchError
-from svcforge.features import CANONICAL_FRAME_CONFIG as CFG
+from svcforge.features import CANONICAL_FRAME_CONFIG as CFG, frame_signal
 from svcforge.pitch import (
+    _BLOCK_FRAMES,
     F0Track,
+    _median_smooth_runs,
+    _normalized_autocorr,
+    _PEAK_MARGIN,
     cents_between,
     estimate_f0,
     semitones_to_ratio,
 )
-from svcforge.synth import sawtooth, sine
+from svcforge.synth import sawtooth, sine, vowel
 
 
 def test_silence_is_unvoiced():
@@ -114,3 +119,143 @@ def test_cents_anchors():
 def test_cents_semitone_roundtrip(semis):
     f = 440.0
     assert abs(cents_between(f, semitones_to_ratio(semis) * f) - 100.0 * semis) < 1e-6
+
+
+# -- the per-frame tracker the block-wise one replaced, kept as the reference --
+
+def _reference_median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
+                                  width: int = defaults.F0_MEDIAN_WIDTH) -> np.ndarray:
+    out = f0.copy()
+    half = width // 2
+    i = 0
+    while i < len(f0):
+        if not vuv[i]:
+            i += 1
+            continue
+        j = i
+        while j < len(f0) and vuv[j]:
+            j += 1
+        seg = f0[i:j]
+        smoothed = np.array([
+            np.median(seg[max(0, k - half):k + half + 1])
+            for k in range(len(seg))
+        ])
+        out[i:j] = smoothed
+        i = j
+    return out
+
+
+def _reference_estimate_f0(clip, cfg, f_floor=defaults.F0_FLOOR_HZ,
+                           f_ceil=defaults.F0_CEIL_HZ) -> np.ndarray:
+    sr = cfg.sample_rate
+    lag_min = max(2, int(np.ceil(sr / f_ceil)))
+    lag_max = int(np.floor(sr / f_floor))
+
+    frames = frame_signal(clip.samples, cfg)
+    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    energy_ok = rms >= 10.0 ** (defaults.VUV_ENERGY_FLOOR_DBFS / 20.0)
+    r = _normalized_autocorr(frames, lag_max + 1)
+
+    n_frames = frames.shape[0]
+    f0 = np.zeros(n_frames)
+    for t in range(n_frames):
+        if not energy_ok[t]:
+            continue
+        row = r[t]
+        seg = row[lag_min:lag_max + 1]
+        peaks = np.flatnonzero(
+            (seg[1:-1] > seg[:-2]) & (seg[1:-1] >= seg[2:])
+        ) + lag_min + 1
+        peaks = peaks[row[peaks] >= defaults.VUV_PEAK_THRESHOLD]
+        if peaks.size == 0:
+            continue
+        best = row[peaks].max()
+        lag = int(peaks[row[peaks] >= best - _PEAK_MARGIN][0])
+        # parabolic refinement around the integer lag
+        y0, y1, y2 = row[lag - 1], row[lag], row[lag + 1]
+        denom = y0 - 2 * y1 + y2
+        delta = 0.5 * (y0 - y2) / denom if abs(denom) > 1e-12 else 0.0
+        delta = float(np.clip(delta, -0.5, 0.5))
+        f0[t] = float(np.clip(sr / (lag + delta), f_floor, f_ceil))
+
+    vuv = f0 > 0
+    return _reference_median_smooth_runs(f0, vuv)
+
+
+def _sung_phrases(seed: int, seconds: float) -> AudioClip:
+    """Glottal vowels at seeded pitches in 60-1000 Hz, with seeded formants
+    and levels, separated by short gaps of silence or breath noise."""
+    rng = np.random.default_rng(seed)
+    sr = CFG.sample_rate
+    parts = []
+    while sum(p.size for p in parts) < seconds * sr:
+        f1, f2 = rng.uniform(300, 900), rng.uniform(1000, 2500)
+        note = vowel(rng.uniform(60, 1000), rng.uniform(0.05, 0.8),
+                     formants=((f1, 80.0), (f2, 120.0)),
+                     amplitude=rng.uniform(0.05, 0.9))
+        parts.append(note.samples)
+        parts.append(rng.standard_normal(int(rng.uniform(0.0, 0.15) * sr))
+                     * rng.choice([0.0, 1e-4, 0.02]))
+    x = np.concatenate(parts)[:int(seconds * sr)]
+    return AudioClip(x, sr)
+
+
+def _assert_matches_reference(clip, **range_hz):
+    track = estimate_f0(clip, CFG, **range_hz)
+    assert np.array_equal(track.f0_hz, _reference_estimate_f0(clip, CFG, **range_hz))
+    return track
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tracker_matches_per_frame_reference_on_vowels(seed):
+    track = _assert_matches_reference(_sung_phrases(seed, 7.0))
+    assert 0.2 < track.vuv.mean() < 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.standard_normal(3 * CFG.sample_rate) * 0.3,
+    lambda rng: np.zeros(2 * CFG.sample_rate),
+    lambda rng: rng.standard_normal(CFG.win_length) * 0.3,
+    lambda rng: vowel(220.0, CFG.win_length / CFG.sample_rate).samples,
+], ids=["noise", "silence", "one-window-noise", "one-window-vowel"])
+def test_tracker_matches_per_frame_reference_on_edge_clips(make):
+    _assert_matches_reference(AudioClip(make(np.random.default_rng(7)), CFG.sample_rate))
+
+
+def test_tracker_matches_reference_across_a_block_boundary():
+    n_frames = 2 * _BLOCK_FRAMES + 37
+    n = CFG.win_length + (n_frames - 1) * CFG.hop
+    x = _sung_phrases(11, n / CFG.sample_rate).samples
+    # one sustained note over the first block boundary
+    t0 = (_BLOCK_FRAMES - 40) * CFG.hop
+    note = vowel(180.0, 80 * CFG.hop / CFG.sample_rate).samples
+    x = x.copy()
+    x[t0:t0 + note.size] = note
+    track = _assert_matches_reference(AudioClip(x, CFG.sample_rate))
+    assert track.f0_hz.size == n_frames and n_frames % _BLOCK_FRAMES
+    assert track.vuv[_BLOCK_FRAMES - 20:_BLOCK_FRAMES + 20].all()
+
+
+@pytest.mark.parametrize("f_floor,f_ceil", [
+    (80.0, 900.0), (120.0, 400.0), (300.0, 1000.0), (1000.0, 1100.0), (1050.0, 1100.0),
+])
+def test_tracker_matches_reference_on_other_ranges(f_floor, f_ceil):
+    _assert_matches_reference(_sung_phrases(3, 4.0), f_floor=f_floor, f_ceil=f_ceil)
+
+
+def test_run_median_matches_reference_on_short_edge_runs():
+    rng = np.random.default_rng(5)
+    patterns = []
+    for length in range(1, 7):
+        for gap in range(0, 3):
+            run = [True] * length
+            patterns += [run, run + [False] * (gap + 1), [False] * (gap + 1) + run,
+                         run + [False] * (gap + 1) + run[::-1][:max(1, length - 1)],
+                         [False] + run + [False] + run + [False] * gap]
+    patterns.append([False] * 4)
+    for vuv in patterns:
+        vuv = np.array(vuv)
+        f0 = np.where(vuv, rng.uniform(50.0, 1100.0, vuv.size), 0.0)
+        for width in (1, 2, 3, 4, 5, 7):
+            assert np.array_equal(_median_smooth_runs(f0, vuv, width),
+                                  _reference_median_smooth_runs(f0, vuv, width))

@@ -112,6 +112,20 @@ def test_sigma_zero_is_error():
                       ConversionPolicy(scale_sigma=True))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f0_hz, std_y", [
+    ([220.0, 0.0, 221.0], 100.0),   # exp underflows to 0 Hz
+    ([800.0, 0.0, 801.0], 100.0),   # exp overflows to inf
+    ([220.0, 0.0, 221.0], math.inf),
+])
+def test_converted_f0_must_stay_finite_and_positive(f0_hz, std_y):
+    stats_x = SpeakerF0Stats("x", 5.99, 0.001, 10)
+    stats_y = SpeakerF0Stats("y", 5.4, std_y, 10)
+    with pytest.raises(InvalidParameterError):
+        convert_logf0(_track(f0_hz), stats_x, stats_y,
+                      ConversionPolicy(scale_sigma=True, quantize_cents=0))
+
+
 def test_quantized_shift_applied_per_frame():
     # mean shift equivalent to 349.9 cents quantizes to exactly 300
     track = _track([150.0, 0.0, 220.0, 440.0])
