@@ -10,11 +10,10 @@ and results are merged in input order).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ from .diffusion import (
     train_toy,
 )
 from .errors import InvalidParameterError, SvcforgeError
-from .features import FrameConfig, build_mel_filterbank, log_mel, loudness, stft
+from .features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, log_mel, loudness, stft
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0
 from .pitchconv import (
@@ -59,7 +58,7 @@ from .pitchconv import (
     save_stats,
 )
 from .perturb import PerturbConfig, random_perturb_pair
-from .svcf import atomic_write_bytes, read_json, read_tensor, write_tensor
+from .svcf import dumps, read_json, read_tensor, write_json, write_tensor
 
 
 class _UsageError(Exception):
@@ -83,13 +82,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _frame_grid(args) -> FrameConfig:
-    return FrameConfig(
-        sample_rate=defaults.SAMPLE_RATE,
-        hop=args.hop, win_length=args.win_length, fft_size=args.fft_size,
-    )
-
-
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by the subcommands that run F0 analysis over WAV files."""
     # a string default goes through type=int, so a bad SVCFORGE_JOBS is a
@@ -100,12 +92,6 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                    help="lowest F0 candidate in Hz (default %(default)s)")
     p.add_argument("--f0-ceil", type=float, default=defaults.F0_CEIL_HZ,
                    help="highest F0 candidate in Hz (default %(default)s)")
-    p.add_argument("--hop", type=int, default=defaults.HOP,
-                   help="hop size in samples (default %(default)s)")
-    p.add_argument("--win-length", type=int, default=defaults.WIN_LENGTH,
-                   help="analysis window in samples (default %(default)s)")
-    p.add_argument("--fft-size", type=int, default=defaults.FFT_SIZE,
-                   help="FFT size in samples (default %(default)s)")
 
 
 def _load_clip_at_canonical_rate(path: str) -> AudioClip:
@@ -115,7 +101,7 @@ def _load_clip_at_canonical_rate(path: str) -> AudioClip:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_extract(args) -> dict:
-    cfg = _frame_grid(args)
+    cfg = CANONICAL_FRAME_CONFIG
     fb = build_mel_filterbank(cfg)
     stems = [Path(path).stem for path in args.inputs]
     if len(set(stems)) < len(stems):
@@ -148,10 +134,8 @@ def _cmd_extract(args) -> dict:
 
 
 def _cmd_f0_stats(args) -> dict:
-    cfg = _frame_grid(args)
-
     def work(path: str) -> F0Track:
-        return estimate_f0(_load_clip_at_canonical_rate(path), cfg,
+        return estimate_f0(_load_clip_at_canonical_rate(path), CANONICAL_FRAME_CONFIG,
                            args.f0_floor, args.f0_ceil)
 
     tracks = _run_jobs(args.inputs, work, args.jobs)
@@ -240,9 +224,9 @@ def _cmd_segment(args) -> dict:
         notes = read_notes(args.notes)
         duration = args.clip_duration if args.clip_duration is not None else float("inf")
         segments = rest_note_segment(notes, args.min_rest_sec, duration)
-    doc = [{"start_sec": s.start_sec, "end_sec": s.end_sec} for s in segments]
+    doc = [asdict(s) for s in segments]
     if args.out:
-        atomic_write_bytes(args.out, (json.dumps(doc, indent=2) + "\n").encode())
+        write_json(args.out, doc)
     return {"command": "segment", "mode": args.mode,
             "n_segments": len(segments), "segments": doc,
             "out": args.out}
@@ -343,6 +327,8 @@ def _cmd_ddpm_sample(args) -> dict:
 def _cmd_eval_cossim(args) -> dict:
     a = np.atleast_2d(read_tensor(args.a).astype(np.float64))
     b = np.atleast_2d(read_tensor(args.b).astype(np.float64))
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise InvalidParameterError("embedding tensors need at least one row")
     sims = [cosine_similarity(row_a, row_b) for row_a in a for row_b in b]
     return {"command": "eval cossim", "n_pairs": len(sims),
             "cossim": float(np.mean(sims))}
@@ -551,7 +537,7 @@ def main(argv=None) -> int:
         _log(f"usage error: {exc}")
         return 1
     try:
-        summary = args.func(args)
+        line = dumps(args.func(args))
     except _UsageError as exc:
         _log(f"usage error: {exc}")
         return 1
@@ -561,7 +547,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         _log(f"internal error: {type(exc).__name__}: {exc}")
         return 3
-    print(json.dumps(summary))
+    print(line)
     return 0
 
 

@@ -8,9 +8,9 @@ sets from it. Actual audio is always user-supplied.
 
 from __future__ import annotations
 
-import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +24,7 @@ from .errors import (
     OverlappingNotesError,
     UnknownSpecError,
 )
-from .svcf import atomic_write_bytes, read_bytes, read_json
+from .svcf import read_json, read_jsonl, write_jsonl
 
 SVCC_TARGET_SPEAKERS = ("IDF1", "IDM1", "CDF1", "CDM1")
 
@@ -52,14 +52,6 @@ class ManifestEntry:
                 f"{self.id}: kind must be one of {_KINDS}, got {self.kind!r}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id, "path": self.path, "dataset": self.dataset,
-            "language": self.language, "kind": self.kind,
-            "speaker": self.speaker, "duration_sec": self.duration_sec,
-            "sample_rate": self.sample_rate,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "ManifestEntry":
         try:
@@ -76,26 +68,12 @@ class ManifestEntry:
 
 def read_manifest(path: str | os.PathLike) -> list:
     """Entries of a UTF-8 JSONL manifest; blank lines are skipped."""
-    try:
-        text = read_bytes(path, "manifest").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestFormatError(f"bad manifest {path}: {exc}") from exc
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestFormatError(f"{path}:{lineno}: {exc}") from exc
-        entries.append(ManifestEntry.from_json(doc))
-    return entries
+    return [ManifestEntry.from_json(doc) for doc in read_jsonl(path, "manifest")]
 
 
 def write_manifest(entries: list, path: str | os.PathLike) -> None:
-    """Write JSONL atomically (temp file in place, then rename)."""
-    body = "".join(json.dumps(e.to_json()) + "\n" for e in entries)
-    atomic_write_bytes(path, body.encode("utf-8"))
+    """Write JSONL atomically, one entry per line in field order."""
+    write_jsonl(path, (asdict(e) for e in entries))
 
 
 def reference_manifest_path() -> Path:
@@ -126,14 +104,6 @@ class TrainingSetSpec:
         if self.kinds is not None and entry.kind not in self.kinds:
             return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "languages": sorted(self.languages) if self.languages is not None else None,
-            "kinds": sorted(self.kinds) if self.kinds is not None else None,
-            "always_include_datasets": sorted(self.always_include_datasets),
-        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainingSetSpec":
@@ -212,6 +182,13 @@ class VadConfig:
     hangover_ms: float = defaults.VAD_HANGOVER_MS
     min_gap_ms: float = defaults.VAD_MIN_GAP_MS
 
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"VAD {name} must be finite, got {value}")
+        if self.frame_ms <= 0:
+            raise InvalidParameterError("VAD frame_ms must be > 0")
+
 
 def vad_segment(clip: AudioClip, cfg: VadConfig = VadConfig()) -> list:
     """Energy-gate voice activity segmentation.
@@ -288,10 +265,6 @@ class NoteEvent:
     def is_rest(self) -> bool:
         return self.pitch is None
 
-    def to_json(self) -> dict:
-        return {"onset_sec": self.onset_sec, "offset_sec": self.offset_sec,
-                "pitch": self.pitch}
-
     @classmethod
     def from_json(cls, doc: dict) -> "NoteEvent":
         try:
@@ -320,8 +293,14 @@ def rest_note_segment(notes: list, min_rest_sec: float = defaults.MIN_REST_SEC,
 
     Rests arise from gaps between consecutive sounding notes and from
     explicit rest events. Each segment runs from a note onset to a note
-    offset, so no boundary ever lands inside a note.
+    offset, so no boundary ever lands inside a note. `clip_duration` may
+    be infinite (no clamp) but not NaN.
     """
+    if not 0 <= min_rest_sec < math.inf:
+        raise InvalidParameterError(
+            f"min_rest_sec must be finite and >= 0, got {min_rest_sec}")
+    if math.isnan(clip_duration):
+        raise InvalidParameterError("clip_duration must not be NaN")
     for prev, cur in zip(notes, notes[1:]):
         if cur.onset_sec < prev.offset_sec - 1e-9 or cur.onset_sec < prev.onset_sec:
             raise OverlappingNotesError(

@@ -14,7 +14,6 @@ indexing x_t = sqrt(abar_t) x_0 + sqrt(1 - abar_t) eps.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .svcf import atomic_write_bytes, read_json, read_tensor, write_tensor
+from .svcf import read_json, read_tensor, write_json, write_tensor
 
 _LN_EPS = 1e-5  # layer-norm variance epsilon
 
@@ -194,6 +193,10 @@ def sample(denoiser: DenoiserInterface, sched: NoiseSchedule, cond: ConditionSet
     elementwise or scalar-weighted, so the rows do not interact.
     """
     shape = (dim,) if isinstance(dim, int) else tuple(dim)
+    if not math.isfinite(w):
+        raise InvalidParameterError(f"guidance scale must be finite, got {w}")
+    if min(shape, default=1) < 1:
+        raise InvalidParameterError(f"every sample dimension must be >= 1, got {shape}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     for t in range(sched.num_steps, 0, -1):
@@ -222,9 +225,11 @@ class AnalyticGaussianDenoiser:
     """
 
     def __init__(self, mu0: np.ndarray, sigma0: float, sched: NoiseSchedule):
-        if sigma0 < 0:
-            raise InvalidParameterError("sigma0 must be >= 0")
+        if not 0 <= sigma0 < math.inf:
+            raise InvalidParameterError("sigma0 must be finite and >= 0")
         self.mu0 = np.asarray(mu0, dtype=np.float64)
+        if not np.all(np.isfinite(self.mu0)):
+            raise InvalidParameterError("mu0 must be finite")
         self.sigma0 = float(sigma0)
         self.sched = sched
 
@@ -425,6 +430,11 @@ def _draw(rng: np.random.Generator, dataset: list, sched: NoiseSchedule) -> tupl
     return x0, cond, t, rng.standard_normal(np.shape(x0))
 
 
+def _check_lr(lr: float) -> None:
+    if not 0 < lr < math.inf:
+        raise InvalidParameterError(f"learning rate must be finite and > 0, got {lr}")
+
+
 def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
               cfg: TrainConfig) -> np.ndarray:
     """Epsilon-prediction training loop; returns the per-step loss history.
@@ -437,6 +447,9 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
         raise InvalidParameterError("dataset must be nonempty")
     if cfg.steps < 1:
         raise InvalidParameterError("steps must be >= 1")
+    _check_lr(cfg.lr)
+    if not 0 <= cfg.p_uncond <= 1:
+        raise InvalidParameterError(f"p_uncond must lie in [0, 1], got {cfg.p_uncond}")
     rng = np.random.default_rng(cfg.seed)
     history = np.empty(cfg.steps)
     for n in range(cfg.steps):
@@ -465,6 +478,7 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     iterations == 0 is a no-op."""
     if iterations < 0:
         raise InvalidParameterError("iterations must be >= 0")
+    _check_lr(lr)
     if target_embedding is None:
         raise InvalidParameterError("finetune needs a target embedding")
     emb = np.asarray(target_embedding, dtype=np.float64)
@@ -550,7 +564,7 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
         fname = f"{name}.svcf"
         write_tensor(d / fname, value)
         index["params"][name] = fname
-    atomic_write_bytes(d / "index.json", (json.dumps(index, indent=2) + "\n").encode())
+    write_json(d / "index.json", index)
 
 
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:

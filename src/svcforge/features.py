@@ -87,20 +87,25 @@ def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
 
 
 def istft(spec: np.ndarray, cfg: FrameConfig, n_samples: int) -> np.ndarray:
-    """Weighted overlap-add inverse of `stft`, `n_samples` long.
-
-    Frames are windowed again, overlap-added and divided by the summed
-    squared window where that exceeds 1e-8; uncovered samples stay zero.
-    """
+    """Weighted overlap-add inverse of `stft`, `n_samples` long: frames are
+    windowed again and overlap-added with the squared window as weight."""
     win = cfg.window()
     frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.win_length] * win
-    n_out = max(n_samples, (frames.shape[0] - 1) * cfg.hop + cfg.win_length)
+    return overlap_add(frames, cfg.hop, win ** 2, n_samples)
+
+
+def overlap_add(frames: np.ndarray, hop: int, weight: np.ndarray,
+                n_samples: int) -> np.ndarray:
+    """Add frame m of `frames` ([M, L]) at sample m * hop and divide by
+    `weight` ([L]) added the same way, where that sum exceeds 1e-8;
+    uncovered samples stay zero. Returns `n_samples` samples."""
+    n_frames, length = frames.shape
+    n_out = max(n_samples, (n_frames - 1) * hop + length)
     y = np.zeros(n_out)
     wsum = np.zeros(n_out)
-    for m in range(frames.shape[0]):
-        start = m * cfg.hop
-        y[start:start + cfg.win_length] += frames[m]
-        wsum[start:start + cfg.win_length] += win ** 2
+    for m in range(n_frames):
+        y[m * hop:m * hop + length] += frames[m]
+        wsum[m * hop:m * hop + length] += weight
     good = wsum > 1e-8
     y[good] /= wsum[good]
     return y[:n_samples]

@@ -18,7 +18,7 @@ from scipy.signal import lfilter
 from . import defaults
 from .audio import AudioClip, resample
 from .errors import InvalidParameterError, RateMismatchError
-from .features import FrameConfig, hann, istft, stft
+from .features import FrameConfig, hann, istft, overlap_add, stft
 from .pitch import semitones_to_ratio
 
 # Formant and pitch ratios are limited to one octave either way; the
@@ -185,27 +185,20 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
     scale = len(x) / target_len
 
     xp = np.concatenate([x, np.zeros(seg + search + 1)])
-    out = np.zeros(target_len + seg)
-    wsum = np.zeros(target_len + seg)
     n_frames = int(np.ceil(target_len / hop))
+    pos = np.empty(n_frames, dtype=np.intp)
     prev = 0
     for m in range(n_frames):
-        nominal = int(round(m * hop * scale))
-        nominal = min(nominal, len(x) - 1)
-        if m == 0:
-            pos = nominal
-        else:
+        start = min(int(round(m * hop * scale)), len(x) - 1)
+        if m > 0:
             ref = xp[prev + hop:prev + hop + seg]
-            lo = max(0, nominal - search)
-            hi = min(max(len(x) - 1, 1), nominal + search)
+            lo = max(0, start - search)
+            hi = min(max(len(x) - 1, 1), start + search)
             corr = np.correlate(xp[lo:hi + seg], ref, mode="valid")
-            pos = lo + int(np.argmax(corr))
-        out[m * hop:m * hop + seg] += xp[pos:pos + seg] * win
-        wsum[m * hop:m * hop + seg] += win
-        prev = pos
-    good = wsum > 1e-8
-    out[good] /= wsum[good]
-    return out[:target_len]
+            start = lo + int(np.argmax(corr))
+        pos[m] = prev = start
+    frames = xp[pos[:, None] + np.arange(seg)] * win
+    return overlap_add(frames, hop, win, target_len)
 
 
 def pitch_randomize(clip: AudioClip, ratio: float) -> AudioClip:

@@ -9,10 +9,9 @@ singing-range material.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     NoVoicedFramesError,
 )
 from .pitch import F0Track
-from .svcf import atomic_write_bytes, read_json
+from .svcf import read_json, write_json
 
 _LN2 = math.log(2.0)
 
@@ -140,13 +139,7 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
 
 
 def save_stats(stats: SpeakerF0Stats, path: str | os.PathLike) -> None:
-    doc = {
-        "speaker_id": stats.speaker_id,
-        "mean_log_f0": stats.mean_log_f0,
-        "std_log_f0": stats.std_log_f0,
-        "n_voiced_frames": stats.n_voiced_frames,
-    }
-    atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode())
+    write_json(path, asdict(stats))
 
 
 def load_stats(path: str | os.PathLike) -> SpeakerF0Stats:

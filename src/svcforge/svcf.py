@@ -1,6 +1,7 @@
-"""SVCF tensor files: the on-disk interchange format for feature matrices.
+"""On-disk formats: SVCF tensor files and strict JSON documents.
 
-Layout (all little-endian):
+SVCF is the interchange format for feature matrices. Layout (all
+little-endian):
 
     magic   4 bytes  "SVCF"
     version u32      1
@@ -8,12 +9,18 @@ Layout (all little-endian):
     dims    u32 * ndim
     data    float32 * prod(dims), row-major
 
+This module is also the one JSON codec (documents, JSON-lines manifests
+and the CLI's stdout summary). Both directions are strict RFC 8259: reading
+NaN/Infinity or a number that overflows a double is a ManifestFormatError,
+writing a non-finite float an InvalidParameterError.
+
 Writes are temp-then-rename so a failed run never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -22,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    InvalidParameterError,
     ManifestFormatError,
     MissingFileError,
     TensorFormatError,
@@ -86,11 +94,57 @@ def read_bytes(path: str | os.PathLike, what: str) -> bytes:
     return p.read_bytes()
 
 
+def _finite(text: str) -> str:
+    """`text` if it is a number inside the double range; NaN, Infinity and
+    -Infinity also arrive here and are rejected."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return text
+
+
+def _parse(text: str, where: str):
+    try:
+        return json.loads(text, parse_constant=_finite,
+                          parse_float=lambda t: float(_finite(t)),
+                          parse_int=lambda t: int(_finite(t)))
+    except ValueError as exc:
+        raise ManifestFormatError(f"bad {where}: {exc}") from exc
+
+
+def _read_text(path: str | os.PathLike, what: str) -> str:
+    try:
+        return read_bytes(path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestFormatError(f"bad {what} {path}: {exc}") from exc
+
+
 def read_json(path: str | os.PathLike, what: str):
     """Parse the UTF-8 JSON document at `path` (see `read_bytes`); text that
-    is not UTF-8 or not JSON is a ManifestFormatError; callers check the
-    fields."""
+    is not UTF-8 or not strict JSON is a ManifestFormatError; callers check
+    the fields."""
+    return _parse(_read_text(path, what), f"{what} {path}")
+
+
+def read_jsonl(path: str | os.PathLike, what: str) -> list:
+    """The documents of a UTF-8 JSON-lines file, one per non-blank line."""
+    lines = enumerate(_read_text(path, what).splitlines(), 1)
+    return [_parse(line, f"{what} {path}:{n}") for n, line in lines if line.strip()]
+
+
+def dumps(doc, indent: int | None = None) -> str:
+    """Strict JSON text of `doc`; a NaN or infinite float in it is an
+    InvalidParameterError."""
     try:
-        return json.loads(read_bytes(path, what).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestFormatError(f"bad {what} {path}: {exc}") from exc
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidParameterError(f"cannot encode as JSON: {exc}") from exc
+
+
+def write_json(path: str | os.PathLike, doc) -> None:
+    """Write `doc` as indented JSON plus a newline, atomically."""
+    atomic_write_bytes(path, (dumps(doc, indent=2) + "\n").encode())
+
+
+def write_jsonl(path: str | os.PathLike, docs) -> None:
+    """Write one compact JSON document per line, atomically."""
+    atomic_write_bytes(path, "".join(dumps(d) + "\n" for d in docs).encode())

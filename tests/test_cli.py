@@ -463,6 +463,107 @@ def test_convert_pitch_rejects_f0_out_of_range_before_writing(tmp_path, capsys, 
                               "--scale-sigma"], out)
 
 
+_MANIFEST_LINE = ('{"id": "x", "path": "x.wav", "dataset": "d", "language": "en", '
+                  '"kind": "singing", "speaker": "s", "duration_sec": %s, '
+                  '"sample_rate": 24000}\n')
+
+
+@pytest.mark.parametrize("document, token", [
+    ("manifest", "NaN"), ("manifest", "Infinity"), ("manifest", "1e999"),
+    ("manifest", "1" + "0" * 400), ("notes", "Infinity"), ("notes", "1e999"),
+    ("notes", "1" + "0" * 400), ("stats", "Infinity"),
+], ids=["manifest-NaN", "manifest-Infinity", "manifest-1e999", "manifest-huge-int",
+        "notes-Infinity", "notes-1e999", "notes-huge-int", "stats-Infinity"])
+def test_json_readers_reject_non_finite_numbers(tmp_path, capsys, document, token):
+    doc = tmp_path / "doc.json"
+    out = tmp_path / "out.json"
+    if document == "manifest":
+        doc.write_text(_MANIFEST_LINE % "3600.0" + _MANIFEST_LINE % token)
+        argv = ["manifest", "compose", "--manifest", doc, "--spec", "final", "--out", out]
+    elif document == "notes":
+        doc.write_text('[{"onset_sec": 0.0, "offset_sec": %s, "pitch": 60}]' % token)
+        argv = ["segment", "--mode", "rest", "--notes", doc, "--out", out]
+    else:
+        doc.write_text('{"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": %s, '
+                       '"n_voiced_frames": 10}' % token)
+        track = tmp_path / "f0.svcf"
+        write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+        argv = ["convert-pitch", "--in", track, "--out", out,
+                "--source-stats", doc, "--target-stats", doc]
+    _assert_rejected(capsys, argv, out)
+
+
+def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
+    import svcforge.cli as cli
+    monkeypatch.setattr(cli, "_cmd_config_show", lambda args: {"x": float("nan")})
+    _assert_rejected(capsys, ["config", "show"])
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sample", ["--oracle-mean", "0", "--guidance-scale", "inf"]),
+    ("sample", ["--oracle-mean", "0", "--guidance-scale", "nan"]),
+    ("sample", ["--oracle-mean", "0", "--dim", "0"]),
+    ("sample", ["--oracle-mean", "nan"]),
+    ("sample", ["--oracle-mean", "0", "--oracle-std", "nan"]),
+    ("sample", ["--oracle-mean", "0", "--oracle-std", "inf"]),
+    ("train", ["--lr", "nan"]),
+    ("train", ["--lr", "0"]),
+    ("train", ["--lr", "inf"]),
+    ("train", ["--p-uncond", "5"]),
+    ("train", ["--p-uncond", "-0.1"]),
+    ("train", ["--p-uncond", "nan"]),
+    ("finetune", ["--lr", "nan"]),
+    ("finetune", ["--lr", "-0.001"]),
+    ("rest", ["--min-rest-sec", "nan"]),
+    ("rest", ["--min-rest-sec", "inf"]),
+    ("rest", ["--min-rest-sec", "-1"]),
+    ("rest", ["--clip-duration", "nan"]),
+    ("vad", ["--vad-frame-ms", "0"]),
+    ("vad", ["--vad-frame-ms", "nan"]),
+    ("vad", ["--vad-energy-floor-dbfs", "nan"]),
+    ("vad", ["--vad-hangover-ms", "inf"]),
+    ("cossim", []),
+])
+def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
+    out = tmp_path / "out"
+    if command == "sample":
+        argv = ["ddpm", "sample", "--out", out, "--seed", "0", "--steps", "5"]
+    elif command == "train":
+        argv = ["ddpm", "train", "--out-dir", out, "--seed", "0", "--steps", "5"]
+    elif command == "finetune":
+        model_dir = tmp_path / "model"
+        save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+        argv = ["ddpm", "finetune", "--model-dir", model_dir, "--out-dir", out,
+                "--seed", "0", "--iterations", "5"]
+    elif command == "rest":
+        notes = tmp_path / "notes.json"
+        notes.write_text('[{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60},'
+                         ' {"onset_sec": 2.0, "offset_sec": 3.0, "pitch": 62}]')
+        argv = ["segment", "--mode", "rest", "--notes", notes, "--out", out]
+    elif command == "vad":
+        argv = ["segment", "--mode", "vad", "--in", wavs[0], "--out", out]
+    else:
+        empty = tmp_path / "empty.svcf"
+        write_tensor(empty, np.zeros((0, 2), dtype=np.float32))
+        argv = ["eval", "cossim", "--a", empty, "--b", empty]
+    _assert_rejected(capsys, argv + flags, out)
+
+
+@pytest.mark.parametrize("command", ["extract", "f0-stats"])
+@pytest.mark.parametrize("flag", ["--hop", "--win-length", "--fft-size"])
+def test_frame_grid_is_not_settable(tmp_path, wavs, capsys, command, flag):
+    out = tmp_path / "out"
+    argv = ["--in", str(wavs[0]), flag, "120"]
+    argv += ["--out-dir", str(out)] if command == "extract" else \
+        ["--speaker-id", "s", "--out", str(out)]
+    code = main([command] + argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "--help"],
     ["f0-stats", "--help"],

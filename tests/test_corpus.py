@@ -68,7 +68,9 @@ def test_unknown_spec():
 
 def test_spec_json_roundtrip():
     spec = canonical_spec("v2_ssmix_en")
-    back = TrainingSetSpec.from_json(spec.to_json())
+    back = TrainingSetSpec.from_json(json.loads(
+        '{"name": "v2_ssmix_en", "languages": ["en"], "kinds": null,'
+        ' "always_include_datasets": ["svcc2023"]}'))
     assert back == spec
 
 
@@ -191,6 +193,28 @@ def test_rest_segment_explicit_rest_event():
 def test_rest_segment_overlap_rejected():
     with pytest.raises(OverlappingNotesError):
         rest_note_segment([_note(0.0, 1.0), _note(0.5, 2.0)], clip_duration=3.0)
+
+
+@pytest.mark.parametrize("min_rest_sec, clip_duration", [
+    (float("nan"), 3.0), (float("inf"), 3.0), (-0.5, 3.0), (0.5, float("nan")),
+])
+def test_rest_segment_rejects_bad_parameters(min_rest_sec, clip_duration):
+    with pytest.raises(InvalidParameterError):
+        rest_note_segment([_note(0.0, 1.0), _note(2.0, 3.0)], min_rest_sec, clip_duration)
+
+
+@pytest.mark.parametrize("field", ["frame_ms", "energy_floor_dbfs", "min_speech_ms",
+                                   "hangover_ms", "min_gap_ms"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_vad_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(InvalidParameterError):
+        VadConfig(**{field: value})
+
+
+@pytest.mark.parametrize("frame_ms", [0.0, -10.0])
+def test_vad_config_rejects_nonpositive_frame(frame_ms):
+    with pytest.raises(InvalidParameterError):
+        VadConfig(frame_ms=frame_ms)
 
 
 def test_rest_segment_clamps_to_clip():

@@ -196,6 +196,22 @@ def test_sample_sigma0_zero_collapses_to_mean():
     assert np.max(np.abs(out - mu0)) < 1e-6
 
 
+@pytest.mark.parametrize("w, dim", [(math.inf, 4), (-math.inf, 4), (math.nan, 4),
+                                    (1.0, 0), (1.0, -2), (1.0, (3, 0))])
+def test_sample_rejects_bad_scale_and_dims(w, dim):
+    den = analytic_gaussian_denoiser(np.zeros(4), 1.0, SCHED)
+    with pytest.raises(InvalidParameterError):
+        sample(den, SCHED, _cond(), w=w, dim=dim, seed=0)
+
+
+@pytest.mark.parametrize("mu0, sigma0", [([0.0, math.nan], 1.0), ([math.inf, 0.0], 1.0),
+                                         ([0.0, 0.0], math.nan), ([0.0, 0.0], math.inf),
+                                         ([0.0, 0.0], -1.0)])
+def test_analytic_denoiser_rejects_non_finite_target(mu0, sigma0):
+    with pytest.raises(InvalidParameterError):
+        analytic_gaussian_denoiser(np.array(mu0), sigma0, SCHED)
+
+
 def test_analytic_denoiser_point_mass_formula():
     mu0 = np.array([1.0, -0.5])
     den = analytic_gaussian_denoiser(mu0, 0.0, SCHED)
@@ -482,6 +498,26 @@ def test_train_nonpositive_steps_rejected(steps):
     model, cond = _toy()
     with pytest.raises(InvalidParameterError):
         train_toy(model, [(np.zeros(3), cond)], SCHED, TrainConfig(steps=steps))
+
+
+@pytest.mark.parametrize("lr, p_uncond", [(math.nan, 0.1), (0.0, 0.1), (-1e-3, 0.1),
+                                         (math.inf, 0.1), (1e-3, 1.5), (1e-3, -0.1),
+                                         (1e-3, math.nan)])
+def test_train_rejects_bad_rate_and_drop_probability(lr, p_uncond):
+    model, cond = _toy()
+    before = model.param_hash()
+    with pytest.raises(InvalidParameterError):
+        train_toy(model, [(np.zeros(3), cond)], SCHED,
+                  TrainConfig(steps=2, lr=lr, p_uncond=p_uncond))
+    assert model.param_hash() == before
+
+
+@pytest.mark.parametrize("lr", [math.nan, 0.0, -1e-3, math.inf])
+def test_finetune_rejects_bad_rate(lr):
+    model, _ = _toy()
+    with pytest.raises(InvalidParameterError):
+        finetune_cln(model, _toy_dataset(1, 3, seed=0), SCHED, iterations=1,
+                     target_embedding=pseudo_speaker_embedding(4, 3), lr=lr)
 
 
 # -- fine-tuning ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from svcforge.features import (
     istft,
     log_mel,
     loudness,
+    overlap_add,
     stft,
 )
 from svcforge.pitch import estimate_f0
@@ -100,6 +101,53 @@ def test_istft_inverts_stft_where_fully_covered(cfg):
     assert np.allclose(y[covered], x[covered], rtol=0, atol=1e-12)
     # nothing past the last frame is invented
     assert np.all(y[(spec.shape[0] - 1) * cfg.hop + cfg.win_length:] == 0)
+
+
+def _reference_istft(spec, cfg, n_samples):
+    """The per-frame weighted overlap-add `istft` had before it shared
+    `overlap_add` with WSOLA, kept verbatim as the reference."""
+    win = cfg.window()
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.win_length] * win
+    n_out = max(n_samples, (frames.shape[0] - 1) * cfg.hop + cfg.win_length)
+    y = np.zeros(n_out)
+    wsum = np.zeros(n_out)
+    for m in range(frames.shape[0]):
+        start = m * cfg.hop
+        y[start:start + cfg.win_length] += frames[m]
+        wsum[start:start + cfg.win_length] += win ** 2
+    good = wsum > 1e-8
+    y[good] /= wsum[good]
+    return y[:n_samples]
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    FrameConfig(hop=256, win_length=1024, fft_size=1024),
+    FrameConfig(hop=100, win_length=960, fft_size=1024),
+    FrameConfig(hop=1000, win_length=960, fft_size=1024),
+], ids=["canonical", "formant", "hop-100", "hop-1000"])
+@pytest.mark.parametrize("extra", [0, 1, 24000, 72017])
+def test_istft_matches_per_frame_reference(cfg, extra):
+    x = np.random.default_rng(extra).standard_normal(cfg.win_length + extra)
+    spec = stft(AudioClip(x, cfg.sample_rate), cfg)
+    for n_samples in (x.size, x.size + 700, cfg.win_length // 2):
+        assert np.array_equal(istft(spec, cfg, n_samples),
+                              _reference_istft(spec, cfg, n_samples))
+
+
+def test_overlap_add_weights_and_gaps():
+    frames = np.array([[2.0, 2.0], [4.0, 4.0], [6.0, 6.0]])
+    weight = np.array([1.0, 1.0])
+    # hop 1: overlapping frames are averaged
+    assert np.array_equal(overlap_add(frames, 1, weight, 4), [2.0, 3.0, 5.0, 6.0])
+    # hop 3: the samples between frames stay zero; output is cut or padded
+    assert np.array_equal(overlap_add(frames, 3, weight, 9),
+                          [2.0, 2.0, 0.0, 4.0, 4.0, 0.0, 6.0, 6.0, 0.0])
+    assert np.array_equal(overlap_add(frames, 3, weight, 11)[8:], [0.0, 0.0, 0.0])
+    assert np.array_equal(overlap_add(frames, 3, weight, 2), [2.0, 2.0])
+    # a weight sum at or below 1e-8 leaves the summed frames undivided
+    assert np.array_equal(overlap_add(frames[:1], 1, np.array([0.5, 1e-9]), 2),
+                          [4.0, 2.0])
 
 
 def test_mel_scale_formula():

@@ -7,6 +7,7 @@ from scipy.signal import welch
 
 from svcforge.audio import AudioClip
 from svcforge.errors import InvalidParameterError, RateMismatchError
+from svcforge.features import hann
 from svcforge.features import CANONICAL_FRAME_CONFIG as CFG, build_mel_filterbank
 from svcforge.perturb import (
     BiquadCoeffs,
@@ -17,7 +18,7 @@ from svcforge.perturb import (
     pitch_randomize,
     random_perturb_pair,
 )
-from svcforge import perturb
+from svcforge import defaults, perturb
 from svcforge.pitch import estimate_f0, semitones_to_ratio
 from svcforge.synth import sawtooth, sine, vowel
 
@@ -177,6 +178,49 @@ def test_pitch_randomize_ratio(freq, ratio, synth_fn):
     out = pitch_randomize(clip, ratio)
     assert abs(out.samples.size - clip.samples.size) <= 0.01 * clip.samples.size
     assert abs(_median_f0(out) / (ratio * freq) - 1) < 0.03
+
+
+def _reference_wsola(x, target_len, sample_rate):
+    """The WSOLA stretch as it was before it shared `features.overlap_add`
+    (search and overlap-add in one per-frame loop), kept verbatim as the
+    reference."""
+    seg = int(round(defaults.WSOLA_SEGMENT_SEC * sample_rate))
+    search = int(round(defaults.WSOLA_SEARCH_SEC * sample_rate))
+    hop = seg // 2
+    win = hann(seg)
+    scale = len(x) / target_len
+
+    xp = np.concatenate([x, np.zeros(seg + search + 1)])
+    out = np.zeros(target_len + seg)
+    wsum = np.zeros(target_len + seg)
+    n_frames = int(np.ceil(target_len / hop))
+    prev = 0
+    for m in range(n_frames):
+        nominal = int(round(m * hop * scale))
+        nominal = min(nominal, len(x) - 1)
+        if m == 0:
+            pos = nominal
+        else:
+            ref = xp[prev + hop:prev + hop + seg]
+            lo = max(0, nominal - search)
+            hi = min(max(len(x) - 1, 1), nominal + search)
+            corr = np.correlate(xp[lo:hi + seg], ref, mode="valid")
+            pos = lo + int(np.argmax(corr))
+        out[m * hop:m * hop + seg] += xp[pos:pos + seg] * win
+        wsum[m * hop:m * hop + seg] += win
+        prev = pos
+    good = wsum > 1e-8
+    out[good] /= wsum[good]
+    return out[:target_len]
+
+
+@pytest.mark.parametrize("n", [1, 2, 299, 600, 601, 24000, 96000])
+@pytest.mark.parametrize("ratio", [0.5, 0.93, 1.31, 1.7])
+def test_wsola_matches_per_frame_reference(n, ratio):
+    x = np.random.default_rng(n).standard_normal(n)
+    target_len = max(1, int(n * ratio))
+    assert np.array_equal(perturb._wsola_stretch(x, target_len, 24000),
+                          _reference_wsola(x, target_len, 24000))
 
 
 def test_pitch_randomize_validation():
