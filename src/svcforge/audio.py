@@ -103,25 +103,21 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     if channels not in (1, 2):
         raise UnsupportedEncodingError(f"{p}: {channels} channels (want 1 or 2)")
 
-    if format_tag == 1 and bits == 16:
-        if len(raw) % (2 * channels):
-            raise MalformedWavError(f"{p}: data not a whole number of frames")
+    if (format_tag, bits) not in ((1, 16), (1, 24), (3, 32)):
+        raise UnsupportedEncodingError(
+            f"{p}: format tag {format_tag} at {bits} bits is not supported"
+        )
+    if len(raw) % (bits // 8 * channels):
+        raise MalformedWavError(f"{p}: data not a whole number of frames")
+    if bits == 16:
         x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    elif format_tag == 1 and bits == 24:
-        if len(raw) % (3 * channels):
-            raise MalformedWavError(f"{p}: data not a whole number of frames")
+    elif bits == 24:
         b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
         vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         vals = np.where(vals & 0x800000, vals - 0x1000000, vals)
         x = vals.astype(np.float64) / 8388608.0
-    elif format_tag == 3 and bits == 32:
-        if len(raw) % (4 * channels):
-            raise MalformedWavError(f"{p}: data not a whole number of frames")
-        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     else:
-        raise UnsupportedEncodingError(
-            f"{p}: format tag {format_tag} at {bits} bits is not supported"
-        )
+        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
     if channels == 2:
         x = x.reshape(-1, 2).mean(axis=1)

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -149,20 +149,10 @@ def _cmd_f0_stats(args) -> dict:
     }
 
 
-def _policy_from_args(args) -> ConversionPolicy:
-    policy = ConversionPolicy.cross_domain() if args.policy == "cross-domain" \
-        else ConversionPolicy.in_domain()
-    if args.scale_sigma:
-        policy = replace(policy, scale_sigma=True)
-    if args.quantize_cents is not None:
-        policy = replace(policy, quantize_cents=args.quantize_cents)
-    if args.offset_semitones is not None:
-        policy = replace(policy, cross_domain_offset_semitones=args.offset_semitones)
-    return policy
-
-
 def _cmd_convert_pitch(args) -> dict:
-    policy = _policy_from_args(args)
+    offset = args.offset_semitones if args.offset_semitones is not None else \
+        defaults.CROSS_DOMAIN_OFFSET_SEMITONES if args.policy == "cross-domain" else 0.0
+    policy = ConversionPolicy(args.scale_sigma, args.quantize_cents, offset)
     track = F0Track.from_array(read_tensor(args.input))
     stats_x = load_stats(args.source_stats)
     stats_y = load_stats(args.target_stats)
@@ -174,11 +164,7 @@ def _cmd_convert_pitch(args) -> dict:
     write_tensor(args.out, converted.to_array())
     return {
         "command": "convert-pitch", "out": args.out,
-        "policy": {
-            "scale_sigma": policy.scale_sigma,
-            "quantize_cents": policy.quantize_cents,
-            "cross_domain_offset_semitones": policy.cross_domain_offset_semitones,
-        },
+        "policy": asdict(policy),
         "n_frames": int(track.f0_hz.size),
         "n_voiced": int(voiced.sum()),
         "median_shift_cents": median_shift,
@@ -388,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="in-domain: quantized shift; cross-domain: adds +6 semitones")
     p.add_argument("--scale-sigma", action="store_true",
                    help="scale by sigma_y/sigma_x instead of a pure shift")
-    p.add_argument("--quantize-cents", type=int, choices=(0, 100), default=None,
-                   help="override shift quantization granularity in cents")
+    p.add_argument("--quantize-cents", type=int, choices=(0, 100),
+                   default=defaults.QUANTIZE_CENTS,
+                   help="shift quantization granularity in cents (default %(default)s)")
     p.add_argument("--offset-semitones", type=float, default=None,
                    help="override the cross-domain offset in semitones [0, 12]")
     p.set_defaults(func=_cmd_convert_pitch)

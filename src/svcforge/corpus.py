@@ -155,6 +155,8 @@ def compose_training_set(manifest: list, spec: TrainingSetSpec) -> tuple:
     """(filtered entries, total hours) for one composition spec."""
     selected = [e for e in manifest if spec.matches(e)]
     total_hours = sum(e.duration_sec for e in selected) / 3600.0
+    if not math.isfinite(total_hours):
+        raise InvalidParameterError(f"total duration of spec {spec.name!r} overflows")
     return selected, total_hours
 
 
@@ -197,10 +199,11 @@ def vad_segment(clip: AudioClip, cfg: VadConfig = VadConfig()) -> list:
     than the hangover are bridged; segments shorter than min_speech are
     dropped; remaining segments separated by less than min_gap are merged.
     """
-    frame = max(1, int(round(clip.sample_rate * cfg.frame_ms / 1000.0)))
     n = clip.samples.size
     if n == 0:
         return []
+    # a frame longer than the clip covers the clip
+    frame = max(1, round(min(n, clip.sample_rate * cfg.frame_ms / 1000.0)))
     n_frames = (n + frame - 1) // frame
     padded = np.zeros(n_frames * frame)
     padded[:n] = clip.samples
@@ -210,42 +213,29 @@ def vad_segment(clip: AudioClip, cfg: VadConfig = VadConfig()) -> list:
     counts[-1] = n - (n_frames - 1) * frame
     rms = np.sqrt((frames ** 2).sum(axis=1) / counts)
     floor = 10.0 ** (cfg.energy_floor_dbfs / 20.0)
-    active = rms > floor
-
-    # bridge short inactive runs between active frames
-    hang_frames = int(np.ceil(cfg.hangover_ms / cfg.frame_ms))
-    runs = _runs(active)
-    for start, stop, value in runs:
-        if not value and start > 0 and stop < n_frames \
-                and (stop - start) < hang_frames:
-            active[start:stop] = True
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], rms > floor, [False]))))
+    # active frame runs, bridged across inactive gaps shorter than the hangover
+    # (a float: a hangover too long for an int bridges every gap)
+    hang_frames = np.ceil(cfg.hangover_ms / cfg.frame_ms)
+    runs = _join(edges.reshape(-1, 2).tolist(), lambda gap: gap < hang_frames)
 
     frame_sec = frame / clip.sample_rate
     duration = n / clip.sample_rate
-    segments = [
-        (start * frame_sec, min(stop * frame_sec, duration))
-        for start, stop, value in _runs(active) if value
-    ]
-    segments = [
-        (a, b) for a, b in segments if (b - a) * 1000.0 >= cfg.min_speech_ms
-    ]
-    merged = []
-    for a, b in segments:
-        if merged and (a - merged[-1][1]) * 1000.0 < cfg.min_gap_ms:
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return [SegmentSpec(a, b) for a, b in merged]
+    segments = [(a * frame_sec, min(b * frame_sec, duration)) for a, b in runs]
+    segments = _join([(a, b) for a, b in segments if (b - a) * 1000.0 >= cfg.min_speech_ms],
+                     lambda gap: gap * 1000.0 < cfg.min_gap_ms)
+    return [SegmentSpec(a, b) for a, b in segments]
 
 
-def _runs(mask: np.ndarray) -> list:
-    """(start, stop, value) runs of a boolean vector."""
+def _join(spans, close) -> list:
+    """Sorted (start, end) spans, each joined to the previous one when
+    `close(gap)` holds for the gap between them."""
     out = []
-    start = 0
-    for i in range(1, len(mask) + 1):
-        if i == len(mask) or mask[i] != mask[start]:
-            out.append((start, i, bool(mask[start])))
-            start = i
+    for a, b in spans:
+        if out and close(a - out[-1][1]):
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
     return out
 
 
@@ -306,20 +296,7 @@ def rest_note_segment(notes: list, min_rest_sec: float = defaults.MIN_REST_SEC,
             raise OverlappingNotesError(
                 f"events overlap near {cur.onset_sec:.3f} s"
             )
-    sounding = [note for note in notes if not note.is_rest]
-    if not sounding:
-        return []
-    segments = []
-    start = sounding[0].onset_sec
-    for prev, cur in zip(sounding, sounding[1:]):
-        if cur.onset_sec - prev.offset_sec >= min_rest_sec:
-            segments.append((start, prev.offset_sec))
-            start = cur.onset_sec
-    segments.append((start, sounding[-1].offset_sec))
-    out = []
-    for a, b in segments:
-        a = max(0.0, a)
-        b = min(clip_duration, b)
-        if b > a:
-            out.append(SegmentSpec(a, b))
-    return out
+    sounding = [(note.onset_sec, note.offset_sec) for note in notes if not note.is_rest]
+    segments = [(max(0.0, a), min(clip_duration, b))
+                for a, b in _join(sounding, lambda gap: gap < min_rest_sec)]
+    return [SegmentSpec(a, b) for a, b in segments if b > a]

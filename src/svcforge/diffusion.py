@@ -190,7 +190,8 @@ def sample(denoiser: DenoiserInterface, sched: NoiseSchedule, cond: ConditionSet
 
     `dim` may be an int (one vector) or a shape tuple such as (n, d) to draw
     n independent samples in one pass; every operation in the chain is
-    elementwise or scalar-weighted, so the rows do not interact.
+    elementwise or scalar-weighted, so the rows do not interact. A chain
+    that overflows to a non-finite value is an InvalidParameterError.
     """
     shape = (dim,) if isinstance(dim, int) else tuple(dim)
     if not math.isfinite(w):
@@ -199,10 +200,13 @@ def sample(denoiser: DenoiserInterface, sched: NoiseSchedule, cond: ConditionSet
         raise InvalidParameterError(f"every sample dimension must be >= 1, got {shape}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
-    for t in range(sched.num_steps, 0, -1):
-        eps_hat = guided_eps(denoiser, x, t, cond, w)
-        z = rng.standard_normal(shape) if t > 1 else np.zeros(shape)
-        x = reverse_step(x, t, eps_hat, sched, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(sched.num_steps, 0, -1):
+            eps_hat = guided_eps(denoiser, x, t, cond, w)
+            z = rng.standard_normal(shape) if t > 1 else np.zeros(shape)
+            x = reverse_step(x, t, eps_hat, sched, z)
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("the reverse chain left the finite range")
     return x
 
 
@@ -225,20 +229,20 @@ class AnalyticGaussianDenoiser:
     """
 
     def __init__(self, mu0: np.ndarray, sigma0: float, sched: NoiseSchedule):
-        if not 0 <= sigma0 < math.inf:
-            raise InvalidParameterError("sigma0 must be finite and >= 0")
+        sigma0 = float(sigma0)
+        self.var0 = sigma0 * sigma0  # not sigma0 ** 2, which raises on overflow
+        if not (sigma0 >= 0 and math.isfinite(self.var0)):
+            raise InvalidParameterError("sigma0 must be >= 0 with a finite square")
         self.mu0 = np.asarray(mu0, dtype=np.float64)
         if not np.all(np.isfinite(self.mu0)):
             raise InvalidParameterError("mu0 must be finite")
-        self.sigma0 = float(sigma0)
         self.sched = sched
 
     def predict_eps(self, x_t: np.ndarray, t: int, cond: ConditionSet,
                     unconditional: bool = False) -> np.ndarray:
         ab = self.sched.alpha_bar_at(t)
-        var0 = self.sigma0 ** 2
-        denom = ab * var0 + 1.0 - ab
-        x0_hat = (var0 * math.sqrt(ab) * x_t + (1.0 - ab) * self.mu0) / denom
+        denom = ab * self.var0 + 1.0 - ab
+        x0_hat = (self.var0 * math.sqrt(ab) * x_t + (1.0 - ab) * self.mu0) / denom
         return (x_t - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab)
 
 

@@ -68,14 +68,8 @@ class ConversionPolicy:
             raise InvalidParameterError("offset must be within [0, 12] semitones")
 
     @classmethod
-    def in_domain(cls) -> "ConversionPolicy":
-        return cls(scale_sigma=False, quantize_cents=defaults.QUANTIZE_CENTS,
-                   cross_domain_offset_semitones=0.0)
-
-    @classmethod
     def cross_domain(cls) -> "ConversionPolicy":
-        return cls(scale_sigma=False, quantize_cents=defaults.QUANTIZE_CENTS,
-                   cross_domain_offset_semitones=defaults.CROSS_DOMAIN_OFFSET_SEMITONES)
+        return cls(cross_domain_offset_semitones=defaults.CROSS_DOMAIN_OFFSET_SEMITONES)
 
 
 def compute_f0_stats(tracks: list, speaker_id: str) -> SpeakerF0Stats:

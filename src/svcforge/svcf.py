@@ -9,6 +9,9 @@ little-endian):
     dims    u32 * ndim
     data    float32 * prod(dims), row-major
 
+Every value in a written file is finite: NaN, infinities and float64
+values beyond float32's range are rejected before anything is written.
+
 This module is also the one JSON codec (documents, JSON-lines manifests
 and the CLI's stdout summary). Both directions are strict RFC 8259: reading
 NaN/Infinity or a number that overflows a double is a ManifestFormatError,
@@ -41,8 +44,13 @@ VERSION = 1
 
 
 def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
-    """Write `array` as float32 to an SVCF file, atomically."""
-    arr = np.ascontiguousarray(array, dtype=np.float32)
+    """Write `array` as float32 to an SVCF file, atomically. A value that is
+    not finite, or not finite once cast to float32, is an
+    InvalidParameterError and nothing is written."""
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(array, dtype=np.float32)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameterError(f"cannot write {path}: tensor holds a non-finite value")
     header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     atomic_write_bytes(path, header + arr.tobytes())

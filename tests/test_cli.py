@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,29 @@ def test_f0_stats_and_convert_pitch_cross_domain(tmp_path, wavs, capsys):
     # matched stats: the quantized mean shift is 0, offset contributes +600
     assert summary["median_shift_cents"] == pytest.approx(600.0, abs=1e-6)
     assert summary["policy"]["cross_domain_offset_semitones"] == 6.0
+
+
+@pytest.mark.parametrize("flags, policy", [
+    ([], (False, 100, 0.0)),
+    (["--policy", "in-domain"], (False, 100, 0.0)),
+    (["--policy", "cross-domain"], (False, 100, 6.0)),
+    (["--scale-sigma"], (True, 100, 0.0)),
+    (["--quantize-cents", "0"], (False, 0, 0.0)),
+    (["--policy", "in-domain", "--offset-semitones", "3.5"], (False, 100, 3.5)),
+    (["--policy", "cross-domain", "--offset-semitones", "2"], (False, 100, 2.0)),
+    (["--policy", "cross-domain", "--scale-sigma", "--quantize-cents", "0",
+      "--offset-semitones", "12"], (True, 0, 12.0)),
+])
+def test_convert_pitch_policy_from_flags(tmp_path, capsys, flags, policy):
+    track, stats, out = tmp_path / "f0.svcf", tmp_path / "stats.json", tmp_path / "o.svcf"
+    write_tensor(track, np.array([[220.0, 1.0], [0.0, 0.0]], dtype=np.float32))
+    _write_stats(stats)
+    code, summary = run_cli(capsys, "convert-pitch", "--in", str(track), "--out", str(out),
+                            "--source-stats", str(stats), "--target-stats", str(stats),
+                            *flags)
+    assert code == 0
+    assert summary["policy"] == dict(zip(
+        ["scale_sigma", "quantize_cents", "cross_domain_offset_semitones"], policy))
 
 
 def test_manifest_compose_reference_totals(capsys):
@@ -167,6 +191,19 @@ def test_segment_vad(tmp_path, wavs, capsys):
     assert json.loads(out.read_text()) == summary["segments"]
 
 
+@pytest.mark.parametrize("flags, start_sec", [
+    (["--vad-frame-ms", "1e300"], 0.0),
+    (["--vad-frame-ms", "1e-300", "--vad-hangover-ms", "1e10"], 1 / 24000),
+], ids=["frame-longer-than-clip", "hangover-of-inf-frames"])
+def test_segment_vad_extreme_frames(tmp_path, wavs, capsys, flags, start_sec):
+    out = tmp_path / "seg.json"
+    code, summary = run_cli(capsys, "segment", "--mode", "vad", "--in", str(wavs[0]),
+                            "--out", str(out), *flags)
+    assert code == 0
+    assert summary["segments"] == [{"start_sec": start_sec, "end_sec": 0.6}]
+    assert json.loads(out.read_text()) == summary["segments"]
+
+
 def test_segment_rest_notes(tmp_path, capsys):
     notes = [{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60},
              {"onset_sec": 2.0, "offset_sec": 3.0, "pitch": 62}]
@@ -176,6 +213,13 @@ def test_segment_rest_notes(tmp_path, capsys):
                             "--notes", str(notes_path), "--clip-duration", "3.0")
     assert code == 0
     assert summary["n_segments"] == 2
+
+
+def test_manifest_compose_rejects_an_overflowing_total(tmp_path, capsys):
+    manifest, out = tmp_path / "m.jsonl", tmp_path / "o.jsonl"
+    manifest.write_text(_MANIFEST_LINE % "1.7e308" + _MANIFEST_LINE % "1.7e308")
+    _assert_rejected(capsys, ["manifest", "compose", "--manifest", manifest,
+                              "--spec", "final", "--out", out], out)
 
 
 def test_ddpm_train_finetune_sample_deterministic(tmp_path, capsys):
@@ -317,6 +361,13 @@ def _assert_rejected(capsys, argv, *outputs):
         assert not out.exists()
 
 
+def _write_raw_svcf(path, array):
+    """SVCF bytes written by hand, for values that `write_tensor` refuses."""
+    arr = np.ascontiguousarray(array, dtype="<f4")
+    path.write_bytes(b"SVCF" + struct.pack(f"<II{arr.ndim}I", 1, arr.ndim, *arr.shape)
+                     + arr.tobytes())
+
+
 def _write_stats(path):
     path.write_text(json.dumps({"speaker_id": "s", "mean_log_f0": 5.4,
                                 "std_log_f0": 0.1, "n_voiced_frames": 10}))
@@ -406,7 +457,7 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
         index["params"]["w1"] = "../outside.svcf"
     else:
         w1[0, 0] = np.nan
-        write_tensor(model_dir / "w1.svcf", w1)
+        _write_raw_svcf(model_dir / "w1.svcf", w1)
     index_path.write_text(json.dumps(index))
     out = tmp_path / "s.svcf"
     _assert_rejected(capsys, ["ddpm", "sample", "--model-dir", model_dir, "--out", out,
@@ -422,7 +473,7 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
 ])
 def test_tensors_with_bad_values_rejected(tmp_path, capsys, command, tensor):
     bad, good = tmp_path / "bad.svcf", tmp_path / "good.svcf"
-    write_tensor(bad, np.array(tensor, dtype=np.float32))
+    _write_raw_svcf(bad, np.array(tensor, dtype=np.float32))
     out = tmp_path / "out.svcf"
     if command == "convert-pitch":
         stats = tmp_path / "stats.json"
@@ -523,6 +574,9 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("vad", ["--vad-energy-floor-dbfs", "nan"]),
     ("vad", ["--vad-hangover-ms", "inf"]),
     ("cossim", []),
+    ("sample", ["--oracle-mean", "0", "--oracle-std", "1e200"]),
+    ("sample", ["--oracle-mean", "0", "--oracle-std", "1e154", "--steps", "100"]),
+    ("sample", ["--oracle-mean", "1e300", "--dim", "2"]),
 ])
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"

@@ -1,14 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from svcforge import defaults
 from svcforge.audio import AudioClip
 from svcforge.corpus import (
     CANONICAL_SPECS,
     ManifestEntry,
     NoteEvent,
     SVCC_TARGET_SPEAKERS,
+    SegmentSpec,
     TrainingSetSpec,
     VadConfig,
     canonical_spec,
@@ -230,3 +233,169 @@ def test_rest_segment_boundaries_never_inside_notes():
     for edge in edges:
         for note in notes:
             assert not (note.onset_sec < edge < note.offset_sec)
+
+
+def test_compose_rejects_an_overflowing_total():
+    entry = dict(id="x", path="x.wav", dataset="d", language="en", kind="singing",
+                 speaker="s", duration_sec=1.7e308, sample_rate=24000)
+    manifest = [ManifestEntry(**entry), ManifestEntry(**dict(entry, id="y"))]
+    with pytest.raises(InvalidParameterError):
+        compose_training_set(manifest, canonical_spec("final"))
+
+
+def test_vad_frame_longer_than_the_clip_covers_the_clip():
+    tone = sine(440, 0.5, amplitude=0.2)
+    for frame_ms in (600.0, 1e6, 1e300):
+        segments = vad_segment(tone, VadConfig(frame_ms=frame_ms))
+        assert [(s.start_sec, s.end_sec) for s in segments] == [(0.0, 0.5)]
+
+
+# -- the parent's segmenters, kept verbatim as references for `_join` ----------
+
+def _reference_vad_segment(clip, cfg=VadConfig()):
+    frame = max(1, int(round(clip.sample_rate * cfg.frame_ms / 1000.0)))
+    n = clip.samples.size
+    if n == 0:
+        return []
+    n_frames = (n + frame - 1) // frame
+    padded = np.zeros(n_frames * frame)
+    padded[:n] = clip.samples
+    frames = padded.reshape(n_frames, frame)
+    # partial tail frame: RMS over real samples only
+    counts = np.full(n_frames, frame, dtype=float)
+    counts[-1] = n - (n_frames - 1) * frame
+    rms = np.sqrt((frames ** 2).sum(axis=1) / counts)
+    floor = 10.0 ** (cfg.energy_floor_dbfs / 20.0)
+    active = rms > floor
+
+    # bridge short inactive runs between active frames
+    hang_frames = int(np.ceil(cfg.hangover_ms / cfg.frame_ms))
+    runs = _reference_runs(active)
+    for start, stop, value in runs:
+        if not value and start > 0 and stop < n_frames \
+                and (stop - start) < hang_frames:
+            active[start:stop] = True
+
+    frame_sec = frame / clip.sample_rate
+    duration = n / clip.sample_rate
+    segments = [
+        (start * frame_sec, min(stop * frame_sec, duration))
+        for start, stop, value in _reference_runs(active) if value
+    ]
+    segments = [
+        (a, b) for a, b in segments if (b - a) * 1000.0 >= cfg.min_speech_ms
+    ]
+    merged = []
+    for a, b in segments:
+        if merged and (a - merged[-1][1]) * 1000.0 < cfg.min_gap_ms:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return [SegmentSpec(a, b) for a, b in merged]
+
+
+def _reference_runs(mask):
+    out = []
+    start = 0
+    for i in range(1, len(mask) + 1):
+        if i == len(mask) or mask[i] != mask[start]:
+            out.append((start, i, bool(mask[start])))
+            start = i
+    return out
+
+
+def _reference_rest_note_segment(notes, min_rest_sec=defaults.MIN_REST_SEC,
+                                 clip_duration=float("inf")):
+    if not 0 <= min_rest_sec < math.inf:
+        raise InvalidParameterError(
+            f"min_rest_sec must be finite and >= 0, got {min_rest_sec}")
+    if math.isnan(clip_duration):
+        raise InvalidParameterError("clip_duration must not be NaN")
+    for prev, cur in zip(notes, notes[1:]):
+        if cur.onset_sec < prev.offset_sec - 1e-9 or cur.onset_sec < prev.onset_sec:
+            raise OverlappingNotesError(
+                f"events overlap near {cur.onset_sec:.3f} s"
+            )
+    sounding = [note for note in notes if not note.is_rest]
+    if not sounding:
+        return []
+    segments = []
+    start = sounding[0].onset_sec
+    for prev, cur in zip(sounding, sounding[1:]):
+        if cur.onset_sec - prev.offset_sec >= min_rest_sec:
+            segments.append((start, prev.offset_sec))
+            start = cur.onset_sec
+    segments.append((start, sounding[-1].offset_sec))
+    out = []
+    for a, b in segments:
+        a = max(0.0, a)
+        b = min(clip_duration, b)
+        if b > a:
+            out.append(SegmentSpec(a, b))
+    return out
+
+
+def _spans(segments):
+    return [(s.start_sec, s.end_sec) for s in segments]
+
+
+def _random_clip(rng):
+    """Silences alternating with bursts of tone or noise at random levels."""
+    rate = int(rng.choice([8000, 16000, 24000]))
+    parts = []
+    for k in range(int(rng.integers(0, 10))):
+        n = int(rng.integers(1, rate))
+        level = 10.0 ** rng.uniform(-2, -0.3)
+        if k % 2 == 0:
+            parts.append(np.zeros(n // 3))
+        elif rng.random() < 0.5:
+            parts.append(level * np.sin(2 * np.pi * rng.uniform(80, 900) * np.arange(n) / rate))
+        else:
+            parts.append(level * rng.standard_normal(n).clip(-3, 3) / 3)
+    return AudioClip(np.concatenate(parts) if parts else np.zeros(0), rate)
+
+
+def _random_vad_config(rng):
+    if rng.random() < 0.5:  # round numbers, so gaps can land exactly on a threshold
+        return VadConfig(frame_ms=float(rng.choice([10.0, 20.0, 30.0])),
+                         energy_floor_dbfs=float(rng.choice([-50.0, -40.0, -30.0])),
+                         min_speech_ms=float(rng.choice([0.0, 30.0, 60.0, 200.0])),
+                         hangover_ms=float(rng.choice([-10.0, 0.0, 30.0, 60.0, 300.0])),
+                         min_gap_ms=float(rng.choice([0.0, 30.0, 60.0, 300.0])))
+    return VadConfig(frame_ms=float(10.0 ** rng.uniform(0, 6)),
+                     energy_floor_dbfs=float(rng.uniform(-70, -10)),
+                     min_speech_ms=float(rng.uniform(0, 200)),
+                     hangover_ms=float(rng.uniform(-10, 300)),
+                     min_gap_ms=float(rng.uniform(0, 500)))
+
+
+def test_vad_matches_the_reference_segmenter():
+    rng = np.random.default_rng(2024)
+    split = 0
+    for _ in range(300):
+        clip, cfg = _random_clip(rng), _random_vad_config(rng)
+        got = _spans(vad_segment(clip, cfg))
+        assert got == _spans(_reference_vad_segment(clip, cfg)), cfg
+        split += len(got) > 1
+    assert split >= 40  # the sweep splits clips, not only finds silence
+
+
+def _random_notes(rng):
+    notes, t = [], float(rng.uniform(-0.3, 0.5))
+    for _ in range(int(rng.integers(0, 12))):
+        dur = float(rng.choice([0.1, 0.25, rng.uniform(0.01, 1.0)]))
+        pitch = None if rng.random() < 0.2 else int(rng.integers(40, 90))
+        notes.append(NoteEvent(t, t + dur, pitch))
+        t += dur + float(rng.choice([0.0, -5e-10, 0.1, 0.25, 0.5, rng.uniform(0, 1)]))
+    return notes
+
+
+def test_rest_segmenter_matches_the_reference():
+    rng = np.random.default_rng(2025)
+    for _ in range(300):
+        notes = _random_notes(rng)
+        min_rest = float(rng.choice([0.0, 0.1, 0.25, 0.5, rng.uniform(0, 1)]))
+        end = notes[-1].offset_sec if notes else 1.0
+        clip = float(rng.choice([math.inf, end, end * rng.uniform(0.2, 1.2)]))
+        assert _spans(rest_note_segment(notes, min_rest, clip)) == \
+            _spans(_reference_rest_note_segment(notes, min_rest, clip))

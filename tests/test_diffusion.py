@@ -206,10 +206,16 @@ def test_sample_rejects_bad_scale_and_dims(w, dim):
 
 @pytest.mark.parametrize("mu0, sigma0", [([0.0, math.nan], 1.0), ([math.inf, 0.0], 1.0),
                                          ([0.0, 0.0], math.nan), ([0.0, 0.0], math.inf),
-                                         ([0.0, 0.0], -1.0)])
+                                         ([0.0, 0.0], -1.0), ([0.0, 0.0], 1e200)])
 def test_analytic_denoiser_rejects_non_finite_target(mu0, sigma0):
     with pytest.raises(InvalidParameterError):
         analytic_gaussian_denoiser(np.array(mu0), sigma0, SCHED)
+
+
+def test_sample_rejects_a_chain_that_leaves_the_finite_range():
+    den = analytic_gaussian_denoiser(np.zeros(8), 1e154, SCHED)
+    with pytest.raises(InvalidParameterError):
+        sample(den, SCHED, _cond(), w=1.0, dim=8, seed=0)
 
 
 def test_analytic_denoiser_point_mass_formula():

@@ -116,3 +116,11 @@ def test_json_writers_reject_non_finite_floats(tmp_path, value):
     with pytest.raises(InvalidParameterError):
         write_jsonl(tmp_path / "d.jsonl", [{"ok": 1}, doc])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39],
+                         ids=["nan", "inf", "-inf", "beyond-float32"])
+def test_tensor_writer_rejects_non_finite_values(tmp_path, value):
+    with pytest.raises(InvalidParameterError):
+        write_tensor(tmp_path / "t.svcf", np.array([[1.0, value]], dtype=np.float64))
+    assert list(tmp_path.iterdir()) == []
