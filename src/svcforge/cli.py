@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -46,7 +47,7 @@ from .diffusion import (
     toy_dataset,
     train_toy,
 )
-from .errors import InvalidParameterError, SvcforgeError
+from .errors import InvalidParameterError, SvcforgeError, UnwritablePathError
 from .features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, log_mel, loudness, stft
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0
@@ -109,7 +110,15 @@ def _cmd_extract(args) -> dict:
             "inputs share a file stem, so their outputs would overwrite each other"
         )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Tensors are staged in the nearest existing one of --out-dir and its
+    # parents, and move in once every input has succeeded.
+    base = out_dir.absolute()
+    while not base.is_dir():
+        base = base.parent
+    try:
+        staging = tempfile.TemporaryDirectory(dir=base, prefix=f".{out_dir.name}.")
+    except OSError as exc:
+        raise UnwritablePathError(f"cannot write {out_dir}: {exc}") from exc
 
     def work(path: str) -> dict:
         clip = _load_clip_at_canonical_rate(path)
@@ -118,18 +127,21 @@ def _cmd_extract(args) -> dict:
         loud = loudness(spec, cfg)
         track = estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil)
         stem = Path(path).stem
-        files = {
-            "mel": str(out_dir / f"{stem}.mel.svcf"),
-            "loudness": str(out_dir / f"{stem}.loudness.svcf"),
-            "f0": str(out_dir / f"{stem}.f0.svcf"),
-        }
-        write_tensor(files["mel"], mel)
-        write_tensor(files["loudness"], loud)
-        write_tensor(files["f0"], track.to_array())
+        tensors = {"mel": mel, "loudness": loud, "f0": track.to_array()}
+        for kind, array in tensors.items():
+            write_tensor(Path(staging.name, f"{stem}.{kind}.svcf"), array)
         return {"input": path, "frames": int(mel.shape[0]),
-                "duration_sec": clip.duration_sec, "outputs": files}
+                "duration_sec": clip.duration_sec,
+                "outputs": {kind: str(out_dir / f"{stem}.{kind}.svcf") for kind in tensors}}
 
-    results = _run_jobs(args.inputs, work, args.jobs)
+    with staging:
+        results = _run_jobs(args.inputs, work, args.jobs)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name in os.listdir(staging.name):
+                os.replace(Path(staging.name, name), out_dir / name)
+        except OSError as exc:
+            raise UnwritablePathError(f"cannot write {out_dir}: {exc}") from exc
     return {"command": "extract", "seed": args.seed, "files": results}
 
 

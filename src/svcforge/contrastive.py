@@ -35,31 +35,28 @@ class FeaturePairBatch:
         object.__setattr__(self, "z_prime", zp)
 
 
-def contrastive_loss(batch: FeaturePairBatch,
-                     tau: float = defaults.CONTRASTIVE_TAU) -> float:
-    """Symmetric InfoNCE on cosine similarities at temperature tau.
+def contrastive_loss(batch: FeaturePairBatch) -> float:
+    """Symmetric InfoNCE on cosine similarities at temperature
+    tau = CONTRASTIVE_TAU.
 
     L = -(1/2N) sum_i [log softmax_j(cos(z_i, z'_j)/tau)_i
                        + log softmax_j(cos(z'_i, z_j)/tau)_i]
     """
-    if tau <= 0:
-        raise InvalidParameterError("tau must be positive")
     norms = np.linalg.norm(batch.z, axis=1)
     norms_p = np.linalg.norm(batch.z_prime, axis=1)
     if np.any(norms == 0) or np.any(norms_p == 0):
         raise ZeroNormError("zero-norm feature row")
     zn = batch.z / norms[:, None]
     zpn = batch.z_prime / norms_p[:, None]
-    sim = (zn @ zpn.T) / tau
+    sim = (zn @ zpn.T) / defaults.CONTRASTIVE_TAU
     diag = np.diag(sim)
     forward = logsumexp(sim, axis=1) - diag
     backward = logsumexp(sim, axis=0) - diag
     return float(np.mean(forward + backward) / 2.0)
 
 
-def ramp_weight(n: int, rate: float = defaults.RAMP_RATE,
-                cap: float = defaults.RAMP_CAP) -> float:
-    """Contrastive-loss weight at training step n: min(rate * n, cap)."""
+def ramp_weight(n: int) -> float:
+    """Contrastive-loss weight at training step n: min(RAMP_RATE * n, RAMP_CAP)."""
     if n < 0:
         raise InvalidParameterError("step must be >= 0")
-    return float(min(rate * n, cap))
+    return float(min(defaults.RAMP_RATE * n, defaults.RAMP_CAP))

@@ -1,8 +1,9 @@
 """Versioned table of every numeric default used across the toolkit.
 
 All tunable constants live here so `svcforge config show` can print one
-authoritative table and so releases can diff it. Modules import from this
-table rather than hard-coding values.
+authoritative table and so releases can diff it. Modules read the table
+when they run, as `defaults.NAME`, with no keyword argument that
+overrides it, so `config show` prints the values in use.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .svcf import read_json, read_tensor, write_json, write_tensor
+from .svcf import atomic_write_bytes, read_json, read_tensor, tensor_bytes, write_json
 
 _LN_EPS = 1e-5  # layer-norm variance epsilon
 
@@ -75,15 +75,12 @@ class NoiseSchedule:
         return float(self.alpha_bar[self._check_step(t) - 1])
 
 
-def linear_schedule(num_steps: int = defaults.DIFFUSION_STEPS,
-                    beta_start: float = defaults.BETA_START,
-                    beta_end: float = defaults.BETA_END) -> NoiseSchedule:
-    """Beta linear in t; alpha_bar by cumulative product."""
+def linear_schedule(num_steps: int = defaults.DIFFUSION_STEPS) -> NoiseSchedule:
+    """Beta linear in t from BETA_START to BETA_END; alpha_bar by cumulative
+    product."""
     if num_steps < 1:
         raise InvalidParameterError("num_steps must be >= 1")
-    if not 0 < beta_start <= beta_end < 1:
-        raise InvalidParameterError("need 0 < beta_start <= beta_end < 1")
-    return NoiseSchedule(np.linspace(beta_start, beta_end, num_steps))
+    return NoiseSchedule(np.linspace(defaults.BETA_START, defaults.BETA_END, num_steps))
 
 
 def q_sample(x0: np.ndarray, t: int, eps: np.ndarray,
@@ -359,7 +356,11 @@ class ToyDenoiser:
             raise ShapeMismatchError(f"last axis must be {self.dim}")
         p = self.params
         e = self._embedding(cond, unconditional)
-        fixed = np.concatenate([self.time_embedding(t), cond.summary()])
+        summary = cond.summary()
+        if summary.size != self.cond_dim:
+            raise ShapeMismatchError(
+                f"model wants a {self.cond_dim}-entry condition summary, got {summary.size}")
+        fixed = np.concatenate([self.time_embedding(t), summary])
         inp = np.empty(x_t.shape[:-1] + (self.dim + fixed.size,))
         inp[..., :self.dim] = x_t
         inp[..., self.dim:] = fixed
@@ -439,6 +440,14 @@ def _check_lr(lr: float) -> None:
         raise InvalidParameterError(f"learning rate must be finite and > 0, got {lr}")
 
 
+def _check_finite(model: ToyDenoiser, losses=()) -> None:
+    """Reject a diverged run: a loss or a parameter that is not finite."""
+    if not (np.all(np.isfinite(losses))
+            and all(np.all(np.isfinite(v)) for v in model.params.values())):
+        raise InvalidParameterError(
+            "training diverged: a loss or a parameter is not finite; lower the learning rate")
+
+
 def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
               cfg: TrainConfig) -> np.ndarray:
     """Epsilon-prediction training loop; returns the per-step loss history.
@@ -456,19 +465,21 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
         raise InvalidParameterError(f"p_uncond must lie in [0, 1], got {cfg.p_uncond}")
     rng = np.random.default_rng(cfg.seed)
     history = np.empty(cfg.steps)
-    for n in range(cfg.steps):
-        x0, cond, t, eps = _draw(rng, dataset, sched)
-        drop = rng.random() < cfg.p_uncond
-        x_t = q_sample(x0, t, eps, sched)
-        loss, grads = model.l2_loss_and_grads(x_t, t, cond, eps,
-                                              unconditional=drop)
-        if cfg.contrastive_source is not None:
-            batch = cfg.contrastive_source(n)
-            if batch is not None:
-                loss += ramp_weight(n) * contrastive_loss(batch)
-        for name, grad in grads.items():
-            model.params[name] -= cfg.lr * grad
-        history[n] = loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.steps):
+            x0, cond, t, eps = _draw(rng, dataset, sched)
+            drop = rng.random() < cfg.p_uncond
+            x_t = q_sample(x0, t, eps, sched)
+            loss, grads = model.l2_loss_and_grads(x_t, t, cond, eps,
+                                                  unconditional=drop)
+            if cfg.contrastive_source is not None:
+                batch = cfg.contrastive_source(n)
+                if batch is not None:
+                    loss += ramp_weight(n) * contrastive_loss(batch)
+            for name, grad in grads.items():
+                model.params[name] -= cfg.lr * grad
+            history[n] = loss
+    _check_finite(model, history)
     return history
 
 
@@ -491,21 +502,24 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
     rng = np.random.default_rng(seed)
-    for _ in range(iterations):
-        x0, cond, t, eps = _draw(rng, dataset, sched)
-        x_t = q_sample(x0, t, eps, sched)
-        fixed = replace(cond, speaker_embedding=emb)
-        _, grads = model.l2_loss_and_grads(x_t, t, fixed, eps)
-        for name in CLN_PARAM_NAMES:
-            model.params[name] -= lr * grads[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            x0, cond, t, eps = _draw(rng, dataset, sched)
+            x_t = q_sample(x0, t, eps, sched)
+            fixed = replace(cond, speaker_embedding=emb)
+            _, grads = model.l2_loss_and_grads(x_t, t, fixed, eps)
+            for name in CLN_PARAM_NAMES:
+                model.params[name] -= lr * grads[name]
+    _check_finite(model)
     return model
 
 
 def evaluate_l2(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
-                embedding: np.ndarray | None = None, n_draws: int = 200,
-                seed: int = 12345) -> float:
-    """Mean epsilon-prediction loss over fixed random (item, t, eps) draws."""
-    rng = np.random.default_rng(seed)
+                embedding: np.ndarray | None = None) -> float:
+    """Mean epsilon-prediction loss over 200 fixed random (item, t, eps)
+    draws from seed 12345."""
+    n_draws = 200
+    rng = np.random.default_rng(12345)
     total = 0.0
     for _ in range(n_draws):
         x0, cond, t, eps = _draw(rng, dataset, sched)
@@ -551,9 +565,12 @@ def toy_dataset(model_dim: int, ling_dim: int, speaker_dim: int,
 def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
     """One SVCF tensor per named parameter plus a JSON index.
 
-    SVCF payloads are float32, so loading quantizes parameters accordingly.
+    SVCF payloads are float32, so loading quantizes parameters accordingly;
+    all are encoded (and checked) before the directory is created.
     """
     d = Path(directory)
+    files = {name: f"{name}.svcf" for name in model.params}
+    blobs = {name: tensor_bytes(model.params[name], str(d / f)) for name, f in files.items()}
     d.mkdir(parents=True, exist_ok=True)
     index = {
         "dim": model.dim,
@@ -562,12 +579,10 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
         "num_steps": model.num_steps,
         "hidden": model.hidden,
         "time_freqs": model.time_freqs,
-        "params": {},
+        "params": files,
     }
-    for name, value in model.params.items():
-        fname = f"{name}.svcf"
-        write_tensor(d / fname, value)
-        index["params"][name] = fname
+    for name, blob in blobs.items():
+        atomic_write_bytes(d / files[name], blob)
     write_json(d / "index.json", index)
 
 

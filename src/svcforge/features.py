@@ -28,16 +28,14 @@ def hann(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Analysis grid: Hann window, hop/window/FFT sizes in samples."""
+    """Analysis grid at defaults.SAMPLE_RATE: Hann window, hop/window/FFT
+    sizes in samples."""
 
-    sample_rate: int = defaults.SAMPLE_RATE
     hop: int = defaults.HOP
     win_length: int = defaults.WIN_LENGTH
     fft_size: int = defaults.FFT_SIZE
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise InvalidParameterError("sample_rate must be positive")
         if self.hop <= 0:
             raise InvalidParameterError("hop must be positive")
         if not 0 < self.win_length <= self.fft_size:
@@ -61,7 +59,7 @@ class FrameConfig:
         return hann(self.win_length)
 
     def bin_frequencies(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.sample_rate / self.fft_size
+        return np.arange(self.n_bins) * defaults.SAMPLE_RATE / self.fft_size
 
 
 CANONICAL_FRAME_CONFIG = FrameConfig()
@@ -78,9 +76,9 @@ def frame_signal(x: np.ndarray, cfg: FrameConfig) -> np.ndarray:
 
 def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     """One-sided complex spectrogram, shape [T, fft_size//2 + 1]."""
-    if clip.sample_rate != cfg.sample_rate:
+    if clip.sample_rate != defaults.SAMPLE_RATE:
         raise RateMismatchError(
-            f"clip at {clip.sample_rate} Hz, config wants {cfg.sample_rate} Hz"
+            f"clip at {clip.sample_rate} Hz, the frame grid wants {defaults.SAMPLE_RATE} Hz"
         )
     frames = frame_signal(clip.samples, cfg) * cfg.window()
     return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
@@ -119,32 +117,12 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filters with centers uniform on the mel scale.
-
-    weights: [n_mels, n_bins], each row nonnegative and unimodal.
-    edges_hz holds the n_mels + 2 band-edge/center frequencies.
-    """
-
-    weights: np.ndarray
-    edges_hz: np.ndarray
-
-    @property
-    def center_frequencies(self) -> np.ndarray:
-        return self.edges_hz[1:-1]
-
-
-def build_mel_filterbank(cfg: FrameConfig, n_mels: int = defaults.N_MELS,
-                         fmin: float = defaults.MEL_FMIN_HZ,
-                         fmax: float = defaults.MEL_FMAX_HZ) -> MelFilterbank:
-    if not (0 <= fmin < fmax <= cfg.sample_rate / 2):
-        raise InvalidParameterError(
-            f"need 0 <= fmin < fmax <= Nyquist, got [{fmin}, {fmax}]"
-        )
-    if n_mels < 1:
-        raise InvalidParameterError("n_mels must be >= 1")
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+def build_mel_filterbank(cfg: FrameConfig) -> np.ndarray:
+    """Triangular filters with centers uniform on the mel scale, as an
+    [N_MELS, n_bins] array whose rows are nonnegative and unimodal. The
+    N_MELS + 2 band edges run from MEL_FMIN_HZ to MEL_FMAX_HZ."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(defaults.MEL_FMIN_HZ),
+                                  hz_to_mel(defaults.MEL_FMAX_HZ), defaults.N_MELS + 2))
     freqs = cfg.bin_frequencies()
     lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (freqs - lo) / np.maximum(mid - lo, 1e-12)
@@ -154,19 +132,18 @@ def build_mel_filterbank(cfg: FrameConfig, n_mels: int = defaults.N_MELS,
         raise InvalidParameterError(
             "mel filters narrower than one FFT bin; increase fft_size"
         )
-    return MelFilterbank(weights, edges)
+    return weights
 
 
-def log_mel(spec: np.ndarray, fb: MelFilterbank) -> np.ndarray:
+def log_mel(spec: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Natural-log mel energies [T, n_mels]: log of (filterbank x power
     spectrum), floored at log(1e-10)."""
-    if spec.ndim != 2 or spec.shape[1] != fb.weights.shape[1]:
+    if spec.ndim != 2 or spec.shape[1] != fb.shape[1]:
         raise ShapeMismatchError(
-            f"spectrogram has {spec.shape} bins, filterbank expects "
-            f"{fb.weights.shape[1]}"
+            f"spectrogram has {spec.shape} bins, filterbank expects {fb.shape[1]}"
         )
     power = np.abs(spec) ** 2
-    mel = power @ fb.weights.T
+    mel = power @ fb.T
     return np.log(np.maximum(mel, defaults.POWER_FLOOR))
 
 

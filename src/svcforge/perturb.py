@@ -225,21 +225,16 @@ def pitch_randomize(clip: AudioClip, ratio: float) -> AudioClip:
     return AudioClip(stretched, clip.sample_rate)
 
 
-def eq_band_centers(n_bands: int) -> np.ndarray:
-    """Fixed log-spaced EQ band centers, 60 Hz to 10 kHz."""
-    return np.geomspace(defaults.EQ_FC_LO_HZ, defaults.EQ_FC_HI_HZ, n_bands)
-
-
 def random_perturb_pair(clip: AudioClip, cfg: PerturbConfig) -> tuple:
     """Two independently drawn perturbation chains applied to one clip.
 
     Each chain draws (formant ratio, pitch semitones, per-band EQ gain and
-    Q) from cfg's ranges and applies formant shift, then pitch
-    randomization, then the equalizer. Draw order is fixed, so a given
-    (clip, cfg) pair is bit-reproducible.
+    Q; bands log-spaced from 60 Hz to 10 kHz) from cfg's ranges and
+    applies formant shift, then pitch randomization, then the equalizer.
+    Draw order is fixed, so a given (clip, cfg) pair is bit-reproducible.
     """
     rng = np.random.default_rng(cfg.seed)
-    centers = eq_band_centers(cfg.eq_bands)
+    centers = np.geomspace(defaults.EQ_FC_LO_HZ, defaults.EQ_FC_HI_HZ, cfg.eq_bands)
 
     def draw():
         rho = rng.uniform(*cfg.formant_ratio_range)

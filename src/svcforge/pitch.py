@@ -152,13 +152,11 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
     A frame is voiced when its best normalized correlation peak reaches
     0.3 and its RMS is at least -60 dBFS.
     """
-    if clip.sample_rate != cfg.sample_rate:
-        raise RateMismatchError(
-            f"clip at {clip.sample_rate} Hz, config wants {cfg.sample_rate} Hz"
-        )
+    sr = defaults.SAMPLE_RATE
+    if clip.sample_rate != sr:
+        raise RateMismatchError(f"clip at {clip.sample_rate} Hz, the frame grid wants {sr} Hz")
     if not 0 < f_floor < f_ceil:
         raise InvalidParameterError("need 0 < f_floor < f_ceil")
-    sr = cfg.sample_rate
     lag_min = max(2, int(np.ceil(sr / f_ceil)))
     lag_max = int(np.floor(sr / f_floor))
     if lag_max + 1 >= cfg.win_length:

@@ -43,17 +43,21 @@ MAGIC = b"SVCF"
 VERSION = 1
 
 
-def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
-    """Write `array` as float32 to an SVCF file, atomically. A value that is
-    not finite, or not finite once cast to float32, is an
-    InvalidParameterError and nothing is written."""
+def tensor_bytes(array: np.ndarray, name: str) -> bytes:
+    """The SVCF encoding of `array` as float32. A value that is not finite,
+    or not finite once cast to float32, is an InvalidParameterError naming
+    `name`."""
     with np.errstate(over="ignore"):
         arr = np.ascontiguousarray(array, dtype=np.float32)
     if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"cannot write {path}: tensor holds a non-finite value")
+        raise InvalidParameterError(f"cannot write {name}: a value is not finite in float32")
     header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    atomic_write_bytes(path, header + arr.tobytes())
+    return header + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+
+
+def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
+    """Write `tensor_bytes(array)` to an SVCF file, atomically."""
+    atomic_write_bytes(path, tensor_bytes(array, str(path)))
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:

@@ -544,6 +544,27 @@ def test_json_readers_reject_non_finite_numbers(tmp_path, capsys, document, toke
     _assert_rejected(capsys, argv, out)
 
 
+@pytest.mark.parametrize("command", ["sample", "finetune"])
+def test_ddpm_rejects_a_model_whose_condition_width_differs(tmp_path, capsys, command):
+    model_dir, out = tmp_path / "model", tmp_path / "out"
+    save_model(ToyDenoiser(dim=4, cond_dim=5, speaker_dim=3, seed=1), model_dir)
+    argv = ["ddpm", command, "--model-dir", model_dir, "--seed", "1"]
+    argv += ["--out", out] if command == "sample" else \
+        ["--out-dir", out, "--iterations", "3"]
+    _assert_rejected(capsys, argv, out)
+
+
+def test_extract_failure_on_a_later_input_leaves_no_outputs(tmp_path, capsys):
+    good, bad = tmp_path / "good.wav", tmp_path / "bad.wav"
+    write_wav(sine(440, 0.3), good)
+    bad.write_bytes(b"RIFFxxxxWAVEjunk")
+    out_dir = tmp_path / "o"
+    for jobs in ("1", "2"):
+        _assert_rejected(capsys, ["extract", "--in", good, "--in", bad,
+                                  "--out-dir", out_dir, "--jobs", jobs], out_dir)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wav", "good.wav"]
+
+
 def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     import svcforge.cli as cli
     monkeypatch.setattr(cli, "_cmd_config_show", lambda args: {"x": float("nan")})
@@ -577,6 +598,9 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("sample", ["--oracle-mean", "0", "--oracle-std", "1e200"]),
     ("sample", ["--oracle-mean", "0", "--oracle-std", "1e154", "--steps", "100"]),
     ("sample", ["--oracle-mean", "1e300", "--dim", "2"]),
+    ("train", ["--lr", "1e300", "--steps", "50"]),
+    ("train", ["--lr", "1e30", "--steps", "50"]),
+    ("finetune", ["--lr", "1e300", "--iterations", "50"]),
 ])
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"

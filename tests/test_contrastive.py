@@ -23,7 +23,7 @@ def test_two_pair_closed_form():
     # positives identical, negatives orthogonal: per row
     # -log(e^10 / (e^10 + e^0)) = log(1 + e^-10)
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = contrastive_loss(FeaturePairBatch(z, z.copy()), tau=0.1)
+    loss = contrastive_loss(FeaturePairBatch(z, z.copy()))
     assert loss == pytest.approx(math.log(1 + math.exp(-10)), rel=1e-9)
 
 
@@ -74,9 +74,6 @@ def test_batch_validation():
         FeaturePairBatch(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(InvalidParameterError):
         FeaturePairBatch(np.zeros((0, 3)), np.zeros((0, 3)))
-    with pytest.raises(InvalidParameterError):
-        contrastive_loss(FeaturePairBatch(np.ones((2, 2)), np.ones((2, 2))),
-                         tau=0.0)
 
 
 def test_batch_survives_svcf_interchange(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from svcforge import defaults
 from svcforge.contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
 from svcforge.diffusion import (
     CLN_PARAM_NAMES,
@@ -33,6 +34,7 @@ from svcforge.errors import (
     ManifestFormatError,
     ShapeMismatchError,
 )
+from svcforge.features import CANONICAL_FRAME_CONFIG, build_mel_filterbank
 
 SCHED = linear_schedule()
 
@@ -56,7 +58,7 @@ def _toy(dim=3, seed=1, hidden=6):
 # -- schedule -----------------------------------------------------------------
 
 def test_single_step_schedule():
-    sched = linear_schedule(num_steps=1, beta_start=0.01, beta_end=0.02)
+    sched = NoiseSchedule(np.array([0.01]))
     assert sched.num_steps == 1
     assert sched.alpha_bar_at(1) == pytest.approx(1 - 0.01, abs=1e-15)
 
@@ -81,9 +83,25 @@ def test_schedule_derives_alpha_tables_from_beta():
         NoiseSchedule(beta, alpha=1.0 - beta, alpha_bar=np.ones(3))
 
 
+def test_hyper_parameters_are_read_from_the_table_when_used(monkeypatch):
+    # no keyword overrides these values: what `config show` prints is what runs
+    batch = FeaturePairBatch(np.eye(3), np.eye(3)[[0, 2, 1]])
+
+    def used():
+        return (contrastive_loss(batch), ramp_weight(1000), linear_schedule().beta[-1],
+                build_mel_filterbank(CANONICAL_FRAME_CONFIG).shape[0])
+
+    before = used()
+    monkeypatch.setattr(defaults, "CONTRASTIVE_TAU", 0.5)
+    monkeypatch.setattr(defaults, "RAMP_RATE", 2e-5)
+    monkeypatch.setattr(defaults, "BETA_END", 0.03)
+    monkeypatch.setattr(defaults, "N_MELS", 40)
+    after = used()
+    assert after[0] != before[0]
+    assert (before[1:], after[1:]) == ((0.01, 0.02, 80), (0.02, 0.03, 40))
+
+
 def test_schedule_validation():
-    with pytest.raises(InvalidParameterError):
-        linear_schedule(beta_start=0.02, beta_end=0.01)
     with pytest.raises(InvalidParameterError):
         linear_schedule(num_steps=0)
     with pytest.raises(InvalidParameterError):
@@ -155,7 +173,7 @@ def test_guided_eps_linear_identity(w):
 # -- reverse process ----------------------------------------------------------
 
 def test_reverse_step_inverts_one_step_schedule():
-    sched = linear_schedule(num_steps=1, beta_start=0.01, beta_end=0.01)
+    sched = NoiseSchedule(np.array([0.01]))
     rng = np.random.default_rng(4)
     x0 = rng.normal(size=5)
     eps = rng.normal(size=5)
@@ -391,6 +409,8 @@ def test_forward_checks_shapes():
         model.l2_loss_and_grads(np.zeros(4), 3, cond, np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         model.l2_loss_and_grads(np.zeros(3), 3, wrong_speaker, np.zeros(3))
+    with pytest.raises(ShapeMismatchError):  # condition summary of 8, model wants 7
+        model.predict_eps(np.zeros(3), 3, _cond(ling_dim=5))
 
 
 # -- training loops -----------------------------------------------------------
@@ -595,6 +615,14 @@ def test_model_save_load_roundtrip(tmp_path):
     a = model.predict_eps(x, 10, cond)
     b = back.predict_eps(x, 10, cond)
     assert np.allclose(a, b, atol=1e-5)  # float32 storage quantization
+
+
+def test_save_model_checks_every_parameter_before_creating_the_directory(tmp_path):
+    model, _ = _toy()
+    model.params["cln_b_beta"] = np.full_like(model.params["cln_b_beta"], 1e39)
+    with pytest.raises(InvalidParameterError):
+        save_model(model, tmp_path / "m")
+    assert not (tmp_path / "m").exists()
 
 
 def test_model_index_with_malformed_params_rejected(tmp_path):

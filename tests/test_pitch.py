@@ -147,7 +147,7 @@ def _reference_median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
 
 def _reference_estimate_f0(clip, cfg, f_floor=defaults.F0_FLOOR_HZ,
                            f_ceil=defaults.F0_CEIL_HZ) -> np.ndarray:
-    sr = cfg.sample_rate
+    sr = defaults.SAMPLE_RATE
     lag_min = max(2, int(np.ceil(sr / f_ceil)))
     lag_max = int(np.floor(sr / f_floor))
 
@@ -186,7 +186,7 @@ def _sung_phrases(seed: int, seconds: float) -> AudioClip:
     """Glottal vowels at seeded pitches in 60-1000 Hz, with seeded formants
     and levels, separated by short gaps of silence or breath noise."""
     rng = np.random.default_rng(seed)
-    sr = CFG.sample_rate
+    sr = defaults.SAMPLE_RATE
     parts = []
     while sum(p.size for p in parts) < seconds * sr:
         f1, f2 = rng.uniform(300, 900), rng.uniform(1000, 2500)
@@ -213,25 +213,25 @@ def test_tracker_matches_per_frame_reference_on_vowels(seed):
 
 
 @pytest.mark.parametrize("make", [
-    lambda rng: rng.standard_normal(3 * CFG.sample_rate) * 0.3,
-    lambda rng: np.zeros(2 * CFG.sample_rate),
+    lambda rng: rng.standard_normal(3 * defaults.SAMPLE_RATE) * 0.3,
+    lambda rng: np.zeros(2 * defaults.SAMPLE_RATE),
     lambda rng: rng.standard_normal(CFG.win_length) * 0.3,
-    lambda rng: vowel(220.0, CFG.win_length / CFG.sample_rate).samples,
+    lambda rng: vowel(220.0, CFG.win_length / defaults.SAMPLE_RATE).samples,
 ], ids=["noise", "silence", "one-window-noise", "one-window-vowel"])
 def test_tracker_matches_per_frame_reference_on_edge_clips(make):
-    _assert_matches_reference(AudioClip(make(np.random.default_rng(7)), CFG.sample_rate))
+    _assert_matches_reference(AudioClip(make(np.random.default_rng(7)), defaults.SAMPLE_RATE))
 
 
 def test_tracker_matches_reference_across_a_block_boundary():
     n_frames = 2 * _BLOCK_FRAMES + 37
     n = CFG.win_length + (n_frames - 1) * CFG.hop
-    x = _sung_phrases(11, n / CFG.sample_rate).samples
+    x = _sung_phrases(11, n / defaults.SAMPLE_RATE).samples
     # one sustained note over the first block boundary
     t0 = (_BLOCK_FRAMES - 40) * CFG.hop
-    note = vowel(180.0, 80 * CFG.hop / CFG.sample_rate).samples
+    note = vowel(180.0, 80 * CFG.hop / defaults.SAMPLE_RATE).samples
     x = x.copy()
     x[t0:t0 + note.size] = note
-    track = _assert_matches_reference(AudioClip(x, CFG.sample_rate))
+    track = _assert_matches_reference(AudioClip(x, defaults.SAMPLE_RATE))
     assert track.f0_hz.size == n_frames and n_frames % _BLOCK_FRAMES
     assert track.vuv[_BLOCK_FRAMES - 20:_BLOCK_FRAMES + 20].all()
 
