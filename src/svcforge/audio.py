@@ -124,8 +124,8 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     return AudioClip(x, int(rate))
 
 
-def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
-    """Write a clip as 16-bit PCM. Out-of-range samples are clamped."""
+def wav_bytes(clip: AudioClip) -> bytes:
+    """The 16-bit PCM WAV encoding of a clip. Out-of-range samples are clamped."""
     q = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
     data = q.tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
@@ -133,7 +133,12 @@ def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
         "<IHHIIHH", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16
     )
     header += b"data" + struct.pack("<I", len(data))
-    atomic_write_bytes(path, header + data)
+    return header + data
+
+
+def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
+    """Write `wav_bytes(clip)` to `path`, atomically."""
+    atomic_write_bytes(path, wav_bytes(clip))
 
 
 def _lowpass_kernel(up: int, down: int) -> np.ndarray:

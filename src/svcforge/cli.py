@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .audio import AudioClip, read_wav, resample, write_wav
+from .audio import AudioClip, read_wav, resample, wav_bytes
 from .corpus import (
     TrainingSetSpec,
     VadConfig,
@@ -59,7 +59,7 @@ from .pitchconv import (
     save_stats,
 )
 from .perturb import PerturbConfig, random_perturb_pair
-from .svcf import dumps, read_json, read_tensor, write_json, write_tensor
+from .svcf import atomic_write_files, dumps, read_json, read_tensor, write_json, write_tensor
 
 
 class _UsageError(Exception):
@@ -194,8 +194,7 @@ def _cmd_perturb(args) -> dict:
     )
     clip = _load_clip_at_canonical_rate(args.input)
     first, second = random_perturb_pair(clip, cfg)
-    write_wav(first, args.out_a)
-    write_wav(second, args.out_b)
+    atomic_write_files({args.out_a: wav_bytes(first), args.out_b: wav_bytes(second)})
     return {
         "command": "perturb", "seed": args.seed,
         "input": args.input, "outputs": [args.out_a, args.out_b],
@@ -536,6 +535,8 @@ def main(argv=None) -> int:
         _log(f"usage error: {exc}")
         return 1
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
         line = dumps(args.func(args))
     except _UsageError as exc:
         _log(f"usage error: {exc}")

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .svcf import atomic_write_bytes, read_json, read_tensor, tensor_bytes, write_json
+from .svcf import atomic_write_files, json_bytes, read_json, read_tensor, tensor_bytes
 
 _LN_EPS = 1e-5  # layer-norm variance epsilon
 
@@ -484,8 +484,8 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
 
 
 def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
+                 target_embedding: np.ndarray,
                  iterations: int = defaults.FINETUNE_ITERATIONS,
-                 target_embedding: np.ndarray | None = None,
                  lr: float = 1e-3, seed: int = 0) -> ToyDenoiser:
     """Adapt a pre-trained model to one target by updating only the CLN
     affines, with a fixed unit-norm embedding in place of the speaker
@@ -494,20 +494,16 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     if iterations < 0:
         raise InvalidParameterError("iterations must be >= 0")
     _check_lr(lr)
-    if target_embedding is None:
-        raise InvalidParameterError("finetune needs a target embedding")
-    emb = np.asarray(target_embedding, dtype=np.float64)
-    if abs(np.linalg.norm(emb) - 1.0) > 1e-6:
-        raise InvalidParameterError("target embedding must have unit norm")
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
+    # ConditionSet checks that the embedding is 1-D with unit norm
+    dataset = [(x0, replace(c, speaker_embedding=target_embedding)) for x0, c in dataset]
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
             x0, cond, t, eps = _draw(rng, dataset, sched)
             x_t = q_sample(x0, t, eps, sched)
-            fixed = replace(cond, speaker_embedding=emb)
-            _, grads = model.l2_loss_and_grads(x_t, t, fixed, eps)
+            _, grads = model.l2_loss_and_grads(x_t, t, cond, eps)
             for name in CLN_PARAM_NAMES:
                 model.params[name] -= lr * grads[name]
     _check_finite(model)
@@ -515,16 +511,15 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
 
 
 def evaluate_l2(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
-                embedding: np.ndarray | None = None) -> float:
-    """Mean epsilon-prediction loss over 200 fixed random (item, t, eps)
-    draws from seed 12345."""
+                embedding: np.ndarray) -> float:
+    """Mean epsilon-prediction loss, with `embedding` as every item's speaker
+    embedding, over 200 fixed random (item, t, eps) draws from seed 12345."""
     n_draws = 200
+    dataset = [(x0, replace(c, speaker_embedding=embedding)) for x0, c in dataset]
     rng = np.random.default_rng(12345)
     total = 0.0
     for _ in range(n_draws):
         x0, cond, t, eps = _draw(rng, dataset, sched)
-        if embedding is not None:
-            cond = replace(cond, speaker_embedding=embedding)
         loss, _ = model.l2_loss_and_grads(q_sample(x0, t, eps, sched), t, cond, eps)
         total += loss
     return total / n_draws
@@ -566,13 +561,13 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
     """One SVCF tensor per named parameter plus a JSON index.
 
     SVCF payloads are float32, so loading quantizes parameters accordingly;
-    all are encoded (and checked) before the directory is created.
+    all are encoded (and checked) before the directory is created, and the
+    files are written together, so a failed save changes none of them.
     """
     d = Path(directory)
     files = {name: f"{name}.svcf" for name in model.params}
-    blobs = {name: tensor_bytes(model.params[name], str(d / f)) for name, f in files.items()}
-    d.mkdir(parents=True, exist_ok=True)
-    index = {
+    blobs = {d / f: tensor_bytes(model.params[name], str(d / f)) for name, f in files.items()}
+    blobs[d / "index.json"] = json_bytes({
         "dim": model.dim,
         "cond_dim": model.cond_dim,
         "speaker_dim": model.speaker_dim,
@@ -580,10 +575,9 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
         "hidden": model.hidden,
         "time_freqs": model.time_freqs,
         "params": files,
-    }
-    for name, blob in blobs.items():
-        atomic_write_bytes(d / files[name], blob)
-    write_json(d / "index.json", index)
+    })
+    d.mkdir(parents=True, exist_ok=True)
+    atomic_write_files(blobs)
 
 
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:

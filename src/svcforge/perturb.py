@@ -17,7 +17,7 @@ from scipy.signal import lfilter
 
 from . import defaults
 from .audio import AudioClip, resample
-from .errors import InvalidParameterError, RateMismatchError
+from .errors import InvalidParameterError
 from .features import FrameConfig, hann, istft, overlap_add, stft
 from .pitch import semitones_to_ratio
 
@@ -26,8 +26,12 @@ from .pitch import semitones_to_ratio
 # limited to twice the default +/-12 dB span, far below the ~12,000 dB at
 # which the biquad's 10^(gain/40) overflows.
 RATIO_LO, RATIO_HI = 0.5, 2.0
-MAX_PITCH_SEMITONES = 12.0
-MAX_EQ_GAIN_DB = 24.0
+_LIMITS = {
+    "formant_ratio_range": (RATIO_LO, RATIO_HI),
+    "pitch_semitone_range": (-12.0, 12.0),
+    "eq_gain_range_db": (-24.0, 24.0),
+    "eq_q_range": (0.0, math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -42,62 +46,28 @@ class PerturbConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("formant_ratio_range", "pitch_semitone_range",
-                     "eq_gain_range_db", "eq_q_range"):
+        for name, (floor, ceil) in _LIMITS.items():
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InvalidParameterError(f"{name}: bounds must be finite")
             if lo > hi:
                 raise InvalidParameterError(f"{name}: lo must be <= hi")
-        lo, hi = self.formant_ratio_range
-        if lo < RATIO_LO or hi > RATIO_HI:
-            raise InvalidParameterError(
-                f"formant_ratio_range must lie within [{RATIO_LO}, {RATIO_HI}]")
-        lo, hi = self.pitch_semitone_range
-        if lo < -MAX_PITCH_SEMITONES or hi > MAX_PITCH_SEMITONES:
-            raise InvalidParameterError(
-                f"pitch_semitone_range must lie within "
-                f"+/-{MAX_PITCH_SEMITONES:g} semitones")
-        lo, hi = self.eq_gain_range_db
-        if lo < -MAX_EQ_GAIN_DB or hi > MAX_EQ_GAIN_DB:
-            raise InvalidParameterError(
-                f"eq_gain_range_db must lie within +/-{MAX_EQ_GAIN_DB:g} dB")
+            if lo < floor or hi > ceil:
+                raise InvalidParameterError(f"{name} must lie within [{floor:g}, {ceil:g}]")
         if self.eq_q_range[0] <= 0:
             raise InvalidParameterError("Q must be positive")
         if self.eq_bands < 1:
             raise InvalidParameterError("eq_bands must be >= 1")
 
 
-@dataclass(frozen=True)
-class BiquadCoeffs:
-    """Normalized biquad (a0 == 1). Poles must sit inside the unit circle."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        roots = np.roots([1.0, self.a1, self.a2])
-        if np.any(np.abs(roots) >= 1.0):
-            raise InvalidParameterError("unstable biquad: pole outside unit circle")
-
-    def response_at(self, f_hz: float, sample_rate: int) -> complex:
-        """Transfer function evaluated on the unit circle at f_hz."""
-        z = np.exp(-2j * np.pi * f_hz / sample_rate)
-        return complex(
-            (self.b0 + self.b1 * z + self.b2 * z * z)
-            / (1.0 + self.a1 * z + self.a2 * z * z)
-        )
-
-
 def peaking_biquad(fc_hz: float, q: float, gain_db: float,
-                   sample_rate: int) -> BiquadCoeffs:
-    """Peaking-EQ biquad (cookbook closed form).
+                   sample_rate: int) -> tuple:
+    """Peaking-EQ biquad (cookbook closed form) as lfilter's (b, a), with
+    a[0] == 1.
 
     |H| at fc equals 10^(gain_db/20) exactly; gain_db = 0 collapses to the
-    identity filter.
+    identity filter. A pole on or outside the unit circle, or a coefficient
+    that overflows, is an InvalidParameterError.
     """
     if not 0 < fc_hz < sample_rate / 2:
         raise InvalidParameterError(f"fc must be in (0, Nyquist), got {fc_hz}")
@@ -105,23 +75,21 @@ def peaking_biquad(fc_hz: float, q: float, gain_db: float,
         raise InvalidParameterError("q must be positive")
     amp = 10.0 ** (gain_db / 40.0)
     w0 = 2.0 * np.pi * fc_hz / sample_rate
-    alpha = np.sin(w0) / (2.0 * q)
-    a0 = 1.0 + alpha / amp
-    return BiquadCoeffs(
-        b0=(1.0 + alpha * amp) / a0,
-        b1=-2.0 * np.cos(w0) / a0,
-        b2=(1.0 - alpha * amp) / a0,
-        a1=-2.0 * np.cos(w0) / a0,
-        a2=(1.0 - alpha / amp) / a0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny q overflows alpha
+        alpha = np.sin(w0) / (2.0 * q)
+        a0 = 1.0 + alpha / amp
+        b = np.array([1.0 + alpha * amp, -2.0 * np.cos(w0), 1.0 - alpha * amp]) / a0
+        a = np.array([a0, -2.0 * np.cos(w0), 1.0 - alpha / amp]) / a0
+    if not np.all(np.isfinite(a)) or np.any(np.abs(np.roots(a)) >= 1.0):
+        raise InvalidParameterError("unstable biquad: pole outside unit circle")
+    return b, a
 
 
 def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
     """Cascade of peaking filters; bands are (fc_hz, q, gain_db) triples."""
     y = clip.samples
     for fc, q, gain_db in bands:
-        c = peaking_biquad(fc, q, gain_db, clip.sample_rate)
-        y = lfilter([c.b0, c.b1, c.b2], [1.0, c.a1, c.a2], y)
+        y = lfilter(*peaking_biquad(fc, q, gain_db, clip.sample_rate), y)
     return AudioClip(np.asarray(y, dtype=np.float64), clip.sample_rate)
 
 
@@ -133,32 +101,23 @@ _FORMANT_FRAMES = FrameConfig(hop=256, win_length=1024, fft_size=1024)
 def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
     """Warp the spectral envelope by `rho` while keeping F0 and timing.
 
-    Per frame the log magnitude is split into a cepstrally smoothed envelope
-    (1.25 ms quefrency cutoff) and a residual; the envelope's frequency axis
-    is resampled at f / rho (clamped at the edges), recombined with the
-    residual and the original phase, and overlap-added back.
+    Per frame the log magnitude (floored at 1e-10) is cepstrally smoothed
+    (1.25 ms quefrency cutoff) into an envelope, whose frequency axis is
+    resampled at f / rho (clamped at the edges); the complex spectrum is
+    scaled by exp(warped envelope - envelope) and overlap-added back.
+    The clip must be at the canonical rate (RateMismatchError otherwise).
     """
     if not RATIO_LO <= rho <= RATIO_HI:
         raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
-    if clip.sample_rate != defaults.SAMPLE_RATE:
-        raise RateMismatchError(
-            f"formant_shift expects {defaults.SAMPLE_RATE} Hz, got {clip.sample_rate}"
-        )
     n = clip.samples.size
     n_fft = _FORMANT_FRAMES.fft_size
     x = np.concatenate([np.zeros(n_fft), clip.samples, np.zeros(2 * n_fft)])
     spec = stft(AudioClip(x, clip.sample_rate), _FORMANT_FRAMES)
-    mag = np.abs(spec)
-    phase = np.angle(spec)
-    log_mag = np.log(np.maximum(mag, 1e-10))
 
     qcut = int(round(defaults.FORMANT_QUEFRENCY_CUTOFF_SEC * clip.sample_rate))
-    cep = np.fft.irfft(log_mag, n=n_fft, axis=1)
-    lifter = np.zeros(n_fft)
-    lifter[:qcut + 1] = 1.0
-    lifter[-qcut:] = 1.0
-    env = np.fft.rfft(cep * lifter, axis=1).real
-    resid = log_mag - env
+    cep = np.fft.irfft(np.log(np.maximum(np.abs(spec), 1e-10)), n=n_fft, axis=1)
+    cep[:, qcut + 1:n_fft - qcut] = 0.0
+    env = np.fft.rfft(cep, axis=1).real
 
     n_bins = env.shape[1]
     query = np.arange(n_bins) / rho
@@ -167,8 +126,7 @@ def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
     frac = np.clip(query - i0, 0.0, 1.0)
     env_warped = env[:, i0] * (1.0 - frac) + env[:, i1] * frac
 
-    new_mag = np.exp(env_warped + resid)
-    y = istft(new_mag * np.exp(1j * phase), _FORMANT_FRAMES, len(x))
+    y = istft(spec * np.exp(env_warped - env), _FORMANT_FRAMES, len(x))
     return AudioClip(y[n_fft:n_fft + n], clip.sample_rate)
 
 

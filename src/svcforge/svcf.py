@@ -17,7 +17,8 @@ and the CLI's stdout summary). Both directions are strict RFC 8259: reading
 NaN/Infinity or a number that overflows a double is a ManifestFormatError,
 writing a non-finite float an InvalidParameterError.
 
-Writes are temp-then-rename so a failed run never leaves a partial file.
+Writes are temp-then-rename, all files of one write at once, so a failed
+run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -81,20 +82,33 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4").reshape(dims).copy()
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write bytes via a temp file in the same directory, then rename."""
-    p = Path(path)
+def atomic_write_files(files: dict) -> None:
+    """Write each `{path: bytes}` entry via a temp file beside its path, and
+    rename them into place only once every one is written, so a path that
+    cannot be written leaves the others untouched and no temp file behind."""
+    staged = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=p.parent or ".", prefix=p.name + ".")
-        try:
+        for path, data in files.items():
+            p = Path(path)
+            if p.is_dir():
+                raise IsADirectoryError(f"{p} is a directory")
+            fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".")
+            staged.append((tmp, p))
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+        for tmp, p in staged:
             os.replace(tmp, p)
-        except BaseException:
-            os.unlink(tmp)
-            raise
     except OSError as exc:
         raise UnwritablePathError(f"cannot write {p}: {exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
+    """Write bytes via a temp file in the same directory, then rename."""
+    atomic_write_files({path: data})
 
 
 def read_bytes(path: str | os.PathLike, what: str) -> bytes:
@@ -152,9 +166,14 @@ def dumps(doc, indent: int | None = None) -> str:
         raise InvalidParameterError(f"cannot encode as JSON: {exc}") from exc
 
 
+def json_bytes(doc) -> bytes:
+    """`doc` as indented JSON text plus a newline, UTF-8 encoded."""
+    return (dumps(doc, indent=2) + "\n").encode()
+
+
 def write_json(path: str | os.PathLike, doc) -> None:
-    """Write `doc` as indented JSON plus a newline, atomically."""
-    atomic_write_bytes(path, (dumps(doc, indent=2) + "\n").encode())
+    """Write `json_bytes(doc)` to `path`, atomically."""
+    atomic_write_bytes(path, json_bytes(doc))
 
 
 def write_jsonl(path: str | os.PathLike, docs) -> None:

@@ -181,6 +181,37 @@ def test_perturb_rejects_bad_ranges_for_every_seed(tmp_path, wavs, capsys, flags
         assert not pa.exists() and not pb.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("blocker", ["file", "directory"])
+def test_perturb_writes_both_outputs_or_neither(tmp_path, wavs, capsys, existing, blocker):
+    src, _ = wavs
+    pa = tmp_path / "pa.wav"
+    if existing:
+        pa.write_bytes(b"earlier run")
+    if blocker == "file":
+        (tmp_path / "afile").write_bytes(b"")
+        pb = tmp_path / "afile" / "b.wav"
+    else:
+        pb = tmp_path / "adir"
+        pb.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    _assert_rejected(capsys, ["perturb", "--in", src, "--out-a", pa, "--out-b", pb,
+                              "--seed", "1"], *([] if existing else [pa]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if existing:
+        assert pa.read_bytes() == b"earlier run"
+
+
+def test_ddpm_train_writes_all_model_files_or_none(tmp_path, capsys):
+    out = tmp_path / "model"
+    (out / "index.json").mkdir(parents=True)
+    (out / "b1.svcf").write_bytes(b"earlier run")
+    _assert_rejected(capsys, ["ddpm", "train", "--out-dir", out, "--seed", "0",
+                              "--steps", "5"])
+    assert sorted(p.name for p in out.iterdir()) == ["b1.svcf", "index.json"]
+    assert (out / "b1.svcf").read_bytes() == b"earlier run"
+
+
 def test_segment_vad(tmp_path, wavs, capsys):
     a, _ = wavs
     out = tmp_path / "seg.json"
@@ -601,6 +632,14 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("train", ["--lr", "1e300", "--steps", "50"]),
     ("train", ["--lr", "1e30", "--steps", "50"]),
     ("finetune", ["--lr", "1e300", "--iterations", "50"]),
+    ("perturb", ["--eq-q-range", "1e-300", "1e-300"]),
+    ("perturb", ["--eq-q-range", "5e-324", "5e-324"]),
+    ("perturb", ["--seed", "-1"]),
+    ("train", ["--seed", "-1"]),
+    ("finetune", ["--seed", "-1"]),
+    ("sample", ["--oracle-mean", "0", "--seed", "-2"]),
+    ("sample-model", ["--seed", "-2"]),
+    ("extract", ["--seed", "-1"]),
 ])
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"
@@ -608,11 +647,16 @@ def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command
         argv = ["ddpm", "sample", "--out", out, "--seed", "0", "--steps", "5"]
     elif command == "train":
         argv = ["ddpm", "train", "--out-dir", out, "--seed", "0", "--steps", "5"]
-    elif command == "finetune":
+    elif command in ("finetune", "sample-model"):
         model_dir = tmp_path / "model"
         save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
         argv = ["ddpm", "finetune", "--model-dir", model_dir, "--out-dir", out,
-                "--seed", "0", "--iterations", "5"]
+                "--seed", "0", "--iterations", "5"] if command == "finetune" else \
+            ["ddpm", "sample", "--model-dir", model_dir, "--out", out, "--seed", "0"]
+    elif command == "perturb":
+        argv = ["perturb", "--in", wavs[0], "--out-a", out, "--out-b", out, "--seed", "0"]
+    elif command == "extract":
+        argv = ["extract", "--in", wavs[0], "--out-dir", out]
     elif command == "rest":
         notes = tmp_path / "notes.json"
         notes.write_text('[{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60},'

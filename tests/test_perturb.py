@@ -3,14 +3,13 @@ from math import gcd, log2
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.signal import welch
+from scipy.signal import freqz, welch
 
 from svcforge.audio import AudioClip
 from svcforge.errors import InvalidParameterError, RateMismatchError
-from svcforge.features import hann
+from svcforge.features import hann, istft, stft
 from svcforge.features import CANONICAL_FRAME_CONFIG as CFG, hz_to_mel, mel_to_hz
 from svcforge.perturb import (
-    BiquadCoeffs,
     PerturbConfig,
     formant_shift,
     parametric_eq,
@@ -58,18 +57,23 @@ def _envelope_peak_hz(clip, lo_hz, hi_hz, nfft=1024, qcut_ms=1.25):
 
 # -- peaking biquad ----------------------------------------------------------
 
+def _gain_at(b, a, freqs):
+    return np.abs(freqz(b, a, worN=freqs, fs=24000)[1])
+
+
 def test_biquad_zero_gain_is_identity():
-    c = peaking_biquad(1000, 1.0, 0.0, 24000)
-    assert c.b0 == pytest.approx(1.0, abs=1e-15)
-    assert c.b1 == pytest.approx(c.a1, abs=1e-15)
-    assert c.b2 == pytest.approx(c.a2, abs=1e-15)
+    b, a = peaking_biquad(1000, 1.0, 0.0, 24000)
+    assert a[0] == 1.0
+    assert b[0] == pytest.approx(1.0, abs=1e-15)
+    assert b[1] == pytest.approx(a[1], abs=1e-15)
+    assert b[2] == pytest.approx(a[2], abs=1e-15)
     for f in [10, 100, 1000, 5000, 11000]:
-        assert abs(abs(c.response_at(f, 24000)) - 1.0) < 1e-9
+        assert abs(_gain_at(b, a, [f])[0] - 1.0) < 1e-9
 
 
 def test_biquad_center_gain():
-    c = peaking_biquad(1000, 1.0, 6.0, 24000)
-    gain_db = 20 * np.log10(abs(c.response_at(1000, 24000)))
+    b, a = peaking_biquad(1000, 1.0, 6.0, 24000)
+    gain_db = 20 * np.log10(_gain_at(b, a, [1000])[0])
     assert abs(gain_db - 6.0) < 0.01
 
 
@@ -77,8 +81,8 @@ def test_biquad_center_gain():
        st.floats(min_value=0.1, max_value=10.0),
        st.floats(min_value=-18.0, max_value=18.0))
 def test_biquad_always_stable(fc, q, gain):
-    c = peaking_biquad(fc, q, gain, 24000)
-    roots = np.roots([1.0, c.a1, c.a2])
+    b, a = peaking_biquad(fc, q, gain, 24000)
+    roots = np.roots(a)
     assert np.all(np.abs(roots) < 1.0)
 
 
@@ -90,7 +94,9 @@ def test_biquad_invalid_params():
     with pytest.raises(InvalidParameterError):
         peaking_biquad(1000, 0.0, 3.0, 24000)
     with pytest.raises(InvalidParameterError):
-        BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 1.5)  # poles outside unit circle
+        peaking_biquad(1000, 1e-20, 3.0, 24000)  # poles outside unit circle
+    with pytest.raises(InvalidParameterError):
+        peaking_biquad(1000, 5e-324, 3.0, 24000)  # alpha overflows
 
 
 # -- parametric EQ -----------------------------------------------------------
@@ -158,6 +164,69 @@ def test_formant_shift_validation():
         formant_shift(vowel(duration_sec=0.2), 2.5)
     with pytest.raises(RateMismatchError):
         formant_shift(AudioClip(np.zeros(8000), 16000), 1.1)
+
+
+def _reference_formant_shift(clip: AudioClip, rho: float) -> AudioClip:
+    """The formant shifter as it was before it applied one envelope gain to
+    the complex spectrum (polar split into magnitude, phase and cepstral
+    residual), kept verbatim as the reference."""
+    RATIO_LO, RATIO_HI = perturb.RATIO_LO, perturb.RATIO_HI
+    _FORMANT_FRAMES = perturb._FORMANT_FRAMES
+    if not RATIO_LO <= rho <= RATIO_HI:
+        raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
+    if clip.sample_rate != defaults.SAMPLE_RATE:
+        raise RateMismatchError(
+            f"formant_shift expects {defaults.SAMPLE_RATE} Hz, got {clip.sample_rate}"
+        )
+    n = clip.samples.size
+    n_fft = _FORMANT_FRAMES.fft_size
+    x = np.concatenate([np.zeros(n_fft), clip.samples, np.zeros(2 * n_fft)])
+    spec = stft(AudioClip(x, clip.sample_rate), _FORMANT_FRAMES)
+    mag = np.abs(spec)
+    phase = np.angle(spec)
+    log_mag = np.log(np.maximum(mag, 1e-10))
+
+    qcut = int(round(defaults.FORMANT_QUEFRENCY_CUTOFF_SEC * clip.sample_rate))
+    cep = np.fft.irfft(log_mag, n=n_fft, axis=1)
+    lifter = np.zeros(n_fft)
+    lifter[:qcut + 1] = 1.0
+    lifter[-qcut:] = 1.0
+    env = np.fft.rfft(cep * lifter, axis=1).real
+    resid = log_mag - env
+
+    n_bins = env.shape[1]
+    query = np.arange(n_bins) / rho
+    i0 = np.clip(np.floor(query).astype(int), 0, n_bins - 1)
+    i1 = np.minimum(i0 + 1, n_bins - 1)
+    frac = np.clip(query - i0, 0.0, 1.0)
+    env_warped = env[:, i0] * (1.0 - frac) + env[:, i1] * frac
+
+    new_mag = np.exp(env_warped + resid)
+    y = istft(new_mag * np.exp(1j * phase), _FORMANT_FRAMES, len(x))
+    return AudioClip(y[n_fft:n_fft + n], clip.sample_rate)
+
+
+def _pcm16(x):
+    return np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
+
+
+_REFERENCE_CLIPS = {
+    "vowel-220": lambda: vowel(220.0, 0.5),
+    "vowel-110": lambda: vowel(110.0, 0.5),
+    "noise": lambda: AudioClip(np.random.default_rng(0).normal(scale=0.1, size=12000), 24000),
+    "silence": lambda: AudioClip(np.zeros(12000), 24000),
+}
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.8, 1.0, 1.25, 2.0])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CLIPS))
+def test_formant_shift_matches_polar_reference(name, rho):
+    clip = _REFERENCE_CLIPS[name]()
+    got = formant_shift(clip, rho).samples
+    want = _reference_formant_shift(clip, rho).samples
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(_pcm16(got), _pcm16(want))
 
 
 # -- pitch randomization -----------------------------------------------------
