@@ -141,6 +141,13 @@ def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
     atomic_write_bytes(path, wav_bytes(clip))
 
 
+# `_lowpass_kernel` has 64 taps per unit of max(up, down). This bound admits
+# every rate up to 48 kHz and the 44.1/48 kHz multiples up to 768 kHz, and
+# refuses a rate coprime with the target, such as 1,000,003 Hz, before a
+# gigabyte-sized kernel is built.
+MAX_RESAMPLE_FACTOR = 48_000
+
+
 def _lowpass_kernel(up: int, down: int) -> np.ndarray:
     """Kaiser-windowed sinc prototype for the polyphase resampler.
 
@@ -159,16 +166,21 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited rate conversion. Identity when rates already match.
 
     Output length is ceil(n * target / source), so duration is preserved
-    to within one output sample.
+    to within one output sample. Rates whose reduced ratio up/down has
+    max(up, down) above MAX_RESAMPLE_FACTOR are an InvalidParameterError.
     """
     if int(target_rate) != target_rate or target_rate <= 0:
         raise InvalidParameterError("target_rate must be a positive integer")
     target_rate = int(target_rate)
     if target_rate == clip.sample_rate:
         return clip
-    if clip.samples.size == 0:
-        return AudioClip(np.zeros(0), target_rate)
     g = gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g
+    if max(up, down) > MAX_RESAMPLE_FACTOR:
+        raise InvalidParameterError(
+            f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: the reduced "
+            f"ratio {up}/{down} has a term above {MAX_RESAMPLE_FACTOR}")
+    if clip.samples.size == 0:
+        return AudioClip(np.zeros(0), target_rate)
     y = resample_poly(clip.samples, up, down, window=_lowpass_kernel(up, down))
     return AudioClip(y, target_rate)

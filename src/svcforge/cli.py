@@ -59,7 +59,8 @@ from .pitchconv import (
     save_stats,
 )
 from .perturb import PerturbConfig, random_perturb_pair
-from .svcf import atomic_write_files, dumps, read_json, read_tensor, write_json, write_tensor
+from .svcf import (atomic_write_files, dumps, read_json, read_tensor, replace_files,
+                   write_json, write_tensor)
 
 
 class _UsageError(Exception):
@@ -138,10 +139,10 @@ def _cmd_extract(args) -> dict:
         results = _run_jobs(args.inputs, work, args.jobs)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for name in os.listdir(staging.name):
-                os.replace(Path(staging.name, name), out_dir / name)
         except OSError as exc:
             raise UnwritablePathError(f"cannot write {out_dir}: {exc}") from exc
+        replace_files({Path(staging.name, name): out_dir / name
+                       for name in os.listdir(staging.name)})
     return {"command": "extract", "seed": args.seed, "files": results}
 
 
@@ -305,8 +306,8 @@ def _cmd_ddpm_sample(args) -> dict:
                 "ddpm sample needs --model-dir or --oracle-mean/--oracle-std")
         sched = linear_schedule(args.steps)
         dim = args.dim
-        mu0 = np.full(dim, args.oracle_mean)
-        denoiser = analytic_gaussian_denoiser(mu0, args.oracle_std, sched)
+        # a scalar mean broadcasts over the sample, so `sample` checks --dim
+        denoiser = analytic_gaussian_denoiser(args.oracle_mean, args.oracle_std, sched)
         cond = ConditionSet(
             linguistic=np.zeros((1, 1)), log_f0_vuv=np.zeros((1, 2)),
             loudness=np.zeros(1),

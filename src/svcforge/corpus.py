@@ -24,7 +24,7 @@ from .errors import (
     OverlappingNotesError,
     UnknownSpecError,
 )
-from .svcf import read_json, read_jsonl, write_jsonl
+from .svcf import json_field, read_json, read_jsonl, write_jsonl
 
 SVCC_TARGET_SPEAKERS = ("IDF1", "IDM1", "CDF1", "CDM1")
 
@@ -54,16 +54,13 @@ class ManifestEntry:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ManifestEntry":
-        try:
-            return cls(
-                id=str(doc["id"]), path=str(doc["path"]),
-                dataset=str(doc["dataset"]), language=str(doc["language"]),
-                kind=str(doc["kind"]), speaker=str(doc["speaker"]),
-                duration_sec=float(doc["duration_sec"]),
-                sample_rate=int(doc["sample_rate"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestFormatError(f"bad manifest entry: {exc}") from exc
+        def get(key, kind=str):
+            return json_field(doc, key, kind, "manifest entry")
+
+        return cls(id=get("id"), path=get("path"), dataset=get("dataset"),
+                   language=get("language"), kind=get("kind"), speaker=get("speaker"),
+                   duration_sec=get("duration_sec", float),
+                   sample_rate=get("sample_rate", int))
 
 
 def read_manifest(path: str | os.PathLike) -> list:
@@ -119,15 +116,12 @@ class TrainingSetSpec:
                 )
             return frozenset(value)
 
-        try:
-            return cls(
-                name=str(doc["name"]),
-                languages=names("languages", None),
-                kinds=names("kinds", None),
-                always_include_datasets=names("always_include_datasets", []),
-            )
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ManifestFormatError(f"bad training-set spec: {exc}") from exc
+        return cls(
+            name=json_field(doc, "name", str, "training-set spec"),
+            languages=names("languages", None),
+            kinds=names("kinds", None),
+            always_include_datasets=names("always_include_datasets", []),
+        )
 
 
 _ALWAYS = frozenset({"svcc2023"})
@@ -212,7 +206,8 @@ def vad_segment(clip: AudioClip, cfg: VadConfig = VadConfig()) -> list:
     counts = np.full(n_frames, frame, dtype=float)
     counts[-1] = n - (n_frames - 1) * frame
     rms = np.sqrt((frames ** 2).sum(axis=1) / counts)
-    floor = 10.0 ** (cfg.energy_floor_dbfs / 20.0)
+    with np.errstate(over="ignore"):  # a floor beyond the double range marks nothing active
+        floor = np.float64(10.0) ** (cfg.energy_floor_dbfs / 20.0)
     edges = np.flatnonzero(np.diff(np.concatenate(([False], rms > floor, [False]))))
     # active frame runs, bridged across inactive gaps shorter than the hangover
     # (a float: a hangover too long for an int bridges every gap)
@@ -257,17 +252,14 @@ class NoteEvent:
 
     @classmethod
     def from_json(cls, doc: dict) -> "NoteEvent":
-        try:
-            pitch = doc.get("pitch")
-            if isinstance(pitch, str):
-                if pitch.lower() != "rest":
-                    raise ManifestFormatError(f"bad pitch value {pitch!r}")
-                pitch = None
-            return cls(onset_sec=float(doc["onset_sec"]),
-                       offset_sec=float(doc["offset_sec"]),
-                       pitch=int(pitch) if pitch is not None else None)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ManifestFormatError(f"bad note event: {exc}") from exc
+        """Times are JSON numbers; `pitch` is a JSON integer (a MIDI note), or
+        "rest", null or absent for a rest."""
+        onset = json_field(doc, "onset_sec", float, "note event")
+        offset = json_field(doc, "offset_sec", float, "note event")
+        pitch = doc.get("pitch")
+        if pitch is not None and not (isinstance(pitch, str) and pitch.lower() == "rest"):
+            return cls(onset, offset, json_field(doc, "pitch", int, "note event"))
+        return cls(onset, offset)
 
 
 def read_notes(path: str | os.PathLike) -> list:

@@ -1,10 +1,10 @@
 """DDPM machinery for mel-frame generation at desk scale.
 
 Covers the full contract surface of the production acoustic model without
-its bulk: noise schedules, forward noising, guided ancestral sampling,
-conditional layer normalization, a closed-form Gaussian denoiser used as a
-correctness oracle, and a two-layer trainable denoiser exercising the
-training and CLN-only fine-tuning loops. Everything here runs in float64;
+its bulk: noise schedules, forward noising, guided ancestral sampling, a
+closed-form Gaussian denoiser used as a correctness oracle, and a two-layer
+trainable denoiser whose conditional layer norm (CLN) is the one the
+CLN-only fine-tuning loop adapts. Everything here runs in float64;
 the gradient and moment tests depend on it.
 
 Steps are 1-based: t runs from 1 to T, matching the forward-process
@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .svcf import atomic_write_files, json_bytes, read_json, read_tensor, tensor_bytes
+from .svcf import (atomic_write_files, json_bytes, json_field, read_json, read_tensor,
+                   tensor_bytes)
 
 _LN_EPS = 1e-5  # layer-norm variance epsilon
 
@@ -136,20 +137,13 @@ class ConditionSet:
         ])
 
 
-class DenoiserInterface(Protocol):
-    """Epsilon-prediction contract shared by the oracle and the toy model."""
-
-    def predict_eps(self, x_t: np.ndarray, t: int, cond: ConditionSet,
-                    unconditional: bool = False) -> np.ndarray:
-        ...
-
-
-def guided_eps(denoiser: DenoiserInterface, x_t: np.ndarray, t: int,
+def guided_eps(denoiser, x_t: np.ndarray, t: int,
                cond: ConditionSet, w: float = defaults.GUIDANCE_SCALE) -> np.ndarray:
     """Classifier-free guidance: eps_u + w (eps_c - eps_u).
 
-    w == 1 and w == 0 return the conditional / unconditional predictions
-    verbatim (bit-equal, no arithmetic detour).
+    `denoiser` is any object with `predict_eps`. w == 1 and w == 0 return the
+    conditional / unconditional predictions verbatim (bit-equal, no
+    arithmetic detour).
     """
     if w == 1.0:
         return denoiser.predict_eps(x_t, t, cond, unconditional=False)
@@ -180,7 +174,7 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
     return mean + math.sqrt(beta) * z
 
 
-def sample(denoiser: DenoiserInterface, sched: NoiseSchedule, cond: ConditionSet,
+def sample(denoiser, sched: NoiseSchedule, cond: ConditionSet,
            w: float = defaults.GUIDANCE_SCALE, dim: int | tuple = 8,
            seed: int = 0) -> np.ndarray:
     """Full reverse chain from seeded x_T ~ N(0, I) down to x_0.
@@ -246,41 +240,6 @@ class AnalyticGaussianDenoiser:
 def analytic_gaussian_denoiser(mu0: np.ndarray, sigma0: float,
                                sched: NoiseSchedule) -> AnalyticGaussianDenoiser:
     return AnalyticGaussianDenoiser(mu0, sigma0, sched)
-
-
-@dataclass(frozen=True)
-class CLNParams:
-    """Affine maps from a speaker embedding to layer-norm scale and bias."""
-
-    w_gamma: np.ndarray
-    b_gamma: np.ndarray
-    w_beta: np.ndarray
-    b_beta: np.ndarray
-
-    def __post_init__(self):
-        for name in ("w_gamma", "b_gamma", "w_beta", "b_beta"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise InvalidParameterError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
-        d = self.b_gamma.size
-        if not (self.w_gamma.shape[0] == self.w_beta.shape[0]
-                == self.b_beta.size == d):
-            raise ShapeMismatchError("CLN parameter dimensions disagree")
-
-
-def conditional_layer_norm(h: np.ndarray, e: np.ndarray, p: CLNParams) -> np.ndarray:
-    """gamma(e) * (h - mean) / sqrt(var + 1e-5) + beta(e), stats over the
-    last axis. gamma(e) = W_g e + b_g, beta(e) = W_b e + b_b."""
-    h = np.asarray(h, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if h.shape[-1] != p.b_gamma.size or e.shape[-1] != p.w_gamma.shape[1]:
-        raise ShapeMismatchError("h or e dimension does not match CLN params")
-    gamma = p.w_gamma @ e + p.b_gamma
-    beta = p.w_beta @ e + p.b_beta
-    mean = h.mean(axis=-1, keepdims=True)
-    var = h.var(axis=-1, keepdims=True)
-    return gamma * (h - mean) / np.sqrt(var + _LN_EPS) + beta
 
 
 CLN_PARAM_NAMES = ("cln_w_gamma", "cln_b_gamma", "cln_w_beta", "cln_b_beta")
@@ -592,12 +551,10 @@ def load_model(directory: str | os.PathLike) -> ToyDenoiser:
     def bad(why):
         return ManifestFormatError(f"bad model index {index_path}: {why}")
 
+    sizes = ("dim", "cond_dim", "speaker_dim", "num_steps", "hidden", "time_freqs")
+    model = ToyDenoiser(**{k: json_field(index, k, int, f"model index {index_path}")
+                           for k in sizes})
     try:
-        model = ToyDenoiser(
-            dim=index["dim"], cond_dim=index["cond_dim"],
-            speaker_dim=index["speaker_dim"], num_steps=index["num_steps"],
-            hidden=index["hidden"], time_freqs=index["time_freqs"],
-        )
         files = index["params"]
         if sorted(files) != sorted(model.params):
             raise bad(f"params must name exactly {sorted(model.params)}")

@@ -157,12 +157,12 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
         raise RateMismatchError(f"clip at {clip.sample_rate} Hz, the frame grid wants {sr} Hz")
     if not 0 < f_floor < f_ceil:
         raise InvalidParameterError("need 0 < f_floor < f_ceil")
-    lag_min = max(2, int(np.ceil(sr / f_ceil)))
-    lag_max = int(np.floor(sr / f_floor))
-    if lag_max + 1 >= cfg.win_length:
+    if sr / f_floor >= cfg.win_length - 1:  # lag_max + 1 >= win_length, before int(inf)
         raise InvalidParameterError(
             f"f_floor {f_floor} Hz needs lags beyond the {cfg.win_length}-sample window"
         )
+    lag_min = max(2, int(np.ceil(sr / f_ceil)))
+    lag_max = int(np.floor(sr / f_floor))
 
     frames = frame_signal(clip.samples, cfg)
     f0 = np.concatenate([

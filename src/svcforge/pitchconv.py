@@ -19,11 +19,10 @@ from . import defaults
 from .errors import (
     DegenerateStatsError,
     InvalidParameterError,
-    ManifestFormatError,
     NoVoicedFramesError,
 )
 from .pitch import F0Track
-from .svcf import read_json, write_json
+from .svcf import json_field, read_json, write_json
 
 _LN2 = math.log(2.0)
 
@@ -138,12 +137,10 @@ def save_stats(stats: SpeakerF0Stats, path: str | os.PathLike) -> None:
 
 def load_stats(path: str | os.PathLike) -> SpeakerF0Stats:
     doc = read_json(path, "stats file")
-    try:
-        return SpeakerF0Stats(
-            speaker_id=doc["speaker_id"],
-            mean_log_f0=float(doc["mean_log_f0"]),
-            std_log_f0=float(doc["std_log_f0"]),
-            n_voiced_frames=int(doc["n_voiced_frames"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestFormatError(f"bad stats file {path}: {exc}") from exc
+    what = f"stats file {path}"
+    return SpeakerF0Stats(
+        speaker_id=json_field(doc, "speaker_id", str, what),
+        mean_log_f0=json_field(doc, "mean_log_f0", float, what),
+        std_log_f0=json_field(doc, "std_log_f0", float, what),
+        n_voiced_frames=json_field(doc, "n_voiced_frames", int, what),
+    )

@@ -73,35 +73,48 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     if len(blob) < 12 + 4 * ndim:
         raise TensorFormatError(f"{p}: truncated header")
     dims = struct.unpack_from(f"<{ndim}I", blob, 12)
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    count = math.prod(dims)
     data = blob[12 + 4 * ndim:]
     if len(data) != 4 * count:
         raise TensorFormatError(
             f"{p}: payload is {len(data)} bytes, expected {4 * count}"
         )
-    return np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+    try:
+        return np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+    except ValueError as exc:  # an empty shape numpy cannot hold, e.g. [0, 2^31, 2^31]
+        raise TensorFormatError(f"{p}: dims {list(dims)}: {exc}") from exc
+
+
+def replace_files(moves: dict) -> None:
+    """Rename each `{source: destination}` entry into place, once no
+    destination is a directory; an OSError is an UnwritablePathError."""
+    try:
+        for dest in map(Path, moves.values()):
+            if dest.is_dir():
+                raise IsADirectoryError(f"{dest} is a directory")
+        for source, dest in moves.items():
+            os.replace(source, dest)
+    except OSError as exc:
+        raise UnwritablePathError(f"cannot write {dest}: {exc}") from exc
 
 
 def atomic_write_files(files: dict) -> None:
     """Write each `{path: bytes}` entry via a temp file beside its path, and
-    rename them into place only once every one is written, so a path that
-    cannot be written leaves the others untouched and no temp file behind."""
-    staged = []
+    `replace_files` them into place only once every one is written, so a path
+    that cannot be written leaves the others untouched and no temp file behind."""
+    staged = {}
     try:
         for path, data in files.items():
             p = Path(path)
-            if p.is_dir():
-                raise IsADirectoryError(f"{p} is a directory")
             fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".")
-            staged.append((tmp, p))
+            staged[tmp] = p
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-        for tmp, p in staged:
-            os.replace(tmp, p)
+        replace_files(staged)
     except OSError as exc:
         raise UnwritablePathError(f"cannot write {p}: {exc}") from exc
     finally:
-        for tmp, _ in staged:
+        for tmp in staged:
             if os.path.lexists(tmp):
                 os.unlink(tmp)
 
@@ -155,6 +168,24 @@ def read_jsonl(path: str | os.PathLike, what: str) -> list:
     """The documents of a UTF-8 JSON-lines file, one per non-blank line."""
     lines = enumerate(_read_text(path, what).splitlines(), 1)
     return [_parse(line, f"{what} {path}:{n}") for n, line in lines if line.strip()]
+
+
+# The JSON types a record field may have: a bool is neither integer nor number.
+_FIELD_TYPES = {str: ((str,), "string"), int: ((int,), "integer"),
+                float: ((int, float), "number")}
+
+
+def json_field(doc, key: str, kind: type, what: str):
+    """`kind(doc[key])` for a `kind` of str, int or float, when `doc` is a
+    JSON object whose `key` holds a JSON string, integer or number
+    respectively; anything else is a ManifestFormatError naming `what`."""
+    types, name = _FIELD_TYPES[kind]
+    if not isinstance(doc, dict) or key not in doc:
+        raise ManifestFormatError(f"bad {what}: want an object with a {key!r} field")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ManifestFormatError(f"bad {what}: {key} must be a JSON {name}, got {value!r}")
+    return kind(value)
 
 
 def dumps(doc, indent: int | None = None) -> str:

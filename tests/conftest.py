@@ -9,4 +9,7 @@ if str(SRC) not in sys.path:
 from hypothesis import settings
 
 settings.register_profile("numeric", deadline=None, max_examples=50)
+# the CI contract run: tests/test_cli_contract.py at ten times the examples
+settings.register_profile("contract-deep", parent=settings.get_profile("numeric"),
+                          max_examples=500, derandomize=True)
 settings.load_profile("numeric")

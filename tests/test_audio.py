@@ -207,6 +207,22 @@ def test_resample_preserves_tone(src, dst, freq):
     assert abs(np.sqrt(np.mean(core ** 2)) / (0.5 / np.sqrt(2)) - 1) < 0.01
 
 
+@pytest.mark.parametrize("rate", [11025, 44056, 47952, 88200, 96000, 192000, 768000])
+def test_resample_accepts_common_and_odd_rates(rate):
+    n = rate // 10
+    out = resample(AudioClip(np.zeros(n), rate), 24000)
+    assert out.sample_rate == 24000
+    assert out.samples.size == -(-n * 24000 // rate)
+
+
+@pytest.mark.parametrize("rate", [48001, 50003, 1000003])
+def test_resample_rejects_a_ratio_too_fine_to_filter(rate):
+    # each is coprime with 24,000, so the kernel would need 64 * rate taps
+    for samples in (np.zeros(rate // 10), np.zeros(0)):
+        with pytest.raises(InvalidParameterError, match="reduced ratio"):
+            resample(AudioClip(samples, rate), 24000)
+
+
 @given(st.floats(min_value=-1.0, max_value=1.0))
 def test_resample_linearity(scale):
     clip = sine(313, 0.2, sample_rate=48000, amplitude=0.8)

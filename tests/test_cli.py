@@ -472,7 +472,7 @@ def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("corruption", ["wrong-shape", "missing-param", "outside-path",
-                                        "non-finite"])
+                                        "non-finite", "fractional-steps"])
 def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     model_dir = tmp_path / "model"
     save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
@@ -486,6 +486,8 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     elif corruption == "outside-path":
         write_tensor(tmp_path / "outside.svcf", w1)
         index["params"]["w1"] = "../outside.svcf"
+    elif corruption == "fractional-steps":
+        index["num_steps"] = 100.5
     else:
         w1[0, 0] = np.nan
         _write_raw_svcf(model_dir / "w1.svcf", w1)
@@ -575,6 +577,59 @@ def test_json_readers_reject_non_finite_numbers(tmp_path, capsys, document, toke
     _assert_rejected(capsys, argv, out)
 
 
+_RECORDS = {
+    "manifest": {"id": "x", "path": "x.wav", "dataset": "d", "language": "en",
+                 "kind": "singing", "speaker": "s", "duration_sec": 3600.0,
+                 "sample_rate": 24000},
+    "spec": {"name": "s", "languages": ["en"], "kinds": None},
+    "notes": {"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60},
+    "stats": {"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": 0.1,
+              "n_voiced_frames": 10},
+}
+
+
+@pytest.mark.parametrize("document, key, value", [
+    ("manifest", "speaker", None), ("manifest", "id", ["x"]),
+    ("manifest", "duration_sec", True), ("manifest", "duration_sec", "3600"),
+    ("manifest", "sample_rate", 44100.9), ("manifest", "sample_rate", 48000.0),
+    ("manifest", "sample_rate", "48000"), ("manifest", "sample_rate", True),
+    ("spec", "name", None), ("notes", "onset_sec", "0"), ("notes", "pitch", 60.7),
+    ("notes", "pitch", True), ("notes", "pitch", "C4"), ("stats", "speaker_id", 5),
+    ("stats", "mean_log_f0", "5.4"), ("stats", "n_voiced_frames", 10.9),
+])
+def test_json_records_require_field_types(tmp_path, capsys, document, key, value):
+    doc = tmp_path / "doc.json"
+    out = tmp_path / "out.json"
+    record = {**_RECORDS[document], key: value}
+    if document == "manifest":
+        doc.write_text(json.dumps(_RECORDS["manifest"]) + "\n" + json.dumps(record) + "\n")
+        argv = ["manifest", "compose", "--manifest", doc, "--spec", "final", "--out", out]
+    elif document == "spec":
+        doc.write_text(json.dumps(record))
+        argv = ["manifest", "compose", "--spec", doc, "--out", out]
+    elif document == "notes":
+        doc.write_text(json.dumps([record]))
+        argv = ["segment", "--mode", "rest", "--notes", doc, "--out", out]
+    else:
+        doc.write_text(json.dumps(record))
+        track = tmp_path / "f0.svcf"
+        write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+        argv = ["convert-pitch", "--in", track, "--out", out,
+                "--source-stats", doc, "--target-stats", doc]
+    _assert_rejected(capsys, argv, out)
+
+
+def test_json_records_accept_their_field_types(tmp_path, capsys):
+    notes = tmp_path / "notes.json"
+    notes.write_text(json.dumps([{"onset_sec": 0, "offset_sec": 1.5, "pitch": 60},
+                                 {"onset_sec": 1.5, "offset_sec": 2, "pitch": "Rest"},
+                                 {"onset_sec": 2, "offset_sec": 3, "pitch": None},
+                                 {"onset_sec": 3, "offset_sec": 4}]))
+    code, summary = run_cli(capsys, "segment", "--mode", "rest", "--notes", str(notes))
+    assert code == 0
+    assert summary["n_segments"] == 1
+
+
 @pytest.mark.parametrize("command", ["sample", "finetune"])
 def test_ddpm_rejects_a_model_whose_condition_width_differs(tmp_path, capsys, command):
     model_dir, out = tmp_path / "model", tmp_path / "out"
@@ -640,6 +695,8 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("sample", ["--oracle-mean", "0", "--seed", "-2"]),
     ("sample-model", ["--seed", "-2"]),
     ("extract", ["--seed", "-1"]),
+    ("sample", ["--oracle-mean", "0", "--dim", "-1"]),
+    ("extract", ["--f0-floor", "5e-324"]),
 ])
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"
@@ -714,6 +771,50 @@ def test_help_mentions_units(capsys):
     out = capsys.readouterr().out
     for needle in ("semitones", "dB"):
         assert needle in out
+
+
+def _too_fine_rate_wav(path):
+    """0.2 s of silence at 1,000,003 Hz, a rate coprime with 24 kHz."""
+    write_wav(AudioClip(np.zeros(200_000), 1_000_003), path)
+
+
+@pytest.mark.parametrize("command", ["extract", "segment", "perturb", "f0-stats"])
+def test_wav_rate_too_fine_to_resample_is_rejected(tmp_path, capsys, command):
+    wav, out = tmp_path / "in.wav", tmp_path / "out"
+    _too_fine_rate_wav(wav)
+    argv = {"extract": ["--out-dir", out], "segment": ["--mode", "vad", "--out", out],
+            "perturb": ["--out-a", out, "--out-b", out, "--seed", "0"],
+            "f0-stats": ["--speaker-id", "s", "--out", out]}[command]
+    _assert_rejected(capsys, [command, "--in", wav] + argv, out)
+
+
+def test_wav_rate_too_fine_to_resample_fails_cleanly_under_a_memory_cap(tmp_path):
+    # the parent build allocated about 1.5 GiB here and exited 3 on MemoryError
+    import resource
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    wav = tmp_path / "in.wav"
+    _too_fine_rate_wav(wav)
+    result = subprocess.run(
+        [sys.executable, "-m", "svcforge", "extract", "--in", str(wav), "--out-dir", "ex"],
+        capture_output=True, text=True, cwd=tmp_path, preexec_fn=cap,
+        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
+
+
+@pytest.mark.parametrize("kind", ["mel", "loudness", "f0"])
+def test_extract_moves_no_output_when_one_destination_is_a_directory(tmp_path, wavs,
+                                                                     capsys, kind):
+    out_dir = tmp_path / "ex"
+    (out_dir / f"a.{kind}.svcf").mkdir(parents=True)
+    _assert_rejected(capsys, ["extract", "--in", wavs[0], "--out-dir", out_dir])
+    assert [p.name for p in out_dir.iterdir()] == [f"a.{kind}.svcf"]
 
 
 def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):

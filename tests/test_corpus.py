@@ -103,6 +103,10 @@ def test_vad_silence():
     assert vad_segment(AudioClip(np.zeros(24000), 24000)) == []
 
 
+def test_vad_floor_beyond_the_double_range_marks_nothing_active():
+    assert vad_segment(sine(440, 0.5), VadConfig(energy_floor_dbfs=6166.0)) == []
+
+
 def test_vad_single_tone():
     tone = sine(440, 1.0, amplitude=0.1)  # -20 dBFS peak
     segments = vad_segment(tone)

@@ -10,13 +10,11 @@ from svcforge import defaults
 from svcforge.contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
 from svcforge.diffusion import (
     CLN_PARAM_NAMES,
-    CLNParams,
     ConditionSet,
     NoiseSchedule,
     ToyDenoiser,
     TrainConfig,
     analytic_gaussian_denoiser,
-    conditional_layer_norm,
     evaluate_l2,
     finetune_cln,
     linear_schedule,
@@ -276,24 +274,28 @@ def test_sampler_moment_recovery_smoke():
 
 # -- conditional layer norm ----------------------------------------------------
 
-def _identity_cln(d, d_spk):
-    return CLNParams(np.zeros((d, d_spk)), np.ones(d),
-                     np.zeros((d, d_spk)), np.zeros(d))
-
-
 def test_cln_identity_affine_is_plain_layernorm():
-    rng = np.random.default_rng(2)
-    h = rng.normal(size=8)
-    out = conditional_layer_norm(h, np.zeros(3), _identity_cln(8, 3))
-    assert abs(out.mean()) < 1e-12
-    assert abs(out.var() - 1.0) < 1e-4  # epsilon shrinks variance slightly
+    model, cond = _toy(hidden=8, seed=2)
+    model.params["cln_w_gamma"][:] = 0.0
+    model.params["cln_w_beta"][:] = 0.0
+    x_t = np.random.default_rng(2).normal(size=3)
+    _, (_, _, h_hat, _, gamma, a) = model._forward(x_t, 7, cond, False)
+    assert np.array_equal(gamma, np.ones(8))
+    assert np.array_equal(a, np.tanh(h_hat))  # so beta == 0 too
+    assert abs(h_hat.mean()) < 1e-12
+    assert abs(h_hat.var() - 1.0) < 1e-4  # epsilon shrinks variance slightly
 
 
 def test_cln_constant_input_returns_beta():
-    p = CLNParams(np.zeros((4, 2)), np.ones(4), np.zeros((4, 2)),
-                  np.array([0.5, -0.5, 1.0, 2.0]))
-    out = conditional_layer_norm(np.full(4, 3.3), np.zeros(2), p)
-    assert np.allclose(out, p.b_beta)
+    model, cond = _toy(hidden=4)
+    model.params["w1"][:] = 0.0
+    model.params["b1"][:] = 3.3
+    model.params["cln_w_beta"][:] = 0.0
+    model.params["cln_b_beta"] = np.array([0.5, -0.5, 1.0, 2.0])
+    p = model.params
+    for unconditional in (False, True):
+        out = model.predict_eps(np.ones(3), 5, cond, unconditional=unconditional)
+        assert np.allclose(out, p["w2"] @ np.tanh(p["cln_b_beta"]) + p["b2"])
 
 
 def test_cln_gradients_match_finite_differences():
@@ -369,15 +371,18 @@ def test_predict_eps_batched_matches_single():
 
 
 def _reference_predict_eps(model, x_t, t, cond, unconditional):
-    """w2 tanh(CLN(w1 inp + b1)) + b2 with conditional_layer_norm as the CLN."""
+    """w2 tanh(CLN(w1 inp + b1)) + b2, the CLN written out from its
+    definition gamma(e) * (h - mean) / sqrt(var + 1e-5) + beta(e)."""
     p = model.params
     e = np.zeros(model.speaker_dim) if unconditional else cond.speaker_embedding
     fixed = np.concatenate([model.time_embedding(t), cond.summary()])
     inp = np.concatenate(
         [x_t, np.broadcast_to(fixed, x_t.shape[:-1] + fixed.shape)], axis=-1)
     h = inp @ p["w1"].T + p["b1"]
-    cln = CLNParams(*(p[name] for name in CLN_PARAM_NAMES))
-    return np.tanh(conditional_layer_norm(h, e, cln)) @ p["w2"].T + p["b2"]
+    gamma = p["cln_w_gamma"] @ e + p["cln_b_gamma"]
+    beta = p["cln_w_beta"] @ e + p["cln_b_beta"]
+    h_hat = (h - h.mean(-1, keepdims=True)) / np.sqrt(h.var(-1, keepdims=True) + 1e-5)
+    return np.tanh(gamma * h_hat + beta) @ p["w2"].T + p["b2"]
 
 
 def test_predict_eps_matches_reference_composition():

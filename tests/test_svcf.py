@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def test_bad_magic(tmp_path):
 def test_bad_version(tmp_path):
     p = tmp_path / "bad.svcf"
     p.write_bytes(b"SVCF" + (2).to_bytes(4, "little") + (0).to_bytes(4, "little"))
+    with pytest.raises(TensorFormatError):
+        read_tensor(p)
+
+
+@pytest.mark.parametrize("dims", [(0, 2**31, 2**31), (2**32 - 1,) * 3])
+def test_dims_no_array_can_hold_are_rejected(tmp_path, dims):
+    # the first has no payload; the second's product wraps around in int64
+    p = tmp_path / "huge.svcf"
+    p.write_bytes(b"SVCF" + struct.pack("<5I", 1, 3, *dims))
     with pytest.raises(TensorFormatError):
         read_tensor(p)
 
