@@ -29,11 +29,13 @@ from .errors import (
     ManifestFormatError,
     ShapeMismatchError,
     ZeroNormError,
+    check_elements,
 )
 from .svcf import (atomic_write_files, json_bytes, json_field, read_json, read_tensor,
                    tensor_bytes)
 
 _LN_EPS = 1e-5  # layer-norm variance epsilon
+TIME_FREQS = 4  # sinusoid pairs in the time embedding
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,7 @@ def linear_schedule(num_steps: int = defaults.DIFFUSION_STEPS) -> NoiseSchedule:
     product."""
     if num_steps < 1:
         raise InvalidParameterError("num_steps must be >= 1")
+    check_elements(num_steps, "the noise schedule")
     return NoiseSchedule(np.linspace(defaults.BETA_START, defaults.BETA_END, num_steps))
 
 
@@ -189,6 +192,7 @@ def sample(denoiser, sched: NoiseSchedule, cond: ConditionSet,
         raise InvalidParameterError(f"guidance scale must be finite, got {w}")
     if min(shape, default=1) < 1:
         raise InvalidParameterError(f"every sample dimension must be >= 1, got {shape}")
+    check_elements(math.prod(shape), "the sample")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,16 +260,16 @@ class ToyDenoiser:
 
     def __init__(self, dim: int, cond_dim: int, speaker_dim: int,
                  num_steps: int = defaults.DIFFUSION_STEPS,
-                 hidden: int = 32, time_freqs: int = 4, seed: int = 0):
-        if min(dim, cond_dim, speaker_dim, hidden, time_freqs) < 1:
+                 hidden: int = 32, seed: int = 0):
+        if min(dim, cond_dim, speaker_dim, hidden) < 1:
             raise InvalidParameterError("all model dimensions must be >= 1")
+        in_dim = dim + 2 * TIME_FREQS + cond_dim
+        check_elements(hidden * (in_dim + 2 * speaker_dim + dim + 3) + dim,
+                       "the model's parameters")
         self.dim = dim
         self.cond_dim = cond_dim
         self.speaker_dim = speaker_dim
         self.num_steps = num_steps
-        self.hidden = hidden
-        self.time_freqs = time_freqs
-        in_dim = dim + 2 * time_freqs + cond_dim
         rng = np.random.default_rng(seed)
         self.params = {
             "w1": rng.standard_normal((hidden, in_dim)) / math.sqrt(in_dim),
@@ -289,8 +293,7 @@ class ToyDenoiser:
         return digest.hexdigest()
 
     def time_embedding(self, t: int) -> np.ndarray:
-        phase = 2.0 * np.pi * t / self.num_steps \
-            * np.arange(1, self.time_freqs + 1)
+        phase = 2.0 * np.pi * t / self.num_steps * np.arange(1, TIME_FREQS + 1)
         return np.concatenate([np.sin(phase), np.cos(phase)])
 
     def _embedding(self, cond: ConditionSet, unconditional: bool) -> np.ndarray:
@@ -419,6 +422,7 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
         raise InvalidParameterError("dataset must be nonempty")
     if cfg.steps < 1:
         raise InvalidParameterError("steps must be >= 1")
+    check_elements(cfg.steps, "the loss history")
     _check_lr(cfg.lr)
     if not 0 <= cfg.p_uncond <= 1:
         raise InvalidParameterError(f"p_uncond must lie in [0, 1], got {cfg.p_uncond}")
@@ -517,7 +521,7 @@ def toy_dataset(model_dim: int, ling_dim: int, speaker_dim: int,
 # -- model serialization ----------------------------------------------------
 
 def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
-    """One SVCF tensor per named parameter plus a JSON index.
+    """One SVCF tensor per named parameter plus a JSON index of num_steps and files.
 
     SVCF payloads are float32, so loading quantizes parameters accordingly;
     all are encoded (and checked) before the directory is created, and the
@@ -526,50 +530,50 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
     d = Path(directory)
     files = {name: f"{name}.svcf" for name in model.params}
     blobs = {d / f: tensor_bytes(model.params[name], str(d / f)) for name, f in files.items()}
-    blobs[d / "index.json"] = json_bytes({
-        "dim": model.dim,
-        "cond_dim": model.cond_dim,
-        "speaker_dim": model.speaker_dim,
-        "num_steps": model.num_steps,
-        "hidden": model.hidden,
-        "time_freqs": model.time_freqs,
-        "params": files,
-    })
+    blobs[d / "index.json"] = json_bytes({"num_steps": model.num_steps, "params": files})
     d.mkdir(parents=True, exist_ok=True)
     atomic_write_files(blobs)
 
 
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:
-    """Inverse of `save_model`. The index must name exactly the parameters of
-    a model with its dimensions, each file inside `directory`, each tensor
-    finite and of that parameter's shape; anything else is a
-    ManifestFormatError."""
+    """Inverse of `save_model`. Every named file must lie inside `directory`
+    and hold a finite tensor. The sizes are read off the shapes of w1 (hidden
+    rows, dim + 2 TIME_FREQS + cond_dim columns), w2 (dim rows) and cln_w_gamma
+    (speaker_dim columns); the tensors must then be exactly the parameters of
+    a model of those sizes, and an older index's size fields must equal them.
+    Anything else is a ManifestFormatError."""
     d = Path(directory)
     index_path = d / "index.json"
+    what = f"model index {index_path}"
     index = read_json(index_path, "model index")
+    num_steps = json_field(index, "num_steps", int, what)
 
     def bad(why):
-        return ManifestFormatError(f"bad model index {index_path}: {why}")
+        return ManifestFormatError(f"bad {what}: {why}")
 
-    sizes = ("dim", "cond_dim", "speaker_dim", "num_steps", "hidden", "time_freqs")
-    model = ToyDenoiser(**{k: json_field(index, k, int, f"model index {index_path}")
-                           for k in sizes})
+    params, root = {}, d.resolve()
     try:
-        files = index["params"]
-        if sorted(files) != sorted(model.params):
-            raise bad(f"params must name exactly {sorted(model.params)}")
-        root = d.resolve()
-        for name, fname in files.items():
+        for name, fname in index["params"].items():
             path = d / fname
             if root not in path.resolve().parents:
                 raise bad(f"{name} file {fname!r} is outside the model directory")
-            value = read_tensor(path).astype(np.float64)
-            if value.shape != model.params[name].shape:
-                raise bad(f"{name} has shape {value.shape}, "
-                          f"expected {model.params[name].shape}")
-            if not np.all(np.isfinite(value)):
+            params[name] = read_tensor(path).astype(np.float64)
+            if not np.all(np.isfinite(params[name])):
                 raise bad(f"{name} has non-finite entries")
-            model.params[name] = value
-    except (AttributeError, KeyError, TypeError) as exc:
+        if any(params[n].ndim != 2 for n in ("w1", "w2", "cln_w_gamma")):
+            raise bad("w1, w2 and cln_w_gamma must be matrices")
+        (hidden, width), (dim, _), (_, speaker_dim) = (
+            params[n].shape for n in ("w1", "w2", "cln_w_gamma"))
+        sizes = {"dim": dim, "cond_dim": width - dim - 2 * TIME_FREQS,
+                 "speaker_dim": speaker_dim, "hidden": hidden}
+        for key, size in {**sizes, "time_freqs": TIME_FREQS}.items():
+            if key in index and json_field(index, key, int, what) != size:
+                raise bad(f"{key} is {index[key]}, but the tensors give {size}")
+        model = ToyDenoiser(num_steps=num_steps, **sizes)
+        got, want = ({n: v.shape for n, v in p.items()} for p in (params, model.params))
+        if got != want:
+            raise bad(f"parameter shapes {got}, but a model of {sizes} has {want}")
+        model.params.update(params)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise bad(exc) from exc
     return model

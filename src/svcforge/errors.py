@@ -14,6 +14,18 @@ class InvalidParameterError(SvcforgeError, ValueError):
     """An argument violates a documented precondition."""
 
 
+# The most elements a size may ask of one array or model: 2**24 float64
+# values take 128 MiB. Checked before allocating, so a size far beyond
+# memory is a validation error rather than a MemoryError.
+MAX_ELEMENTS = 1 << 24
+
+
+def check_elements(count: int, what: str) -> None:
+    """Raise InvalidParameterError when `count` exceeds MAX_ELEMENTS."""
+    if count > MAX_ELEMENTS:
+        raise InvalidParameterError(f"{what} would hold {count} elements, more than {MAX_ELEMENTS}")
+
+
 class MissingFileError(SvcforgeError, FileNotFoundError):
     """Input file does not exist."""
 

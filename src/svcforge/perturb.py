@@ -17,7 +17,7 @@ from scipy.signal import lfilter
 
 from . import defaults
 from .audio import AudioClip, resample
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_elements
 from .features import FrameConfig, hann, istft, overlap_add, stft
 from .pitch import semitones_to_ratio
 
@@ -58,6 +58,7 @@ class PerturbConfig:
             raise InvalidParameterError("Q must be positive")
         if self.eq_bands < 1:
             raise InvalidParameterError("eq_bands must be >= 1")
+        check_elements(self.eq_bands, "the EQ band centres")
 
 
 def peaking_biquad(fc_hz: float, q: float, gain_db: float,

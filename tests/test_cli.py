@@ -472,7 +472,9 @@ def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("corruption", ["wrong-shape", "missing-param", "outside-path",
-                                        "non-finite", "fractional-steps"])
+                                        "non-finite", "fractional-steps", "huge-steps",
+                                        "narrow-w1", "vector-w2", "legacy-hidden",
+                                        "huge-legacy-hidden", "nul-in-path"])
 def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     model_dir = tmp_path / "model"
     save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
@@ -481,8 +483,19 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     w1 = read_tensor(model_dir / "w1.svcf")
     if corruption == "wrong-shape":
         write_tensor(model_dir / "w1.svcf", w1[:, :-1])
+    elif corruption == "narrow-w1":  # 8 + 2 * 4 columns leave no condition summary
+        write_tensor(model_dir / "w1.svcf", w1[:, :16])
+    elif corruption == "vector-w2":
+        write_tensor(model_dir / "w2.svcf", read_tensor(model_dir / "w2.svcf")[0])
+    elif corruption == "huge-steps":
+        index["num_steps"] = 10**12
+    elif corruption.endswith("legacy-hidden"):
+        index.update(dim=8, cond_dim=11, speaker_dim=4, time_freqs=4,
+                     hidden=10**11 if corruption.startswith("huge") else 33)
     elif corruption == "missing-param":
         del index["params"]["b2"]
+    elif corruption == "nul-in-path":
+        index["params"]["w1"] = "w1\u0000.svcf"
     elif corruption == "outside-path":
         write_tensor(tmp_path / "outside.svcf", w1)
         index["params"]["w1"] = "../outside.svcf"
@@ -495,6 +508,8 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     out = tmp_path / "s.svcf"
     _assert_rejected(capsys, ["ddpm", "sample", "--model-dir", model_dir, "--out", out,
                               "--seed", "0"], out)
+    _assert_rejected(capsys, ["ddpm", "finetune", "--model-dir", model_dir,
+                              "--out-dir", out, "--seed", "0", "--iterations", "5"], out)
 
 
 @pytest.mark.parametrize("command, tensor", [
@@ -697,6 +712,14 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("extract", ["--seed", "-1"]),
     ("sample", ["--oracle-mean", "0", "--dim", "-1"]),
     ("extract", ["--f0-floor", "5e-324"]),
+    # sizes of about 10**12 elements, beyond the element budget
+    ("sample", ["--oracle-mean", "0", "--dim", str(10**12)]),
+    ("sample", ["--oracle-mean", "0", "--steps", str(10**12)]),
+    ("train", ["--steps", str(10**12)]),
+    ("train", ["--diffusion-steps", str(10**12)]),
+    ("train", ["--hidden", str(10**11)]),
+    ("train", ["--speaker-dim", str(10**11)]),
+    ("perturb", ["--eq-bands", str(10**12)]),
 ])
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"

@@ -10,9 +10,13 @@ loaded hypothesis profile: 50 under tier-1's `numeric`, 500 under
 `--hypothesis-profile=contract-deep` (see conftest.py). Every test is
 derandomized, so a given profile always runs the same examples.
 
-Integer size flags (`--dim`, `--steps`, `--eq-bands`, ...) are drawn only
-from small values, since their cost grows with them: a size far beyond the
-machine's memory still ends in a MemoryError (exit 3), see CHANGES.md.
+Integer flags that size an allocation (`--dim`, `--hidden`, `--speaker-dim`,
+`--steps`, `--diffusion-steps`, `--eq-bands`) are drawn from small values
+and from values above the element budget (`errors.MAX_ELEMENTS`), which a
+run rejects before it allocates; so no admitted value is large. A model
+index's `num_steps` is drawn the same way. `--iterations` is drawn from
+small values only: it sizes no allocation for the budget to bound, so a
+large admitted value would simply run for a very long time.
 """
 
 import contextlib
@@ -29,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 from svcforge.audio import write_wav
 from svcforge.cli import main
 from svcforge.diffusion import ToyDenoiser, save_model
+from svcforge.errors import MAX_ELEMENTS
 from svcforge.svcf import write_tensor
 from svcforge.synth import sine
 
@@ -151,6 +156,14 @@ def test_malformed_wavs_keep_the_contract(blob, command):
 
 # -- malformed SVCF tensors ---------------------------------------------------
 
+def _model_copy(base, work):
+    model = work / "model"
+    model.mkdir()
+    for f in (base / "model").iterdir():
+        (model / f.name).write_bytes(f.read_bytes())
+    return model
+
+
 @st.composite
 def malformed_svcf(draw):
     magic = draw(st.sampled_from([b"SVCF", b"SVCF", b"SVCX", b"SV"]))
@@ -183,10 +196,7 @@ def test_malformed_svcf_tensors_keep_the_contract(base, blob, command):
         elif command == "eval-f0":
             argv = ["eval", "f0", "--a", tensor, "--b", base / "f0.svcf"]
         else:
-            model = work / "model"
-            model.mkdir()
-            for f in (base / "model").iterdir():
-                (model / f.name).write_bytes(f.read_bytes())
+            model = _model_copy(base, work)
             (model / "w2.svcf").write_bytes(blob)
             argv = ["ddpm", "sample", "--model-dir", model, "--out", out, "--seed", "0"]
         _run(work, argv, [out])
@@ -243,7 +253,7 @@ def test_json_records_of_the_wrong_type_keep_the_contract(base, document):
 # -- out-of-domain numeric flags ------------------------------------------------
 
 _reals = st.floats() | st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, -1e300])
-_sizes = st.integers(-2, 6)
+_sizes = st.integers(-2, 6) | st.integers(MAX_ELEMENTS + 1, 2**63 - 1)
 
 # case -> (argv with path placeholders, {flag: values to draw})
 _FLAG_CASES = {
@@ -275,7 +285,7 @@ _FLAG_CASES = {
                "--diffusion-steps": _sizes}),
     "finetune": (["ddpm", "finetune", "--model-dir", "{model}", "--out-dir", "{out}",
                   "--seed", "0", "--iterations", "3"],
-                 {"--lr": _reals, "--iterations": _sizes}),
+                 {"--lr": _reals, "--iterations": st.integers(-2, 6)}),
     "sample": (["ddpm", "sample", "--out", "{out}", "--seed", "0", "--oracle-mean", "0",
                 "--steps", "5"],
                {"--oracle-mean": _reals, "--oracle-std": _reals,
@@ -314,3 +324,47 @@ def test_out_of_domain_numeric_flags_keep_the_contract(base, case):
         extra = [np.format_float_positional(v) if isinstance(v, float) else v
                  for v in extra]
         _run(work, argv + extra, [out, work / "out.b"])
+
+
+# -- model indexes with a replaced field or tensor ------------------------------
+
+# the base model's true sizes, so that some drawn size fields agree
+_MODEL_SIZES = {"dim": 8, "cond_dim": 11, "speaker_dim": 4, "hidden": 8, "time_freqs": 4}
+
+
+@st.composite
+def model_edits(draw):
+    """`num_steps` replaced, size fields as older indexes held them added, or
+    one parameter swapped for a tensor of a drawn shape."""
+    action = draw(st.sampled_from(["num_steps", "sizes", "tensor"]))
+    if action == "num_steps":
+        return action, draw(_sizes | _json_values)
+    if action == "sizes":
+        values = _sizes | st.sampled_from(sorted(set(_MODEL_SIZES.values())))
+        return action, draw(st.dictionaries(st.sampled_from(sorted(_MODEL_SIZES)), values,
+                                            min_size=1))
+    name = draw(st.sampled_from(["w1", "b1", "cln_w_gamma", "cln_b_gamma", "cln_w_beta",
+                                 "cln_b_beta", "w2", "b2"]))
+    return action, (name, draw(st.lists(st.integers(0, 30), max_size=3)))
+
+
+@contract
+@given(edit=model_edits(), command=st.sampled_from(["sample", "finetune"]))
+def test_edited_model_indexes_keep_the_contract(base, edit, command):
+    action, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        model, out = _model_copy(base, work), work / "out"
+        index = json.loads((model / "index.json").read_text())
+        if action == "num_steps":
+            index["num_steps"] = value
+        elif action == "sizes":
+            index.update(value)
+        else:
+            name, shape = value
+            write_tensor(model / f"{name}.svcf", np.full(shape, 0.1))
+        (model / "index.json").write_text(json.dumps(index))
+        argv = {"sample": ["ddpm", "sample", "--model-dir", model, "--out", out],
+                "finetune": ["ddpm", "finetune", "--model-dir", model, "--out-dir", out,
+                             "--iterations", "3"]}[command]
+        _run(work, argv + ["--seed", "0"], [out])

@@ -611,8 +611,13 @@ def test_pseudo_embedding_dim_one():
 def test_model_save_load_roundtrip(tmp_path):
     model, cond = _toy(dim=4, seed=9)
     save_model(model, tmp_path / "m")
+    index_path = tmp_path / "m" / "index.json"
+    index = json.loads(index_path.read_text())
+    assert set(index) == {"num_steps", "params"}
     back = load_model(tmp_path / "m")
-    assert back.dim == model.dim and back.hidden == model.hidden
+    sizes = ("dim", "cond_dim", "speaker_dim", "num_steps")
+    assert [getattr(back, k) for k in sizes] == [getattr(model, k) for k in sizes]
+    assert back.params["w1"].shape == model.params["w1"].shape
     for name in model.params:
         assert np.array_equal(back.params[name],
                               model.params[name].astype(np.float32).astype(np.float64))
@@ -620,6 +625,12 @@ def test_model_save_load_roundtrip(tmp_path):
     a = model.predict_eps(x, 10, cond)
     b = back.predict_eps(x, 10, cond)
     assert np.allclose(a, b, atol=1e-5)  # float32 storage quantization
+    # an index that still records the sizes loads when they agree with the tensors
+    index.update(dim=model.dim, cond_dim=model.cond_dim, speaker_dim=model.speaker_dim,
+                 hidden=model.params["w1"].shape[0], time_freqs=4)
+    index_path.write_text(json.dumps(index))
+    legacy = load_model(tmp_path / "m")
+    assert all(np.array_equal(legacy.params[n], back.params[n]) for n in model.params)
 
 
 def test_save_model_checks_every_parameter_before_creating_the_directory(tmp_path):
