@@ -13,7 +13,6 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from . import defaults
 from .errors import (
@@ -182,5 +181,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
             f"ratio {up}/{down} has a term above {MAX_RESAMPLE_FACTOR}")
     if clip.samples.size == 0:
         return AudioClip(np.zeros(0), target_rate)
+    from scipy.signal import resample_poly  # here, so importing the package stays cheap
+
     y = resample_poly(clip.samples, up, down, window=_lowpass_kernel(up, down))
     return AudioClip(y, target_rate)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import defaults
 from .errors import InvalidParameterError, ShapeMismatchError, ZeroNormError
@@ -35,6 +34,18 @@ class FeaturePairBatch:
         object.__setattr__(self, "z_prime", zp)
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along `axis` for finite `a`, in the form scipy 1.17's
+    `scipy.special.logsumexp` takes (and bit-equal to it): with a_max the
+    maximum, m the number of entries equal to it and s the sum of
+    exp(a - a_max) over the other entries, log1p(s / m) + log(m) + a_max."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)
+
+
 def contrastive_loss(batch: FeaturePairBatch) -> float:
     """Symmetric InfoNCE on cosine similarities at temperature
     tau = CONTRASTIVE_TAU.
@@ -50,8 +61,8 @@ def contrastive_loss(batch: FeaturePairBatch) -> float:
     zpn = batch.z_prime / norms_p[:, None]
     sim = (zn @ zpn.T) / defaults.CONTRASTIVE_TAU
     diag = np.diag(sim)
-    forward = logsumexp(sim, axis=1) - diag
-    backward = logsumexp(sim, axis=0) - diag
+    forward = _logsumexp(sim, axis=1) - diag
+    backward = _logsumexp(sim, axis=0) - diag
     return float(np.mean(forward + backward) / 2.0)
 
 

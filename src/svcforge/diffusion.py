@@ -109,6 +109,7 @@ class ConditionSet:
     log_f0_vuv: np.ndarray
     loudness: np.ndarray
     speaker_embedding: np.ndarray | None = None
+    _summary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ling = np.asarray(self.linguistic, dtype=np.float64)
@@ -118,8 +119,8 @@ class ConditionSet:
             raise ShapeMismatchError(
                 "want linguistic [T, d], log_f0_vuv [T, 2], loudness [T]"
             )
-        if not ling.shape[0] == lfv.shape[0] == loud.shape[0]:
-            raise ShapeMismatchError("condition tracks disagree on frame count")
+        if not ling.shape[0] == lfv.shape[0] == loud.shape[0] >= 1:
+            raise ShapeMismatchError("condition tracks must share one frame count of at least 1")
         object.__setattr__(self, "linguistic", ling)
         object.__setattr__(self, "log_f0_vuv", lfv)
         object.__setattr__(self, "loudness", loud)
@@ -130,14 +131,14 @@ class ConditionSet:
             if abs(np.linalg.norm(emb) - 1.0) > 1e-6:
                 raise InvalidParameterError("speaker embedding must have unit norm")
             object.__setattr__(self, "speaker_embedding", emb)
+        summary = np.concatenate([ling.mean(axis=0), lfv.mean(axis=0), [loud.mean()]])
+        summary.flags.writeable = False
+        object.__setattr__(self, "_summary", summary)
 
     def summary(self) -> np.ndarray:
-        """Fixed-size condition summary: per-track means, concatenated."""
-        return np.concatenate([
-            self.linguistic.mean(axis=0),
-            self.log_f0_vuv.mean(axis=0),
-            [self.loudness.mean()],
-        ])
+        """Fixed-size condition summary: per-track means, concatenated.
+        Computed once, when the set is built, and read-only."""
+        return self._summary
 
 
 def guided_eps(denoiser, x_t: np.ndarray, t: int,
@@ -270,6 +271,7 @@ class ToyDenoiser:
         self.cond_dim = cond_dim
         self.speaker_dim = speaker_dim
         self.num_steps = num_steps
+        self._time_rows = {}  # t -> time_embedding(t)
         rng = np.random.default_rng(seed)
         self.params = {
             "w1": rng.standard_normal((hidden, in_dim)) / math.sqrt(in_dim),
@@ -293,8 +295,15 @@ class ToyDenoiser:
         return digest.hexdigest()
 
     def time_embedding(self, t: int) -> np.ndarray:
-        phase = 2.0 * np.pi * t / self.num_steps * np.arange(1, TIME_FREQS + 1)
-        return np.concatenate([np.sin(phase), np.cos(phase)])
+        """sin then cos of 2 pi t k / num_steps for k = 1..TIME_FREQS; each
+        row is computed once per model and is read-only."""
+        row = self._time_rows.get(t)
+        if row is None:
+            phase = 2.0 * np.pi * t / self.num_steps * np.arange(1, TIME_FREQS + 1)
+            row = np.concatenate([np.sin(phase), np.cos(phase)])
+            row.flags.writeable = False
+            self._time_rows[t] = row
+        return row
 
     def _embedding(self, cond: ConditionSet, unconditional: bool) -> np.ndarray:
         if unconditional:

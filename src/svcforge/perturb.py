@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import defaults
 from .audio import AudioClip, resample
@@ -88,6 +87,8 @@ def peaking_biquad(fc_hz: float, q: float, gain_db: float,
 
 def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
     """Cascade of peaking filters; bands are (fc_hz, q, gain_db) triples."""
+    from scipy.signal import lfilter  # here, so importing the package stays cheap
+
     y = clip.samples
     for fc, q, gain_db in bands:
         y = lfilter(*peaking_biquad(fc, q, gain_db, clip.sample_rate), y)
