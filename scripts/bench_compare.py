@@ -8,11 +8,12 @@ Run from anywhere, with two checkouts of the repository (for example a
         --workload ddpm --workload perturb --seeds 2001 2002 2003 2004 2005 \\
         --slug ddpm_cold_start
 
-For each workload and seed it runs `python3 perfbench/run.py --trace 0` once
-in each checkout, alternating which side goes first from pair to pair. Each
-run contributes the scaled end-to-end metrics from run.py's last stdout line
-and, from the record run.py leaves under .perfbench/results/, the unscaled
-`op_ms` and `setup_s` and the `speed_factor` that scaled them.
+For each workload and seed it runs `python3 perfbench/run.py --trace 0`
+for BENCHMARK.json's `run_seconds` once in each checkout, alternating which
+side goes first from pair to pair. Each run contributes the scaled
+end-to-end metrics from run.py's last stdout line and, from the record
+run.py leaves under .perfbench/results/, the unscaled `op_ms` and `setup_s`
+and the `speed_factor` that scaled them.
 
 It writes BENCH_<slug>.json in the change's checkout: every run, each side's
 median and quartiles per metric, the change's win count, the machine and
@@ -152,13 +153,11 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True,
                     help="one pair of runs per seed")
     ap.add_argument("--slug", required=True, help="the file is named BENCH_<slug>.json")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args()
 
     parent, change = args.parent.resolve(), args.change.resolve()
     benchmark = json.loads((change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     pairs = {}
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     for workload in args.workload:

@@ -862,3 +862,53 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["total_hours"] == pytest.approx(750.14, abs=0.01)
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import svcforge.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.special")))
+
+report = {"import svcforge.cli": scipy_loaded()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = svcforge.cli.main(argv)
+    report[" ".join(argv[:2])] = [code, scipy_loaded()]
+print(json.dumps(report))
+"""
+
+
+def _scipy_modules_after(*argvs):
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps([list(map(str, a)) for a in argvs])],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_commands_that_neither_resample_nor_equalise_load_no_scipy(tmp_path):
+    report = _scipy_modules_after(
+        ["config", "show"],
+        ["ddpm", "train", "--steps", 5, "--seed", 0, "--out-dir", tmp_path / "m"],
+        ["ddpm", "sample", "--oracle-mean", 0, "--seed", 0, "--out", tmp_path / "x.svcf"],
+        ["manifest", "compose", "--spec", "final"],
+    )
+    assert report == {
+        "import svcforge.cli": [],
+        "config show": [0, []],
+        "ddpm train": [0, []],
+        "ddpm sample": [0, []],
+        "manifest compose": [0, []],
+    }
+
+
+def test_extract_of_a_44k_wav_loads_scipy_signal(tmp_path):
+    wav = tmp_path / "a.wav"
+    write_wav(sine(440, 0.2, sample_rate=44100), wav)
+    report = _scipy_modules_after(["extract", "--in", wav, "--out-dir", tmp_path / "out"])
+    code, loaded = report["extract --in"]
+    assert code == 0
+    assert "scipy.signal" in loaded

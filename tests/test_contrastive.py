@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svcforge.contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
+from svcforge.contrastive import FeaturePairBatch, _logsumexp, contrastive_loss, ramp_weight
 from svcforge.errors import InvalidParameterError, ShapeMismatchError, ZeroNormError
 
 
@@ -61,6 +61,22 @@ def test_row_scale_invariance(c):
     scaled_z[2] *= c
     assert contrastive_loss(FeaturePairBatch(scaled_z, zp)) == pytest.approx(
         base, abs=1e-9)
+
+
+def test_logsumexp_port_is_bit_equal_to_scipy():
+    """600 seeded 32x32 matrices on the scale of cos / tau, both axes; every
+    third has each row's maximum copied into a second column, the ties that
+    a plain max-shift gets wrong in the last bits."""
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(2023)
+    for i in range(600):
+        a = rng.uniform(-10.0, 10.0, size=(32, 32))
+        if i % 3 == 0:
+            rows = np.arange(32)
+            a[rows, (a.argmax(axis=1) + rng.integers(1, 32, size=32)) % 32] = a.max(axis=1)
+        for axis in (0, 1):
+            assert np.array_equal(_logsumexp(a, axis), logsumexp(a, axis=axis))
 
 
 def test_zero_norm_row_rejected():

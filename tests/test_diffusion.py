@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from svcforge import defaults
 from svcforge.contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
 from svcforge.diffusion import (
     CLN_PARAM_NAMES,
+    TIME_FREQS,
     ConditionSet,
     NoiseSchedule,
     ToyDenoiser,
@@ -370,12 +371,24 @@ def test_predict_eps_batched_matches_single():
     assert np.allclose(stacked, singles, atol=1e-14)
 
 
+def _written_out_time_embedding(t, num_steps):
+    phase = 2.0 * np.pi * t / num_steps * np.arange(1, TIME_FREQS + 1)
+    return np.concatenate([np.sin(phase), np.cos(phase)])
+
+
+def _written_out_summary(cond):
+    return np.concatenate([cond.linguistic.mean(axis=0), cond.log_f0_vuv.mean(axis=0),
+                           [cond.loudness.mean()]])
+
+
 def _reference_predict_eps(model, x_t, t, cond, unconditional):
     """w2 tanh(CLN(w1 inp + b1)) + b2, the CLN written out from its
-    definition gamma(e) * (h - mean) / sqrt(var + 1e-5) + beta(e)."""
+    definition gamma(e) * (h - mean) / sqrt(var + 1e-5) + beta(e), the time
+    embedding and the condition summary from theirs."""
     p = model.params
     e = np.zeros(model.speaker_dim) if unconditional else cond.speaker_embedding
-    fixed = np.concatenate([model.time_embedding(t), cond.summary()])
+    fixed = np.concatenate([_written_out_time_embedding(t, model.num_steps),
+                            _written_out_summary(cond)])
     inp = np.concatenate(
         [x_t, np.broadcast_to(fixed, x_t.shape[:-1] + fixed.shape)], axis=-1)
     h = inp @ p["w1"].T + p["b1"]
@@ -401,6 +414,43 @@ def test_predict_eps_matches_reference_composition():
                 want = _reference_predict_eps(model, x_t, t, cond, unconditional)
                 assert got.shape == shape
                 assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_condition_summary_is_the_track_means_computed_once():
+    cond = _cond(seed=5, frames=3)
+    want = _written_out_summary(cond)
+    assert np.array_equal(cond.summary(), want)
+    assert cond.summary() is cond.summary()
+    with pytest.raises(ValueError):
+        cond.summary()[0] = 1.0
+    assert np.array_equal(cond.summary(), want)
+
+
+def test_condition_summary_follows_replace_and_stays_out_of_eq_and_repr():
+    cond = _cond(seed=6, frames=3)
+    ling = np.random.default_rng(7).normal(size=(5, 4))
+    moved = replace(cond, linguistic=ling, log_f0_vuv=np.ones((5, 2)), loudness=np.zeros(5))
+    assert np.array_equal(moved.summary(), np.concatenate([ling.mean(axis=0), [1.0, 1.0, 0.0]]))
+    twin = replace(cond)  # the same track arrays, a summary of its own
+    assert twin.summary() is not cond.summary()
+    assert twin == cond
+    assert [f.name for f in fields(ConditionSet) if f.compare] == [
+        "linguistic", "log_f0_vuv", "loudness", "speaker_embedding"]
+    assert "_summary" not in repr(cond)
+
+
+def test_condition_tracks_need_a_frame():
+    with pytest.raises(ShapeMismatchError):
+        ConditionSet(np.zeros((0, 4)), np.zeros((0, 2)), np.zeros(0))
+
+
+def test_time_embedding_is_the_written_out_expression_for_every_step():
+    model = ToyDenoiser(dim=3, cond_dim=7, speaker_dim=3, num_steps=37, hidden=6)
+    for t in range(1, 38):
+        row = model.time_embedding(t)
+        assert np.array_equal(row, _written_out_time_embedding(t, 37))
+        assert model.time_embedding(t) is row
+        assert not row.flags.writeable
 
 
 def test_forward_checks_shapes():
