@@ -12,7 +12,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # synth: the test suite's synthetic signals
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from svcforge.perturb import PerturbConfig, random_perturb_pair
 from svcforge.pitch import estimate_f0
 from svcforge.pitchconv import ConversionPolicy, compute_f0_stats, convert_logf0
 from svcforge.svcf import write_tensor
-from svcforge.synth import sawtooth, vowel
+from synth import sawtooth, vowel
 
 
 def main() -> int:

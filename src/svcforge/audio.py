@@ -20,7 +20,7 @@ from .errors import (
     MalformedWavError,
     UnsupportedEncodingError,
 )
-from .svcf import atomic_write_bytes, read_bytes
+from .svcf import atomic_write_files, read_bytes
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def wav_bytes(clip: AudioClip) -> bytes:
 
 def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
     """Write `wav_bytes(clip)` to `path`, atomically."""
-    atomic_write_bytes(path, wav_bytes(clip))
+    atomic_write_files({path: wav_bytes(clip)})
 
 
 # `_lowpass_kernel` has 64 taps per unit of max(up, down). This bound admits

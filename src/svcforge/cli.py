@@ -47,7 +47,7 @@ from .diffusion import (
     toy_dataset,
     train_toy,
 )
-from .errors import InvalidParameterError, SvcforgeError, UnwritablePathError
+from .errors import InvalidParameterError, SvcforgeError
 from .features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, log_mel, loudness, stft
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0
@@ -116,10 +116,7 @@ def _cmd_extract(args) -> dict:
     base = out_dir.absolute()
     while not base.is_dir():
         base = base.parent
-    try:
-        staging = tempfile.TemporaryDirectory(dir=base, prefix=f".{out_dir.name}.")
-    except OSError as exc:
-        raise UnwritablePathError(f"cannot write {out_dir}: {exc}") from exc
+    staging = tempfile.TemporaryDirectory(dir=base, prefix=f".{out_dir.name}.")
 
     def work(path: str) -> dict:
         clip = _load_clip_at_canonical_rate(path)
@@ -137,10 +134,7 @@ def _cmd_extract(args) -> dict:
 
     with staging:
         results = _run_jobs(args.inputs, work, args.jobs)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise UnwritablePathError(f"cannot write {out_dir}: {exc}") from exc
+        out_dir.mkdir(parents=True, exist_ok=True)
         replace_files({Path(staging.name, name): out_dir / name
                        for name in os.listdir(staging.name)})
     return {"command": "extract", "seed": args.seed, "files": results}
@@ -542,7 +536,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _log(f"usage error: {exc}")
         return 1
-    except SvcforgeError as exc:
+    except (SvcforgeError, OSError) as exc:  # an OSError: a path the OS refuses
         _log(f"error: {exc}")
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -560,11 +560,12 @@ def load_model(directory: str | os.PathLike) -> ToyDenoiser:
     def bad(why):
         return ManifestFormatError(f"bad {what}: {why}")
 
-    params, root = {}, d.resolve()
+    # realpath: on a symlink loop Path.resolve raises RuntimeError
+    params, root = {}, Path(os.path.realpath(d))
     try:
         for name, fname in index["params"].items():
             path = d / fname
-            if root not in path.resolve().parents:
+            if root not in Path(os.path.realpath(path)).parents:
                 raise bad(f"{name} file {fname!r} is outside the model directory")
             params[name] = read_tensor(path).astype(np.float64)
             if not np.all(np.isfinite(params[name])):

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Everything raised for bad data or bad parameters derives from SvcforgeError
-so the CLI can map it onto a single "data/validation" exit status. Unexpected
-exceptions are left alone and surface as internal errors.
+so the CLI can map it onto a single "data/validation" exit status, as it does
+an OSError (a path the OS refuses). Unexpected exceptions are left alone and
+surface as internal errors.
 """
 
 
@@ -27,7 +28,7 @@ def check_elements(count: int, what: str) -> None:
 
 
 class MissingFileError(SvcforgeError, FileNotFoundError):
-    """Input file does not exist."""
+    """Input path is not a regular file: missing, a directory, a FIFO or a device."""
 
 
 class MalformedWavError(SvcforgeError):
@@ -36,10 +37,6 @@ class MalformedWavError(SvcforgeError):
 
 class UnsupportedEncodingError(SvcforgeError):
     """WAV file is valid but uses an encoding this package does not read."""
-
-
-class UnwritablePathError(SvcforgeError):
-    """Output file could not be written."""
 
 
 class RateMismatchError(SvcforgeError):

@@ -37,7 +37,6 @@ from .errors import (
     ManifestFormatError,
     MissingFileError,
     TensorFormatError,
-    UnwritablePathError,
 )
 
 MAGIC = b"SVCF"
@@ -58,7 +57,7 @@ def tensor_bytes(array: np.ndarray, name: str) -> bytes:
 
 def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
     """Write `tensor_bytes(array)` to an SVCF file, atomically."""
-    atomic_write_bytes(path, tensor_bytes(array, str(path)))
+    atomic_write_files({path: tensor_bytes(array, str(path))})
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
@@ -87,21 +86,18 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
 
 def replace_files(moves: dict) -> None:
     """Rename each `{source: destination}` entry into place, once no
-    destination is a directory; an OSError is an UnwritablePathError."""
-    try:
-        for dest in map(Path, moves.values()):
-            if dest.is_dir():
-                raise IsADirectoryError(f"{dest} is a directory")
-        for source, dest in moves.items():
-            os.replace(source, dest)
-    except OSError as exc:
-        raise UnwritablePathError(f"cannot write {dest}: {exc}") from exc
+    destination is a directory; an OSError propagates."""
+    for dest in map(Path, moves.values()):
+        if dest.is_dir():
+            raise IsADirectoryError(f"{dest} is a directory")
+    for source, dest in moves.items():
+        os.replace(source, dest)
 
 
 def atomic_write_files(files: dict) -> None:
     """Write each `{path: bytes}` entry via a temp file beside its path, and
-    `replace_files` them into place only once every one is written, so a path
-    that cannot be written leaves the others untouched and no temp file behind."""
+    `replace_files` them into place only once every one is written, so an
+    OSError on one path leaves the others untouched and no temp file behind."""
     staged = {}
     try:
         for path, data in files.items():
@@ -111,17 +107,10 @@ def atomic_write_files(files: dict) -> None:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
         replace_files(staged)
-    except OSError as exc:
-        raise UnwritablePathError(f"cannot write {p}: {exc}") from exc
     finally:
         for tmp in staged:
             if os.path.lexists(tmp):
                 os.unlink(tmp)
-
-
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write bytes via a temp file in the same directory, then rename."""
-    atomic_write_files({path: data})
 
 
 def read_bytes(path: str | os.PathLike, what: str) -> bytes:
@@ -204,9 +193,9 @@ def json_bytes(doc) -> bytes:
 
 def write_json(path: str | os.PathLike, doc) -> None:
     """Write `json_bytes(doc)` to `path`, atomically."""
-    atomic_write_bytes(path, json_bytes(doc))
+    atomic_write_files({path: json_bytes(doc)})
 
 
 def write_jsonl(path: str | os.PathLike, docs) -> None:
     """Write one compact JSON document per line, atomically."""
-    atomic_write_bytes(path, "".join(dumps(d) + "\n" for d in docs).encode())
+    atomic_write_files({path: "".join(dumps(d) + "\n" for d in docs).encode()})

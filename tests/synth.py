@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import lfilter
 
-from . import defaults
-from .audio import AudioClip
+from svcforge import defaults
+from svcforge.audio import AudioClip
 
 
 def sine(freq_hz: float, duration_sec: float,

@@ -58,7 +58,7 @@ from svcforge.pitchconv import (
     compute_f0_stats,
     convert_logf0,
 )
-from svcforge.synth import sawtooth, sine, vowel
+from synth import sawtooth, sine, vowel
 
 
 def criterion(num, name):

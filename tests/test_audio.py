@@ -11,7 +11,7 @@ from svcforge.errors import (
     MissingFileError,
     UnsupportedEncodingError,
 )
-from svcforge.synth import sine
+from synth import sine
 
 
 def _pcm16_wav(samples, rate=24000, channels=1):

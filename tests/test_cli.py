@@ -11,7 +11,7 @@ from svcforge.audio import AudioClip, read_wav, write_wav
 from svcforge.cli import main
 from svcforge.diffusion import ToyDenoiser, save_model
 from svcforge.svcf import read_tensor, write_tensor
-from svcforge.synth import sawtooth, sine
+from synth import sawtooth, sine
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -474,7 +474,8 @@ def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
 @pytest.mark.parametrize("corruption", ["wrong-shape", "missing-param", "outside-path",
                                         "non-finite", "fractional-steps", "huge-steps",
                                         "narrow-w1", "vector-w2", "legacy-hidden",
-                                        "huge-legacy-hidden", "nul-in-path"])
+                                        "huge-legacy-hidden", "nul-in-path",
+                                        "symlink-loop"])
 def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     model_dir = tmp_path / "model"
     save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
@@ -496,6 +497,9 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
         del index["params"]["b2"]
     elif corruption == "nul-in-path":
         index["params"]["w1"] = "w1\u0000.svcf"
+    elif corruption == "symlink-loop":
+        (model_dir / "loop.svcf").symlink_to("loop.svcf")
+        index["params"]["w1"] = "loop.svcf"
     elif corruption == "outside-path":
         write_tensor(tmp_path / "outside.svcf", w1)
         index["params"]["w1"] = "../outside.svcf"
@@ -510,6 +514,46 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
                               "--seed", "0"], out)
     _assert_rejected(capsys, ["ddpm", "finetune", "--model-dir", model_dir,
                               "--out-dir", out, "--seed", "0", "--iterations", "5"], out)
+
+
+@pytest.mark.parametrize("case", [
+    "extract --in", "f0-stats --in", "perturb --in", "segment --in", "eval f0 --a",
+    "manifest compose --spec", "segment --notes", "ddpm sample --model-dir",
+    "ddpm train --out-dir file", "ddpm train --out-dir under-file",
+    "ddpm finetune --out-dir file", "extract --out-dir long/sub"])
+def test_paths_the_os_refuses_exit_2(tmp_path, wavs, capsys, case):
+    # a name longer than the OS allows; `--spec` reads a .json name as a file
+    long = tmp_path / ("x" * 300 + ".json")
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"")
+    model_dir = tmp_path / "model"
+    save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+    out = tmp_path / "out.json"
+    argv = {
+        "extract --in": ["extract", "--in", long, "--out-dir", tmp_path / "ex"],
+        "f0-stats --in": ["f0-stats", "--in", long, "--speaker-id", "s", "--out", out],
+        "perturb --in": ["perturb", "--in", long, "--out-a", tmp_path / "pa.wav",
+                         "--out-b", tmp_path / "pb.wav", "--seed", "0"],
+        "segment --in": ["segment", "--mode", "vad", "--in", long, "--out", out],
+        "eval f0 --a": ["eval", "f0", "--a", long, "--b", long],
+        "manifest compose --spec": ["manifest", "compose", "--spec", long, "--out", out],
+        "segment --notes": ["segment", "--mode", "rest", "--notes", long, "--out", out],
+        "ddpm sample --model-dir": ["ddpm", "sample", "--model-dir", long, "--out", out,
+                                    "--seed", "0"],
+        "ddpm train --out-dir file": ["ddpm", "train", "--out-dir", afile, "--seed", "0",
+                                      "--steps", "2"],
+        "ddpm train --out-dir under-file": ["ddpm", "train", "--out-dir", afile / "m",
+                                            "--seed", "0", "--steps", "2"],
+        "ddpm finetune --out-dir file": ["ddpm", "finetune", "--model-dir", model_dir,
+                                         "--out-dir", afile, "--seed", "0",
+                                         "--iterations", "2"],
+        "extract --out-dir long/sub": ["extract", "--in", wavs[0], "--out-dir",
+                                       tmp_path / ("x" * 300) / "sub"],
+    }[case]
+    before = sorted(tmp_path.rglob("*"))
+    _assert_rejected(capsys, argv)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert afile.read_bytes() == b""
 
 
 @pytest.mark.parametrize("command, tensor", [

@@ -1,8 +1,8 @@
 """The CLI's exit-code contract under malformed inputs.
 
-Whatever the input files and numeric flags, a file-reading subcommand either
-exits 0 with exactly one strict-JSON line on stdout, or exits 1 or 2 with
-exactly one line on stderr, nothing on stdout and no new file. It never
+Whatever the input files, numeric flags and paths, a file-reading subcommand
+either exits 0 with exactly one strict-JSON line on stdout, or exits 1 or 2
+with exactly one line on stderr, nothing on stdout and no new file. It never
 exits 3, and a success leaves no temp file beside its outputs.
 
 The runs go in-process through `main`. The example count comes from the
@@ -35,7 +35,7 @@ from svcforge.cli import main
 from svcforge.diffusion import ToyDenoiser, save_model
 from svcforge.errors import MAX_ELEMENTS
 from svcforge.svcf import write_tensor
-from svcforge.synth import sine
+from synth import sine
 
 contract = settings(derandomize=True)
 
@@ -309,21 +309,66 @@ def flag_cases(draw):
     return argv, extra
 
 
+def _placeholders(base, work):
+    """The path each placeholder of a `_FLAG_CASES` argv stands for."""
+    return {"{in}": base / "in.wav", "{out}": work / "out", "{out}.b": work / "out.b",
+            "{f0}": base / "f0.svcf", "{stats}": base / "stats.json",
+            "{notes}": base / "notes.json", "{model}": base / "model"}
+
+
 @contract
 @given(case=flag_cases())
 def test_out_of_domain_numeric_flags_keep_the_contract(base, case):
     argv, extra = case
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        out = work / "out"
-        paths = {"{in}": base / "in.wav", "{out}": out, "{out}.b": work / "out.b",
-                 "{f0}": base / "f0.svcf", "{stats}": base / "stats.json",
-                 "{notes}": base / "notes.json", "{model}": base / "model"}
+        paths = _placeholders(base, work)
         argv = [paths.get(a, a) for a in argv]
         # positional notation, so that argparse reads "-1e+300" as a number
         extra = [np.format_float_positional(v) if isinstance(v, float) else v
                  for v in extra]
-        _run(work, argv + extra, [out, work / "out.b"])
+        _run(work, argv + extra, [paths["{out}"], paths["{out}.b"]])
+
+
+# -- paths the OS refuses -------------------------------------------------------
+
+_HOSTILE_KINDS = ["file", "under-file", "long-name", "symlink-loop", "directory"]
+
+
+def _hostile_path(kind, work):
+    """In `work`: an existing regular file, a path under one, a name longer
+    than the OS allows, a symlink loop, or an existing directory."""
+    if kind == "long-name":
+        return work / ("x" * 300)
+    path = work / "hostile"
+    if kind == "symlink-loop":
+        path.symlink_to(path.name)
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"")
+    return path / "x" if kind == "under-file" else path
+
+
+@st.composite
+def hostile_paths(draw):
+    """A `_FLAG_CASES` argv, one of its path placeholders, input or output,
+    and the kind of path that replaces it."""
+    argv = _FLAG_CASES[draw(st.sampled_from(sorted(_FLAG_CASES)))][0]
+    slot = draw(st.sampled_from([a for a in argv if a.startswith("{")]))
+    return argv, slot, draw(st.sampled_from(_HOSTILE_KINDS))
+
+
+@contract
+@given(case=hostile_paths())
+def test_paths_the_os_refuses_keep_the_contract(base, case):
+    argv, slot, kind = case
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        paths = _placeholders(base, work)
+        paths[slot] = _hostile_path(kind, work)
+        _run(work, [paths.get(a, a) for a in argv],
+             [paths["{out}"], paths["{out}.b"], paths[slot]])
 
 
 # -- model indexes with a replaced field or tensor ------------------------------

@@ -28,7 +28,7 @@ from svcforge.errors import (
     OverlappingNotesError,
     UnknownSpecError,
 )
-from svcforge.synth import sine
+from synth import sine
 
 EXPECTED_HOURS = {
     "v1_sing_en": 4.21,

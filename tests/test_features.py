@@ -26,7 +26,7 @@ from svcforge.features import (
     stft,
 )
 from svcforge.pitch import estimate_f0
-from svcforge.synth import sine
+from synth import sine
 
 CFG = CANONICAL_FRAME_CONFIG
 # Centre frequencies of the table's mel filters.

@@ -19,7 +19,7 @@ from svcforge.perturb import (
 )
 from svcforge import defaults, perturb
 from svcforge.pitch import estimate_f0, semitones_to_ratio
-from svcforge.synth import sawtooth, sine, vowel
+from synth import sawtooth, sine, vowel
 
 
 def _rel_rms_db(out, ref):

@@ -16,7 +16,7 @@ from svcforge.pitch import (
     estimate_f0,
     semitones_to_ratio,
 )
-from svcforge.synth import sawtooth, sine, vowel
+from synth import sawtooth, sine, vowel
 
 
 def test_silence_is_unvoiced():
