@@ -81,7 +81,8 @@ def _run_jobs(items, fn, jobs: int) -> list:
 
 
 def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    """One stderr line, even when `msg` quotes a path holding CR or LF."""
+    print(msg.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:

@@ -100,17 +100,22 @@ def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
 _FORMANT_FRAMES = FrameConfig(hop=256, win_length=1024, fft_size=1024)
 
 
-def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
-    """Warp the spectral envelope by `rho` while keeping F0 and timing.
+def formant_shift(clip: AudioClip, rhos: list) -> list:
+    """Warp the spectral envelope by each ratio in `rhos` while keeping F0
+    and timing; one output clip per ratio, in order.
 
     Per frame the log magnitude (floored at 1e-10) is cepstrally smoothed
     (1.25 ms quefrency cutoff) into an envelope, whose frequency axis is
     resampled at f / rho (clamped at the edges); the complex spectrum is
     scaled by exp(warped envelope - envelope) and overlap-added back.
-    The clip must be at the canonical rate (RateMismatchError otherwise).
+    The analysis (STFT, log magnitude, cepstrum, envelope) runs once per
+    call, so output i equals `formant_shift(clip, [rhos[i]])[0]` bit for
+    bit. Every ratio is checked before any work is done. The clip must be
+    at the canonical rate (RateMismatchError otherwise).
     """
-    if not RATIO_LO <= rho <= RATIO_HI:
-        raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
+    for rho in rhos:
+        if not RATIO_LO <= rho <= RATIO_HI:
+            raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
     n = clip.samples.size
     n_fft = _FORMANT_FRAMES.fft_size
     x = np.concatenate([np.zeros(n_fft), clip.samples, np.zeros(2 * n_fft)])
@@ -122,14 +127,16 @@ def formant_shift(clip: AudioClip, rho: float) -> AudioClip:
     env = np.fft.rfft(cep, axis=1).real
 
     n_bins = env.shape[1]
-    query = np.arange(n_bins) / rho
-    i0 = np.clip(np.floor(query).astype(int), 0, n_bins - 1)
-    i1 = np.minimum(i0 + 1, n_bins - 1)
-    frac = np.clip(query - i0, 0.0, 1.0)
-    env_warped = env[:, i0] * (1.0 - frac) + env[:, i1] * frac
-
-    y = istft(spec * np.exp(env_warped - env), _FORMANT_FRAMES, len(x))
-    return AudioClip(y[n_fft:n_fft + n], clip.sample_rate)
+    out = []
+    for rho in rhos:
+        query = np.arange(n_bins) / rho
+        i0 = np.clip(np.floor(query).astype(int), 0, n_bins - 1)
+        i1 = np.minimum(i0 + 1, n_bins - 1)
+        frac = np.clip(query - i0, 0.0, 1.0)
+        env_warped = env[:, i0] * (1.0 - frac) + env[:, i1] * frac
+        y = istft(spec * np.exp(env_warped - env), _FORMANT_FRAMES, len(x))
+        out.append(AudioClip(y[n_fft:n_fft + n], clip.sample_rate))
+    return out
 
 
 def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarray:
@@ -191,6 +198,7 @@ def random_perturb_pair(clip: AudioClip, cfg: PerturbConfig) -> tuple:
     Each chain draws (formant ratio, pitch semitones, per-band EQ gain and
     Q; bands log-spaced from 60 Hz to 10 kHz) from cfg's ranges and
     applies formant shift, then pitch randomization, then the equalizer.
+    Both chains are drawn first; one `formant_shift` call serves both.
     Draw order is fixed, so a given (clip, cfg) pair is bit-reproducible.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -205,11 +213,7 @@ def random_perturb_pair(clip: AudioClip, cfg: PerturbConfig) -> tuple:
         ]
         return rho, semis, bands
 
-    def apply(params):
-        rho, semis, bands = params
-        out = formant_shift(clip, rho)
-        out = pitch_randomize(out, semitones_to_ratio(semis))
-        return parametric_eq(out, bands)
-
-    first, second = draw(), draw()
-    return apply(first), apply(second)
+    chains = (draw(), draw())
+    shifted = formant_shift(clip, [rho for rho, _, _ in chains])
+    return tuple(parametric_eq(pitch_randomize(out, semitones_to_ratio(semis)), bands)
+                 for out, (_, semis, bands) in zip(shifted, chains))

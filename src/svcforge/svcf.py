@@ -97,12 +97,14 @@ def replace_files(moves: dict) -> None:
 def atomic_write_files(files: dict) -> None:
     """Write each `{path: bytes}` entry via a temp file beside its path, and
     `replace_files` them into place only once every one is written, so an
-    OSError on one path leaves the others untouched and no temp file behind."""
+    OSError on one path leaves the others untouched and no temp file behind.
+    A temp name is at most the path's first 32 characters, a dot and 8
+    random ones: within 255 bytes whatever the destination's name."""
     staged = {}
     try:
         for path, data in files.items():
             p = Path(path)
-            fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".")
+            fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name[:32] + ".")
             staged[tmp] = p
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)

@@ -556,6 +556,21 @@ def test_paths_the_os_refuses_exit_2(tmp_path, wavs, capsys, case):
     assert afile.read_bytes() == b""
 
 
+def test_path_with_newline_keeps_one_stderr_line(tmp_path, capsys):
+    missing = tmp_path / "no\nsuch\r.svcf"
+    _assert_rejected(capsys, ["eval", "f0", "--a", missing, "--b", "x"])
+
+
+def test_output_name_of_250_bytes_is_written(tmp_path, wavs, capsys):
+    out = tmp_path / ("y" * 245 + ".json")
+    code, summary = run_cli(capsys, "f0-stats", "--in", str(wavs[0]), "--speaker-id", "s",
+                            "--out", str(out))
+    assert code == 0
+    assert summary["out"] == str(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*(w.name for w in wavs),
+                                                                out.name])
+
+
 @pytest.mark.parametrize("command, tensor", [
     ("convert-pitch", [[220.0, 1.0], [np.nan, 1.0]]),
     ("convert-pitch", [[220.0, 1.0], [-220.0, 1.0]]),

@@ -332,14 +332,21 @@ def test_out_of_domain_numeric_flags_keep_the_contract(base, case):
 
 # -- paths the OS refuses -------------------------------------------------------
 
-_HOSTILE_KINDS = ["file", "under-file", "long-name", "symlink-loop", "directory"]
+_HOSTILE_KINDS = ["file", "under-file", "long-name", "symlink-loop", "directory",
+                  "newline", "name-250"]
 
 
 def _hostile_path(kind, work):
     """In `work`: an existing regular file, a path under one, a name longer
-    than the OS allows, a symlink loop, or an existing directory."""
+    than the OS allows, a symlink loop, an existing directory, or a missing
+    name that holds a newline or is 250 bytes long (within the OS's limit,
+    so an output of that name is written)."""
     if kind == "long-name":
         return work / ("x" * 300)
+    if kind == "newline":
+        return work / "new\nline"
+    if kind == "name-250":
+        return work / ("y" * 250)
     path = work / "hostile"
     if kind == "symlink-loop":
         path.symlink_to(path.name)

@@ -155,6 +155,35 @@ def test_overlap_add_weights_and_gaps():
                           [4.0, 2.0])
 
 
+def _reference_overlap_add(frames, hop, weight, n_samples):
+    """Per-frame loop: each sample receives its frames in ascending order."""
+    n_frames, length = frames.shape
+    n_out = max(n_samples, (n_frames - 1) * hop + length)
+    y = np.zeros(n_out)
+    wsum = np.zeros(n_out)
+    for m in range(n_frames):
+        y[m * hop:m * hop + length] += frames[m]
+        wsum[m * hop:m * hop + length] += weight
+    good = wsum > 1e-8
+    y[good] /= wsum[good]
+    return y[:n_samples]
+
+
+@given(n_frames=st.integers(1, 40), length=st.integers(1, 64), hop=st.integers(1, 80),
+       extra=st.integers(-64, 200), seed=st.integers(0, 2**32 - 1))
+def test_overlap_add_matches_per_frame_loop(n_frames, length, hop, extra, seed):
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((n_frames, length)) * 10.0 ** rng.integers(-8, 8, length)
+    # about a third of the weights sit at or below the 1e-8 floor
+    weight = np.where(rng.random(length) < 1 / 3, rng.choice([0.0, 1e-9, 1e-8], length),
+                      3.0 * rng.random(length))
+    covered = (n_frames - 1) * hop + length
+    n_samples = max(0, covered + extra)
+    got = overlap_add(frames, hop, weight, n_samples)
+    assert got.shape == (n_samples,)
+    assert np.array_equal(got, _reference_overlap_add(frames, hop, weight, n_samples))
+
+
 def test_mel_scale_formula():
     # frozen from 2595 * log10(1 + 1000/700)
     assert abs(hz_to_mel(1000.0) - 999.9855371396244) < 1e-9

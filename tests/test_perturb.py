@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd, log2
 
 import numpy as np
@@ -135,20 +136,20 @@ def test_eq_white_noise_band_boost():
 
 def test_formant_shift_identity():
     clip = vowel(duration_sec=0.8)
-    out = formant_shift(clip, 1.0)
+    [out] = formant_shift(clip, [1.0])
     assert out.samples.size == clip.samples.size
     assert _rel_rms_db(out.samples, clip.samples) < -40.0
 
 
 def test_formant_shift_preserves_f0():
     clip = vowel(duration_sec=1.0)
-    out = formant_shift(clip, 1.2)
+    [out] = formant_shift(clip, [1.2])
     assert abs(_median_f0(out) / _median_f0(clip) - 1) < 0.03
 
 
 def test_formant_shift_moves_envelope_peak():
     clip = vowel(duration_sec=1.0)
-    out = formant_shift(clip, 1.2)
+    [out] = formant_shift(clip, [1.2])
     peak_in = _envelope_peak_hz(clip, 400, 1100)
     peak_out = _envelope_peak_hz(out, 400, 1100)
     centers = mel_to_hz(np.linspace(hz_to_mel(defaults.MEL_FMIN_HZ),
@@ -161,9 +162,33 @@ def test_formant_shift_moves_envelope_peak():
 
 def test_formant_shift_validation():
     with pytest.raises(InvalidParameterError):
-        formant_shift(vowel(duration_sec=0.2), 2.5)
+        formant_shift(vowel(duration_sec=0.2), [2.5])
     with pytest.raises(RateMismatchError):
-        formant_shift(AudioClip(np.zeros(8000), 16000), 1.1)
+        formant_shift(AudioClip(np.zeros(8000), 16000), [1.1])
+
+
+def test_formant_shift_many_ratios_match_one_at_a_time():
+    clip = vowel(duration_sec=0.4)
+    rhos = [0.7, 1.0, 1.9]
+    outs = formant_shift(clip, rhos)
+    assert len(outs) == len(rhos)
+    for rho, out in zip(rhos, outs):
+        assert np.array_equal(out.samples, formant_shift(clip, [rho])[0].samples)
+    assert formant_shift(clip, []) == []
+
+
+@pytest.mark.parametrize("bad", [0.49, 2.01, float("nan")])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_formant_shift_checks_every_ratio_first(monkeypatch, bad, where):
+    rhos = [1.1, 0.8, 1.3]
+    rhos[where] = bad
+
+    def no_stft(*args):
+        raise AssertionError("analysis ran before every ratio was checked")
+
+    monkeypatch.setattr(perturb, "stft", no_stft)
+    with pytest.raises(InvalidParameterError):
+        formant_shift(vowel(duration_sec=0.2), rhos)
 
 
 def _reference_formant_shift(clip: AudioClip, rho: float) -> AudioClip:
@@ -222,7 +247,7 @@ _REFERENCE_CLIPS = {
 @pytest.mark.parametrize("name", sorted(_REFERENCE_CLIPS))
 def test_formant_shift_matches_polar_reference(name, rho):
     clip = _REFERENCE_CLIPS[name]()
-    got = formant_shift(clip, rho).samples
+    got = formant_shift(clip, [rho])[0].samples
     want = _reference_formant_shift(clip, rho).samples
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -283,13 +308,26 @@ def _reference_wsola(x, target_len, sample_rate):
     return out[:target_len]
 
 
+def _check_wsola(n, ratio, sample_rate):
+    x = np.random.default_rng(n).standard_normal(n)
+    target_len = max(1, int(n * ratio))
+    assert np.array_equal(perturb._wsola_stretch(x, target_len, sample_rate),
+                          _reference_wsola(x, target_len, sample_rate))
+
+
 @pytest.mark.parametrize("n", [1, 2, 299, 600, 601, 24000, 96000])
 @pytest.mark.parametrize("ratio", [0.5, 0.93, 1.31, 1.7])
 def test_wsola_matches_per_frame_reference(n, ratio):
-    x = np.random.default_rng(n).standard_normal(n)
-    target_len = max(1, int(n * ratio))
-    assert np.array_equal(perturb._wsola_stretch(x, target_len, 24000),
-                          _reference_wsola(x, target_len, 24000))
+    _check_wsola(n, ratio, 24000)
+
+
+# At 22,050 Hz the 551-sample segment has hop 275, so its last overlap-add
+# slab is 1 sample wide; at 44,100 Hz the segment is 1,102 samples, hop 551.
+@pytest.mark.parametrize("n", [1, 275, 551, 552, 22050, 88200])
+@pytest.mark.parametrize("ratio", [0.5, 1.31, 1.7])
+@pytest.mark.parametrize("sample_rate", [22050, 44100])
+def test_wsola_matches_per_frame_reference_at_other_rates(n, ratio, sample_rate):
+    _check_wsola(n, ratio, sample_rate)
 
 
 def test_pitch_randomize_validation():
@@ -336,6 +374,27 @@ def test_pair_deterministic():
     assert np.array_equal(b1.samples, b2.samples)
     # the two chains differ from each other
     assert not np.array_equal(a1.samples, b1.samples)
+
+
+# sha256 of both outputs' float64 samples, computed when each chain ran its
+# own formant analysis and overlap-add looped over frames: any moved bit fails
+_PAIR_DIGESTS = {
+    ("vowel", 0): "07de07564c271d9a2936285f1dbbac63a8ef1ee32c21a626f212b56f1b310bda",
+    ("vowel", 7): "ff006c76eff963e66a945f6429d708681c7a77deca6a791da352c182ee46a7b2",
+    ("sawtooth", 0): "d8c2c54026ba89fa950e4ffc92c11a2f6d9a8e1c2bee3987efe8ff76180c2162",
+    ("sawtooth", 7): "d5d379f7aca8453bb78233dbdc83eafbdfca09456115083093c409767862ed64",
+}
+
+
+_PAIR_CLIPS = {"vowel": lambda: vowel(150.0, 0.6), "sawtooth": lambda: sawtooth(220.0, 0.6)}
+
+
+@pytest.mark.parametrize("name,seed", sorted(_PAIR_DIGESTS))
+def test_pair_golden_digest(name, seed):
+    h = hashlib.sha256()
+    for out in random_perturb_pair(_PAIR_CLIPS[name](), PerturbConfig(seed=seed)):
+        h.update(out.samples.astype("<f8").tobytes())
+    assert h.hexdigest() == _PAIR_DIGESTS[name, seed]
 
 
 def test_pair_degenerate_config_is_identity():

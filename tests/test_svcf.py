@@ -42,6 +42,18 @@ def test_float64_input_is_quantized_to_f32(tmp_path):
     assert read_tensor(tmp_path / "t.svcf")[0] == np.float32(1 / 3)
 
 
+@pytest.mark.parametrize("name", [
+    "x" * 250 + ".svcf",  # 255 bytes, the longest name Linux allows
+    "\u00e9" * 127,  # 254 bytes of two-byte UTF-8
+], ids=["ascii-255", "utf8-254"])
+def test_longest_names_write(tmp_path, name):
+    assert len(name.encode()) in (254, 255)
+    arr = np.arange(3, dtype=np.float32)
+    write_tensor(tmp_path / name, arr)
+    assert np.array_equal(read_tensor(tmp_path / name), arr)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(MissingFileError):
         read_tensor(tmp_path / "absent.svcf")
