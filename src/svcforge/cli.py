@@ -80,9 +80,13 @@ def _run_jobs(items, fn, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _log(msg: str) -> None:
-    """One stderr line, even when `msg` quotes a path holding CR or LF."""
-    print(msg.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    """One stderr line: each character str.splitlines breaks at (CR, LF and
+    others a quoted path may hold) is written as its escape sequence."""
+    print(msg.translate(_LINE_BREAKS), file=sys.stderr)
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:

@@ -108,10 +108,9 @@ def formant_shift(clip: AudioClip, rhos: list) -> list:
     (1.25 ms quefrency cutoff) into an envelope, whose frequency axis is
     resampled at f / rho (clamped at the edges); the complex spectrum is
     scaled by exp(warped envelope - envelope) and overlap-added back.
-    The analysis (STFT, log magnitude, cepstrum, envelope) runs once per
-    call, so output i equals `formant_shift(clip, [rhos[i]])[0]` bit for
-    bit. Every ratio is checked before any work is done. The clip must be
-    at the canonical rate (RateMismatchError otherwise).
+    Every ratio is checked first; the analysis up to the envelope then runs
+    once per call, and output i equals `formant_shift(clip, [rhos[i]])[0]`.
+    The clip must be at the canonical rate (RateMismatchError otherwise).
     """
     for rho in rhos:
         if not RATIO_LO <= rho <= RATIO_HI:

@@ -556,8 +556,9 @@ def test_paths_the_os_refuses_exit_2(tmp_path, wavs, capsys, case):
     assert afile.read_bytes() == b""
 
 
-def test_path_with_newline_keeps_one_stderr_line(tmp_path, capsys):
-    missing = tmp_path / "no\nsuch\r.svcf"
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\x85", "\u2028"])
+def test_path_with_line_break_keeps_one_stderr_line(tmp_path, capsys, brk):
+    missing = tmp_path / f"no{brk}such.svcf"
     _assert_rejected(capsys, ["eval", "f0", "--a", missing, "--b", "x"])
 
 
