@@ -15,11 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .errors import (
-    InvalidParameterError,
-    MalformedWavError,
-    UnsupportedEncodingError,
-)
+from .errors import FormatError, InvalidParameterError
 from .svcf import atomic_write_files, read_bytes
 
 
@@ -55,10 +51,10 @@ def _extensible_subformat(p: Path, fmt_body: bytes) -> int:
     """The format tag a WAVE_FORMAT_EXTENSIBLE fmt chunk's SubFormat GUID
     carries (1 for PCM, 3 for IEEE float, ...)."""
     if len(fmt_body) < 40:
-        raise MalformedWavError(f"{p}: extensible fmt chunk shorter than 40 bytes")
+        raise FormatError(f"{p}: extensible fmt chunk shorter than 40 bytes")
     guid = fmt_body[24:40]
     if guid[2:] != _SUBFORMAT_GUID_TAIL:
-        raise UnsupportedEncodingError(f"{p}: extensible sub-format {guid.hex()} is not supported")
+        raise FormatError(f"{p}: extensible sub-format {guid.hex()} is not supported")
     return struct.unpack_from("<H", guid)[0]
 
 
@@ -73,7 +69,7 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     p = Path(path)
     blob = read_bytes(p, "file")
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise MalformedWavError(f"{p}: not a RIFF/WAVE file")
+        raise FormatError(f"{p}: not a RIFF/WAVE file")
 
     fmt = None
     raw = None
@@ -83,10 +79,10 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
         (size,) = struct.unpack_from("<I", blob, pos + 4)
         body = blob[pos + 8:pos + 8 + size]
         if len(body) < size:
-            raise MalformedWavError(f"{p}: truncated {chunk_id!r} chunk")
+            raise FormatError(f"{p}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             if size < 16:
-                raise MalformedWavError(f"{p}: fmt chunk too small")
+                raise FormatError(f"{p}: fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
             if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
                 fmt = (_extensible_subformat(p, body),) + fmt[1:]
@@ -95,19 +91,19 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or raw is None:
-        raise MalformedWavError(f"{p}: missing fmt or data chunk")
+        raise FormatError(f"{p}: missing fmt or data chunk")
     format_tag, channels, rate, _byte_rate, block_align, bits = fmt
     if rate <= 0:
-        raise MalformedWavError(f"{p}: nonsensical sample rate {rate}")
+        raise FormatError(f"{p}: nonsensical sample rate {rate}")
     if channels not in (1, 2):
-        raise UnsupportedEncodingError(f"{p}: {channels} channels (want 1 or 2)")
+        raise FormatError(f"{p}: {channels} channels (want 1 or 2)")
 
     if (format_tag, bits) not in ((1, 16), (1, 24), (3, 32)):
-        raise UnsupportedEncodingError(
+        raise FormatError(
             f"{p}: format tag {format_tag} at {bits} bits is not supported"
         )
     if len(raw) % (bits // 8 * channels):
-        raise MalformedWavError(f"{p}: data not a whole number of frames")
+        raise FormatError(f"{p}: data not a whole number of frames")
     if bits == 16:
         x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     elif bits == 24:

@@ -74,7 +74,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _run_jobs(items, fn, jobs: int) -> list:
     """Map pure per-item work, preserving input order in the results."""
-    if jobs <= 1 or len(items) <= 1:
+    if jobs < 1:
+        raise InvalidParameterError(f"--jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import InvalidParameterError, ShapeMismatchError, ZeroNormError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class FeaturePairBatch:
         z = np.asarray(self.z, dtype=np.float64)
         zp = np.asarray(self.z_prime, dtype=np.float64)
         if z.ndim != 2 or z.shape != zp.shape:
-            raise ShapeMismatchError("z and z_prime must be equal-shape [N, d]")
+            raise InvalidParameterError("z and z_prime must be equal-shape [N, d]")
         if z.shape[0] < 1:
             raise InvalidParameterError("batch must contain at least one row")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zp))):
@@ -56,7 +56,7 @@ def contrastive_loss(batch: FeaturePairBatch) -> float:
     norms = np.linalg.norm(batch.z, axis=1)
     norms_p = np.linalg.norm(batch.z_prime, axis=1)
     if np.any(norms == 0) or np.any(norms_p == 0):
-        raise ZeroNormError("zero-norm feature row")
+        raise InvalidParameterError("zero-norm feature row")
     zn = batch.z / norms[:, None]
     zpn = batch.z_prime / norms_p[:, None]
     sim = (zn @ zpn.T) / defaults.CONTRASTIVE_TAU

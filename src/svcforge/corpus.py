@@ -18,12 +18,7 @@ import numpy as np
 
 from . import defaults
 from .audio import AudioClip
-from .errors import (
-    InvalidParameterError,
-    ManifestFormatError,
-    OverlappingNotesError,
-    UnknownSpecError,
-)
+from .errors import FormatError, InvalidParameterError
 from .svcf import json_field, read_json, read_jsonl, write_jsonl
 
 SVCC_TARGET_SPEAKERS = ("IDF1", "IDM1", "CDF1", "CDM1")
@@ -111,7 +106,7 @@ class TrainingSetSpec:
             if value is None and default is None:
                 return None
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ManifestFormatError(
+                raise FormatError(
                     f"bad training-set spec: {key} must be an array of strings"
                 )
             return frozenset(value)
@@ -140,7 +135,7 @@ def canonical_spec(name: str) -> TrainingSetSpec:
     try:
         return CANONICAL_SPECS[name]
     except KeyError:
-        raise UnknownSpecError(
+        raise InvalidParameterError(
             f"unknown spec {name!r}; canonical names: {sorted(CANONICAL_SPECS)}"
         ) from None
 
@@ -184,6 +179,9 @@ class VadConfig:
                 raise InvalidParameterError(f"VAD {name} must be finite, got {value}")
         if self.frame_ms <= 0:
             raise InvalidParameterError("VAD frame_ms must be > 0")
+        for name in ("min_speech_ms", "hangover_ms", "min_gap_ms"):
+            if getattr(self, name) < 0:
+                raise InvalidParameterError(f"VAD {name} must be >= 0, got {getattr(self, name)}")
 
 
 def vad_segment(clip: AudioClip, cfg: VadConfig = VadConfig()) -> list:
@@ -265,7 +263,7 @@ class NoteEvent:
 def read_notes(path: str | os.PathLike) -> list:
     docs = read_json(path, "notes file")
     if not isinstance(docs, list):
-        raise ManifestFormatError(f"{path}: notes file must hold a JSON array")
+        raise FormatError(f"{path}: notes file must hold a JSON array")
     return [NoteEvent.from_json(d) for d in docs]
 
 
@@ -275,17 +273,17 @@ def rest_note_segment(notes: list, min_rest_sec: float = defaults.MIN_REST_SEC,
 
     Rests arise from gaps between consecutive sounding notes and from
     explicit rest events. Each segment runs from a note onset to a note
-    offset, so no boundary ever lands inside a note. `clip_duration` may
-    be infinite (no clamp) but not NaN.
+    offset, so no boundary ever lands inside a note. `clip_duration` must
+    be > 0, and may be infinite (no clamp).
     """
     if not 0 <= min_rest_sec < math.inf:
         raise InvalidParameterError(
             f"min_rest_sec must be finite and >= 0, got {min_rest_sec}")
-    if math.isnan(clip_duration):
-        raise InvalidParameterError("clip_duration must not be NaN")
+    if not clip_duration > 0:
+        raise InvalidParameterError(f"clip_duration must be > 0, got {clip_duration}")
     for prev, cur in zip(notes, notes[1:]):
         if cur.onset_sec < prev.offset_sec - 1e-9 or cur.onset_sec < prev.onset_sec:
-            raise OverlappingNotesError(
+            raise InvalidParameterError(
                 f"events overlap near {cur.onset_sec:.3f} s"
             )
     sounding = [(note.onset_sec, note.offset_sec) for note in notes if not note.is_rest]

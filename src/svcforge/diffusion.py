@@ -24,13 +24,7 @@ import numpy as np
 
 from . import defaults
 from .contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
-from .errors import (
-    InvalidParameterError,
-    ManifestFormatError,
-    ShapeMismatchError,
-    ZeroNormError,
-    check_elements,
-)
+from .errors import FormatError, InvalidParameterError, check_elements
 from .svcf import (atomic_write_files, json_bytes, json_field, read_json, read_tensor,
                    tensor_bytes)
 
@@ -93,7 +87,7 @@ def q_sample(x0: np.ndarray, t: int, eps: np.ndarray,
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
-        raise ShapeMismatchError(f"x0 {x0.shape} vs eps {eps.shape}")
+        raise InvalidParameterError(f"x0 {x0.shape} vs eps {eps.shape}")
     ab = sched.alpha_bar_at(t)
     return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
 
@@ -116,18 +110,18 @@ class ConditionSet:
         lfv = np.asarray(self.log_f0_vuv, dtype=np.float64)
         loud = np.asarray(self.loudness, dtype=np.float64)
         if ling.ndim != 2 or lfv.ndim != 2 or lfv.shape[1] != 2 or loud.ndim != 1:
-            raise ShapeMismatchError(
+            raise InvalidParameterError(
                 "want linguistic [T, d], log_f0_vuv [T, 2], loudness [T]"
             )
         if not ling.shape[0] == lfv.shape[0] == loud.shape[0] >= 1:
-            raise ShapeMismatchError("condition tracks must share one frame count of at least 1")
+            raise InvalidParameterError("condition tracks must share one frame count of at least 1")
         object.__setattr__(self, "linguistic", ling)
         object.__setattr__(self, "log_f0_vuv", lfv)
         object.__setattr__(self, "loudness", loud)
         if self.speaker_embedding is not None:
             emb = np.asarray(self.speaker_embedding, dtype=np.float64)
             if emb.ndim != 1:
-                raise ShapeMismatchError("speaker embedding must be 1-D")
+                raise InvalidParameterError("speaker embedding must be 1-D")
             if abs(np.linalg.norm(emb) - 1.0) > 1e-6:
                 raise InvalidParameterError("speaker embedding must have unit norm")
             object.__setattr__(self, "speaker_embedding", emb)
@@ -167,7 +161,7 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if x_t.shape != eps_hat.shape or x_t.shape != z.shape:
-        raise ShapeMismatchError(
+        raise InvalidParameterError(
             f"x_t {x_t.shape}, eps_hat {eps_hat.shape}, z {z.shape} must agree"
         )
     if t == 1 and np.any(z != 0):
@@ -313,7 +307,7 @@ class ToyDenoiser:
                 "conditional call needs a speaker embedding in the condition set"
             )
         if cond.speaker_embedding.size != self.speaker_dim:
-            raise ShapeMismatchError(f"want a {self.speaker_dim}-entry speaker embedding")
+            raise InvalidParameterError(f"want a {self.speaker_dim}-entry speaker embedding")
         return cond.speaker_embedding
 
     # -- forward / backward -------------------------------------------------
@@ -324,12 +318,12 @@ class ToyDenoiser:
         pass reuses; the CLN is rounded as gamma * h_hat + beta."""
         x_t = np.asarray(x_t, dtype=np.float64)
         if x_t.shape[-1:] != (self.dim,):
-            raise ShapeMismatchError(f"last axis must be {self.dim}")
+            raise InvalidParameterError(f"last axis must be {self.dim}")
         p = self.params
         e = self._embedding(cond, unconditional)
         summary = cond.summary()
         if summary.size != self.cond_dim:
-            raise ShapeMismatchError(
+            raise InvalidParameterError(
                 f"model wants a {self.cond_dim}-entry condition summary, got {summary.size}")
         fixed = np.concatenate([self.time_embedding(t), summary])
         inp = np.empty(x_t.shape[:-1] + (self.dim + fixed.size,))
@@ -358,7 +352,7 @@ class ToyDenoiser:
         x_t = np.asarray(x_t, dtype=np.float64)
         eps_target = np.asarray(eps_target, dtype=np.float64)
         if x_t.ndim != 1 or eps_target.shape != x_t.shape:
-            raise ShapeMismatchError("loss path expects matching 1-D vectors")
+            raise InvalidParameterError("loss path expects matching 1-D vectors")
         out, (inp, e, h_hat, s, gamma, a) = self._forward(x_t, t, cond, unconditional)
         r = out - eps_target
         loss = float(r @ r)
@@ -504,7 +498,7 @@ def pseudo_speaker_embedding(seed: int, dim: int) -> np.ndarray:
     v = np.random.default_rng(seed).standard_normal(dim)
     norm = np.linalg.norm(v)
     if norm == 0:
-        raise ZeroNormError("degenerate zero draw")
+        raise InvalidParameterError("degenerate zero draw")
     return v / norm
 
 
@@ -550,7 +544,7 @@ def load_model(directory: str | os.PathLike) -> ToyDenoiser:
     rows, dim + 2 TIME_FREQS + cond_dim columns), w2 (dim rows) and cln_w_gamma
     (speaker_dim columns); the tensors must then be exactly the parameters of
     a model of those sizes, and an older index's size fields must equal them.
-    Anything else is a ManifestFormatError."""
+    Anything else is a FormatError."""
     d = Path(directory)
     index_path = d / "index.json"
     what = f"model index {index_path}"
@@ -558,7 +552,7 @@ def load_model(directory: str | os.PathLike) -> ToyDenoiser:
     num_steps = json_field(index, "num_steps", int, what)
 
     def bad(why):
-        return ManifestFormatError(f"bad {what}: {why}")
+        return FormatError(f"bad {what}: {why}")
 
     # realpath: on a symlink loop Path.resolve raises RuntimeError
     params, root = {}, Path(os.path.realpath(d))

@@ -13,12 +13,7 @@ import numpy as np
 
 from . import defaults
 from .audio import AudioClip
-from .errors import (
-    ClipTooShortError,
-    InvalidParameterError,
-    RateMismatchError,
-    ShapeMismatchError,
-)
+from .errors import InvalidParameterError
 
 
 def hann(n: int) -> np.ndarray:
@@ -49,7 +44,7 @@ class FrameConfig:
 
     def num_frames(self, n_samples: int) -> int:
         if n_samples < self.win_length:
-            raise ClipTooShortError(
+            raise InvalidParameterError(
                 f"{n_samples} samples < one {self.win_length}-sample window"
             )
         return 1 + (n_samples - self.win_length) // self.hop
@@ -77,7 +72,7 @@ def frame_signal(x: np.ndarray, cfg: FrameConfig) -> np.ndarray:
 def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     """One-sided complex spectrogram, shape [T, fft_size//2 + 1]."""
     if clip.sample_rate != defaults.SAMPLE_RATE:
-        raise RateMismatchError(
+        raise InvalidParameterError(
             f"clip at {clip.sample_rate} Hz, the frame grid wants {defaults.SAMPLE_RATE} Hz"
         )
     frames = frame_signal(clip.samples, cfg) * cfg.window()
@@ -144,7 +139,7 @@ def log_mel(spec: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Natural-log mel energies [T, n_mels]: log of (filterbank x power
     spectrum), floored at log(1e-10)."""
     if spec.ndim != 2 or spec.shape[1] != fb.shape[1]:
-        raise ShapeMismatchError(
+        raise InvalidParameterError(
             f"spectrogram has {spec.shape} bins, filterbank expects {fb.shape[1]}"
         )
     power = np.abs(spec) ** 2
@@ -181,7 +176,7 @@ def loudness(spec: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     spectrum. A zero frame therefore reads -100 dB.
     """
     if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
-        raise ShapeMismatchError(
+        raise InvalidParameterError(
             f"spectrogram has {spec.shape[1] if spec.ndim == 2 else '?'} bins,"
             f" config expects {cfg.n_bins}"
         )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeMismatchError, ZeroNormError
+from .errors import InvalidParameterError
 from .pitch import F0Track, cents_between
 
 
@@ -15,14 +15,14 @@ def cosine_similarity(a, b) -> float:
     """a.b / (|a||b|) of two vectors, clipped into [-1, 1]."""
     va, vb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if va.ndim != 1:
-        raise ShapeMismatchError(f"cosine similarity needs vectors, got shape {va.shape}")
+        raise InvalidParameterError(f"cosine similarity needs vectors, got shape {va.shape}")
     if va.shape != vb.shape:
-        raise ShapeMismatchError(f"dims disagree: {va.shape} vs {vb.shape}")
+        raise InvalidParameterError(f"dims disagree: {va.shape} vs {vb.shape}")
     if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
         raise InvalidParameterError("cosine similarity needs finite input")
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na == 0 or nb == 0:
-        raise ZeroNormError("cosine similarity undefined for zero-norm input")
+        raise InvalidParameterError("cosine similarity undefined for zero-norm input")
     return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
 
 
@@ -37,7 +37,7 @@ class F0CompareResult:
 
 def f0_metrics(track_a: F0Track, track_b: F0Track) -> F0CompareResult:
     if track_a.f0_hz.shape != track_b.f0_hz.shape:
-        raise ShapeMismatchError("tracks must have equal frame counts")
+        raise InvalidParameterError("tracks must have equal frame counts")
     vuv_error = float(np.mean(track_a.vuv != track_b.vuv)) if track_a.vuv.size else 0.0
     both = track_a.vuv & track_b.vuv
     if not np.any(both):

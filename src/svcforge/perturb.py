@@ -110,7 +110,7 @@ def formant_shift(clip: AudioClip, rhos: list) -> list:
     scaled by exp(warped envelope - envelope) and overlap-added back.
     Every ratio is checked first; the analysis up to the envelope then runs
     once per call, and output i equals `formant_shift(clip, [rhos[i]])[0]`.
-    The clip must be at the canonical rate (RateMismatchError otherwise).
+    The clip must be at the canonical rate (InvalidParameterError otherwise).
     """
     for rho in rhos:
         if not RATIO_LO <= rho <= RATIO_HI:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defaults
-from .errors import InvalidParameterError, RateMismatchError, ShapeMismatchError
+from .errors import InvalidParameterError
 from .audio import AudioClip
 from .features import FrameConfig, frame_signal
 
@@ -45,7 +45,7 @@ class F0Track:
     def __post_init__(self):
         f0 = np.asarray(self.f0_hz, dtype=np.float64)
         if f0.ndim != 1:
-            raise ShapeMismatchError("f0_hz must be a 1-D array")
+            raise InvalidParameterError("f0_hz must be a 1-D array")
         if not np.all(np.isfinite(f0)) or np.any(f0 < 0):
             raise InvalidParameterError("f0_hz must be finite and >= 0")
         vuv = f0 > 0
@@ -65,7 +65,7 @@ class F0Track:
         flagged voiced must have F0 > 0; unvoiced frames read as F0 0."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ShapeMismatchError("expected a [T, 2] (f0, vuv) matrix")
+            raise InvalidParameterError("expected a [T, 2] (f0, vuv) matrix")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("F0 track has non-finite entries")
         voiced = arr[:, 1] > 0.5
@@ -154,7 +154,7 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
     """
     sr = defaults.SAMPLE_RATE
     if clip.sample_rate != sr:
-        raise RateMismatchError(f"clip at {clip.sample_rate} Hz, the frame grid wants {sr} Hz")
+        raise InvalidParameterError(f"clip at {clip.sample_rate} Hz, the frame grid wants {sr} Hz")
     if not 0 < f_floor < f_ceil:
         raise InvalidParameterError("need 0 < f_floor < f_ceil")
     if sr / f_floor >= cfg.win_length - 1:  # lag_max + 1 >= win_length, before int(inf)

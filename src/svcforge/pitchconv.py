@@ -16,11 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import defaults
-from .errors import (
-    DegenerateStatsError,
-    InvalidParameterError,
-    NoVoicedFramesError,
-)
+from .errors import InvalidParameterError
 from .pitch import F0Track
 from .svcf import json_field, read_json, write_json
 
@@ -76,7 +72,7 @@ def compute_f0_stats(tracks: list, speaker_id: str) -> SpeakerF0Stats:
     voiced = [t.log_f0[t.vuv] for t in tracks]
     log_f0 = np.concatenate(voiced) if voiced else np.zeros(0)
     if log_f0.size == 0:
-        raise NoVoicedFramesError(f"no voiced frames for speaker {speaker_id!r}")
+        raise InvalidParameterError(f"no voiced frames for speaker {speaker_id!r}")
     return SpeakerF0Stats(
         speaker_id=speaker_id,
         mean_log_f0=float(np.mean(log_f0)),
@@ -108,7 +104,7 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
     whose converted F0 overflows or underflows to 0 Hz is an error.
     """
     if policy.scale_sigma and stats_x.std_log_f0 == 0:
-        raise DegenerateStatsError(
+        raise InvalidParameterError(
             f"source {stats_x.speaker_id!r} has zero log-F0 variance"
         )
     lf = track.log_f0[track.vuv]

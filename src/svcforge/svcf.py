@@ -14,7 +14,7 @@ values beyond float32's range are rejected before anything is written.
 
 This module is also the one JSON codec (documents, JSON-lines manifests
 and the CLI's stdout summary). Both directions are strict RFC 8259: reading
-NaN/Infinity or a number that overflows a double is a ManifestFormatError,
+NaN/Infinity or a number that overflows a double is a FormatError,
 writing a non-finite float an InvalidParameterError.
 
 Writes are temp-then-rename, all files of one write at once, so a failed
@@ -32,12 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    ManifestFormatError,
-    MissingFileError,
-    TensorFormatError,
-)
+from .errors import FormatError, InvalidParameterError, MissingFileError
 
 MAGIC = b"SVCF"
 VERSION = 1
@@ -65,23 +60,23 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     p = Path(path)
     blob = read_bytes(p, "tensor file")
     if len(blob) < 12 or blob[:4] != MAGIC:
-        raise TensorFormatError(f"{p}: bad magic (not an SVCF file)")
+        raise FormatError(f"{p}: bad magic (not an SVCF file)")
     version, ndim = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
-        raise TensorFormatError(f"{p}: unsupported version {version}")
+        raise FormatError(f"{p}: unsupported version {version}")
     if len(blob) < 12 + 4 * ndim:
-        raise TensorFormatError(f"{p}: truncated header")
+        raise FormatError(f"{p}: truncated header")
     dims = struct.unpack_from(f"<{ndim}I", blob, 12)
     count = math.prod(dims)
     data = blob[12 + 4 * ndim:]
     if len(data) != 4 * count:
-        raise TensorFormatError(
+        raise FormatError(
             f"{p}: payload is {len(data)} bytes, expected {4 * count}"
         )
     try:
         return np.frombuffer(data, dtype="<f4").reshape(dims).copy()
     except ValueError as exc:  # an empty shape numpy cannot hold, e.g. [0, 2^31, 2^31]
-        raise TensorFormatError(f"{p}: dims {list(dims)}: {exc}") from exc
+        raise FormatError(f"{p}: dims {list(dims)}: {exc}") from exc
 
 
 def replace_files(moves: dict) -> None:
@@ -138,19 +133,19 @@ def _parse(text: str, where: str):
                           parse_float=lambda t: float(_finite(t)),
                           parse_int=lambda t: int(_finite(t)))
     except ValueError as exc:
-        raise ManifestFormatError(f"bad {where}: {exc}") from exc
+        raise FormatError(f"bad {where}: {exc}") from exc
 
 
 def _read_text(path: str | os.PathLike, what: str) -> str:
     try:
         return read_bytes(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ManifestFormatError(f"bad {what} {path}: {exc}") from exc
+        raise FormatError(f"bad {what} {path}: {exc}") from exc
 
 
 def read_json(path: str | os.PathLike, what: str):
     """Parse the UTF-8 JSON document at `path` (see `read_bytes`); text that
-    is not UTF-8 or not strict JSON is a ManifestFormatError; callers check
+    is not UTF-8 or not strict JSON is a FormatError; callers check
     the fields."""
     return _parse(_read_text(path, what), f"{what} {path}")
 
@@ -169,13 +164,13 @@ _FIELD_TYPES = {str: ((str,), "string"), int: ((int,), "integer"),
 def json_field(doc, key: str, kind: type, what: str):
     """`kind(doc[key])` for a `kind` of str, int or float, when `doc` is a
     JSON object whose `key` holds a JSON string, integer or number
-    respectively; anything else is a ManifestFormatError naming `what`."""
+    respectively; anything else is a FormatError naming `what`."""
     types, name = _FIELD_TYPES[kind]
     if not isinstance(doc, dict) or key not in doc:
-        raise ManifestFormatError(f"bad {what}: want an object with a {key!r} field")
+        raise FormatError(f"bad {what}: want an object with a {key!r} field")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ManifestFormatError(f"bad {what}: {key} must be a JSON {name}, got {value!r}")
+        raise FormatError(f"bad {what}: {key} must be a JSON {name}, got {value!r}")
     return kind(value)
 
 

@@ -370,6 +370,13 @@ def test_bad_jobs_environment_is_a_usage_error(tmp_path, wavs, capsys, monkeypat
     assert len(summary["files"]) == 1
 
 
+def test_jobs_environment_below_one_is_a_validation_error(tmp_path, wavs, capsys,
+                                                          monkeypatch):
+    monkeypatch.setenv("SVCFORGE_JOBS", "0")
+    out = tmp_path / "out"
+    _assert_rejected(capsys, ["extract", "--in", wavs[0], "--out-dir", out], out)
+
+
 def _bad_json_document(path, kind):
     if kind == "directory":
         path.mkdir()
@@ -780,6 +787,15 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("train", ["--hidden", str(10**11)]),
     ("train", ["--speaker-dim", str(10**11)]),
     ("perturb", ["--eq-bands", str(10**12)]),
+    # a clip duration <= 0, a negative VAD duration, fewer than one worker
+    ("rest", ["--clip-duration", "0"]),
+    ("rest", ["--clip-duration", "-1"]),
+    ("vad", ["--vad-min-speech-ms", "-5"]),
+    ("vad", ["--vad-hangover-ms", "-5"]),
+    ("vad", ["--vad-min-gap-ms", "-5"]),
+    ("extract", ["--jobs", "0"]),
+    ("extract", ["--jobs", "-3"]),
+    ("f0-stats", ["--jobs", "0"]),
 ])
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"
@@ -797,6 +813,8 @@ def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command
         argv = ["perturb", "--in", wavs[0], "--out-a", out, "--out-b", out, "--seed", "0"]
     elif command == "extract":
         argv = ["extract", "--in", wavs[0], "--out-dir", out]
+    elif command == "f0-stats":
+        argv = ["f0-stats", "--in", wavs[0], "--speaker-id", "s", "--out", out]
     elif command == "rest":
         notes = tmp_path / "notes.json"
         notes.write_text('[{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60},'

@@ -22,12 +22,7 @@ from svcforge.corpus import (
     vad_segment,
     write_manifest,
 )
-from svcforge.errors import (
-    InvalidParameterError,
-    ManifestFormatError,
-    OverlappingNotesError,
-    UnknownSpecError,
-)
+from svcforge.errors import FormatError, InvalidParameterError
 from synth import sine
 
 EXPECTED_HOURS = {
@@ -65,7 +60,7 @@ def test_entries_unique_per_spec(reference):
 
 
 def test_unknown_spec():
-    with pytest.raises(UnknownSpecError):
+    with pytest.raises(InvalidParameterError, match="unknown spec"):
         canonical_spec("v9_everything")
 
 
@@ -86,7 +81,7 @@ def test_manifest_roundtrip(tmp_path, reference):
 def test_manifest_bad_line(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"id": "x"}\nnot json\n')
-    with pytest.raises(ManifestFormatError):
+    with pytest.raises(FormatError, match=r"bad manifest .*bad\.jsonl:2"):
         read_manifest(p)
 
 
@@ -198,12 +193,13 @@ def test_rest_segment_explicit_rest_event():
 
 
 def test_rest_segment_overlap_rejected():
-    with pytest.raises(OverlappingNotesError):
+    with pytest.raises(InvalidParameterError, match="events overlap"):
         rest_note_segment([_note(0.0, 1.0), _note(0.5, 2.0)], clip_duration=3.0)
 
 
 @pytest.mark.parametrize("min_rest_sec, clip_duration", [
     (float("nan"), 3.0), (float("inf"), 3.0), (-0.5, 3.0), (0.5, float("nan")),
+    (0.5, 0.0), (0.5, -1.0), (0.5, -float("inf")),
 ])
 def test_rest_segment_rejects_bad_parameters(min_rest_sec, clip_duration):
     with pytest.raises(InvalidParameterError):
@@ -222,6 +218,13 @@ def test_vad_config_rejects_non_finite_fields(field, value):
 def test_vad_config_rejects_nonpositive_frame(frame_ms):
     with pytest.raises(InvalidParameterError):
         VadConfig(frame_ms=frame_ms)
+
+
+@pytest.mark.parametrize("field", ["min_speech_ms", "hangover_ms", "min_gap_ms"])
+def test_vad_config_rejects_negative_durations(field):
+    with pytest.raises(InvalidParameterError, match=f"VAD {field} must be >= 0"):
+        VadConfig(**{field: -5.0})
+    assert getattr(VadConfig(**{field: 0.0}), field) == 0.0
 
 
 def test_rest_segment_clamps_to_clip():
@@ -313,11 +316,11 @@ def _reference_rest_note_segment(notes, min_rest_sec=defaults.MIN_REST_SEC,
     if not 0 <= min_rest_sec < math.inf:
         raise InvalidParameterError(
             f"min_rest_sec must be finite and >= 0, got {min_rest_sec}")
-    if math.isnan(clip_duration):
-        raise InvalidParameterError("clip_duration must not be NaN")
+    if not clip_duration > 0:
+        raise InvalidParameterError(f"clip_duration must be > 0, got {clip_duration}")
     for prev, cur in zip(notes, notes[1:]):
         if cur.onset_sec < prev.offset_sec - 1e-9 or cur.onset_sec < prev.onset_sec:
-            raise OverlappingNotesError(
+            raise InvalidParameterError(
                 f"events overlap near {cur.onset_sec:.3f} s"
             )
     sounding = [note for note in notes if not note.is_rest]
@@ -364,12 +367,12 @@ def _random_vad_config(rng):
         return VadConfig(frame_ms=float(rng.choice([10.0, 20.0, 30.0])),
                          energy_floor_dbfs=float(rng.choice([-50.0, -40.0, -30.0])),
                          min_speech_ms=float(rng.choice([0.0, 30.0, 60.0, 200.0])),
-                         hangover_ms=float(rng.choice([-10.0, 0.0, 30.0, 60.0, 300.0])),
+                         hangover_ms=float(rng.choice([10.0, 0.0, 30.0, 60.0, 300.0])),
                          min_gap_ms=float(rng.choice([0.0, 30.0, 60.0, 300.0])))
     return VadConfig(frame_ms=float(10.0 ** rng.uniform(0, 6)),
                      energy_floor_dbfs=float(rng.uniform(-70, -10)),
                      min_speech_ms=float(rng.uniform(0, 200)),
-                     hangover_ms=float(rng.uniform(-10, 300)),
+                     hangover_ms=float(rng.uniform(0, 300)),
                      min_gap_ms=float(rng.uniform(0, 500)))
 
 

@@ -6,12 +6,7 @@ from hypothesis import given, strategies as st
 
 from svcforge import defaults
 from svcforge.audio import AudioClip
-from svcforge.errors import (
-    ClipTooShortError,
-    InvalidParameterError,
-    RateMismatchError,
-    ShapeMismatchError,
-)
+from svcforge.errors import InvalidParameterError
 from svcforge.features import (
     CANONICAL_FRAME_CONFIG,
     FrameConfig,
@@ -85,9 +80,9 @@ def test_stft_zero_signal():
 
 
 def test_stft_errors():
-    with pytest.raises(RateMismatchError):
+    with pytest.raises(InvalidParameterError, match="clip at 16000 Hz"):
         stft(AudioClip(np.zeros(4000), 16000), CFG)
-    with pytest.raises(ClipTooShortError):
+    with pytest.raises(InvalidParameterError, match="window"):
         stft(AudioClip(np.zeros(CFG.win_length - 1), defaults.SAMPLE_RATE), CFG)
 
 
@@ -237,7 +232,7 @@ def test_log_mel_peak_bin_matches_filter_geometry():
 
 def test_log_mel_shape_mismatch():
     fb = build_mel_filterbank(CFG)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InvalidParameterError, match="filterbank expects"):
         log_mel(np.zeros((2, 100), dtype=complex), fb)
 
 

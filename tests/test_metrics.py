@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svcforge.errors import InvalidParameterError, ShapeMismatchError, ZeroNormError
+from svcforge.errors import InvalidParameterError
 from svcforge.metrics import cosine_similarity, f0_metrics
 from svcforge.pitch import F0Track
 
@@ -22,9 +22,9 @@ def test_cosine_anchors():
 def test_cosine_errors():
     for a, b in ((np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2))),
                  (np.ones((2, 2, 2)), np.ones((2, 2, 2))), (np.float64(1.0), np.float64(1.0))):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidParameterError, match="needs vectors|dims disagree"):
             cosine_similarity(a, b)
-    with pytest.raises(ZeroNormError):
+    with pytest.raises(InvalidParameterError, match="zero-norm"):
         cosine_similarity(np.zeros(3), np.ones(3))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidParameterError):
@@ -72,5 +72,5 @@ def test_f0_metrics_flipped_vuv():
 
 
 def test_f0_metrics_frame_count_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InvalidParameterError, match="equal frame counts"):
         f0_metrics(_track([220.0]), _track([220.0, 220.0]))

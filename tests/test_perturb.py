@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.signal import freqz, welch
 
 from svcforge.audio import AudioClip
-from svcforge.errors import InvalidParameterError, RateMismatchError
+from svcforge.errors import InvalidParameterError
 from svcforge.features import hann, istft, stft
 from svcforge.features import CANONICAL_FRAME_CONFIG as CFG, hz_to_mel, mel_to_hz
 from svcforge.perturb import (
@@ -163,7 +163,7 @@ def test_formant_shift_moves_envelope_peak():
 def test_formant_shift_validation():
     with pytest.raises(InvalidParameterError):
         formant_shift(vowel(duration_sec=0.2), [2.5])
-    with pytest.raises(RateMismatchError):
+    with pytest.raises(InvalidParameterError, match="clip at 16000 Hz"):
         formant_shift(AudioClip(np.zeros(8000), 16000), [1.1])
 
 
@@ -200,7 +200,7 @@ def _reference_formant_shift(clip: AudioClip, rho: float) -> AudioClip:
     if not RATIO_LO <= rho <= RATIO_HI:
         raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
     if clip.sample_rate != defaults.SAMPLE_RATE:
-        raise RateMismatchError(
+        raise InvalidParameterError(
             f"formant_shift expects {defaults.SAMPLE_RATE} Hz, got {clip.sample_rate}"
         )
     n = clip.samples.size

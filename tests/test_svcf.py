@@ -3,12 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from svcforge.errors import (
-    InvalidParameterError,
-    ManifestFormatError,
-    MissingFileError,
-    TensorFormatError,
-)
+from svcforge.errors import FormatError, InvalidParameterError, MissingFileError
 from svcforge.svcf import (
     dumps,
     read_json,
@@ -62,14 +57,14 @@ def test_missing_file(tmp_path):
 def test_bad_magic(tmp_path):
     p = tmp_path / "bad.svcf"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(TensorFormatError):
+    with pytest.raises(FormatError, match="bad magic"):
         read_tensor(p)
 
 
 def test_bad_version(tmp_path):
     p = tmp_path / "bad.svcf"
     p.write_bytes(b"SVCF" + (2).to_bytes(4, "little") + (0).to_bytes(4, "little"))
-    with pytest.raises(TensorFormatError):
+    with pytest.raises(FormatError, match="unsupported version 2"):
         read_tensor(p)
 
 
@@ -78,7 +73,7 @@ def test_dims_no_array_can_hold_are_rejected(tmp_path, dims):
     # the first has no payload; the second's product wraps around in int64
     p = tmp_path / "huge.svcf"
     p.write_bytes(b"SVCF" + struct.pack("<5I", 1, 3, *dims))
-    with pytest.raises(TensorFormatError):
+    with pytest.raises(FormatError, match=r"payload is 0 bytes|dims \["):
         read_tensor(p)
 
 
@@ -87,7 +82,7 @@ def test_truncated_payload(tmp_path):
     write_tensor(p, np.zeros(4, dtype=np.float32))
     blob = p.read_bytes()
     p.write_bytes(blob[:-2])
-    with pytest.raises(TensorFormatError):
+    with pytest.raises(FormatError, match="payload is 14 bytes, expected 16"):
         read_tensor(p)
 
 
@@ -114,17 +109,17 @@ def test_json_roundtrip_and_layout(tmp_path):
 def test_json_readers_reject_non_finite_numbers(tmp_path, token):
     p = tmp_path / "d.json"
     p.write_text(f'{{"x": {token}}}')
-    with pytest.raises(ManifestFormatError, match=r"d\.json"):
+    with pytest.raises(FormatError, match=r"d\.json: .*not a finite JSON number"):
         read_json(p, "doc")
     p.write_text(f'{{"x": 1}}\n\n{{"x": [{token}]}}\n')
-    with pytest.raises(ManifestFormatError, match=r"d\.json:3"):
+    with pytest.raises(FormatError, match=r"d\.json:3: .*not a finite JSON number"):
         read_jsonl(p, "lines")
 
 
 def test_jsonl_reader_rejects_non_utf8(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_bytes(b'{"x": "\xff"}\n')
-    with pytest.raises(ManifestFormatError):
+    with pytest.raises(FormatError, match="bad lines .*can't decode byte 0xff"):
         read_jsonl(p, "lines")
 
 
