@@ -71,8 +71,8 @@ def main() -> int:
         "frame_grid_ms": 1000.0 * defaults.HOP / defaults.SAMPLE_RATE,
         "singing_median_f0": float(np.median(sing_track.f0_hz[sing_track.vuv])),
         "converted_median_f0": float(np.median(converted.f0_hz[converted.vuv])),
-        "shift_rmse_cents": agreement.rmse_cents,
-        "vuv_error_rate": agreement.vuv_error_rate,
+        "shift_rmse_cents": agreement["rmse_cents"],
+        "vuv_error_rate": agreement["vuv_error_rate"],
     }
     print(json.dumps(summary, indent=2))
     return 0

@@ -23,7 +23,7 @@ from svcforge.diffusion import (
 def main() -> int:
     sched = linear_schedule()
     dataset = toy_dataset(model_dim=8, ling_dim=8, speaker_dim=4, n_items=8, seed=1)
-    model = ToyDenoiser(dim=8, cond_dim=dataset[0][1].summary().size,
+    model = ToyDenoiser(dim=8, cond_dim=dataset[0][1].summary.size,
                         speaker_dim=4, hidden=48, seed=2)
 
     history = train_toy(model, dataset, sched,

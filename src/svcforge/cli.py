@@ -232,8 +232,7 @@ def _cmd_segment(args) -> dict:
 
 
 def _cmd_manifest_compose(args) -> dict:
-    manifest_path = args.manifest or str(reference_manifest_path())
-    manifest = read_manifest(manifest_path)
+    manifest = read_manifest(args.manifest or reference_manifest_path())
     if args.spec.endswith(".json"):
         spec = TrainingSetSpec.from_json(read_json(args.spec, "training-set spec"))
     else:
@@ -243,7 +242,7 @@ def _cmd_manifest_compose(args) -> dict:
         write_manifest(selected, args.out)
     return {
         "command": "manifest compose", "spec": spec.name,
-        "manifest": manifest_path, "entries": len(selected),
+        "manifest": args.manifest, "entries": len(selected),
         "total_hours": round(hours, 6),
         "speakers": sorted({e.speaker for e in selected}),
         "out": args.out,
@@ -324,21 +323,16 @@ def _cmd_ddpm_sample(args) -> dict:
 
 
 def _cmd_eval_cossim(args) -> dict:
-    a = np.atleast_2d(read_tensor(args.a).astype(np.float64))
-    b = np.atleast_2d(read_tensor(args.b).astype(np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise InvalidParameterError("embedding tensors need at least one row")
-    sims = [cosine_similarity(row_a, row_b) for row_a in a for row_b in b]
-    return {"command": "eval cossim", "n_pairs": len(sims),
-            "cossim": float(np.mean(sims))}
+    sims = cosine_similarity(np.atleast_2d(read_tensor(args.a)),
+                             np.atleast_2d(read_tensor(args.b)))
+    return {"command": "eval cossim", "n_pairs": sims.size,
+            "cossim": float(np.mean(np.clip(sims, -1.0, 1.0)))}
 
 
 def _cmd_eval_f0(args) -> dict:
     track_a = F0Track.from_array(read_tensor(args.a))
     track_b = F0Track.from_array(read_tensor(args.b))
-    result = f0_metrics(track_a, track_b)
-    return {"command": "eval f0", "rmse_cents": result.rmse_cents,
-            "vuv_error_rate": result.vuv_error_rate}
+    return {"command": "eval f0", **f0_metrics(track_a, track_b)}
 
 
 def _cmd_config_show(args) -> dict:
@@ -530,13 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _log(f"usage error: {exc}")
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
         line = dumps(args.func(args))

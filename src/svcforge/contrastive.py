@@ -12,6 +12,7 @@ import numpy as np
 
 from . import defaults
 from .errors import InvalidParameterError
+from .metrics import cosine_similarity
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,7 @@ def contrastive_loss(batch: FeaturePairBatch) -> float:
     L = -(1/2N) sum_i [log softmax_j(cos(z_i, z'_j)/tau)_i
                        + log softmax_j(cos(z'_i, z_j)/tau)_i]
     """
-    norms = np.linalg.norm(batch.z, axis=1)
-    norms_p = np.linalg.norm(batch.z_prime, axis=1)
-    if np.any(norms == 0) or np.any(norms_p == 0):
-        raise InvalidParameterError("zero-norm feature row")
-    zn = batch.z / norms[:, None]
-    zpn = batch.z_prime / norms_p[:, None]
-    sim = (zn @ zpn.T) / defaults.CONTRASTIVE_TAU
+    sim = cosine_similarity(batch.z, batch.z_prime) / defaults.CONTRASTIVE_TAU
     diag = np.diag(sim)
     forward = _logsumexp(sim, axis=1) - diag
     backward = _logsumexp(sim, axis=0) - diag

@@ -55,21 +55,12 @@ class NoiseSchedule:
     def num_steps(self) -> int:
         return self.beta.size
 
-    def _check_step(self, t: int) -> int:
+    def at(self, t: int) -> tuple:
+        """(beta_t, alpha_t, alpha_bar_t) of step t in [1, num_steps], as floats."""
         if not 1 <= t <= self.num_steps:
-            raise InvalidParameterError(
-                f"step {t} outside [1, {self.num_steps}]"
-            )
-        return int(t)
-
-    def beta_at(self, t: int) -> float:
-        return float(self.beta[self._check_step(t) - 1])
-
-    def alpha_at(self, t: int) -> float:
-        return float(self.alpha[self._check_step(t) - 1])
-
-    def alpha_bar_at(self, t: int) -> float:
-        return float(self.alpha_bar[self._check_step(t) - 1])
+            raise InvalidParameterError(f"step {t} outside [1, {self.num_steps}]")
+        i = int(t) - 1
+        return float(self.beta[i]), float(self.alpha[i]), float(self.alpha_bar[i])
 
 
 def linear_schedule(num_steps: int = defaults.DIFFUSION_STEPS) -> NoiseSchedule:
@@ -88,7 +79,7 @@ def q_sample(x0: np.ndarray, t: int, eps: np.ndarray,
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise InvalidParameterError(f"x0 {x0.shape} vs eps {eps.shape}")
-    ab = sched.alpha_bar_at(t)
+    ab = sched.at(t)[2]
     return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
 
 
@@ -96,14 +87,16 @@ def q_sample(x0: np.ndarray, t: int, eps: np.ndarray,
 class ConditionSet:
     """Frame-level conditioning plus an optional unit-norm speaker embedding.
 
-    linguistic: [T, d_ling]; log_f0_vuv: [T, 2]; loudness: [T].
+    linguistic: [T, d_ling]; log_f0_vuv: [T, 2]; loudness: [T]. `summary`
+    is the fixed-size condition summary, the per-track means concatenated;
+    it is computed when the set is built and is read-only.
     """
 
     linguistic: np.ndarray
     log_f0_vuv: np.ndarray
     loudness: np.ndarray
     speaker_embedding: np.ndarray | None = None
-    _summary: np.ndarray = field(init=False, repr=False, compare=False)
+    summary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ling = np.asarray(self.linguistic, dtype=np.float64)
@@ -127,12 +120,7 @@ class ConditionSet:
             object.__setattr__(self, "speaker_embedding", emb)
         summary = np.concatenate([ling.mean(axis=0), lfv.mean(axis=0), [loud.mean()]])
         summary.flags.writeable = False
-        object.__setattr__(self, "_summary", summary)
-
-    def summary(self) -> np.ndarray:
-        """Fixed-size condition summary: per-track means, concatenated.
-        Computed once, when the set is built, and read-only."""
-        return self._summary
+        object.__setattr__(self, "summary", summary)
 
 
 def guided_eps(denoiser, x_t: np.ndarray, t: int,
@@ -166,9 +154,8 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
         )
     if t == 1 and np.any(z != 0):
         raise InvalidParameterError("z must be the zero vector at t == 1")
-    beta = sched.beta_at(t)
-    mean = (x_t - beta / math.sqrt(1.0 - sched.alpha_bar_at(t)) * eps_hat) \
-        / math.sqrt(sched.alpha_at(t))
+    beta, alpha, ab = sched.at(t)
+    mean = (x_t - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(alpha)
     return mean + math.sqrt(beta) * z
 
 
@@ -230,7 +217,7 @@ class AnalyticGaussianDenoiser:
 
     def predict_eps(self, x_t: np.ndarray, t: int, cond: ConditionSet,
                     unconditional: bool = False) -> np.ndarray:
-        ab = self.sched.alpha_bar_at(t)
+        ab = self.sched.at(t)[2]
         denom = ab * self.var0 + 1.0 - ab
         x0_hat = (self.var0 * math.sqrt(ab) * x_t + (1.0 - ab) * self.mu0) / denom
         return (x_t - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab)
@@ -289,10 +276,13 @@ class ToyDenoiser:
         return digest.hexdigest()
 
     def time_embedding(self, t: int) -> np.ndarray:
-        """sin then cos of 2 pi t k / num_steps for k = 1..TIME_FREQS; each
-        row is computed once per model and is read-only."""
+        """sin then cos of 2 pi t k / num_steps for k = 1..TIME_FREQS, for t
+        in [1, num_steps]; each row is computed once per model and is
+        read-only."""
         row = self._time_rows.get(t)
         if row is None:
+            if not 1 <= t <= self.num_steps:
+                raise InvalidParameterError(f"step {t} outside the model's [1, {self.num_steps}]")
             phase = 2.0 * np.pi * t / self.num_steps * np.arange(1, TIME_FREQS + 1)
             row = np.concatenate([np.sin(phase), np.cos(phase)])
             row.flags.writeable = False
@@ -321,7 +311,7 @@ class ToyDenoiser:
             raise InvalidParameterError(f"last axis must be {self.dim}")
         p = self.params
         e = self._embedding(cond, unconditional)
-        summary = cond.summary()
+        summary = cond.summary
         if summary.size != self.cond_dim:
             raise InvalidParameterError(
                 f"model wants a {self.cond_dim}-entry condition summary, got {summary.size}")
@@ -393,16 +383,23 @@ class TrainConfig:
 
 
 def _draw(rng: np.random.Generator, dataset: list, sched: NoiseSchedule) -> tuple:
-    """One (x0, cond, t, eps) draw; the RNG draws the dataset index, then
-    the timestep t, then the noise eps."""
+    """One noised draw (x_t, t, cond, eps), in the argument order of
+    `l2_loss_and_grads`; the RNG draws the dataset index, then the timestep
+    t, then the noise eps."""
     x0, cond = dataset[int(rng.integers(len(dataset)))]
     t = int(rng.integers(1, sched.num_steps + 1))
-    return x0, cond, t, rng.standard_normal(np.shape(x0))
+    eps = rng.standard_normal(np.shape(x0))
+    return q_sample(x0, t, eps, sched), t, cond, eps
 
 
-def _check_lr(lr: float) -> None:
+def _check_training(model: ToyDenoiser, sched: NoiseSchedule, lr: float) -> None:
+    """Reject a learning rate that is not finite and > 0, or a schedule whose
+    length is not the model's (its time embedding would alias steps)."""
     if not 0 < lr < math.inf:
         raise InvalidParameterError(f"learning rate must be finite and > 0, got {lr}")
+    if sched.num_steps != model.num_steps:
+        raise InvalidParameterError(
+            f"a {sched.num_steps}-step schedule for a {model.num_steps}-step model")
 
 
 def _check_finite(model: ToyDenoiser, losses=()) -> None:
@@ -426,18 +423,16 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     if cfg.steps < 1:
         raise InvalidParameterError("steps must be >= 1")
     check_elements(cfg.steps, "the loss history")
-    _check_lr(cfg.lr)
+    _check_training(model, sched, cfg.lr)
     if not 0 <= cfg.p_uncond <= 1:
         raise InvalidParameterError(f"p_uncond must lie in [0, 1], got {cfg.p_uncond}")
     rng = np.random.default_rng(cfg.seed)
     history = np.empty(cfg.steps)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.steps):
-            x0, cond, t, eps = _draw(rng, dataset, sched)
-            drop = rng.random() < cfg.p_uncond
-            x_t = q_sample(x0, t, eps, sched)
-            loss, grads = model.l2_loss_and_grads(x_t, t, cond, eps,
-                                                  unconditional=drop)
+            # the drop uniform is drawn after the noised draw
+            loss, grads = model.l2_loss_and_grads(*_draw(rng, dataset, sched),
+                                                  unconditional=rng.random() < cfg.p_uncond)
             if cfg.contrastive_source is not None:
                 batch = cfg.contrastive_source(n)
                 if batch is not None:
@@ -459,7 +454,7 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     iterations == 0 is a no-op."""
     if iterations < 0:
         raise InvalidParameterError("iterations must be >= 0")
-    _check_lr(lr)
+    _check_training(model, sched, lr)
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
     # ConditionSet checks that the embedding is 1-D with unit norm
@@ -467,9 +462,7 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
-            x0, cond, t, eps = _draw(rng, dataset, sched)
-            x_t = q_sample(x0, t, eps, sched)
-            _, grads = model.l2_loss_and_grads(x_t, t, cond, eps)
+            _, grads = model.l2_loss_and_grads(*_draw(rng, dataset, sched))
             for name in CLN_PARAM_NAMES:
                 model.params[name] -= lr * grads[name]
     _check_finite(model)
@@ -485,9 +478,7 @@ def evaluate_l2(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     rng = np.random.default_rng(12345)
     total = 0.0
     for _ in range(n_draws):
-        x0, cond, t, eps = _draw(rng, dataset, sched)
-        loss, _ = model.l2_loss_and_grads(q_sample(x0, t, eps, sched), t, cond, eps)
-        total += loss
+        total += model.l2_loss_and_grads(*_draw(rng, dataset, sched))[0]
     return total / n_draws
 
 

@@ -60,8 +60,14 @@ class FrameConfig:
 CANONICAL_FRAME_CONFIG = FrameConfig()
 
 
-def frame_signal(x: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """[T, win_length] view of non-centered frames."""
+def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
+    """[T, win_length] view of the non-centered frames of a clip at
+    defaults.SAMPLE_RATE, the rate of the frame grid."""
+    if clip.sample_rate != defaults.SAMPLE_RATE:
+        raise InvalidParameterError(
+            f"clip at {clip.sample_rate} Hz, the frame grid wants {defaults.SAMPLE_RATE} Hz"
+        )
+    x = clip.samples
     t = cfg.num_frames(x.size)
     stride = x.strides[0]
     return np.lib.stride_tricks.as_strided(
@@ -71,11 +77,7 @@ def frame_signal(x: np.ndarray, cfg: FrameConfig) -> np.ndarray:
 
 def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     """One-sided complex spectrogram, shape [T, fft_size//2 + 1]."""
-    if clip.sample_rate != defaults.SAMPLE_RATE:
-        raise InvalidParameterError(
-            f"clip at {clip.sample_rate} Hz, the frame grid wants {defaults.SAMPLE_RATE} Hz"
-        )
-    frames = frame_signal(clip.samples, cfg) * cfg.window()
+    frames = frame_signal(clip, cfg) * cfg.window()
     return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
 
 

@@ -153,8 +153,6 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
     0.3 and its RMS is at least -60 dBFS.
     """
     sr = defaults.SAMPLE_RATE
-    if clip.sample_rate != sr:
-        raise InvalidParameterError(f"clip at {clip.sample_rate} Hz, the frame grid wants {sr} Hz")
     if not 0 < f_floor < f_ceil:
         raise InvalidParameterError("need 0 < f_floor < f_ceil")
     if sr / f_floor >= cfg.win_length - 1:  # lag_max + 1 >= win_length, before int(inf)
@@ -164,7 +162,7 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
     lag_min = max(2, int(np.ceil(sr / f_ceil)))
     lag_max = int(np.floor(sr / f_floor))
 
-    frames = frame_signal(clip.samples, cfg)
+    frames = frame_signal(clip, cfg)
     f0 = np.concatenate([
         _pick_f0(frames[i:i + _BLOCK_FRAMES], sr, lag_min, lag_max, f_floor, f_ceil)
         for i in range(0, frames.shape[0], _BLOCK_FRAMES)

@@ -94,15 +94,20 @@ def atomic_write_files(files: dict) -> None:
     `replace_files` them into place only once every one is written, so an
     OSError on one path leaves the others untouched and no temp file behind.
     A temp name is at most the path's first 32 characters, a dot and 8
-    random ones: within 255 bytes whatever the destination's name."""
+    random ones: within 255 bytes whatever the destination's name. An
+    OSError from creating or writing a temp file names `path` as given."""
     staged = {}
     try:
         for path, data in files.items():
             p = Path(path)
-            fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name[:32] + ".")
-            staged[tmp] = p
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+            try:
+                fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name[:32] + ".")
+                staged[tmp] = p
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+            except OSError as exc:
+                exc.filename = os.fspath(path)
+                raise
         replace_files(staged)
     finally:
         for tmp in staged:

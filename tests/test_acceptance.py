@@ -137,8 +137,7 @@ def _exact_sampler_moments(mu0, sigma0, sched):
     closed per-coordinate recursion from the N(0, 1) start."""
     mean, var = np.zeros_like(mu0), 1.0
     for t in range(sched.num_steps, 0, -1):
-        ab = sched.alpha_bar_at(t)
-        alpha, beta = sched.alpha_at(t), sched.beta_at(t)
+        beta, alpha, ab = sched.at(t)
         denom = ab * sigma0 ** 2 + 1.0 - ab
         c1 = sigma0 ** 2 * math.sqrt(ab) / denom
         c0 = (1.0 - ab) / denom  # coefficient on mu0 in x0_hat
@@ -181,7 +180,7 @@ def test_criterion_04():
 @criterion(5, "classifier-free guidance identities")
 def test_criterion_05():
     cond_dim = ConditionSet(np.zeros((1, 2)), np.zeros((1, 2)),
-                            np.zeros(1)).summary().size
+                            np.zeros(1)).summary.size
     model = ToyDenoiser(dim=6, cond_dim=cond_dim, speaker_dim=4, seed=12)
     cond = ConditionSet(np.ones((1, 2)), np.zeros((1, 2)), np.zeros(1),
                         speaker_embedding=pseudo_speaker_embedding(9, 4))
@@ -209,7 +208,7 @@ def _toy_setup(seed):
             speaker_embedding=pseudo_speaker_embedding(seed + k, 3),
         ))
     dataset = [(rng.normal(size=4), cond) for cond in conds]
-    model = ToyDenoiser(dim=4, cond_dim=conds[0].summary().size,
+    model = ToyDenoiser(dim=4, cond_dim=conds[0].summary.size,
                         speaker_dim=3, seed=seed)
     return model, dataset
 

@@ -12,6 +12,7 @@ from svcforge.cli import main
 from svcforge.diffusion import ToyDenoiser, save_model
 from svcforge.svcf import read_tensor, write_tensor
 from synth import sawtooth, sine
+from test_audio import _pcm16_wav
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -139,6 +140,19 @@ def test_manifest_compose_spec_json(tmp_path, capsys):
     assert summary["total_hours"] == pytest.approx(93.64, abs=0.01)
 
 
+def test_manifest_compose_summary_names_the_manifest_as_given(tmp_path, capsys, monkeypatch):
+    # the packaged table is null, not a path that differs between checkouts
+    code, summary = run_cli(capsys, "manifest", "compose", "--spec", "v1_sing_en")
+    assert code == 0
+    assert summary["manifest"] is None
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "manifest", "compose", "--spec", "v1_sing_en", "--out", "v1.jsonl")
+    code, summary = run_cli(capsys, "manifest", "compose", "--manifest", "v1.jsonl",
+                            "--spec", "v1_sing_en")
+    assert code == 0
+    assert summary["manifest"] == "v1.jsonl"
+
+
 def test_perturb_deterministic(tmp_path, wavs, capsys):
     a, _ = wavs
     outs = []
@@ -200,6 +214,16 @@ def test_perturb_writes_both_outputs_or_neither(tmp_path, wavs, capsys, existing
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     if existing:
         assert pa.read_bytes() == b"earlier run"
+
+
+def test_refused_write_names_the_destination(tmp_path, wavs, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"")
+    argv = ["perturb", "--in", str(wavs[0]), "--out-a", "pa.wav", "--out-b", "afile/b.wav",
+            "--seed", "1"]
+    errors = [_assert_rejected(capsys, argv, tmp_path / "pa.wav") for _ in range(2)]
+    assert errors[0] == errors[1]
+    assert errors[0].rstrip().endswith(": 'afile/b.wav'")
 
 
 def test_ddpm_train_writes_all_model_files_or_none(tmp_path, capsys):
@@ -313,6 +337,18 @@ def test_eval_cossim(tmp_path, capsys):
     assert summary["cossim"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_eval_cossim_stays_in_the_unit_range(tmp_path, capsys, sign):
+    # the unclipped cosine of [1, 1, 1] with itself rounds to 1 + 2**-52
+    write_tensor(tmp_path / "a.svcf", np.ones((2, 3), dtype=np.float32))
+    write_tensor(tmp_path / "b.svcf", sign * np.ones(3, dtype=np.float32))
+    code, summary = run_cli(capsys, "eval", "cossim", "--a",
+                            str(tmp_path / "a.svcf"), "--b", str(tmp_path / "b.svcf"))
+    assert code == 0
+    assert summary["n_pairs"] == 2
+    assert summary["cossim"] == sign
+
+
 def test_eval_f0(tmp_path, capsys):
     track = np.array([[220.0, 1.0], [0.0, 0.0]], dtype=np.float32)
     write_tensor(tmp_path / "a.svcf", track)
@@ -339,9 +375,6 @@ def test_exit_codes(tmp_path, capsys):
     # usage error: missing required flag
     code, _ = run_cli(capsys, "extract")
     assert code == 1
-    # usage error: mode-dependent flag missing
-    code, _ = run_cli(capsys, "segment", "--mode", "rest")
-    assert code == 1
     # data error: missing input file
     code, _ = run_cli(capsys, "extract", "--in", str(tmp_path / "nope.wav"),
                       "--out-dir", str(tmp_path), "--seed", "0")
@@ -349,6 +382,45 @@ def test_exit_codes(tmp_path, capsys):
     # unknown spec name is a data error
     code, _ = run_cli(capsys, "manifest", "compose", "--spec", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["segment", "--mode", "rest"],
+    ["segment", "--mode", "vad"],
+    ["ddpm", "sample", "--seed", "0"],
+], ids=["rest-without-notes", "vad-without-in", "sample-without-model-or-oracle"])
+def test_mode_dependent_flag_missing_is_a_usage_error(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case, message", [
+    ("three-channel-wav", "3 channels"),
+    ("partial-frame-wav", "not a whole number of frames"),
+    ("svcf-dims-cut-short", "truncated header"),
+])
+def test_malformed_wav_and_svcf_files_exit_2(tmp_path, capsys, case, message):
+    out = tmp_path / "out.json"
+    if case == "svcf-dims-cut-short":  # ndim 2, but only one dim follows
+        doc = tmp_path / "f0.svcf"
+        doc.write_bytes(b"SVCF" + struct.pack("<III", 1, 2, 4))
+        stats = tmp_path / "stats.json"
+        _write_stats(stats)
+        argv = ["convert-pitch", "--in", doc, "--out", out,
+                "--source-stats", stats, "--target-stats", stats]
+    else:
+        doc = tmp_path / "in.wav"
+        doc.write_bytes(_pcm16_wav([0] * 6, channels=3) if case == "three-channel-wav"
+                        else _pcm16_wav([0] * 3, channels=2))
+        argv = ["segment", "--mode", "vad", "--in", doc, "--out", out]
+    before = sorted(tmp_path.iterdir())
+    assert message in _assert_rejected(capsys, argv, out)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_bad_jobs_environment_is_a_usage_error(tmp_path, wavs, capsys, monkeypatch):
@@ -389,7 +461,8 @@ def _bad_json_document(path, kind):
 
 
 def _assert_rejected(capsys, argv, *outputs):
-    """Exit 2 with one stderr line, no stdout and none of `outputs` written."""
+    """Exit 2 with one stderr line, no stdout and none of `outputs` written;
+    returns the stderr text."""
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -397,6 +470,7 @@ def _assert_rejected(capsys, argv, *outputs):
     assert len(captured.err.strip().splitlines()) == 1
     for out in outputs:
         assert not out.exists()
+    return captured.err
 
 
 def _write_raw_svcf(path, array):

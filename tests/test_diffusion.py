@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -46,7 +46,7 @@ def _cond(seed=0, ling_dim=4, speaker_dim=3, frames=2):
 
 def _toy(dim=3, seed=1, hidden=6):
     cond = _cond()
-    return ToyDenoiser(dim=dim, cond_dim=cond.summary().size, speaker_dim=3,
+    return ToyDenoiser(dim=dim, cond_dim=cond.summary.size, speaker_dim=3,
                        hidden=hidden, seed=seed), cond
 
 
@@ -55,17 +55,17 @@ def _toy(dim=3, seed=1, hidden=6):
 def test_single_step_schedule():
     sched = NoiseSchedule(np.array([0.01]))
     assert sched.num_steps == 1
-    assert sched.alpha_bar_at(1) == pytest.approx(1 - 0.01, abs=1e-15)
+    assert sched.at(1)[2] == pytest.approx(1 - 0.01, abs=1e-15)
 
 
 def test_default_schedule_alpha_bar():
     # independent oracle: plain product loop
     prod = 1.0
     for t in range(1, 101):
-        prod *= 1.0 - SCHED.beta_at(t)
-    assert SCHED.alpha_bar_at(100) == pytest.approx(prod, rel=1e-12)
-    assert 0.0 < SCHED.alpha_bar_at(100) < 0.5
-    bars = [SCHED.alpha_bar_at(t) for t in range(1, 101)]
+        prod *= 1.0 - SCHED.at(t)[0]
+    assert SCHED.at(100)[2] == pytest.approx(prod, rel=1e-12)
+    assert 0.0 < SCHED.at(100)[2] < 0.5
+    bars = [SCHED.at(t)[2] for t in range(1, 101)]
     assert np.all(np.diff(bars) < 0)
 
 
@@ -74,6 +74,10 @@ def test_schedule_derives_alpha_tables_from_beta():
     sched = NoiseSchedule(beta)
     assert np.array_equal(sched.alpha, 1.0 - beta)
     assert np.array_equal(sched.alpha_bar, np.cumprod(1.0 - beta))
+    for t in (1, 2, 3):
+        got = sched.at(t)
+        assert got == (sched.beta[t - 1], sched.alpha[t - 1], sched.alpha_bar[t - 1])
+        assert all(type(v) is float for v in got)
     with pytest.raises(TypeError):
         NoiseSchedule(beta, alpha=1.0 - beta, alpha_bar=np.ones(3))
 
@@ -99,10 +103,9 @@ def test_hyper_parameters_are_read_from_the_table_when_used(monkeypatch):
 def test_schedule_validation():
     with pytest.raises(InvalidParameterError):
         linear_schedule(num_steps=0)
-    with pytest.raises(InvalidParameterError):
-        SCHED.alpha_bar_at(0)
-    with pytest.raises(InvalidParameterError):
-        SCHED.alpha_bar_at(101)
+    for t in (0, 101, -1):
+        with pytest.raises(InvalidParameterError, match="outside"):
+            SCHED.at(t)
 
 
 # -- forward process ----------------------------------------------------------
@@ -110,13 +113,13 @@ def test_schedule_validation():
 def test_q_sample_zero_noise():
     x0 = np.array([1.0, -2.0, 0.5])
     out = q_sample(x0, 42, np.zeros(3), SCHED)
-    assert np.allclose(out, math.sqrt(SCHED.alpha_bar_at(42)) * x0, rtol=0, atol=0)
+    assert np.allclose(out, math.sqrt(SCHED.at(42)[2]) * x0, rtol=0, atol=0)
 
 
 def test_q_sample_pure_noise_at_t_max():
     eps = np.array([0.3, -0.7])
     out = q_sample(np.zeros(2), 100, eps, SCHED)
-    assert np.allclose(out, math.sqrt(1 - SCHED.alpha_bar_at(100)) * eps)
+    assert np.allclose(out, math.sqrt(1 - SCHED.at(100)[2]) * eps)
 
 
 def test_q_sample_monte_carlo_moments():
@@ -125,7 +128,7 @@ def test_q_sample_monte_carlo_moments():
     for t in (1, 50, 100):
         eps = rng.standard_normal((100_000, 1))
         out = q_sample(np.broadcast_to(x0, (100_000, 1)), t, eps, SCHED)
-        ab = SCHED.alpha_bar_at(t)
+        ab = SCHED.at(t)[2]
         assert abs(out.mean() - math.sqrt(ab) * 0.5) < 3 * math.sqrt((1 - ab) / 100_000)
         assert abs(out.var() / (1 - ab) - 1) < 0.05
 
@@ -180,7 +183,7 @@ def test_reverse_step_inverts_one_step_schedule():
 def test_reverse_step_zero_eps_is_rescale():
     x = np.array([2.0, -4.0])
     out = reverse_step(x, 10, np.zeros(2), SCHED, np.zeros(2))
-    assert np.allclose(out, x / math.sqrt(SCHED.alpha_at(10)))
+    assert np.allclose(out, x / math.sqrt(SCHED.at(10)[1]))
 
 
 def test_reverse_step_errors():
@@ -236,7 +239,7 @@ def test_analytic_denoiser_point_mass_formula():
     den = analytic_gaussian_denoiser(mu0, 0.0, SCHED)
     x_t = np.array([0.7, 0.7])
     t = 30
-    ab = SCHED.alpha_bar_at(t)
+    ab = SCHED.at(t)[2]
     want = (x_t - math.sqrt(ab) * mu0) / math.sqrt(1 - ab)
     assert np.allclose(den.predict_eps(x_t, t, _cond()), want, rtol=0, atol=1e-15)
     at_mean = den.predict_eps(math.sqrt(ab) * mu0, t, _cond())
@@ -250,7 +253,7 @@ def test_analytic_denoiser_beats_constant_predictors():
     sigma0, mu0 = 0.8, np.array([0.4])
     den = analytic_gaussian_denoiser(mu0, sigma0, SCHED)
     t = 60
-    ab = SCHED.alpha_bar_at(t)
+    ab = SCHED.at(t)[2]
     x0 = mu0 + sigma0 * rng.standard_normal((10_000, 1))
     eps = rng.standard_normal((10_000, 1))
     x_t = math.sqrt(ab) * x0 + math.sqrt(1 - ab) * eps
@@ -398,7 +401,7 @@ def test_predict_eps_matches_reference_composition():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         cond = _cond(seed=seed, speaker_dim=4)
-        model = ToyDenoiser(dim=5, cond_dim=cond.summary().size, speaker_dim=4,
+        model = ToyDenoiser(dim=5, cond_dim=cond.summary.size, speaker_dim=4,
                             hidden=12, seed=seed)
         for name in CLN_PARAM_NAMES:  # move the CLN off its identity init
             model.params[name] = rng.normal(size=model.params[name].shape)
@@ -415,24 +418,27 @@ def test_predict_eps_matches_reference_composition():
 def test_condition_summary_is_the_track_means_computed_once():
     cond = _cond(seed=5, frames=3)
     want = _written_out_summary(cond)
-    assert np.array_equal(cond.summary(), want)
-    assert cond.summary() is cond.summary()
+    assert np.array_equal(cond.summary, want)
     with pytest.raises(ValueError):
-        cond.summary()[0] = 1.0
-    assert np.array_equal(cond.summary(), want)
+        cond.summary[0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        cond.summary = want
+    with pytest.raises(TypeError):
+        ConditionSet(cond.linguistic, cond.log_f0_vuv, cond.loudness, summary=want)
+    assert np.array_equal(cond.summary, want)
 
 
 def test_condition_summary_follows_replace_and_stays_out_of_eq_and_repr():
     cond = _cond(seed=6, frames=3)
     ling = np.random.default_rng(7).normal(size=(5, 4))
     moved = replace(cond, linguistic=ling, log_f0_vuv=np.ones((5, 2)), loudness=np.zeros(5))
-    assert np.array_equal(moved.summary(), np.concatenate([ling.mean(axis=0), [1.0, 1.0, 0.0]]))
+    assert np.array_equal(moved.summary, np.concatenate([ling.mean(axis=0), [1.0, 1.0, 0.0]]))
     twin = replace(cond)  # the same track arrays, a summary of its own
-    assert twin.summary() is not cond.summary()
+    assert twin.summary is not cond.summary
     assert twin == cond
     assert [f.name for f in fields(ConditionSet) if f.compare] == [
         "linguistic", "log_f0_vuv", "loudness", "speaker_embedding"]
-    assert "_summary" not in repr(cond)
+    assert "summary" not in repr(cond)
 
 
 def test_condition_tracks_need_a_frame():
@@ -447,6 +453,31 @@ def test_time_embedding_is_the_written_out_expression_for_every_step():
         assert np.array_equal(row, _written_out_time_embedding(t, 37))
         assert model.time_embedding(t) is row
         assert not row.flags.writeable
+
+
+def test_time_embedding_rejects_a_step_outside_the_model():
+    # a 50-step model would give steps 50, 100 and 150 one embedding
+    cond = _cond()
+    model = ToyDenoiser(dim=3, cond_dim=cond.summary.size, speaker_dim=3, num_steps=50)
+    for t in (0, 51, 100, 150):
+        with pytest.raises(InvalidParameterError, match="outside the model's"):
+            model.time_embedding(t)
+    with pytest.raises(InvalidParameterError, match="outside the model's"):
+        sample(model, linear_schedule(100), cond, dim=3)
+
+
+@pytest.mark.parametrize("sched_steps", [25, 100, 200])
+def test_training_rejects_a_schedule_whose_length_is_not_the_models(sched_steps):
+    cond = _cond()
+    model = ToyDenoiser(dim=3, cond_dim=cond.summary.size, speaker_dim=3, num_steps=50)
+    before = model.param_hash()
+    sched = linear_schedule(sched_steps)
+    with pytest.raises(InvalidParameterError, match=f"{sched_steps}-step schedule"):
+        train_toy(model, [(np.zeros(3), cond)], sched, TrainConfig(steps=2))
+    with pytest.raises(InvalidParameterError, match="50-step model"):
+        finetune_cln(model, [(np.zeros(3), cond)], sched, iterations=2,
+                     target_embedding=pseudo_speaker_embedding(4, 3))
+    assert model.param_hash() == before
 
 
 def test_forward_checks_shapes():
@@ -534,7 +565,7 @@ def _reference_pure_l2_loop(model, dataset, sched, steps, lr, p_uncond, seed):
 
 def test_training_without_contrastive_source_matches_pure_l2_bit_exact():
     dataset = _toy_dataset(3, 4, seed=40)
-    cond_dim = dataset[0][1].summary().size
+    cond_dim = dataset[0][1].summary.size
     a = ToyDenoiser(dim=4, cond_dim=cond_dim, speaker_dim=3, seed=7)
     b = ToyDenoiser(dim=4, cond_dim=cond_dim, speaker_dim=3, seed=7)
     hist_a = train_toy(a, dataset, SCHED,
@@ -548,7 +579,7 @@ def test_training_without_contrastive_source_matches_pure_l2_bit_exact():
 
 def test_contrastive_source_only_adds_weighted_term_to_history():
     dataset = _toy_dataset(2, 3, seed=41)
-    cond_dim = dataset[0][1].summary().size
+    cond_dim = dataset[0][1].summary.size
     batch = FeaturePairBatch(np.eye(3)[:2], np.eye(3)[:2])
     term = contrastive_loss(batch)
 
@@ -611,7 +642,7 @@ def test_finetune_zero_iterations_is_noop():
 
 def test_finetune_updates_only_cln_and_reduces_loss():
     dataset = _toy_dataset(4, 4, seed=50)
-    cond_dim = dataset[0][1].summary().size
+    cond_dim = dataset[0][1].summary.size
     model = ToyDenoiser(dim=4, cond_dim=cond_dim, speaker_dim=3, seed=3)
     # light pre-training so fine-tuning starts from a sensible model
     train_toy(model, dataset, SCHED, TrainConfig(steps=300, lr=2e-3, seed=31))

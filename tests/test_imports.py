@@ -1,5 +1,6 @@
-"""Import hygiene: every module of the package and its tests reads each name
-it imports. No linter runs here, so this catches an import left behind."""
+"""Import hygiene: every module of the package, its tests and its scripts
+reads each name it imports. No linter runs here, so this catches an import
+left behind."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
-_MODULES = sorted([*(_ROOT / "src" / "svcforge").glob("*.py"), *(_ROOT / "tests").glob("*.py")])
+_MODULES = sorted([*(_ROOT / "src" / "svcforge").glob("*.py"), *(_ROOT / "tests").glob("*.py"),
+                   *(_ROOT / "scripts").glob("*.py")])
 
 
 def _unused_imports(source: str) -> list:

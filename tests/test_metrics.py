@@ -11,26 +11,37 @@ def _track(values):
     return F0Track(np.asarray(values, dtype=float))
 
 
+def _cos(a, b):
+    """Cosine of two vectors, as the 1 x 1 matrix of their rows."""
+    sims = cosine_similarity(np.atleast_2d(a), np.atleast_2d(b))
+    assert sims.shape == (1, 1)
+    return sims[0, 0]
+
+
 def test_cosine_anchors():
     a = np.array([1.0, 1.0, 0.0])
     b = np.array([1.0, 0.0, 0.0])
-    assert cosine_similarity(a, a) == pytest.approx(1.0)
-    assert cosine_similarity(a, b) == pytest.approx(1 / np.sqrt(2))
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert _cos(a, a) == pytest.approx(1.0)
+    assert _cos(a, b) == pytest.approx(1 / np.sqrt(2))
+    assert _cos(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
 
 def test_cosine_errors():
-    for a, b in ((np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2))),
+    for a, b in ((np.ones((1, 3)), np.ones((1, 4))), (np.ones(2), np.ones((2, 2))),
                  (np.ones((2, 2, 2)), np.ones((2, 2, 2))), (np.float64(1.0), np.float64(1.0))):
-        with pytest.raises(InvalidParameterError, match="needs vectors|dims disagree"):
+        with pytest.raises(InvalidParameterError, match=r"needs \[N, d\] and \[M, d\] rows"):
             cosine_similarity(a, b)
+    with pytest.raises(InvalidParameterError, match="at least one row"):
+        cosine_similarity(np.ones((0, 3)), np.ones((2, 3)))
     with pytest.raises(InvalidParameterError, match="zero-norm"):
-        cosine_similarity(np.zeros(3), np.ones(3))
+        cosine_similarity(np.zeros((1, 3)), np.ones((1, 3)))
+    with pytest.raises(InvalidParameterError, match="zero-norm"):
+        cosine_similarity(np.ones((1, 3)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidParameterError):
-            cosine_similarity(np.array([1.0, bad]), np.ones(2))
+            cosine_similarity(np.array([[1.0, bad]]), np.ones((1, 2)))
         with pytest.raises(InvalidParameterError):
-            cosine_similarity(np.ones(2), np.array([bad, 1.0]))
+            cosine_similarity(np.ones((1, 2)), np.array([[bad, 1.0]]))
 
 
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8),
@@ -41,17 +52,28 @@ def test_cosine_properties(xs, ys, scale):
     a, b = np.array(xs[:n]), np.array(ys[:n])
     if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
         return
-    s = cosine_similarity(a, b)
-    assert -1.0 <= s <= 1.0
-    assert cosine_similarity(b, a) == pytest.approx(s, abs=1e-12)
-    assert cosine_similarity(scale * a, b) == pytest.approx(s, abs=1e-9)
+    s = _cos(a, b)
+    assert _cos(b, a) == pytest.approx(s, abs=1e-12)
+    assert _cos(scale * a, b) == pytest.approx(s, abs=1e-9)
+
+
+def test_cosine_matrix_is_every_row_pair():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+    sims = cosine_similarity(a, b)
+    assert sims.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            want = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
+            assert sims[i, j] == pytest.approx(want, abs=1e-15)
 
 
 def test_f0_metrics_identical():
     track = _track([220.0, 0.0, 440.0])
     result = f0_metrics(track, track)
-    assert result.rmse_cents == 0.0
-    assert result.vuv_error_rate == 0.0
+    assert set(result) == {"rmse_cents", "vuv_error_rate"}
+    assert result["rmse_cents"] == 0.0
+    assert result["vuv_error_rate"] == 0.0
 
 
 def test_f0_metrics_constant_shift():
@@ -59,16 +81,16 @@ def test_f0_metrics_constant_shift():
     shifted = a.f0_hz * np.where(a.vuv, 2 ** 0.5, 1.0)
     b = _track(np.where(a.vuv, shifted, 0.0))
     result = f0_metrics(a, b)
-    assert result.rmse_cents == pytest.approx(600.0, abs=1e-9)
-    assert result.vuv_error_rate == 0.0
+    assert result["rmse_cents"] == pytest.approx(600.0, abs=1e-9)
+    assert result["vuv_error_rate"] == 0.0
 
 
 def test_f0_metrics_flipped_vuv():
     a = _track([220.0, 0.0])
     b = _track([0.0, 220.0])
     result = f0_metrics(a, b)
-    assert result.rmse_cents is None
-    assert result.vuv_error_rate == 1.0
+    assert result["rmse_cents"] is None
+    assert result["vuv_error_rate"] == 1.0
 
 
 def test_f0_metrics_frame_count_mismatch():

@@ -45,6 +45,9 @@ def test_sawtooth_220_no_octave_errors():
 def test_rate_mismatch():
     with pytest.raises(InvalidParameterError, match="clip at 16000 Hz"):
         estimate_f0(sine(440, 0.5, sample_rate=16000), CFG)
+    # an input wrong both ways fails on its F0 range, checked before the framing
+    with pytest.raises(InvalidParameterError, match="f_floor < f_ceil"):
+        estimate_f0(sine(440, 0.5, sample_rate=16000), CFG, f_floor=500.0, f_ceil=100.0)
 
 
 def test_bad_range():
@@ -151,7 +154,7 @@ def _reference_estimate_f0(clip, cfg, f_floor=defaults.F0_FLOOR_HZ,
     lag_min = max(2, int(np.ceil(sr / f_ceil)))
     lag_max = int(np.floor(sr / f_floor))
 
-    frames = frame_signal(clip.samples, cfg)
+    frames = frame_signal(clip, cfg)
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     energy_ok = rms >= 10.0 ** (defaults.VUV_ENERGY_FLOOR_DBFS / 20.0)
     r = _normalized_autocorr(frames, lag_max + 1)
