@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -59,7 +58,7 @@ from .pitchconv import (
     save_stats,
 )
 from .perturb import PerturbConfig, random_perturb_pair
-from .svcf import (atomic_write_files, dumps, read_json, read_tensor, replace_files,
+from .svcf import (atomic_write_files, dumps, read_json, read_tensor, tensor_bytes,
                    write_json, write_tensor)
 
 
@@ -118,33 +117,23 @@ def _cmd_extract(args) -> dict:
             "inputs share a file stem, so their outputs would overwrite each other"
         )
     out_dir = Path(args.out_dir)
-    # Tensors are staged in the nearest existing one of --out-dir and its
-    # parents, and move in once every input has succeeded.
-    base = out_dir.absolute()
-    while not base.is_dir():
-        base = base.parent
-    staging = tempfile.TemporaryDirectory(dir=base, prefix=f".{out_dir.name}.")
 
-    def work(path: str) -> dict:
+    def work(path: str) -> tuple:
         clip = _load_clip_at_canonical_rate(path)
         spec = stft(clip, cfg)
-        mel = log_mel(spec, fb)
-        loud = loudness(spec, cfg)
-        track = estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil)
-        stem = Path(path).stem
-        tensors = {"mel": mel, "loudness": loud, "f0": track.to_array()}
-        for kind, array in tensors.items():
-            write_tensor(Path(staging.name, f"{stem}.{kind}.svcf"), array)
-        return {"input": path, "frames": int(mel.shape[0]),
-                "duration_sec": clip.duration_sec,
-                "outputs": {kind: str(out_dir / f"{stem}.{kind}.svcf") for kind in tensors}}
+        tensors = {"mel": log_mel(spec, fb), "loudness": loudness(spec, cfg),
+                   "f0": estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil).to_array()}
+        outputs = {kind: str(out_dir / f"{Path(path).stem}.{kind}.svcf") for kind in tensors}
+        blobs = {outputs[kind]: tensor_bytes(a, outputs[kind]) for kind, a in tensors.items()}
+        return {"input": path, "frames": len(tensors["mel"]),
+                "duration_sec": clip.duration_sec, "outputs": outputs}, blobs
 
-    with staging:
-        results = _run_jobs(args.inputs, work, args.jobs)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        replace_files({Path(staging.name, name): out_dir / name
-                       for name in os.listdir(staging.name)})
-    return {"command": "extract", "seed": args.seed, "files": results}
+    # every input is analysed and encoded before --out-dir is created, and
+    # the tensors are written together, so a failed run writes none of them
+    done = _run_jobs(args.inputs, work, args.jobs)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write_files({dest: blob for _, blobs in done for dest, blob in blobs.items()})
+    return {"command": "extract", "seed": args.seed, "files": [summary for summary, _ in done]}
 
 
 def _cmd_f0_stats(args) -> dict:

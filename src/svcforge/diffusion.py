@@ -159,6 +159,14 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
     return mean + math.sqrt(beta) * z
 
 
+def _check_schedule(denoiser, sched: NoiseSchedule) -> None:
+    """Reject a schedule whose length is not the `num_steps` the denoiser was
+    trained or built for; a denoiser without `num_steps` is unchecked."""
+    steps = getattr(denoiser, "num_steps", sched.num_steps)
+    if sched.num_steps != steps:
+        raise InvalidParameterError(f"a {sched.num_steps}-step schedule for a {steps}-step model")
+
+
 def sample(denoiser, sched: NoiseSchedule, cond: ConditionSet,
            w: float = defaults.GUIDANCE_SCALE, dim: int | tuple = 8,
            seed: int = 0) -> np.ndarray:
@@ -167,8 +175,10 @@ def sample(denoiser, sched: NoiseSchedule, cond: ConditionSet,
     `dim` may be an int (one vector) or a shape tuple such as (n, d) to draw
     n independent samples in one pass; every operation in the chain is
     elementwise or scalar-weighted, so the rows do not interact. A chain
-    that overflows to a non-finite value is an InvalidParameterError.
+    that overflows to a non-finite value is an InvalidParameterError, and so
+    is a schedule whose length is not the denoiser's.
     """
+    _check_schedule(denoiser, sched)
     shape = (dim,) if isinstance(dim, int) else tuple(dim)
     if not math.isfinite(w):
         raise InvalidParameterError(f"guidance scale must be finite, got {w}")
@@ -214,6 +224,7 @@ class AnalyticGaussianDenoiser:
         if not np.all(np.isfinite(self.mu0)):
             raise InvalidParameterError("mu0 must be finite")
         self.sched = sched
+        self.num_steps = sched.num_steps
 
     def predict_eps(self, x_t: np.ndarray, t: int, cond: ConditionSet,
                     unconditional: bool = False) -> np.ndarray:
@@ -393,13 +404,11 @@ def _draw(rng: np.random.Generator, dataset: list, sched: NoiseSchedule) -> tupl
 
 
 def _check_training(model: ToyDenoiser, sched: NoiseSchedule, lr: float) -> None:
-    """Reject a learning rate that is not finite and > 0, or a schedule whose
-    length is not the model's (its time embedding would alias steps)."""
+    """Reject a learning rate that is not finite and > 0, or a schedule that
+    `_check_schedule` rejects."""
     if not 0 < lr < math.inf:
         raise InvalidParameterError(f"learning rate must be finite and > 0, got {lr}")
-    if sched.num_steps != model.num_steps:
-        raise InvalidParameterError(
-            f"a {sched.num_steps}-step schedule for a {model.num_steps}-step model")
+    _check_schedule(model, sched)
 
 
 def _check_finite(model: ToyDenoiser, losses=()) -> None:
@@ -473,6 +482,7 @@ def evaluate_l2(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
                 embedding: np.ndarray) -> float:
     """Mean epsilon-prediction loss, with `embedding` as every item's speaker
     embedding, over 200 fixed random (item, t, eps) draws from seed 12345."""
+    _check_schedule(model, sched)
     n_draws = 200
     dataset = [(x0, replace(c, speaker_embedding=embedding)) for x0, c in dataset]
     rng = np.random.default_rng(12345)

@@ -79,23 +79,15 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
         raise FormatError(f"{p}: dims {list(dims)}: {exc}") from exc
 
 
-def replace_files(moves: dict) -> None:
-    """Rename each `{source: destination}` entry into place, once no
-    destination is a directory; an OSError propagates."""
-    for dest in map(Path, moves.values()):
-        if dest.is_dir():
-            raise IsADirectoryError(f"{dest} is a directory")
-    for source, dest in moves.items():
-        os.replace(source, dest)
-
-
 def atomic_write_files(files: dict) -> None:
     """Write each `{path: bytes}` entry via a temp file beside its path, and
-    `replace_files` them into place only once every one is written, so an
-    OSError on one path leaves the others untouched and no temp file behind.
-    A temp name is at most the path's first 32 characters, a dot and 8
-    random ones: within 255 bytes whatever the destination's name. An
-    OSError from creating or writing a temp file names `path` as given."""
+    rename them all into place only once every one is written and no path is
+    a directory (a check that stats each path, so a name the OS refuses also
+    fails before any rename); an OSError on one path leaves the others
+    untouched and no temp file behind. A temp name is at most the path's first 32 characters,
+    a dot and 8 random ones: within 255 bytes whatever the destination's
+    name. An OSError from creating or writing a temp file names `path` as
+    given."""
     staged = {}
     try:
         for path, data in files.items():
@@ -108,7 +100,11 @@ def atomic_write_files(files: dict) -> None:
             except OSError as exc:
                 exc.filename = os.fspath(path)
                 raise
-        replace_files(staged)
+        for dest in staged.values():
+            if dest.is_dir():
+                raise IsADirectoryError(f"{dest} is a directory")
+        for tmp, dest in staged.items():
+            os.replace(tmp, dest)
     finally:
         for tmp in staged:
             if os.path.lexists(tmp):

@@ -219,11 +219,17 @@ def test_perturb_writes_both_outputs_or_neither(tmp_path, wavs, capsys, existing
 def test_refused_write_names_the_destination(tmp_path, wavs, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_bytes(b"")
-    argv = ["perturb", "--in", str(wavs[0]), "--out-a", "pa.wav", "--out-b", "afile/b.wav",
-            "--seed", "1"]
-    errors = [_assert_rejected(capsys, argv, tmp_path / "pa.wav") for _ in range(2)]
-    assert errors[0] == errors[1]
-    assert errors[0].rstrip().endswith(": 'afile/b.wav'")
+    # a 255-byte input name whose 251-byte stem makes a 260-byte tensor name
+    stem = "z" * 251
+    write_wav(sine(440, 0.3), tmp_path / f"{stem}.wav")
+    for argv, dest in [
+        (["perturb", "--in", wavs[0], "--out-a", "pa.wav", "--out-b", "afile/b.wav",
+          "--seed", "1"], "afile/b.wav"),
+        (["extract", "--in", f"{stem}.wav", "--out-dir", "feats"], f"feats/{stem}.mel.svcf"),
+    ]:
+        errors = [_assert_rejected(capsys, argv, tmp_path / "pa.wav") for _ in range(2)]
+        assert errors[0] == errors[1]
+        assert errors[0].rstrip().endswith(f": '{dest}'")
 
 
 def test_ddpm_train_writes_all_model_files_or_none(tmp_path, capsys):
@@ -643,14 +649,24 @@ def test_path_with_line_break_keeps_one_stderr_line(tmp_path, capsys, brk):
     _assert_rejected(capsys, ["eval", "f0", "--a", missing, "--b", "x"])
 
 
-def test_output_name_of_250_bytes_is_written(tmp_path, wavs, capsys):
-    out = tmp_path / ("y" * 245 + ".json")
-    code, summary = run_cli(capsys, "f0-stats", "--in", str(wavs[0]), "--speaker-id", "s",
-                            "--out", str(out))
-    assert code == 0
-    assert summary["out"] == str(out)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*(w.name for w in wavs),
-                                                                out.name])
+@pytest.mark.parametrize("command, name", [
+    ("f0-stats", "y" * 245 + ".json"), ("extract", "y" * 246), ("extract", "y" * 250),
+    ("extract", "y" * 255),
+], ids=["f0-stats-250", "extract-246", "extract-250", "extract-255"])
+def test_output_name_of_250_bytes_is_written(tmp_path, wavs, capsys, command, name):
+    out = tmp_path / name
+    flags = {"f0-stats": ["--speaker-id", "s", "--out", str(out)],
+             "extract": ["--out-dir", str(out)]}[command]
+    stdouts = []
+    for _ in range(2):
+        assert main([command, "--in", str(wavs[0]), *flags]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    summary = json.loads(stdouts[0])
+    written = [summary["out"]] if command == "f0-stats" else \
+        list(summary["files"][0]["outputs"].values())
+    assert len(written) == {"f0-stats": 1, "extract": 3}[command]
+    assert set(tmp_path.rglob("*")) == {*wavs, out, *map(Path, written)}
 
 
 @pytest.mark.parametrize("command, tensor", [

@@ -56,9 +56,10 @@ def _strict(token):
     raise ValueError(f"non-strict JSON token {token}")
 
 
-def _run(work: Path, argv: list, outputs: list) -> None:
-    """Run `main(argv)` and check the contract. `outputs` are the paths a
-    success may create; a path inside an output directory also counts."""
+def _run(work: Path, argv: list, outputs: list) -> int:
+    """Run `main(argv)`, check the contract and return the exit code.
+    `outputs` are the paths a success may create; a path inside an output
+    directory also counts."""
     before = set(work.rglob("*"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -75,6 +76,7 @@ def _run(work: Path, argv: list, outputs: list) -> None:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
         assert not new
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +378,19 @@ def test_paths_the_os_refuses_keep_the_contract(base, case):
         paths[slot] = _hostile_path(kind, work)
         _run(work, [paths.get(a, a) for a in argv],
              [paths["{out}"], paths["{out}.b"], paths[slot]])
+
+
+_OUT_SLOTS = [(case, slot) for case, (argv, _) in sorted(_FLAG_CASES.items())
+              for slot in argv if slot.startswith("{out")]
+
+
+@pytest.mark.parametrize("case, slot", _OUT_SLOTS, ids=[" ".join(c) for c in _OUT_SLOTS])
+def test_output_names_of_250_bytes_are_written(base, tmp_path, case, slot):
+    paths = _placeholders(base, tmp_path)
+    paths[slot] = _hostile_path("name-250", tmp_path)
+    argv = [paths.get(a, a) for a in _FLAG_CASES[case][0]]
+    assert _run(tmp_path, argv, [paths["{out}"], paths["{out}.b"]]) == 0
+    assert paths[slot].exists()
 
 
 # -- model indexes with a replaced field or tensor ------------------------------

@@ -462,7 +462,7 @@ def test_time_embedding_rejects_a_step_outside_the_model():
     for t in (0, 51, 100, 150):
         with pytest.raises(InvalidParameterError, match="outside the model's"):
             model.time_embedding(t)
-    with pytest.raises(InvalidParameterError, match="outside the model's"):
+    with pytest.raises(InvalidParameterError, match="100-step schedule for a 50-step model"):
         sample(model, linear_schedule(100), cond, dim=3)
 
 
@@ -470,14 +470,22 @@ def test_time_embedding_rejects_a_step_outside_the_model():
 def test_training_rejects_a_schedule_whose_length_is_not_the_models(sched_steps):
     cond = _cond()
     model = ToyDenoiser(dim=3, cond_dim=cond.summary.size, speaker_dim=3, num_steps=50)
+    oracle = analytic_gaussian_denoiser(np.zeros(3), 1.0, linear_schedule(50))
     before = model.param_hash()
     sched = linear_schedule(sched_steps)
-    with pytest.raises(InvalidParameterError, match=f"{sched_steps}-step schedule"):
-        train_toy(model, [(np.zeros(3), cond)], sched, TrainConfig(steps=2))
-    with pytest.raises(InvalidParameterError, match="50-step model"):
-        finetune_cln(model, [(np.zeros(3), cond)], sched, iterations=2,
-                     target_embedding=pseudo_speaker_embedding(4, 3))
+    data = [(np.zeros(3), cond)]
+    emb = pseudo_speaker_embedding(4, 3)
+    for run in (lambda: train_toy(model, data, sched, TrainConfig(steps=2)),
+                lambda: finetune_cln(model, data, sched, emb, iterations=2),
+                lambda: evaluate_l2(model, data, sched, emb),
+                lambda: sample(model, sched, cond, dim=3),
+                lambda: sample(oracle, sched, cond, dim=3)):
+        with pytest.raises(InvalidParameterError,
+                           match=f"a {sched_steps}-step schedule for a 50-step model"):
+            run()
     assert model.param_hash() == before
+    # a denoiser without num_steps is not checked
+    assert sample(_TwoFaced(np.zeros(3), np.zeros(3)), sched, cond, dim=3).shape == (3,)
 
 
 def test_forward_checks_shapes():
