@@ -128,10 +128,9 @@ def _cmd_extract(args) -> dict:
         return {"input": path, "frames": len(tensors["mel"]),
                 "duration_sec": clip.duration_sec, "outputs": outputs}, blobs
 
-    # every input is analysed and encoded before --out-dir is created, and
+    # every input is analysed and encoded before anything is written, and
     # the tensors are written together, so a failed run writes none of them
     done = _run_jobs(args.inputs, work, args.jobs)
-    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_files({dest: blob for _, blobs in done for dest, blob in blobs.items()})
     return {"command": "extract", "seed": args.seed, "files": [summary for summary, _ in done]}
 
@@ -175,16 +174,8 @@ def _cmd_convert_pitch(args) -> dict:
 
 
 def _cmd_perturb(args) -> dict:
-    cfg = PerturbConfig(
-        formant_ratio_range=tuple(args.formant_ratio_range),
-        pitch_semitone_range=tuple(args.pitch_semitone_range),
-        eq_bands=args.eq_bands,
-        eq_gain_range_db=tuple(args.eq_gain_range_db),
-        eq_q_range=tuple(args.eq_q_range),
-        seed=args.seed,
-    )
     clip = _load_clip_at_canonical_rate(args.input)
-    first, second = random_perturb_pair(clip, cfg)
+    first, second = random_perturb_pair(clip, PerturbConfig(seed=args.seed))
     atomic_write_files({args.out_a: wav_bytes(first), args.out_b: wav_bytes(second)})
     return {
         "command": "perturb", "seed": args.seed,
@@ -383,22 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-a", required=True, help="first perturbed WAV path")
     p.add_argument("--out-b", required=True, help="second perturbed WAV path")
     p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    p.add_argument("--formant-ratio-range", type=float, nargs=2,
-                   default=[defaults.FORMANT_RATIO_LO, defaults.FORMANT_RATIO_HI],
-                   metavar=("LO", "HI"),
-                   help="formant warp ratio range, within [0.5, 2]")
-    p.add_argument("--pitch-semitone-range", type=float, nargs=2,
-                   default=[defaults.PITCH_SEMITONE_LO, defaults.PITCH_SEMITONE_HI],
-                   metavar=("LO", "HI"),
-                   help="pitch shift range in semitones, within [-12, 12]")
-    p.add_argument("--eq-bands", type=int, default=defaults.EQ_BANDS,
-                   help="number of peaking EQ bands (default %(default)s)")
-    p.add_argument("--eq-gain-range-db", type=float, nargs=2,
-                   default=[defaults.EQ_GAIN_LO_DB, defaults.EQ_GAIN_HI_DB],
-                   metavar=("LO", "HI"), help="EQ gain range in dB, within [-24, 24]")
-    p.add_argument("--eq-q-range", type=float, nargs=2,
-                   default=[defaults.EQ_Q_LO, defaults.EQ_Q_HI],
-                   metavar=("LO", "HI"), help="EQ quality-factor range")
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("segment",

@@ -1,9 +1,12 @@
 """Versioned table of every numeric default used across the toolkit.
 
-All tunable constants live here so `svcforge config show` can print one
-authoritative table and so releases can diff it. Modules read the table
-when they run, as `defaults.NAME`, with no keyword argument that
-overrides it, so `config show` prints the values in use.
+`svcforge config show` prints this table, and releases diff it. Flags
+override F0_FLOOR_HZ and F0_CEIL_HZ (`extract`, `f0-stats`), VAD_* and
+MIN_REST_SEC (`segment`), QUANTIZE_CENTS and CROSS_DOMAIN_OFFSET_SEMITONES
+(`convert-pitch`), and DIFFUSION_STEPS, GUIDANCE_SCALE, P_UNCOND and
+FINETUNE_ITERATIONS (`ddpm`). Every other entry, the perturbation ranges
+among them, has no flag and is read from the table when it is used, so
+`config show` prints the value in use.
 """
 
 from __future__ import annotations

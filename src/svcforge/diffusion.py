@@ -528,14 +528,14 @@ def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
     """One SVCF tensor per named parameter plus a JSON index of num_steps and files.
 
     SVCF payloads are float32, so loading quantizes parameters accordingly;
-    all are encoded (and checked) before the directory is created, and the
-    files are written together, so a failed save changes none of them.
+    all are encoded (and checked) before anything is written, and the files
+    are written together (creating the directory), so a failed save changes
+    none of them.
     """
     d = Path(directory)
     files = {name: f"{name}.svcf" for name in model.params}
     blobs = {d / f: tensor_bytes(model.params[name], str(d / f)) for name, f in files.items()}
     blobs[d / "index.json"] = json_bytes({"num_steps": model.num_steps, "params": files})
-    d.mkdir(parents=True, exist_ok=True)
     atomic_write_files(blobs)
 
 

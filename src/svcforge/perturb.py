@@ -9,55 +9,25 @@ seed, `random_perturb_pair` is bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults
 from .audio import AudioClip, resample
-from .errors import InvalidParameterError, check_elements
+from .errors import InvalidParameterError
 from .features import FrameConfig, hann, istft, overlap_add, stft
 from .pitch import semitones_to_ratio
 
-# Formant and pitch ratios are limited to one octave either way; the
-# semitone bound is the same octave, 2^(+/-12/12) = [0.5, 2]. EQ gains are
-# limited to twice the default +/-12 dB span, far below the ~12,000 dB at
-# which the biquad's 10^(gain/40) overflows.
+# Formant and pitch ratios are limited to one octave either way.
 RATIO_LO, RATIO_HI = 0.5, 2.0
-_LIMITS = {
-    "formant_ratio_range": (RATIO_LO, RATIO_HI),
-    "pitch_semitone_range": (-12.0, 12.0),
-    "eq_gain_range_db": (-24.0, 24.0),
-    "eq_q_range": (0.0, math.inf),
-}
 
 
 @dataclass(frozen=True)
 class PerturbConfig:
-    """Parameter ranges for the random perturbation chains."""
+    """Seed of the random perturbation chains (their ranges are the table's)."""
 
-    formant_ratio_range: tuple = (defaults.FORMANT_RATIO_LO, defaults.FORMANT_RATIO_HI)
-    pitch_semitone_range: tuple = (defaults.PITCH_SEMITONE_LO, defaults.PITCH_SEMITONE_HI)
-    eq_bands: int = defaults.EQ_BANDS
-    eq_gain_range_db: tuple = (defaults.EQ_GAIN_LO_DB, defaults.EQ_GAIN_HI_DB)
-    eq_q_range: tuple = (defaults.EQ_Q_LO, defaults.EQ_Q_HI)
     seed: int = 0
-
-    def __post_init__(self):
-        for name, (floor, ceil) in _LIMITS.items():
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise InvalidParameterError(f"{name}: bounds must be finite")
-            if lo > hi:
-                raise InvalidParameterError(f"{name}: lo must be <= hi")
-            if lo < floor or hi > ceil:
-                raise InvalidParameterError(f"{name} must lie within [{floor:g}, {ceil:g}]")
-        if self.eq_q_range[0] <= 0:
-            raise InvalidParameterError("Q must be positive")
-        if self.eq_bands < 1:
-            raise InvalidParameterError("eq_bands must be >= 1")
-        check_elements(self.eq_bands, "the EQ band centres")
 
 
 def peaking_biquad(fc_hz: float, q: float, gain_db: float,
@@ -194,20 +164,21 @@ def pitch_randomize(clip: AudioClip, ratio: float) -> AudioClip:
 def random_perturb_pair(clip: AudioClip, cfg: PerturbConfig) -> tuple:
     """Two independently drawn perturbation chains applied to one clip.
 
-    Each chain draws (formant ratio, pitch semitones, per-band EQ gain and
-    Q; bands log-spaced from 60 Hz to 10 kHz) from cfg's ranges and
-    applies formant shift, then pitch randomization, then the equalizer.
+    Each chain draws (formant ratio, pitch semitones, per-band EQ Q and
+    gain; bands log-spaced from 60 Hz to 10 kHz) from the defaults table's
+    ranges and applies formant shift, then pitch randomization, then the EQ.
     Both chains are drawn first; one `formant_shift` call serves both.
     Draw order is fixed, so a given (clip, cfg) pair is bit-reproducible.
     """
     rng = np.random.default_rng(cfg.seed)
-    centers = np.geomspace(defaults.EQ_FC_LO_HZ, defaults.EQ_FC_HI_HZ, cfg.eq_bands)
+    centers = np.geomspace(defaults.EQ_FC_LO_HZ, defaults.EQ_FC_HI_HZ, defaults.EQ_BANDS)
 
     def draw():
-        rho = rng.uniform(*cfg.formant_ratio_range)
-        semis = rng.uniform(*cfg.pitch_semitone_range)
+        rho = rng.uniform(defaults.FORMANT_RATIO_LO, defaults.FORMANT_RATIO_HI)
+        semis = rng.uniform(defaults.PITCH_SEMITONE_LO, defaults.PITCH_SEMITONE_HI)
         bands = [
-            (fc, rng.uniform(*cfg.eq_q_range), rng.uniform(*cfg.eq_gain_range_db))
+            (fc, rng.uniform(defaults.EQ_Q_LO, defaults.EQ_Q_HI),
+             rng.uniform(defaults.EQ_GAIN_LO_DB, defaults.EQ_GAIN_HI_DB))
             for fc in centers
         ]
         return rho, semis, bands

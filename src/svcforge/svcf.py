@@ -17,8 +17,8 @@ and the CLI's stdout summary). Both directions are strict RFC 8259: reading
 NaN/Infinity or a number that overflows a double is a FormatError,
 writing a non-finite float an InvalidParameterError.
 
-Writes are temp-then-rename, all files of one write at once, so a failed
-run never leaves a partial file.
+Writes are temp-then-rename, all files of one write at once (creating
+missing directories), so a failed run leaves no partial file or new directory.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -80,19 +82,24 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
 
 
 def atomic_write_files(files: dict) -> None:
-    """Write each `{path: bytes}` entry via a temp file beside its path, and
-    rename them all into place only once every one is written and no path is
-    a directory (a check that stats each path, so a name the OS refuses also
-    fails before any rename); an OSError on one path leaves the others
-    untouched and no temp file behind. A temp name is at most the path's first 32 characters,
-    a dot and 8 random ones: within 255 bytes whatever the destination's
-    name. An OSError from creating or writing a temp file names `path` as
-    given."""
-    staged = {}
+    """Write each `{path: bytes}` entry via a temp file beside its path,
+    creating missing parent directories, and rename them all into place only
+    once every one is written and no path is a directory (a check that stats
+    each path, so a name the OS refuses also fails before any rename). On a
+    failure no temp file remains, the directories this call made are removed
+    and the other paths are untouched. A temp name is at most the path's
+    first 32 characters, a dot and 8 random ones: within 255 bytes whatever
+    the destination's name. An OSError from a mkdir or a temp file names
+    `path` as given."""
+    staged, made = {}, []
     try:
         for path, data in files.items():
             p = Path(path)
             try:
+                missing = list(takewhile(lambda d: not d.exists(), [p.parent, *p.parent.parents]))
+                for d in reversed(missing):
+                    d.mkdir()
+                    made.append(d)
                 fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name[:32] + ".")
                 staged[tmp] = p
                 with os.fdopen(fd, "wb") as fh:
@@ -105,10 +112,14 @@ def atomic_write_files(files: dict) -> None:
                 raise IsADirectoryError(f"{dest} is a directory")
         for tmp, dest in staged.items():
             os.replace(tmp, dest)
-    finally:
+    except BaseException:
         for tmp in staged:
             if os.path.lexists(tmp):
                 os.unlink(tmp)
+        for d in reversed(made):
+            with suppress(OSError):  # holds a file if a rename had already run
+                d.rmdir()
+        raise
 
 
 def read_bytes(path: str | os.PathLike, what: str) -> bytes:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from svcforge.audio import AudioClip, read_wav, write_wav
-from svcforge.cli import main
+from svcforge.cli import build_parser, main
 from svcforge.diffusion import ToyDenoiser, save_model
 from svcforge.svcf import read_tensor, write_tensor
 from synth import sawtooth, sine
@@ -178,21 +179,21 @@ def test_perturb_empty_wav(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--pitch-semitone-range", "-20", "20"],
-    ["--formant-ratio-range", "0.3", "1.0"],
-    ["--eq-q-range", "nan", "1"],
-    ["--eq-q-range", "1", "inf"],
-    ["--eq-gain-range-db", "1e6", "1e6"],
+    ["--formant-ratio-range", "0.8", "1.2"],
+    ["--pitch-semitone-range", "-2", "2"],
+    ["--eq-bands", "4"],
+    ["--eq-gain-range-db", "-6", "6"],
+    ["--eq-q-range", "1", "2"],
 ])
-def test_perturb_rejects_bad_ranges_for_every_seed(tmp_path, wavs, capsys, flags):
-    a, _ = wavs
+def test_perturb_ranges_are_not_settable(tmp_path, wavs, capsys, flags):
     pa, pb = tmp_path / "pa.wav", tmp_path / "pb.wav"
-    for seed in range(4):
-        code, summary = run_cli(capsys, "perturb", "--in", str(a), "--out-a", str(pa),
-                                "--out-b", str(pb), "--seed", str(seed), *flags)
-        assert code == 2
-        assert summary is None
-        assert not pa.exists() and not pb.exists()
+    code = main(["perturb", "--in", str(wavs[0]), "--out-a", str(pa), "--out-b", str(pb),
+                 "--seed", "0", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not pa.exists() and not pb.exists()
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -230,6 +231,16 @@ def test_refused_write_names_the_destination(tmp_path, wavs, capsys, monkeypatch
         errors = [_assert_rejected(capsys, argv, tmp_path / "pa.wav") for _ in range(2)]
         assert errors[0] == errors[1]
         assert errors[0].rstrip().endswith(f": '{dest}'")
+
+
+def test_failed_extract_leaves_no_new_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # a 251-byte stem makes a 260-byte tensor name, which the OS refuses
+    stem = "z" * 251
+    write_wav(sine(440, 0.3), tmp_path / f"{stem}.wav")
+    err = _assert_rejected(capsys, ["extract", "--in", f"{stem}.wav", "--out-dir", "feats/deep"])
+    assert err.rstrip().endswith(f": 'feats/deep/{stem}.mel.svcf'")
+    assert [p.name for p in tmp_path.iterdir()] == [f"{stem}.wav"]
 
 
 def test_ddpm_train_writes_all_model_files_or_none(tmp_path, capsys):
@@ -859,8 +870,8 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("train", ["--lr", "1e300", "--steps", "50"]),
     ("train", ["--lr", "1e30", "--steps", "50"]),
     ("finetune", ["--lr", "1e300", "--iterations", "50"]),
-    ("perturb", ["--eq-q-range", "1e-300", "1e-300"]),
-    ("perturb", ["--eq-q-range", "5e-324", "5e-324"]),
+    ("extract", ["--f0-ceil", "nan"]),
+    ("f0-stats", ["--f0-floor", "inf"]),
     ("perturb", ["--seed", "-1"]),
     ("train", ["--seed", "-1"]),
     ("finetune", ["--seed", "-1"]),
@@ -876,7 +887,7 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("train", ["--diffusion-steps", str(10**12)]),
     ("train", ["--hidden", str(10**11)]),
     ("train", ["--speaker-dim", str(10**11)]),
-    ("perturb", ["--eq-bands", str(10**12)]),
+    ("train", ["--dim", str(10**12)]),
     # a clip duration <= 0, a negative VAD duration, fewer than one worker
     ("rest", ["--clip-duration", "0"]),
     ("rest", ["--clip-duration", "-1"]),
@@ -957,11 +968,48 @@ def test_help_available_everywhere(argv, capsys):
 
 
 def test_help_mentions_units(capsys):
-    with pytest.raises(SystemExit):
-        main(["perturb", "--help"])
-    out = capsys.readouterr().out
-    for needle in ("semitones", "dB"):
-        assert needle in out
+    for command, units in [("convert-pitch", ("semitones", "cents")),
+                           ("segment", ("ms", "dBFS"))]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        for needle in units:
+            assert needle in out
+
+
+# every command's options but -h/--help, in the order `--help` lists them
+_OPTIONS = {
+    "extract": "--in --out-dir --seed --jobs --f0-floor --f0-ceil",
+    "f0-stats": "--in --speaker-id --out --material --jobs --f0-floor --f0-ceil",
+    "convert-pitch": "--in --out --source-stats --target-stats --policy --scale-sigma "
+                     "--quantize-cents --offset-semitones",
+    "perturb": "--in --out-a --out-b --seed",
+    "segment": "--in --mode --out --notes --min-rest-sec --clip-duration --vad-frame-ms "
+               "--vad-energy-floor-dbfs --vad-min-speech-ms --vad-hangover-ms "
+               "--vad-min-gap-ms",
+    "manifest compose": "--manifest --spec --out",
+    "ddpm train": "--out-dir --seed --steps --lr --p-uncond --dim --hidden --speaker-dim "
+                  "--diffusion-steps",
+    "ddpm finetune": "--model-dir --out-dir --seed --iterations --lr",
+    "ddpm sample": "--out --seed --model-dir --oracle-mean --oracle-std --dim "
+                   "--guidance-scale --steps",
+    "eval cossim": "--a --b",
+    "eval f0": "--a --b",
+    "config show": "",
+}
+
+
+def test_cli_option_surface():
+    def commands(parser, prefix):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield prefix, " ".join(o for a in parser._actions for o in a.option_strings
+                                   if o not in ("-h", "--help"))
+        for sub in subs:
+            for name, child in sub.choices.items():
+                yield from commands(child, f"{prefix} {name}".strip())
+
+    assert dict(commands(build_parser(), "")) == _OPTIONS
 
 
 def _too_fine_rate_wav(path):

@@ -397,15 +397,14 @@ def test_pair_golden_digest(name, seed):
     assert h.hexdigest() == _PAIR_DIGESTS[name, seed]
 
 
-def test_pair_degenerate_config_is_identity():
+def test_pair_reads_its_ranges_from_the_defaults_table(monkeypatch):
+    # ranges that hold only each stage's neutral value make both chains identity
+    for name, value in [("FORMANT_RATIO_LO", 1.0), ("FORMANT_RATIO_HI", 1.0),
+                        ("PITCH_SEMITONE_LO", 0.0), ("PITCH_SEMITONE_HI", 0.0),
+                        ("EQ_GAIN_LO_DB", 0.0), ("EQ_GAIN_HI_DB", 0.0)]:
+        monkeypatch.setattr(defaults, name, value)
     clip = vowel(duration_sec=0.4)
-    cfg = PerturbConfig(
-        formant_ratio_range=(1.0, 1.0),
-        pitch_semitone_range=(0.0, 0.0),
-        eq_gain_range_db=(0.0, 0.0),
-        seed=5,
-    )
-    a, b = random_perturb_pair(clip, cfg)
+    a, b = random_perturb_pair(clip, PerturbConfig(seed=5))
     assert _rel_rms_db(a.samples, clip.samples) < -40.0
     assert _rel_rms_db(b.samples, clip.samples) < -40.0
 
@@ -416,31 +415,3 @@ def test_pair_preserves_duration():
     n = clip.samples.size
     assert abs(a.samples.size - n) <= 0.01 * n
     assert abs(b.samples.size - n) <= 0.01 * n
-
-
-def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        PerturbConfig(formant_ratio_range=(1.4, 1.0))
-    with pytest.raises(InvalidParameterError):
-        PerturbConfig(eq_bands=0)
-    with pytest.raises(InvalidParameterError):
-        PerturbConfig(eq_q_range=(0.0, 1.0))
-    nan, inf = float("nan"), float("inf")
-    for kwargs in [
-        {"eq_q_range": (nan, 1.0)},
-        {"eq_q_range": (1.0, inf)},
-        {"pitch_semitone_range": (nan, 1.0)},
-        {"formant_ratio_range": (inf, inf)},
-        {"eq_gain_range_db": (-inf, 0.0)},
-        {"pitch_semitone_range": (-20.0, 20.0)},
-        {"pitch_semitone_range": (0.0, 12.5)},
-        {"formant_ratio_range": (0.4, 1.0)},
-        {"formant_ratio_range": (1.0, 2.1)},
-        {"eq_gain_range_db": (-24.5, 0.0)},
-        {"eq_gain_range_db": (1e6, 1e6)},
-    ]:
-        with pytest.raises(InvalidParameterError):
-            PerturbConfig(**kwargs)
-    # the edges of the accepted ranges are valid
-    PerturbConfig(pitch_semitone_range=(-12.0, 12.0), formant_ratio_range=(0.5, 2.0),
-                  eq_gain_range_db=(-24.0, 24.0))

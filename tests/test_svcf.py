@@ -5,6 +5,7 @@ import pytest
 
 from svcforge.errors import FormatError, InvalidParameterError, MissingFileError
 from svcforge.svcf import (
+    atomic_write_files,
     dumps,
     read_json,
     read_jsonl,
@@ -47,6 +48,21 @@ def test_longest_names_write(tmp_path, name):
     write_tensor(tmp_path / name, arr)
     assert np.array_equal(read_tensor(tmp_path / name), arr)
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_writes_create_missing_directories(tmp_path):
+    atomic_write_files({tmp_path / "a" / "b" / "x.bin": b"x", tmp_path / "a" / "y.bin": b"y"})
+    assert (tmp_path / "a" / "b" / "x.bin").read_bytes() == b"x"
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "y.bin"]
+
+
+def test_failed_write_removes_the_directories_it_created(tmp_path):
+    (tmp_path / "afile").write_bytes(b"")
+    dest = tmp_path / "afile" / "sub" / "y.bin"
+    with pytest.raises(NotADirectoryError) as exc:
+        atomic_write_files({tmp_path / "new" / "deep" / "x.bin": b"x", dest: b"y"})
+    assert exc.value.filename == str(dest)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_missing_file(tmp_path):
