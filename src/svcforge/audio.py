@@ -80,6 +80,8 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
         body = blob[pos + 8:pos + 8 + size]
         if len(body) < size:
             raise FormatError(f"{p}: truncated {chunk_id!r} chunk")
+        if (chunk_id == b"fmt " and fmt is not None) or (chunk_id == b"data" and raw is not None):
+            raise FormatError(f"{p}: more than one {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             if size < 16:
                 raise FormatError(f"{p}: fmt chunk too small")

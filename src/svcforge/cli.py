@@ -10,7 +10,6 @@ and results are merged in input order).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -92,10 +91,8 @@ def _log(msg: str) -> None:
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by the subcommands that run F0 analysis over WAV files."""
-    # a string default goes through type=int, so a bad SVCFORGE_JOBS is a
-    # usage error at parse time, and only when --jobs is not given
-    p.add_argument("--jobs", type=int, default=os.environ.get("SVCFORGE_JOBS", "1"),
-                   help="parallel workers over files (default: SVCFORGE_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers over files (default %(default)s)")
     p.add_argument("--f0-floor", type=float, default=defaults.F0_FLOOR_HZ,
                    help="lowest F0 candidate in Hz (default %(default)s)")
     p.add_argument("--f0-ceil", type=float, default=defaults.F0_CEIL_HZ,
@@ -132,7 +129,7 @@ def _cmd_extract(args) -> dict:
     # the tensors are written together, so a failed run writes none of them
     done = _run_jobs(args.inputs, work, args.jobs)
     atomic_write_files({dest: blob for _, blobs in done for dest, blob in blobs.items()})
-    return {"command": "extract", "seed": args.seed, "files": [summary for summary, _ in done]}
+    return {"command": "extract", "files": [summary for summary, _ in done]}
 
 
 def _cmd_f0_stats(args) -> dict:
@@ -145,15 +142,13 @@ def _cmd_f0_stats(args) -> dict:
     save_stats(stats, args.out)
     return {
         "command": "f0-stats", "speaker_id": stats.speaker_id,
-        "material": args.material,
         "mean_log_f0": stats.mean_log_f0, "std_log_f0": stats.std_log_f0,
         "n_voiced_frames": stats.n_voiced_frames, "out": args.out,
     }
 
 
 def _cmd_convert_pitch(args) -> dict:
-    offset = args.offset_semitones if args.offset_semitones is not None else \
-        defaults.CROSS_DOMAIN_OFFSET_SEMITONES if args.policy == "cross-domain" else 0.0
+    offset = defaults.CROSS_DOMAIN_OFFSET_SEMITONES if args.policy == "cross-domain" else 0.0
     policy = ConversionPolicy(args.scale_sigma, args.quantize_cents, offset)
     track = F0Track.from_array(read_tensor(args.input))
     stats_x = load_stats(args.source_stats)
@@ -268,7 +263,9 @@ def _cmd_ddpm_finetune(args) -> dict:
 
 
 def _cmd_ddpm_sample(args) -> dict:
-    if args.model_dir:
+    if args.model_dir is not None:
+        if any(v is not None for v in (args.oracle_std, args.dim, args.steps)):
+            raise _UsageError("--oracle-std, --dim and --steps are not allowed with --model-dir")
         model = load_model(args.model_dir)
         sched = linear_schedule(model.num_steps)
         rng = np.random.default_rng(args.seed)
@@ -281,13 +278,11 @@ def _cmd_ddpm_sample(args) -> dict:
         denoiser = model
         dim = model.dim
     else:
-        if args.oracle_mean is None:
-            raise _UsageError(
-                "ddpm sample needs --model-dir or --oracle-mean/--oracle-std")
-        sched = linear_schedule(args.steps)
-        dim = args.dim
+        sched = linear_schedule(defaults.DIFFUSION_STEPS if args.steps is None else args.steps)
+        dim = 8 if args.dim is None else args.dim
+        std = 1.0 if args.oracle_std is None else args.oracle_std
         # a scalar mean broadcasts over the sample, so `sample` checks --dim
-        denoiser = analytic_gaussian_denoiser(args.oracle_mean, args.oracle_std, sched)
+        denoiser = analytic_gaussian_denoiser(args.oracle_mean, std, sched)
         cond = ConditionSet(
             linguistic=np.zeros((1, 1)), log_f0_vuv=np.zeros((1, 2)),
             loudness=np.zeros(1),
@@ -331,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inputs", action="append", required=True,
                    metavar="WAV", help="input WAV file (repeatable)")
     p.add_argument("--out-dir", required=True, help="output directory for SVCF files")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded in the summary (extraction is deterministic)")
     _add_analysis_flags(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -342,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="WAV", help="input WAV file (repeatable)")
     p.add_argument("--speaker-id", required=True, help="speaker tag for the stats file")
     p.add_argument("--out", required=True, help="output stats JSON path")
-    p.add_argument("--material", choices=("training", "evaluation"),
-                   default="training",
-                   help="provenance of the audio the stats come from; use "
-                        "'evaluation' explicitly when no training material exists")
     _add_analysis_flags(p)
     p.set_defaults(func=_cmd_f0_stats)
 
@@ -364,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantize-cents", type=int, choices=(0, 100),
                    default=defaults.QUANTIZE_CENTS,
                    help="shift quantization granularity in cents (default %(default)s)")
-    p.add_argument("--offset-semitones", type=float, default=None,
-                   help="override the cross-domain offset in semitones [0, 12]")
     p.set_defaults(func=_cmd_convert_pitch)
 
     p = sub.add_parser("perturb",
@@ -449,18 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the reverse chain from seeded noise")
     ps.add_argument("--out", required=True, help="output sample SVCF path")
     ps.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    ps.add_argument("--model-dir", default=None, help="trained model directory")
-    ps.add_argument("--oracle-mean", type=float, default=None,
-                    help="use the analytic Gaussian denoiser with this target mean")
-    ps.add_argument("--oracle-std", type=float, default=1.0,
-                    help="target std for the analytic denoiser (default %(default)s)")
-    ps.add_argument("--dim", type=int, default=8,
-                    help="sample dimensionality (oracle mode)")
+    source = ps.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model-dir", help="trained model directory")
+    source.add_argument("--oracle-mean", type=float,
+                        help="use the analytic Gaussian denoiser with this target mean")
+    ps.add_argument("--oracle-std", type=float,
+                    help="target std for the analytic denoiser (oracle mode; default 1.0)")
+    ps.add_argument("--dim", type=int, help="sample dimensionality (oracle mode; default 8)")
     ps.add_argument("--guidance-scale", type=float, default=defaults.GUIDANCE_SCALE,
                     help="classifier-free guidance scale w (default %(default)s)")
-    ps.add_argument("--steps", type=int, default=defaults.DIFFUSION_STEPS,
-                    help="number of diffusion steps (oracle mode; a loaded model "
-                         "carries its own schedule length)")
+    ps.add_argument("--steps", type=int,
+                    help=f"number of diffusion steps (oracle mode; default "
+                         f"{defaults.DIFFUSION_STEPS}; a loaded model carries its own)")
     ps.set_defaults(func=_cmd_ddpm_sample)
 
     p = sub.add_parser("eval",

@@ -1,12 +1,13 @@
-"""Versioned table of every numeric default used across the toolkit.
+"""Versioned table of the toolkit's numeric defaults.
 
 `svcforge config show` prints this table, and releases diff it. Flags
 override F0_FLOOR_HZ and F0_CEIL_HZ (`extract`, `f0-stats`), VAD_* and
-MIN_REST_SEC (`segment`), QUANTIZE_CENTS and CROSS_DOMAIN_OFFSET_SEMITONES
-(`convert-pitch`), and DIFFUSION_STEPS, GUIDANCE_SCALE, P_UNCOND and
-FINETUNE_ITERATIONS (`ddpm`). Every other entry, the perturbation ranges
-among them, has no flag and is read from the table when it is used, so
-`config show` prints the value in use.
+MIN_REST_SEC (`segment`), QUANTIZE_CENTS (`convert-pitch`), and
+DIFFUSION_STEPS, GUIDANCE_SCALE, P_UNCOND and FINETUNE_ITERATIONS (`ddpm`).
+Every other entry, CROSS_DOMAIN_OFFSET_SEMITONES among them, is read from
+the table when used, so `config show` prints the value in use. The toy
+denoiser's literals (lr 1e-3, 500 steps, hidden 32, dim 8, speaker_dim 4,
+8 dataset items, `evaluate_l2`'s 200 draws from seed 12345) are not here.
 """
 
 from __future__ import annotations

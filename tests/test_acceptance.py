@@ -364,8 +364,7 @@ def test_criterion_11():
 
         def extract(out_dir, jobs):
             code = quiet_cli(["extract", "--in", str(wav_a), "--in", str(wav_b),
-                              "--out-dir", str(tmp / out_dir), "--seed", "1",
-                              "--jobs", jobs])
+                              "--out-dir", str(tmp / out_dir), "--jobs", jobs])
             assert code == 0
             return {p.name: p.read_bytes()
                     for p in sorted((tmp / out_dir).glob("*.svcf"))}

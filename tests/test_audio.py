@@ -90,6 +90,24 @@ def _fmt_body(tag, channels, bits, rate=44100):
     return struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
 
 
+def _wav_with_a_second(chunk):
+    """A 24 kHz mono 16-bit WAV of 2,400 samples, followed by a second
+    `chunk` chunk: a 'fmt ' at 48 kHz, or a 'data' of 1,200 samples. Each
+    reading alone is long enough to analyse."""
+    body = _fmt_body(1, 1, 16, rate=48000) if chunk == b"fmt " else bytes(2400)
+    chunks = _wav(_fmt_body(1, 1, 16, rate=24000), bytes(4800))[12:]
+    chunks += chunk + struct.pack("<I", len(body)) + body
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+@pytest.mark.parametrize("chunk", [b"fmt ", b"data"], ids=["fmt", "data"])
+def test_repeated_chunk_is_malformed(tmp_path, chunk):
+    p = tmp_path / "twice.wav"
+    p.write_bytes(_wav_with_a_second(chunk))
+    with pytest.raises(FormatError, match=f"more than one {chunk!r} chunk"):
+        read_wav(p)
+
+
 _PCM_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 

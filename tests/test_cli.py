@@ -1,5 +1,6 @@
 import argparse
 import json
+import shlex
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from svcforge.cli import build_parser, main
 from svcforge.diffusion import ToyDenoiser, save_model
 from svcforge.svcf import read_tensor, write_tensor
 from synth import sawtooth, sine
-from test_audio import _pcm16_wav
+from test_audio import _pcm16_wav, _wav_with_a_second
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -44,8 +45,7 @@ def test_extract_deterministic_across_runs_and_jobs(tmp_path, wavs, capsys):
     for run_dir, jobs in [("one", "1"), ("two", "1"), ("par", "2")]:
         out = tmp_path / run_dir
         code, summary = run_cli(capsys, "extract", "--in", str(a), "--in", str(b),
-                                "--out-dir", str(out), "--seed", "1",
-                                "--jobs", jobs)
+                                "--out-dir", str(out), "--jobs", jobs)
         assert code == 0
         assert len(summary["files"]) == 2
         snapshots.append(_file_map(out))
@@ -55,7 +55,7 @@ def test_extract_deterministic_across_runs_and_jobs(tmp_path, wavs, capsys):
 def test_extract_summary_is_machine_readable(tmp_path, wavs, capsys):
     a, _ = wavs
     code, summary = run_cli(capsys, "extract", "--in", str(a),
-                            "--out-dir", str(tmp_path / "f"), "--seed", "0")
+                            "--out-dir", str(tmp_path / "f"))
     assert code == 0
     entry = summary["files"][0]
     assert set(entry["outputs"]) == {"mel", "loudness", "f0"}
@@ -66,7 +66,7 @@ def test_extract_summary_is_machine_readable(tmp_path, wavs, capsys):
 def test_f0_stats_and_convert_pitch_cross_domain(tmp_path, wavs, capsys):
     a, _ = wavs
     feat = tmp_path / "feat"
-    run_cli(capsys, "extract", "--in", str(a), "--out-dir", str(feat), "--seed", "0")
+    run_cli(capsys, "extract", "--in", str(a), "--out-dir", str(feat))
     stats = tmp_path / "src.json"
     code, summary = run_cli(capsys, "f0-stats", "--in", str(a),
                             "--speaker-id", "src", "--out", str(stats))
@@ -91,10 +91,6 @@ def test_f0_stats_and_convert_pitch_cross_domain(tmp_path, wavs, capsys):
     (["--policy", "cross-domain"], (False, 100, 6.0)),
     (["--scale-sigma"], (True, 100, 0.0)),
     (["--quantize-cents", "0"], (False, 0, 0.0)),
-    (["--policy", "in-domain", "--offset-semitones", "3.5"], (False, 100, 3.5)),
-    (["--policy", "cross-domain", "--offset-semitones", "2"], (False, 100, 2.0)),
-    (["--policy", "cross-domain", "--scale-sigma", "--quantize-cents", "0",
-      "--offset-semitones", "12"], (True, 0, 12.0)),
 ])
 def test_convert_pitch_policy_from_flags(tmp_path, capsys, flags, policy):
     track, stats, out = tmp_path / "f0.svcf", tmp_path / "stats.json", tmp_path / "o.svcf"
@@ -394,7 +390,7 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
     # data error: missing input file
     code, _ = run_cli(capsys, "extract", "--in", str(tmp_path / "nope.wav"),
-                      "--out-dir", str(tmp_path), "--seed", "0")
+                      "--out-dir", str(tmp_path))
     assert code == 2
     # unknown spec name is a data error
     code, _ = run_cli(capsys, "manifest", "compose", "--spec", "bogus")
@@ -414,6 +410,26 @@ def test_mode_dependent_flag_missing_is_a_usage_error(tmp_path, capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("usage error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--oracle-mean", "0.5"],
+    ["--oracle-std", "2"],
+    ["--dim", "3"],
+    ["--steps", "7"],
+    ["--oracle-mean", "0.5", "--dim", "3", "--steps", "7"],
+])
+def test_ddpm_sample_oracle_flags_with_a_model_are_a_usage_error(tmp_path, capsys, flags):
+    model_dir, out = tmp_path / "model", tmp_path / "x.svcf"
+    save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+    code = main(["ddpm", "sample", "--model-dir", str(model_dir), "--out", str(out),
+                 "--seed", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("usage error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case, message", [
@@ -440,30 +456,43 @@ def test_malformed_wav_and_svcf_files_exit_2(tmp_path, capsys, case, message):
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_bad_jobs_environment_is_a_usage_error(tmp_path, wavs, capsys, monkeypatch):
-    a, _ = wavs
-    monkeypatch.setenv("SVCFORGE_JOBS", "abc")
+@pytest.mark.parametrize("command, flag, value", [
+    ("extract", "--seed", "1"),
+    ("f0-stats", "--material", "evaluation"),
+    ("convert-pitch", "--offset-semitones", "3.5"),
+])
+def test_removed_flags_are_usage_errors(tmp_path, wavs, capsys, command, flag, value):
     out = tmp_path / "out"
-    code = main(["extract", "--in", str(a), "--out-dir", str(out)])
-    err = capsys.readouterr().err
+    track, stats = tmp_path / "f0.svcf", tmp_path / "stats.json"
+    write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+    _write_stats(stats)
+    argv = {"extract": ["--in", wavs[0], "--out-dir", out],
+            "f0-stats": ["--in", wavs[0], "--speaker-id", "s", "--out", out],
+            "convert-pitch": ["--in", track, "--out", out, "--source-stats", stats,
+                              "--target-stats", stats]}[command]
+    before = sorted(tmp_path.iterdir())
+    code = main([command, *map(str, argv), flag, value])
+    captured = capsys.readouterr()
     assert code == 1
-    assert len(err.strip().splitlines()) == 1 and "--jobs" in err
-    assert not out.exists()
-    # subcommands without --jobs never look at it
-    code, _ = run_cli(capsys, "config", "show")
-    assert code == 0
-    # an explicit flag wins over the environment
-    code, summary = run_cli(capsys, "extract", "--in", str(a), "--out-dir", str(out),
-                            "--jobs", "2")
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_jobs_environment_variable_is_not_read(tmp_path, wavs, capsys, monkeypatch):
+    monkeypatch.setenv("SVCFORGE_JOBS", "abc")
+    code, summary = run_cli(capsys, "extract", "--in", str(wavs[0]),
+                            "--out-dir", str(tmp_path / "out"))
     assert code == 0
     assert len(summary["files"]) == 1
 
 
-def test_jobs_environment_below_one_is_a_validation_error(tmp_path, wavs, capsys,
-                                                          monkeypatch):
-    monkeypatch.setenv("SVCFORGE_JOBS", "0")
-    out = tmp_path / "out"
-    _assert_rejected(capsys, ["extract", "--in", wavs[0], "--out-dir", out], out)
+@pytest.mark.parametrize("chunk", [b"fmt ", b"data"], ids=["fmt", "data"])
+def test_extract_rejects_a_wav_with_a_repeated_chunk(tmp_path, capsys, chunk):
+    wav, out_dir = tmp_path / "twice.wav", tmp_path / "out"
+    wav.write_bytes(_wav_with_a_second(chunk))
+    err = _assert_rejected(capsys, ["extract", "--in", wav, "--out-dir", out_dir], out_dir)
+    assert f"more than one {chunk!r} chunk" in err
 
 
 def _bad_json_document(path, kind):
@@ -877,7 +906,7 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("finetune", ["--seed", "-1"]),
     ("sample", ["--oracle-mean", "0", "--seed", "-2"]),
     ("sample-model", ["--seed", "-2"]),
-    ("extract", ["--seed", "-1"]),
+    ("extract", ["--f0-floor", "-1"]),
     ("sample", ["--oracle-mean", "0", "--dim", "-1"]),
     ("extract", ["--f0-floor", "5e-324"]),
     # sizes of about 10**12 elements, beyond the element budget
@@ -979,10 +1008,10 @@ def test_help_mentions_units(capsys):
 
 # every command's options but -h/--help, in the order `--help` lists them
 _OPTIONS = {
-    "extract": "--in --out-dir --seed --jobs --f0-floor --f0-ceil",
-    "f0-stats": "--in --speaker-id --out --material --jobs --f0-floor --f0-ceil",
+    "extract": "--in --out-dir --jobs --f0-floor --f0-ceil",
+    "f0-stats": "--in --speaker-id --out --jobs --f0-floor --f0-ceil",
     "convert-pitch": "--in --out --source-stats --target-stats --policy --scale-sigma "
-                     "--quantize-cents --offset-semitones",
+                     "--quantize-cents",
     "perturb": "--in --out-a --out-b --seed",
     "segment": "--in --mode --out --notes --min-rest-sec --clip-duration --vad-frame-ms "
                "--vad-energy-floor-dbfs --vad-min-speech-ms --vad-hangover-ms "
@@ -997,6 +1026,20 @@ _OPTIONS = {
     "eval f0": "--a --b",
     "config show": "",
 }
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines
+             if line.startswith("svcforge ")]
+    assert argvs
+    for argv in argvs:
+        try:
+            build_parser().parse_args(argv)
+        except Exception as exc:
+            pytest.fail(f"svcforge {shlex.join(argv)}: {exc}")
 
 
 def test_cli_option_surface():
@@ -1063,7 +1106,7 @@ def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     write_wav(sine(440, 0.3), good)
     out_dir = tmp_path / "out"
     code, _ = run_cli(capsys, "extract", "--in", str(tmp_path / "missing.wav"),
-                      "--out-dir", str(out_dir), "--seed", "0")
+                      "--out-dir", str(out_dir))
     assert code == 2
     leftovers = list(out_dir.glob("missing.*"))
     assert leftovers == []

@@ -257,16 +257,16 @@ def test_json_records_of_the_wrong_type_keep_the_contract(base, document):
 _reals = st.floats() | st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, -1e300])
 _sizes = st.integers(-2, 6) | st.integers(MAX_ELEMENTS + 1, 2**63 - 1)
 
-# case -> (argv with path placeholders, {flag: values to draw})
+# case -> (argv with path placeholders, {flag: values to draw}); a case with
+# no numeric flag is here for its paths only
 _FLAG_CASES = {
     "extract": (["extract", "--in", "{in}", "--out-dir", "{out}"],
-                {"--f0-floor": _reals, "--f0-ceil": _reals, "--jobs": st.integers(-2, 2),
-                 "--seed": st.integers(-2**70, 2**70)}),
+                {"--f0-floor": _reals, "--f0-ceil": _reals, "--jobs": st.integers(-2, 2)}),
     "f0-stats": (["f0-stats", "--in", "{in}", "--speaker-id", "s", "--out", "{out}"],
                  {"--f0-floor": _reals, "--f0-ceil": _reals}),
     "convert-pitch": (["convert-pitch", "--in", "{f0}", "--out", "{out}",
                        "--source-stats", "{stats}", "--target-stats", "{stats}"],
-                      {"--offset-semitones": _reals}),
+                      {}),
     "perturb": (["perturb", "--in", "{in}", "--out-a", "{out}", "--out-b", "{out}.b",
                  "--seed", "1"],
                 {"--seed": st.integers(-2**70, 2**70)}),
@@ -296,7 +296,7 @@ _FLAG_CASES = {
 
 @st.composite
 def flag_cases(draw):
-    case = draw(st.sampled_from(sorted(_FLAG_CASES)))
+    case = draw(st.sampled_from(sorted(c for c, (_, flags) in _FLAG_CASES.items() if flags)))
     argv, flags = _FLAG_CASES[case]
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2,
                            unique=True))
