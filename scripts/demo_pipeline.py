@@ -20,13 +20,7 @@ import numpy as np
 
 from svcforge import defaults
 from svcforge.audio import write_wav
-from svcforge.features import (
-    CANONICAL_FRAME_CONFIG,
-    build_mel_filterbank,
-    log_mel,
-    loudness,
-    stft,
-)
+from svcforge.features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, mel_loudness
 from svcforge.metrics import f0_metrics
 from svcforge.perturb import PerturbConfig, random_perturb_pair
 from svcforge.pitch import estimate_f0
@@ -45,10 +39,10 @@ def main() -> int:
     write_wav(speech, out_dir / "speech.wav")
     write_wav(singing, out_dir / "singing.wav")
 
-    # features for the singing clip
-    spec = stft(singing, cfg)
-    write_tensor(out_dir / "singing.mel.svcf", log_mel(spec, fb))
-    write_tensor(out_dir / "singing.loudness.svcf", loudness(spec, cfg))
+    # features for the singing clip, one block of frames at a time
+    mel, loud = mel_loudness(singing, cfg, fb)
+    write_tensor(out_dir / "singing.mel.svcf", mel)
+    write_tensor(out_dir / "singing.loudness.svcf", loud)
     sing_track = estimate_f0(singing, cfg)
     write_tensor(out_dir / "singing.f0.svcf", sing_track.to_array())
 

@@ -74,10 +74,11 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     fmt = None
     raw = None
     pos = 12
+    view = memoryview(blob)  # chunk bodies are views, not copies
     while pos + 8 <= len(blob):
         chunk_id = blob[pos:pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = blob[pos + 8:pos + 8 + size]
+        body = view[pos + 8:pos + 8 + size]
         if len(body) < size:
             raise FormatError(f"{p}: truncated {chunk_id!r} chunk")
         if (chunk_id == b"fmt " and fmt is not None) or (chunk_id == b"data" and raw is not None):
@@ -106,18 +107,30 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
         )
     if len(raw) % (bits // 8 * channels):
         raise FormatError(f"{p}: data not a whole number of frames")
-    if bits == 16:
-        x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    elif bits == 24:
-        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        vals = np.where(vals & 0x800000, vals - 0x1000000, vals)
-        x = vals.astype(np.float64) / 8388608.0
-    else:
-        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
-    if channels == 2:
-        x = x.reshape(-1, 2).mean(axis=1)
+    def channel(c: int) -> np.ndarray:
+        """Channel c as float64, built and scaled in place, so the only
+        full-length array is the result."""
+        if bits == 24:  # little-endian bytes: value = signed top * 2^16 + mid * 2^8 + low
+            b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3 * channels)[:, 3 * c:3 * c + 3]
+            x = b[:, 2].view(np.int8).astype(np.float64)
+            x *= 256.0
+            x += b[:, 1]
+            x *= 256.0
+            x += b[:, 0]
+            x /= 8388608.0
+            return x
+        x = np.frombuffer(raw, dtype="<i2" if bits == 16 else "<f4")[c::channels]
+        x = x.astype(np.float64)
+        if bits == 16:
+            x /= 32768.0
+        return x
+
+    x = channel(0)
+    if channels == 2:  # (0.0 + left + right) / 2, numpy's mean of the pair to the bit
+        x += 0.0
+        x += channel(1)
+        x /= 2.0
     return AudioClip(x, int(rate))
 
 

@@ -3,8 +3,10 @@
 Every subcommand prints one machine-readable JSON summary on stdout and
 keeps human diagnostics on stderr. Exit status: 0 success, 1 usage error,
 2 data/validation error, 3 internal error. Seeded invocations are
-byte-reproducible, including across --jobs settings (per-file work is pure
-and results are merged in input order).
+byte-reproducible, including across --jobs settings: `extract` and
+`f0-stats` take their inputs one at a time and hand each clip's frame
+blocks to one pool of --jobs threads, whose results are joined in block
+order.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .diffusion import (
     train_toy,
 )
 from .errors import InvalidParameterError, SvcforgeError
-from .features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, log_mel, loudness, stft
+from .features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, mel_loudness
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0
 from .pitchconv import (
@@ -70,14 +72,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _run_jobs(items, fn, jobs: int) -> list:
-    """Map pure per-item work, preserving input order in the results."""
+def _block_pool(jobs: int) -> ThreadPoolExecutor:
+    """The pool of --jobs threads whose `map` runs a command's frame blocks.
+    Only block kernels run in it, never a task that waits on the pool."""
     if jobs < 1:
         raise InvalidParameterError(f"--jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    return ThreadPoolExecutor(max_workers=jobs)
 
 
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -92,7 +92,7 @@ def _log(msg: str) -> None:
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by the subcommands that run F0 analysis over WAV files."""
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers over files (default %(default)s)")
+                   help="parallel workers over frame blocks (default %(default)s)")
     p.add_argument("--f0-floor", type=float, default=defaults.F0_FLOOR_HZ,
                    help="lowest F0 candidate in Hz (default %(default)s)")
     p.add_argument("--f0-ceil", type=float, default=defaults.F0_CEIL_HZ,
@@ -114,30 +114,31 @@ def _cmd_extract(args) -> dict:
             "inputs share a file stem, so their outputs would overwrite each other"
         )
     out_dir = Path(args.out_dir)
-
-    def work(path: str) -> tuple:
-        clip = _load_clip_at_canonical_rate(path)
-        spec = stft(clip, cfg)
-        tensors = {"mel": log_mel(spec, fb), "loudness": loudness(spec, cfg),
-                   "f0": estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil).to_array()}
-        outputs = {kind: str(out_dir / f"{Path(path).stem}.{kind}.svcf") for kind in tensors}
-        blobs = {outputs[kind]: tensor_bytes(a, outputs[kind]) for kind, a in tensors.items()}
-        return {"input": path, "frames": len(tensors["mel"]),
-                "duration_sec": clip.duration_sec, "outputs": outputs}, blobs
-
+    files, blobs = [], {}
     # every input is analysed and encoded before anything is written, and
     # the tensors are written together, so a failed run writes none of them
-    done = _run_jobs(args.inputs, work, args.jobs)
-    atomic_write_files({dest: blob for _, blobs in done for dest, blob in blobs.items()})
-    return {"command": "extract", "files": [summary for summary, _ in done]}
+    with _block_pool(args.jobs) as pool:
+        for path in args.inputs:
+            clip = _load_clip_at_canonical_rate(path)
+            mel, loud = mel_loudness(clip, cfg, fb, pool.map)
+            tensors = {"mel": mel, "loudness": loud,
+                       "f0": estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil,
+                                         pool.map).to_array()}
+            outputs = {kind: str(out_dir / f"{Path(path).stem}.{kind}.svcf")
+                       for kind in tensors}
+            blobs.update((outputs[kind], tensor_bytes(a, outputs[kind]))
+                         for kind, a in tensors.items())
+            files.append({"input": path, "frames": len(mel),
+                          "duration_sec": clip.duration_sec, "outputs": outputs})
+    atomic_write_files(blobs)
+    return {"command": "extract", "files": files}
 
 
 def _cmd_f0_stats(args) -> dict:
-    def work(path: str) -> F0Track:
-        return estimate_f0(_load_clip_at_canonical_rate(path), CANONICAL_FRAME_CONFIG,
-                           args.f0_floor, args.f0_ceil)
-
-    tracks = _run_jobs(args.inputs, work, args.jobs)
+    with _block_pool(args.jobs) as pool:
+        tracks = [estimate_f0(_load_clip_at_canonical_rate(path), CANONICAL_FRAME_CONFIG,
+                              args.f0_floor, args.f0_ceil, pool.map)
+                  for path in args.inputs]
     stats = compute_f0_stats(tracks, args.speaker_id)
     save_stats(stats, args.out)
     return {
@@ -179,25 +180,36 @@ def _cmd_perturb(args) -> dict:
     }
 
 
+# each segment mode's own flags, as dest -> option; they default to None, so
+# a flag of the other mode is refused and an unset one takes the callee's
+# default (the defaults table's value)
+_SEGMENT_FLAGS = {
+    "vad": {"input": "--in", "vad_frame_ms": "--vad-frame-ms",
+            "vad_energy_floor_dbfs": "--vad-energy-floor-dbfs",
+            "vad_min_speech_ms": "--vad-min-speech-ms", "vad_hangover_ms": "--vad-hangover-ms",
+            "vad_min_gap_ms": "--vad-min-gap-ms"},
+    "rest": {"notes": "--notes", "min_rest_sec": "--min-rest-sec",
+             "clip_duration": "--clip-duration"},
+}
+
+
 def _cmd_segment(args) -> dict:
+    given = {dest: value for dest, value in vars(args).items() if value is not None}
+    other = "rest" if args.mode == "vad" else "vad"
+    stray = [flag for dest, flag in _SEGMENT_FLAGS[other].items() if dest in given]
+    if stray:
+        raise _UsageError(f"--mode {args.mode} does not take {', '.join(stray)}")
+    own = {dest: given[dest] for dest in _SEGMENT_FLAGS[args.mode] if dest in given}
     if args.mode == "vad":
-        if args.input is None:
+        if "input" not in own:
             raise _UsageError("--mode vad requires --in")
-        clip = _load_clip_at_canonical_rate(args.input)
+        clip = _load_clip_at_canonical_rate(own.pop("input"))
         segments = vad_segment(clip, VadConfig(
-            frame_ms=args.vad_frame_ms,
-            energy_floor_dbfs=args.vad_energy_floor_dbfs,
-            min_speech_ms=args.vad_min_speech_ms,
-            hangover_ms=args.vad_hangover_ms,
-            min_gap_ms=args.vad_min_gap_ms,
-        ))
-        duration = clip.duration_sec
+            **{dest.removeprefix("vad_"): value for dest, value in own.items()}))
     else:
-        if args.notes is None:
+        if "notes" not in own:
             raise _UsageError("--mode rest requires --notes")
-        notes = read_notes(args.notes)
-        duration = args.clip_duration if args.clip_duration is not None else float("inf")
-        segments = rest_note_segment(notes, args.min_rest_sec, duration)
+        segments = rest_note_segment(read_notes(own.pop("notes")), **own)
     doc = [asdict(s) for s in segments]
     if args.out:
         write_json(args.out, doc)
@@ -365,29 +377,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment",
                        help="segment audio by voice activity or score rests")
-    p.add_argument("--in", dest="input", default=None,
+    p.add_argument("--in", dest="input",
                    help="input WAV file (vad mode)")
     p.add_argument("--mode", choices=("vad", "rest"), required=True,
                    help="segmentation strategy")
     p.add_argument("--out", default=None, help="output segments JSON path")
-    p.add_argument("--notes", default=None,
+    p.add_argument("--notes",
                    help="note-event JSON array (rest mode)")
-    p.add_argument("--min-rest-sec", type=float, default=defaults.MIN_REST_SEC,
-                   help="minimum rest length in seconds that splits (default %(default)s)")
-    p.add_argument("--clip-duration", type=float, default=None,
+    p.add_argument("--min-rest-sec", type=float,
+                   help=f"minimum rest length in seconds that splits (rest mode; default "
+                        f"{defaults.MIN_REST_SEC})")
+    p.add_argument("--clip-duration", type=float,
                    help="clip duration in seconds to clamp rest-mode segments")
-    p.add_argument("--vad-frame-ms", type=float, default=defaults.VAD_FRAME_MS,
-                   help="VAD frame length in ms (default %(default)s)")
+    p.add_argument("--vad-frame-ms", type=float,
+                   help=f"VAD frame length in ms (default {defaults.VAD_FRAME_MS})")
     p.add_argument("--vad-energy-floor-dbfs", type=float,
-                   default=defaults.VAD_ENERGY_FLOOR_DBFS,
-                   help="VAD activity floor in dBFS (default %(default)s)")
+                   help=f"VAD activity floor in dBFS (default {defaults.VAD_ENERGY_FLOOR_DBFS})")
     p.add_argument("--vad-min-speech-ms", type=float,
-                   default=defaults.VAD_MIN_SPEECH_MS,
-                   help="drop segments shorter than this many ms (default %(default)s)")
-    p.add_argument("--vad-hangover-ms", type=float, default=defaults.VAD_HANGOVER_MS,
-                   help="bridge inactive gaps shorter than this many ms (default %(default)s)")
-    p.add_argument("--vad-min-gap-ms", type=float, default=defaults.VAD_MIN_GAP_MS,
-                   help="merge segments separated by less than this many ms (default %(default)s)")
+                   help=f"drop segments shorter than this many ms (default "
+                        f"{defaults.VAD_MIN_SPEECH_MS})")
+    p.add_argument("--vad-hangover-ms", type=float,
+                   help=f"bridge inactive gaps shorter than this many ms (default "
+                        f"{defaults.VAD_HANGOVER_MS})")
+    p.add_argument("--vad-min-gap-ms", type=float,
+                   help=f"merge segments separated by less than this many ms (default "
+                        f"{defaults.VAD_MIN_GAP_MS})")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("manifest",

@@ -3,6 +3,11 @@
 STFT/ISTFT, 80-bin log-mel spectrogram, and A-weighted loudness all share
 one FrameConfig so that every per-frame track lines up with every other.
 Framing is non-centered (no padding): T = 1 + (n - win) // hop.
+
+Long clips are analysed in blocks of BLOCK_FRAMES frames (`frame_blocks`):
+`mel_loudness` and `pitch.estimate_f0` run their per-block kernels through
+a `map` the caller passes, so memory stays bounded by a few blocks however
+long the clip is, and a thread pool's `map` spreads the blocks over cores.
 """
 
 from __future__ import annotations
@@ -59,6 +64,11 @@ class FrameConfig:
 
 CANONICAL_FRAME_CONFIG = FrameConfig()
 
+# Frames analysed at once. A multiple of 16, so the FFT groups rows as it
+# would over the whole clip; it bounds a block's working set to a few
+# [BLOCK_FRAMES, fft_size] arrays whatever the clip's length.
+BLOCK_FRAMES = 512
+
 
 def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     """[T, win_length] view of the non-centered frames of a clip at
@@ -75,10 +85,34 @@ def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     )
 
 
+def frame_blocks(clip: AudioClip, cfg: FrameConfig) -> list:
+    """`frame_signal(clip, cfg)` as consecutive views of BLOCK_FRAMES rows;
+    the last holds the remainder."""
+    frames = frame_signal(clip, cfg)
+    return [frames[i:i + BLOCK_FRAMES] for i in range(0, frames.shape[0], BLOCK_FRAMES)]
+
+
+def _spectrum(frames: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    return np.fft.rfft(frames * cfg.window(), n=cfg.fft_size, axis=1)
+
+
 def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     """One-sided complex spectrogram, shape [T, fft_size//2 + 1]."""
-    frames = frame_signal(clip, cfg) * cfg.window()
-    return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+    return _spectrum(frame_signal(clip, cfg), cfg)
+
+
+def mel_loudness(clip: AudioClip, cfg: FrameConfig, fb: np.ndarray,
+                 map=map) -> tuple:
+    """(`log_mel(stft(clip, cfg), fb)`, `loudness(stft(clip, cfg), cfg)`),
+    equal to the bit, computed one block of frames at a time: `map` runs
+    the per-block work (a thread pool's `map` runs blocks in parallel), and
+    the blocks are joined in order."""
+    def block(frames):
+        spec = _spectrum(frames, cfg)
+        return log_mel(spec, fb), loudness(spec, cfg)
+
+    mels, louds = zip(*map(block, frame_blocks(clip, cfg)))
+    return np.concatenate(mels), np.concatenate(louds)
 
 
 def istft(spec: np.ndarray, cfg: FrameConfig, n_samples: int) -> np.ndarray:
@@ -184,4 +218,7 @@ def loudness(spec: np.ndarray, cfg: FrameConfig) -> np.ndarray:
         )
     w = 10.0 ** (a_weight_db(cfg.bin_frequencies()) / 10.0)
     power = np.abs(spec) ** 2
-    return 10.0 * np.log10(power @ w + defaults.POWER_FLOOR)
+    # a row-by-row sum, not `power @ w`: BLAS splits a matrix-vector product's
+    # rows over its threads, and a row's bits then depend on where it falls
+    weighted = np.einsum("tk,k->t", power, w)
+    return 10.0 * np.log10(weighted + defaults.POWER_FLOOR)

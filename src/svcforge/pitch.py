@@ -8,9 +8,11 @@ against octave-down picks on strongly harmonic material), refines the lag
 by parabolic interpolation, gates voicing on peak height and frame energy,
 and median-smooths each voiced run.
 
-It runs block-wise: the autocorrelation and the peak picking go over fixed
-blocks of frames as array operations, so memory stays bounded however long
-the clip is, and the run-median smoother is one array pass over the track.
+It runs block-wise: the autocorrelation and the peak picking go over
+`features.frame_blocks` as array operations, one block per call of the
+`map` the caller passes (a thread pool's `map` runs blocks in parallel), so
+memory stays bounded however long the clip is; the run-median smoother is
+then one array pass over the joined track.
 """
 
 from __future__ import annotations
@@ -22,15 +24,11 @@ import numpy as np
 from . import defaults
 from .errors import InvalidParameterError
 from .audio import AudioClip
-from .features import FrameConfig, frame_signal
+from .features import FrameConfig, frame_blocks
 
 # Peaks within this much of the frame's best normalized correlation compete
 # on lag; the shortest wins.
 _PEAK_MARGIN = 0.02
-# Frames analysed at once. A multiple of 16, so the FFT groups rows as it
-# would over the whole clip; it bounds the autocorrelation's working set
-# to a few [block, fft] arrays whatever the clip's length.
-_BLOCK_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -146,11 +144,12 @@ def _median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
 
 def estimate_f0(clip: AudioClip, cfg: FrameConfig,
                 f_floor: float = defaults.F0_FLOOR_HZ,
-                f_ceil: float = defaults.F0_CEIL_HZ) -> F0Track:
+                f_ceil: float = defaults.F0_CEIL_HZ, map=map) -> F0Track:
     """Track F0 with voiced/unvoiced decisions on the cfg frame grid.
 
     A frame is voiced when its best normalized correlation peak reaches
-    0.3 and its RMS is at least -60 dBFS.
+    0.3 and its RMS is at least -60 dBFS. `map` runs the per-block peak
+    picking; the track is the same whichever map runs it.
     """
     sr = defaults.SAMPLE_RATE
     if not 0 < f_floor < f_ceil:
@@ -162,11 +161,9 @@ def estimate_f0(clip: AudioClip, cfg: FrameConfig,
     lag_min = max(2, int(np.ceil(sr / f_ceil)))
     lag_max = int(np.floor(sr / f_floor))
 
-    frames = frame_signal(clip, cfg)
-    f0 = np.concatenate([
-        _pick_f0(frames[i:i + _BLOCK_FRAMES], sr, lag_min, lag_max, f_floor, f_ceil)
-        for i in range(0, frames.shape[0], _BLOCK_FRAMES)
-    ])
+    f0 = np.concatenate(list(map(
+        lambda frames: _pick_f0(frames, sr, lag_min, lag_max, f_floor, f_ceil),
+        frame_blocks(clip, cfg))))
     return F0Track(_median_smooth_runs(f0, f0 > 0))
 
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,54 @@ def test_extensible_reads_equal_to_its_plain_twin(tmp_path, tag, bits, channels)
     assert b.sample_rate == a.sample_rate == 44100
     assert a.samples.size == 50
     assert np.array_equal(a.samples, b.samples)
+
+
+def _reference_samples(data, tag, bits, channels):
+    """Whole-array decode: integers scaled by 2^(bits-1), stereo averaged."""
+    if bits == 24:
+        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
+        v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        x = np.where(v >= 1 << 23, v - (1 << 24), v) / 8388608.0
+    elif bits == 16:
+        x = np.frombuffer(data, dtype="<i2") / 32768.0
+    else:
+        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    return x.reshape(-1, 2).mean(axis=1) if channels == 2 else x
+
+
+@pytest.mark.parametrize("tag, bits", [(1, 16), (1, 24), (3, 32)], ids=["pcm16", "pcm24", "float32"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_samples_equal_the_whole_array_decode_to_the_bit(tmp_path, tag, bits, channels):
+    rng = np.random.default_rng(bits + channels)
+    if tag == 3:
+        data = rng.uniform(-1, 1, 999 * channels).astype("<f4")
+        data[:6] = [-0.0, -0.0, -0.0, 0.0, 0.0, -0.0]  # signed zeros in each pairing
+        data = data.tobytes()
+    else:
+        width = bits // 8
+        extremes = bytes([0x00, 0x80] if bits == 16 else [0x00, 0x00, 0x80]) \
+            + bytes([0xFF, 0x7F] if bits == 16 else [0xFF, 0xFF, 0x7F]) + bytes(width * 2)
+        data = extremes + rng.integers(0, 256, 995 * channels * width, dtype=np.uint8).tobytes()
+    p = tmp_path / "x.wav"
+    p.write_bytes(_wav(_fmt_body(tag, channels, bits), data))
+    got = read_wav(p).samples
+    assert got.tobytes() == _reference_samples(data, tag, bits, channels).tobytes()
+
+
+def test_read_peak_memory_is_a_small_multiple_of_the_samples(tmp_path):
+    # 10 s of 48 kHz 24-bit stereo; a decode through [n, 3] int32 arrays peaked at 8.5x
+    rng = np.random.default_rng(4)
+    p = tmp_path / "long.wav"
+    p.write_bytes(_wav(_fmt_body(1, 2, 24, rate=48000),
+                       rng.integers(0, 256, 480000 * 2 * 3, dtype=np.uint8).tobytes()))
+    tracemalloc.start()
+    try:
+        clip = read_wav(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clip.samples.size == 480000
+    assert peak <= 4 * clip.samples.nbytes
 
 
 @pytest.mark.parametrize("size", [16, 18, 24, 39])

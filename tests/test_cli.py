@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from svcforge import defaults
 from svcforge.audio import AudioClip, read_wav, write_wav
 from svcforge.cli import build_parser, main
 from svcforge.diffusion import ToyDenoiser, save_model
+from svcforge.features import BLOCK_FRAMES, CANONICAL_FRAME_CONFIG as CFG
 from svcforge.svcf import read_tensor, write_tensor
 from synth import sawtooth, sine
 from test_audio import _pcm16_wav, _wav_with_a_second
@@ -50,6 +52,67 @@ def test_extract_deterministic_across_runs_and_jobs(tmp_path, wavs, capsys):
         assert len(summary["files"]) == 2
         snapshots.append(_file_map(out))
     assert snapshots[0] == snapshots[1] == snapshots[2]
+
+
+def test_extract_and_f0_stats_identical_across_jobs_over_several_blocks(tmp_path, capsys):
+    n_frames = 3 * BLOCK_FRAMES + 37
+    seconds = (CFG.win_length + (n_frames - 1) * CFG.hop) / defaults.SAMPLE_RATE
+    long_wav, short_wav = tmp_path / "long.wav", tmp_path / "short.wav"
+    tone = sine(180, seconds).samples.copy()
+    tone[BLOCK_FRAMES * CFG.hop:2 * BLOCK_FRAMES * CFG.hop] *= 0.01  # a quiet block
+    write_wav(AudioClip(tone, defaults.SAMPLE_RATE), long_wav)
+    write_wav(sine(440, 0.6), short_wav)
+    runs = []
+    for jobs in ("1", "2", "3"):
+        out, stats = tmp_path / f"x{jobs}", tmp_path / f"s{jobs}.json"
+        code, extract = run_cli(capsys, "extract", "--in", str(long_wav), "--in",
+                                str(short_wav), "--out-dir", str(out), "--jobs", jobs)
+        assert code == 0 and extract["files"][0]["frames"] == n_frames
+        code, f0_stats = run_cli(capsys, "f0-stats", "--in", str(long_wav), "--in",
+                                 str(short_wav), "--speaker-id", "x", "--out", str(stats),
+                                 "--jobs", jobs)
+        assert code == 0
+        del f0_stats["out"]
+        runs.append((_file_map(out), stats.read_bytes(), f0_stats))
+    assert runs[0] == runs[1] == runs[2]
+
+
+_NOTES = '[{"onset_sec": 0.0, "offset_sec": 0.2, "pitch": 60}, ' \
+         '{"onset_sec": 0.9, "offset_sec": 1.0, "pitch": 62}]'
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("rest", ["--in", "{wav}", "--vad-frame-ms", "10"]),
+    ("vad", ["--notes", "nope.json", "--min-rest-sec", "3", "--clip-duration", "0.1"]),
+    ("vad", ["--min-rest-sec", str(defaults.MIN_REST_SEC)]),
+    ("rest", ["--vad-min-gap-ms", str(defaults.VAD_MIN_GAP_MS)]),
+], ids=["vad-flags-in-rest", "rest-flags-in-vad", "rest-default-in-vad", "vad-default-in-rest"])
+def test_segment_refuses_the_other_modes_flags(tmp_path, wavs, capsys, mode, flags):
+    notes, out = tmp_path / "notes.json", tmp_path / "seg.json"
+    notes.write_text(_NOTES)
+    own = ["--in", str(wavs[0])] if mode == "vad" else ["--notes", str(notes)]
+    flags = [str(wavs[0]) if f == "{wav}" else f for f in flags]
+    code = main(["segment", "--mode", mode, *own, *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "does not take" in captured.err
+    assert not out.exists()
+
+
+def test_segment_flags_at_their_defaults_change_nothing(tmp_path, wavs, capsys):
+    notes = tmp_path / "notes.json"
+    notes.write_text(_NOTES)
+    vad = ["segment", "--mode", "vad", "--in", str(wavs[0])]
+    rest = ["segment", "--mode", "rest", "--notes", str(notes)]
+    vad_defaults = ["--vad-frame-ms", str(defaults.VAD_FRAME_MS),
+                    "--vad-energy-floor-dbfs", str(defaults.VAD_ENERGY_FLOOR_DBFS),
+                    "--vad-min-speech-ms", str(defaults.VAD_MIN_SPEECH_MS),
+                    "--vad-hangover-ms", str(defaults.VAD_HANGOVER_MS),
+                    "--vad-min-gap-ms", str(defaults.VAD_MIN_GAP_MS)]
+    rest_defaults = ["--min-rest-sec", str(defaults.MIN_REST_SEC), "--clip-duration", "inf"]
+    for argv, given in ((vad, vad_defaults), (rest, rest_defaults)):
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *given)
+    assert run_cli(capsys, *rest)[1]["n_segments"] == 2
 
 
 def test_extract_summary_is_machine_readable(tmp_path, wavs, capsys):

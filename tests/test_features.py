@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,14 +10,18 @@ from svcforge import defaults
 from svcforge.audio import AudioClip
 from svcforge.errors import InvalidParameterError
 from svcforge.features import (
+    BLOCK_FRAMES,
     CANONICAL_FRAME_CONFIG,
     FrameConfig,
     a_weight_db,
     build_mel_filterbank,
+    frame_blocks,
+    frame_signal,
     hz_to_mel,
     istft,
     log_mel,
     loudness,
+    mel_loudness,
     mel_to_hz,
     overlap_add,
     stft,
@@ -298,3 +304,49 @@ def test_log_mel_monotone_in_amplitude(gain):
     m1 = log_mel(stft(clip, CFG), fb)
     m2 = log_mel(stft(AudioClip(gain * clip.samples, defaults.SAMPLE_RATE), CFG), fb)
     assert np.all(m2 >= m1 - 1e-9)
+
+
+def _noisy_tone(n_frames: int, seed: int) -> AudioClip:
+    """A clip of exactly `n_frames` frames: a 330 Hz tone in noise."""
+    n = CFG.win_length + (n_frames - 1) * CFG.hop
+    t = np.arange(n) / defaults.SAMPLE_RATE
+    noise = np.random.default_rng(seed).standard_normal(n)
+    return AudioClip(0.4 * np.sin(2 * np.pi * 330.0 * t) + 0.05 * noise, defaults.SAMPLE_RATE)
+
+
+def test_frame_blocks_split_the_frames_in_order():
+    clip = _noisy_tone(2 * BLOCK_FRAMES + 37, 1)
+    blocks = frame_blocks(clip, CFG)
+    assert [b.shape[0] for b in blocks] == [BLOCK_FRAMES, BLOCK_FRAMES, 37]
+    assert all(np.shares_memory(b, clip.samples) for b in blocks)  # views, not copies
+    assert np.array_equal(np.concatenate(blocks), frame_signal(clip, CFG))
+    assert [b.shape[0] for b in frame_blocks(_noisy_tone(BLOCK_FRAMES, 1), CFG)] == [BLOCK_FRAMES]
+
+
+@pytest.mark.parametrize("jobs", [0, 2, 3], ids=["map", "pool2", "pool3"])
+def test_mel_loudness_equals_whole_clip_features(jobs):
+    clip = _noisy_tone(2 * BLOCK_FRAMES + 37, 2)
+    fb = build_mel_filterbank(CFG)
+    if jobs:
+        with ThreadPoolExecutor(jobs) as pool:
+            mel, loud = mel_loudness(clip, CFG, fb, pool.map)
+    else:
+        mel, loud = mel_loudness(clip, CFG, fb)
+    spec = stft(clip, CFG)
+    assert mel.shape == (2 * BLOCK_FRAMES + 37, defaults.N_MELS)
+    assert np.array_equal(mel, log_mel(spec, fb))
+    assert np.array_equal(loud, loudness(spec, CFG))
+
+
+def test_feature_stage_memory_is_bounded_by_the_block():
+    # the whole-clip stft -> log_mel/loudness path peaks near 91 MiB here
+    clip = _noisy_tone(CFG.num_frames(60 * defaults.SAMPLE_RATE), 3)
+    fb = build_mel_filterbank(CFG)
+    tracemalloc.start()
+    try:
+        mel, loud = mel_loudness(clip, CFG, fb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mel.shape[0] == loud.size == CFG.num_frames(clip.samples.size)
+    assert peak <= 24 * 2**20

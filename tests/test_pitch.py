@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 from svcforge import defaults
 from svcforge.audio import AudioClip, resample
 from svcforge.errors import InvalidParameterError
-from svcforge.features import CANONICAL_FRAME_CONFIG as CFG, frame_signal
+from svcforge.features import BLOCK_FRAMES, CANONICAL_FRAME_CONFIG as CFG, frame_signal
 from svcforge.pitch import (
-    _BLOCK_FRAMES,
     F0Track,
     _median_smooth_runs,
     _normalized_autocorr,
@@ -226,17 +225,17 @@ def test_tracker_matches_per_frame_reference_on_edge_clips(make):
 
 
 def test_tracker_matches_reference_across_a_block_boundary():
-    n_frames = 2 * _BLOCK_FRAMES + 37
+    n_frames = 2 * BLOCK_FRAMES + 37
     n = CFG.win_length + (n_frames - 1) * CFG.hop
     x = _sung_phrases(11, n / defaults.SAMPLE_RATE).samples
     # one sustained note over the first block boundary
-    t0 = (_BLOCK_FRAMES - 40) * CFG.hop
+    t0 = (BLOCK_FRAMES - 40) * CFG.hop
     note = vowel(180.0, 80 * CFG.hop / defaults.SAMPLE_RATE).samples
     x = x.copy()
     x[t0:t0 + note.size] = note
     track = _assert_matches_reference(AudioClip(x, defaults.SAMPLE_RATE))
-    assert track.f0_hz.size == n_frames and n_frames % _BLOCK_FRAMES
-    assert track.vuv[_BLOCK_FRAMES - 20:_BLOCK_FRAMES + 20].all()
+    assert track.f0_hz.size == n_frames and n_frames % BLOCK_FRAMES
+    assert track.vuv[BLOCK_FRAMES - 20:BLOCK_FRAMES + 20].all()
 
 
 @pytest.mark.parametrize("f_floor,f_ceil", [
