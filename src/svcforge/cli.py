@@ -4,9 +4,9 @@ Every subcommand prints one machine-readable JSON summary on stdout and
 keeps human diagnostics on stderr. Exit status: 0 success, 1 usage error,
 2 data/validation error, 3 internal error. Seeded invocations are
 byte-reproducible, including across --jobs settings: `extract` and
-`f0-stats` take their inputs one at a time and hand each clip's frame
-blocks to one pool of --jobs threads, whose results are joined in block
-order.
+`f0-stats` analyse up to --jobs inputs at once and hand their frame blocks
+to one pool of --jobs threads; each clip's blocks are joined in block
+order and the clips in input order.
 """
 
 from __future__ import annotations
@@ -72,14 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _block_pool(jobs: int) -> ThreadPoolExecutor:
-    """The pool of --jobs threads whose `map` runs a command's frame blocks.
-    Only block kernels run in it, never a task that waits on the pool."""
-    if jobs < 1:
-        raise InvalidParameterError(f"--jobs must be >= 1, got {jobs}")
-    return ThreadPoolExecutor(max_workers=jobs)
-
-
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
@@ -103,6 +95,20 @@ def _load_clip_at_canonical_rate(path: str) -> AudioClip:
     return resample(read_wav(path), defaults.SAMPLE_RATE)
 
 
+def _analyse_inputs(paths: list, jobs: int, analyse) -> list:
+    """`analyse(path, clip, block_map)` of each input, read and resampled to
+    the canonical rate, in input order. Up to `jobs` inputs are analysed at
+    once, and all their frame blocks share one pool of `jobs` threads
+    through `block_map`, so a long take and a batch of short ones alike keep
+    every worker busy. Input tasks wait on block tasks, never the other way
+    round, so neither pool can deadlock."""
+    if jobs < 1:
+        raise InvalidParameterError(f"--jobs must be >= 1, got {jobs}")
+    with ThreadPoolExecutor(jobs) as blocks, ThreadPoolExecutor(jobs) as inputs:
+        return list(inputs.map(
+            lambda path: analyse(path, _load_clip_at_canonical_rate(path), blocks.map), paths))
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_extract(args) -> dict:
@@ -114,31 +120,28 @@ def _cmd_extract(args) -> dict:
             "inputs share a file stem, so their outputs would overwrite each other"
         )
     out_dir = Path(args.out_dir)
-    files, blobs = [], {}
+
+    def analyse(path, clip, block_map):
+        mel, loud = mel_loudness(clip, cfg, fb, block_map)
+        tensors = {"mel": mel, "loudness": loud,
+                   "f0": estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil,
+                                     block_map).to_array()}
+        outputs = {kind: str(out_dir / f"{Path(path).stem}.{kind}.svcf") for kind in tensors}
+        summary = {"input": path, "frames": len(mel), "duration_sec": clip.duration_sec,
+                   "outputs": outputs}
+        return summary, {outputs[kind]: tensor_bytes(a, outputs[kind])
+                         for kind, a in tensors.items()}
+
     # every input is analysed and encoded before anything is written, and
     # the tensors are written together, so a failed run writes none of them
-    with _block_pool(args.jobs) as pool:
-        for path in args.inputs:
-            clip = _load_clip_at_canonical_rate(path)
-            mel, loud = mel_loudness(clip, cfg, fb, pool.map)
-            tensors = {"mel": mel, "loudness": loud,
-                       "f0": estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil,
-                                         pool.map).to_array()}
-            outputs = {kind: str(out_dir / f"{Path(path).stem}.{kind}.svcf")
-                       for kind in tensors}
-            blobs.update((outputs[kind], tensor_bytes(a, outputs[kind]))
-                         for kind, a in tensors.items())
-            files.append({"input": path, "frames": len(mel),
-                          "duration_sec": clip.duration_sec, "outputs": outputs})
-    atomic_write_files(blobs)
-    return {"command": "extract", "files": files}
+    done = _analyse_inputs(args.inputs, args.jobs, analyse)
+    atomic_write_files({dest: blob for _, blobs in done for dest, blob in blobs.items()})
+    return {"command": "extract", "files": [summary for summary, _ in done]}
 
 
 def _cmd_f0_stats(args) -> dict:
-    with _block_pool(args.jobs) as pool:
-        tracks = [estimate_f0(_load_clip_at_canonical_rate(path), CANONICAL_FRAME_CONFIG,
-                              args.f0_floor, args.f0_ceil, pool.map)
-                  for path in args.inputs]
+    tracks = _analyse_inputs(args.inputs, args.jobs, lambda path, clip, block_map: estimate_f0(
+        clip, CANONICAL_FRAME_CONFIG, args.f0_floor, args.f0_ceil, block_map))
     stats = compute_f0_stats(tracks, args.speaker_id)
     save_stats(stats, args.out)
     return {
@@ -180,36 +183,30 @@ def _cmd_perturb(args) -> dict:
     }
 
 
-# each segment mode's own flags, as dest -> option; they default to None, so
-# a flag of the other mode is refused and an unset one takes the callee's
-# default (the defaults table's value)
-_SEGMENT_FLAGS = {
-    "vad": {"input": "--in", "vad_frame_ms": "--vad-frame-ms",
-            "vad_energy_floor_dbfs": "--vad-energy-floor-dbfs",
-            "vad_min_speech_ms": "--vad-min-speech-ms", "vad_hangover_ms": "--vad-hangover-ms",
-            "vad_min_gap_ms": "--vad-min-gap-ms"},
-    "rest": {"notes": "--notes", "min_rest_sec": "--min-rest-sec",
-             "clip_duration": "--clip-duration"},
-}
+def _given(**options) -> dict:
+    """The options given on the command line: those that are not None."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _cmd_segment(args) -> dict:
-    given = {dest: value for dest, value in vars(args).items() if value is not None}
-    other = "rest" if args.mode == "vad" else "vad"
-    stray = [flag for dest, flag in _SEGMENT_FLAGS[other].items() if dest in given]
+    stray = [action.option_strings[0]
+             for mode, actions in args.mode_options.items() if mode != args.mode
+             for action in actions if getattr(args, action.dest) is not None]
     if stray:
         raise _UsageError(f"--mode {args.mode} does not take {', '.join(stray)}")
-    own = {dest: given[dest] for dest in _SEGMENT_FLAGS[args.mode] if dest in given}
     if args.mode == "vad":
-        if "input" not in own:
+        if args.input is None:
             raise _UsageError("--mode vad requires --in")
-        clip = _load_clip_at_canonical_rate(own.pop("input"))
-        segments = vad_segment(clip, VadConfig(
-            **{dest.removeprefix("vad_"): value for dest, value in own.items()}))
+        clip = _load_clip_at_canonical_rate(args.input)
+        segments = vad_segment(clip, VadConfig(**_given(
+            frame_ms=args.vad_frame_ms, energy_floor_dbfs=args.vad_energy_floor_dbfs,
+            min_speech_ms=args.vad_min_speech_ms, hangover_ms=args.vad_hangover_ms,
+            min_gap_ms=args.vad_min_gap_ms)))
     else:
-        if "notes" not in own:
+        if args.notes is None:
             raise _UsageError("--mode rest requires --notes")
-        segments = rest_note_segment(read_notes(own.pop("notes")), **own)
+        segments = rest_note_segment(read_notes(args.notes), **_given(
+            min_rest_sec=args.min_rest_sec, clip_duration=args.clip_duration))
     doc = [asdict(s) for s in segments]
     if args.out:
         write_json(args.out, doc)
@@ -377,32 +374,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment",
                        help="segment audio by voice activity or score rests")
-    p.add_argument("--in", dest="input",
-                   help="input WAV file (vad mode)")
+    # each mode's options default to None, so `_cmd_segment` refuses any
+    # given one of the other mode, and an unset one takes the callee's default
+    vad = [p.add_argument("--in", dest="input", help="input WAV file (vad mode)")]
     p.add_argument("--mode", choices=("vad", "rest"), required=True,
                    help="segmentation strategy")
     p.add_argument("--out", default=None, help="output segments JSON path")
-    p.add_argument("--notes",
-                   help="note-event JSON array (rest mode)")
-    p.add_argument("--min-rest-sec", type=float,
-                   help=f"minimum rest length in seconds that splits (rest mode; default "
-                        f"{defaults.MIN_REST_SEC})")
-    p.add_argument("--clip-duration", type=float,
-                   help="clip duration in seconds to clamp rest-mode segments")
-    p.add_argument("--vad-frame-ms", type=float,
-                   help=f"VAD frame length in ms (default {defaults.VAD_FRAME_MS})")
-    p.add_argument("--vad-energy-floor-dbfs", type=float,
-                   help=f"VAD activity floor in dBFS (default {defaults.VAD_ENERGY_FLOOR_DBFS})")
-    p.add_argument("--vad-min-speech-ms", type=float,
-                   help=f"drop segments shorter than this many ms (default "
-                        f"{defaults.VAD_MIN_SPEECH_MS})")
-    p.add_argument("--vad-hangover-ms", type=float,
-                   help=f"bridge inactive gaps shorter than this many ms (default "
-                        f"{defaults.VAD_HANGOVER_MS})")
-    p.add_argument("--vad-min-gap-ms", type=float,
-                   help=f"merge segments separated by less than this many ms (default "
-                        f"{defaults.VAD_MIN_GAP_MS})")
-    p.set_defaults(func=_cmd_segment)
+    rest = [
+        p.add_argument("--notes", help="note-event JSON array (rest mode)"),
+        p.add_argument("--min-rest-sec", type=float,
+                       help=f"minimum rest length in seconds that splits (rest mode; "
+                            f"default {defaults.MIN_REST_SEC})"),
+        p.add_argument("--clip-duration", type=float,
+                       help="clip duration in seconds to clamp rest-mode segments"),
+    ]
+    vad += [
+        p.add_argument("--vad-frame-ms", type=float,
+                       help=f"VAD frame length in ms (default {defaults.VAD_FRAME_MS})"),
+        p.add_argument("--vad-energy-floor-dbfs", type=float,
+                       help=f"VAD activity floor in dBFS (default "
+                            f"{defaults.VAD_ENERGY_FLOOR_DBFS})"),
+        p.add_argument("--vad-min-speech-ms", type=float,
+                       help=f"drop segments shorter than this many ms (default "
+                            f"{defaults.VAD_MIN_SPEECH_MS})"),
+        p.add_argument("--vad-hangover-ms", type=float,
+                       help=f"bridge inactive gaps shorter than this many ms (default "
+                            f"{defaults.VAD_HANGOVER_MS})"),
+        p.add_argument("--vad-min-gap-ms", type=float,
+                       help=f"merge segments separated by less than this many ms (default "
+                            f"{defaults.VAD_MIN_GAP_MS})"),
+    ]
+    p.set_defaults(func=_cmd_segment, mode_options={"vad": vad, "rest": rest})
 
     p = sub.add_parser("manifest",
                        help="corpus manifest operations")

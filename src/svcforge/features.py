@@ -104,9 +104,13 @@ def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
 def mel_loudness(clip: AudioClip, cfg: FrameConfig, fb: np.ndarray,
                  map=map) -> tuple:
     """(`log_mel(stft(clip, cfg), fb)`, `loudness(stft(clip, cfg), cfg)`),
-    equal to the bit, computed one block of frames at a time: `map` runs
-    the per-block work (a thread pool's `map` runs blocks in parallel), and
-    the blocks are joined in order."""
+    computed one block of frames at a time: `map` runs the per-block work
+    (a thread pool's `map` runs blocks in parallel), and the blocks are
+    joined in order, so the result is the same whichever map runs it.
+
+    It equals the whole-clip features to the bit, except in a last block of
+    very few rows (fewer than 16 with OpenBLAS): BLAS multiplies so short a
+    matrix with other kernels, which move its log-mel in the last bits."""
     def block(frames):
         spec = _spectrum(frames, cfg)
         return log_mel(spec, fb), loudness(spec, cfg)

@@ -4,12 +4,13 @@ import shlex
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from svcforge import defaults
+from svcforge import cli, defaults
 from svcforge.audio import AudioClip, read_wav, write_wav
 from svcforge.cli import build_parser, main
 from svcforge.diffusion import ToyDenoiser, save_model
@@ -75,6 +76,25 @@ def test_extract_and_f0_stats_identical_across_jobs_over_several_blocks(tmp_path
         del f0_stats["out"]
         runs.append((_file_map(out), stats.read_bytes(), f0_stats))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("command", ["extract", "f0-stats"])
+def test_jobs_analyses_short_inputs_at_once(tmp_path, wavs, capsys, monkeypatch, command):
+    # each input is one block, so only analysing inputs side by side uses
+    # both workers: the barrier lets no input through until two are read
+    barrier = threading.Barrier(2, timeout=10)
+    load = cli._load_clip_at_canonical_rate
+
+    def load_side_by_side(path):
+        barrier.wait()
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_clip_at_canonical_rate", load_side_by_side)
+    out = ["--out-dir", str(tmp_path)] if command == "extract" else \
+          ["--speaker-id", "x", "--out", str(tmp_path / "s.json")]
+    code, _ = run_cli(capsys, command, "--in", str(wavs[0]), "--in", str(wavs[1]),
+                      *out, "--jobs", "2")
+    assert code == 0
 
 
 _NOTES = '[{"onset_sec": 0.0, "offset_sec": 0.2, "pitch": 60}, ' \

@@ -324,8 +324,10 @@ def test_frame_blocks_split_the_frames_in_order():
 
 
 @pytest.mark.parametrize("jobs", [0, 2, 3], ids=["map", "pool2", "pool3"])
-def test_mel_loudness_equals_whole_clip_features(jobs):
-    clip = _noisy_tone(2 * BLOCK_FRAMES + 37, 2)
+@pytest.mark.parametrize("rest", [37, 1])
+def test_mel_loudness_equals_whole_clip_features(jobs, rest):
+    n_frames = 2 * BLOCK_FRAMES + rest
+    clip = _noisy_tone(n_frames, 2)
     fb = build_mel_filterbank(CFG)
     if jobs:
         with ThreadPoolExecutor(jobs) as pool:
@@ -333,9 +335,14 @@ def test_mel_loudness_equals_whole_clip_features(jobs):
     else:
         mel, loud = mel_loudness(clip, CFG, fb)
     spec = stft(clip, CFG)
-    assert mel.shape == (2 * BLOCK_FRAMES + 37, defaults.N_MELS)
-    assert np.array_equal(mel, log_mel(spec, fb))
+    want = log_mel(spec, fb)
+    assert mel.shape == (n_frames, defaults.N_MELS)
     assert np.array_equal(loud, loudness(spec, CFG))
+    # BLAS may multiply a one-row block by another kernel than the long
+    # matrix's, so only that block's log-mel may move, in its last bits
+    whole = n_frames if rest >= 16 else 2 * BLOCK_FRAMES
+    assert np.array_equal(mel[:whole], want[:whole])
+    np.testing.assert_allclose(mel[whole:], want[whole:], rtol=0, atol=1e-12)
 
 
 def test_feature_stage_memory_is_bounded_by_the_block():
