@@ -20,7 +20,7 @@ import numpy as np
 
 from svcforge import defaults
 from svcforge.audio import write_wav
-from svcforge.features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, mel_loudness
+from svcforge.features import mel_loudness
 from svcforge.metrics import f0_metrics
 from svcforge.perturb import PerturbConfig, random_perturb_pair
 from svcforge.pitch import estimate_f0
@@ -31,8 +31,6 @@ from synth import sawtooth, vowel
 
 def main() -> int:
     out_dir = Path(tempfile.mkdtemp(prefix="svcforge_demo_"))
-    cfg = CANONICAL_FRAME_CONFIG
-    fb = build_mel_filterbank(cfg)
 
     speech = vowel(f0_hz=120.0, duration_sec=1.5)
     singing = sawtooth(261.6, 1.5)  # roughly C4
@@ -40,10 +38,10 @@ def main() -> int:
     write_wav(singing, out_dir / "singing.wav")
 
     # features for the singing clip, one block of frames at a time
-    mel, loud = mel_loudness(singing, cfg, fb)
+    mel, loud = mel_loudness(singing)
     write_tensor(out_dir / "singing.mel.svcf", mel)
     write_tensor(out_dir / "singing.loudness.svcf", loud)
-    sing_track = estimate_f0(singing, cfg)
+    sing_track = estimate_f0(singing)
     write_tensor(out_dir / "singing.f0.svcf", sing_track.to_array())
 
     # a seeded perturbation pair of the vowel
@@ -53,7 +51,7 @@ def main() -> int:
 
     # speech-range source stats, singing-range conversion with the
     # cross-domain policy (+6 semitones on top of the quantized shift)
-    speech_stats = compute_f0_stats([estimate_f0(speech, cfg)], "speech")
+    speech_stats = compute_f0_stats([estimate_f0(speech)], "speech")
     singing_stats = compute_f0_stats([sing_track], "singing")
     converted = convert_logf0(sing_track, singing_stats, speech_stats,
                               ConversionPolicy.cross_domain())

@@ -48,7 +48,7 @@ from .diffusion import (
     train_toy,
 )
 from .errors import InvalidParameterError, SvcforgeError
-from .features import CANONICAL_FRAME_CONFIG, build_mel_filterbank, mel_loudness
+from .features import mel_loudness
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0
 from .pitchconv import (
@@ -112,8 +112,6 @@ def _analyse_inputs(paths: list, jobs: int, analyse) -> list:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_extract(args) -> dict:
-    cfg = CANONICAL_FRAME_CONFIG
-    fb = build_mel_filterbank(cfg)
     stems = [Path(path).stem for path in args.inputs]
     if len(set(stems)) < len(stems):
         raise InvalidParameterError(
@@ -122,10 +120,9 @@ def _cmd_extract(args) -> dict:
     out_dir = Path(args.out_dir)
 
     def analyse(path, clip, block_map):
-        mel, loud = mel_loudness(clip, cfg, fb, block_map)
+        mel, loud = mel_loudness(clip, block_map)
         tensors = {"mel": mel, "loudness": loud,
-                   "f0": estimate_f0(clip, cfg, args.f0_floor, args.f0_ceil,
-                                     block_map).to_array()}
+                   "f0": estimate_f0(clip, args.f0_floor, args.f0_ceil, block_map).to_array()}
         outputs = {kind: str(out_dir / f"{Path(path).stem}.{kind}.svcf") for kind in tensors}
         summary = {"input": path, "frames": len(mel), "duration_sec": clip.duration_sec,
                    "outputs": outputs}
@@ -141,7 +138,7 @@ def _cmd_extract(args) -> dict:
 
 def _cmd_f0_stats(args) -> dict:
     tracks = _analyse_inputs(args.inputs, args.jobs, lambda path, clip, block_map: estimate_f0(
-        clip, CANONICAL_FRAME_CONFIG, args.f0_floor, args.f0_ceil, block_map))
+        clip, args.f0_floor, args.f0_ceil, block_map))
     stats = compute_f0_stats(tracks, args.speaker_id)
     save_stats(stats, args.out)
     return {

@@ -1,7 +1,11 @@
-"""Frame-synchronous spectral features on a shared 10 ms grid.
+"""Frame-synchronous spectral features on the canonical 10 ms grid.
 
-STFT/ISTFT, 80-bin log-mel spectrogram, and A-weighted loudness all share
-one FrameConfig so that every per-frame track lines up with every other.
+`CANONICAL_FRAME_CONFIG` is the one analysis grid: the 80-bin log-mel
+spectrogram and the A-weighted loudness (`mel_loudness`) and the F0 track
+(`pitch.estimate_f0`, through `frame_blocks`) all read it here, so every
+per-frame track lines up with every other and no caller passes a grid or a
+filterbank. `FrameConfig`, `frame_signal`, `stft` and `istft` take a grid
+as an argument, because the formant shifter analyses on a second one.
 Framing is non-centered (no padding): T = 1 + (n - win) // hop.
 
 Long clips are analysed in blocks of BLOCK_FRAMES frames (`frame_blocks`):
@@ -85,10 +89,10 @@ def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     )
 
 
-def frame_blocks(clip: AudioClip, cfg: FrameConfig) -> list:
-    """`frame_signal(clip, cfg)` as consecutive views of BLOCK_FRAMES rows;
-    the last holds the remainder."""
-    frames = frame_signal(clip, cfg)
+def frame_blocks(clip: AudioClip) -> list:
+    """The clip's frames on the canonical grid as consecutive views of
+    BLOCK_FRAMES rows; the last holds the remainder."""
+    frames = frame_signal(clip, CANONICAL_FRAME_CONFIG)
     return [frames[i:i + BLOCK_FRAMES] for i in range(0, frames.shape[0], BLOCK_FRAMES)]
 
 
@@ -101,21 +105,35 @@ def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
     return _spectrum(frame_signal(clip, cfg), cfg)
 
 
-def mel_loudness(clip: AudioClip, cfg: FrameConfig, fb: np.ndarray,
-                 map=map) -> tuple:
-    """(`log_mel(stft(clip, cfg), fb)`, `loudness(stft(clip, cfg), cfg)`),
-    computed one block of frames at a time: `map` runs the per-block work
-    (a thread pool's `map` runs blocks in parallel), and the blocks are
-    joined in order, so the result is the same whichever map runs it.
+def mel_loudness(clip: AudioClip, map=map) -> tuple:
+    """The log-mel spectrogram [T, N_MELS] and the A-weighted loudness [T]
+    of a clip on the canonical grid, from P, each frame's one-sided power
+    spectrum:
+    - log-mel is the natural log of (`build_mel_filterbank()` x P), floored
+      at log(POWER_FLOOR);
+    - loudness is L = 10 log10(sum_k wA(f_k) P(k) + POWER_FLOOR) in dB, with
+      wA the linear-power A weight 10^(A/10); a zero frame reads -100 dB.
 
-    It equals the whole-clip features to the bit, except in a last block of
-    very few rows (fewer than 16 with OpenBLAS): BLAS multiplies so short a
-    matrix with other kernels, which move its log-mel in the last bits."""
+    They are computed one block of frames at a time: `map` runs the
+    per-block work (a thread pool's `map` runs blocks in parallel), and the
+    blocks are joined in order, so the result is the same whichever map runs
+    it. A frame's values are those of the whole clip's spectrogram to the
+    bit, except in a last block of very few rows (fewer than 16 with
+    OpenBLAS): BLAS multiplies so short a matrix with other kernels, which
+    move its log-mel in the last bits."""
+    cfg = CANONICAL_FRAME_CONFIG
+    fb = build_mel_filterbank()
+    a_weight = 10.0 ** (a_weight_db(cfg.bin_frequencies()) / 10.0)
+
     def block(frames):
-        spec = _spectrum(frames, cfg)
-        return log_mel(spec, fb), loudness(spec, cfg)
+        power = np.abs(_spectrum(frames, cfg)) ** 2
+        mel = np.log(np.maximum(power @ fb.T, defaults.POWER_FLOOR))
+        # a row-by-row sum, not `power @ a_weight`: BLAS splits a matrix-vector
+        # product's rows over its threads, and a row's bits then depend on where it falls
+        loud = 10.0 * np.log10(np.einsum("tk,k->t", power, a_weight) + defaults.POWER_FLOOR)
+        return mel, loud
 
-    mels, louds = zip(*map(block, frame_blocks(clip, cfg)))
+    mels, louds = zip(*map(block, frame_blocks(clip)))
     return np.concatenate(mels), np.concatenate(louds)
 
 
@@ -157,13 +175,14 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def build_mel_filterbank(cfg: FrameConfig) -> np.ndarray:
+def build_mel_filterbank() -> np.ndarray:
     """Triangular filters with centers uniform on the mel scale, as an
-    [N_MELS, n_bins] array whose rows are nonnegative and unimodal. The
-    N_MELS + 2 band edges run from MEL_FMIN_HZ to MEL_FMAX_HZ."""
+    [N_MELS, n_bins] array over the canonical grid's FFT bins whose rows are
+    nonnegative and unimodal. The N_MELS + 2 band edges run from
+    MEL_FMIN_HZ to MEL_FMAX_HZ."""
     edges = mel_to_hz(np.linspace(hz_to_mel(defaults.MEL_FMIN_HZ),
                                   hz_to_mel(defaults.MEL_FMAX_HZ), defaults.N_MELS + 2))
-    freqs = cfg.bin_frequencies()
+    freqs = CANONICAL_FRAME_CONFIG.bin_frequencies()
     lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (freqs - lo) / np.maximum(mid - lo, 1e-12)
     falling = (hi - freqs) / np.maximum(hi - mid, 1e-12)
@@ -173,18 +192,6 @@ def build_mel_filterbank(cfg: FrameConfig) -> np.ndarray:
             "mel filters narrower than one FFT bin; increase fft_size"
         )
     return weights
-
-
-def log_mel(spec: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Natural-log mel energies [T, n_mels]: log of (filterbank x power
-    spectrum), floored at log(1e-10)."""
-    if spec.ndim != 2 or spec.shape[1] != fb.shape[1]:
-        raise InvalidParameterError(
-            f"spectrogram has {spec.shape} bins, filterbank expects {fb.shape[1]}"
-        )
-    power = np.abs(spec) ** 2
-    mel = power @ fb.T
-    return np.log(np.maximum(mel, defaults.POWER_FLOOR))
 
 
 def a_weight_db(f_hz):
@@ -207,22 +214,3 @@ def a_weight_db(f_hz):
         out = np.maximum(20.0 * np.log10(ra) + 2.00, defaults.A_WEIGHT_FLOOR_DB)
     return float(out) if np.isscalar(f_hz) else out
 
-
-def loudness(spec: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Per-frame A-weighted loudness in dB, shape [T]:
-    L = 10 log10(sum_k wA(f_k) P(k) + 1e-10).
-
-    wA is the linear-power A weight 10^(A/10); P the one-sided power
-    spectrum. A zero frame therefore reads -100 dB.
-    """
-    if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
-        raise InvalidParameterError(
-            f"spectrogram has {spec.shape[1] if spec.ndim == 2 else '?'} bins,"
-            f" config expects {cfg.n_bins}"
-        )
-    w = 10.0 ** (a_weight_db(cfg.bin_frequencies()) / 10.0)
-    power = np.abs(spec) ** 2
-    # a row-by-row sum, not `power @ w`: BLAS splits a matrix-vector product's
-    # rows over its threads, and a row's bits then depend on where it falls
-    weighted = np.einsum("tk,k->t", power, w)
-    return 10.0 * np.log10(weighted + defaults.POWER_FLOOR)

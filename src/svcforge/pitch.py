@@ -1,4 +1,4 @@
-"""F0 estimation and log-F0 utilities on the shared frame grid.
+"""F0 estimation and log-F0 utilities on the canonical frame grid.
 
 The tracker is a normalized-autocorrelation pitch detector: per frame it
 correlates the windowed signal against itself over the lag range implied
@@ -8,8 +8,9 @@ against octave-down picks on strongly harmonic material), refines the lag
 by parabolic interpolation, gates voicing on peak height and frame energy,
 and median-smooths each voiced run.
 
-It runs block-wise: the autocorrelation and the peak picking go over
-`features.frame_blocks` as array operations, one block per call of the
+It runs block-wise on `features.frame_blocks`, the canonical grid that the
+mel and loudness tracks share: the autocorrelation and the peak picking go
+over each block as array operations, one block per call of the
 `map` the caller passes (a thread pool's `map` runs blocks in parallel), so
 memory stays bounded however long the clip is; the run-median smoother is
 then one array pass over the joined track.
@@ -24,7 +25,7 @@ import numpy as np
 from . import defaults
 from .errors import InvalidParameterError
 from .audio import AudioClip
-from .features import FrameConfig, frame_blocks
+from .features import CANONICAL_FRAME_CONFIG, frame_blocks
 
 # Peaks within this much of the frame's best normalized correlation compete
 # on lag; the shortest wins.
@@ -142,28 +143,28 @@ def _median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
     return np.where(vuv, (lo + hi) / 2, f0)
 
 
-def estimate_f0(clip: AudioClip, cfg: FrameConfig,
-                f_floor: float = defaults.F0_FLOOR_HZ,
+def estimate_f0(clip: AudioClip, f_floor: float = defaults.F0_FLOOR_HZ,
                 f_ceil: float = defaults.F0_CEIL_HZ, map=map) -> F0Track:
-    """Track F0 with voiced/unvoiced decisions on the cfg frame grid.
+    """Track F0 with voiced/unvoiced decisions on the canonical frame grid.
 
     A frame is voiced when its best normalized correlation peak reaches
     0.3 and its RMS is at least -60 dBFS. `map` runs the per-block peak
     picking; the track is the same whichever map runs it.
     """
     sr = defaults.SAMPLE_RATE
+    win_length = CANONICAL_FRAME_CONFIG.win_length
     if not 0 < f_floor < f_ceil:
         raise InvalidParameterError("need 0 < f_floor < f_ceil")
-    if sr / f_floor >= cfg.win_length - 1:  # lag_max + 1 >= win_length, before int(inf)
+    if sr / f_floor >= win_length - 1:  # lag_max + 1 >= win_length, before int(inf)
         raise InvalidParameterError(
-            f"f_floor {f_floor} Hz needs lags beyond the {cfg.win_length}-sample window"
+            f"f_floor {f_floor} Hz needs lags beyond the {win_length}-sample window"
         )
     lag_min = max(2, int(np.ceil(sr / f_ceil)))
     lag_max = int(np.floor(sr / f_floor))
 
     f0 = np.concatenate(list(map(
         lambda frames: _pick_f0(frames, sr, lag_min, lag_max, f_floor, f_ceil),
-        frame_blocks(clip, cfg))))
+        frame_blocks(clip))))
     return F0Track(_median_smooth_runs(f0, f0 > 0))
 
 

@@ -29,7 +29,7 @@ from svcforge.diffusion import (
     train_toy,
 )
 from svcforge.errors import FormatError, InvalidParameterError
-from svcforge.features import CANONICAL_FRAME_CONFIG, build_mel_filterbank
+from svcforge.features import build_mel_filterbank
 
 SCHED = linear_schedule()
 
@@ -88,7 +88,7 @@ def test_hyper_parameters_are_read_from_the_table_when_used(monkeypatch):
 
     def used():
         return (contrastive_loss(batch), ramp_weight(1000), linear_schedule().beta[-1],
-                build_mel_filterbank(CANONICAL_FRAME_CONFIG).shape[0])
+                build_mel_filterbank().shape[0])
 
     before = used()
     monkeypatch.setattr(defaults, "CONTRASTIVE_TAU", 0.5)

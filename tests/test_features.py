@@ -19,8 +19,6 @@ from svcforge.features import (
     frame_signal,
     hz_to_mel,
     istft,
-    log_mel,
-    loudness,
     mel_loudness,
     mel_to_hz,
     overlap_add,
@@ -191,7 +189,7 @@ def test_mel_scale_formula():
 
 
 def test_filterbank_construction():
-    fb = build_mel_filterbank(CFG)
+    fb = build_mel_filterbank()
     assert fb.shape == (80, CFG.n_bins)
     assert np.all(fb >= 0)
     assert np.all(np.diff(CENTERS) > 0)
@@ -207,39 +205,35 @@ def test_filterbank_construction():
 
 
 def test_filterbank_covers_interior_bins():
-    fb = build_mel_filterbank(CFG)
+    fb = build_mel_filterbank()
     freqs = CFG.bin_frequencies()
     interior = (freqs > 0) & (freqs < 12000.0)
     assert np.all(fb.sum(axis=0)[interior] > 0)
 
 
+def _zeros(n_frames: int) -> AudioClip:
+    return AudioClip(np.zeros(CFG.win_length + (n_frames - 1) * CFG.hop), defaults.SAMPLE_RATE)
+
+
 def test_log_mel_floor_and_scaling():
-    fb = build_mel_filterbank(CFG)
-    zero = np.zeros((3, CFG.n_bins), dtype=complex)
-    out = log_mel(zero, fb)
+    out = mel_loudness(_zeros(3))[0]
+    assert out.shape == (3, defaults.N_MELS)
     assert np.allclose(out, math.log(1e-10))
 
     clip = sine(1000, 0.2, amplitude=0.25)
-    m1 = log_mel(stft(clip, CFG), fb)
-    m2 = log_mel(stft(AudioClip(2 * clip.samples, defaults.SAMPLE_RATE), CFG), fb)
+    m1 = mel_loudness(clip)[0]
+    m2 = mel_loudness(AudioClip(2 * clip.samples, defaults.SAMPLE_RATE))[0]
     above = m1 > math.log(1e-10) + 1e-6
     assert np.allclose(m2[above] - m1[above], math.log(4.0), atol=1e-6)
 
 
 def test_log_mel_peak_bin_matches_filter_geometry():
-    fb = build_mel_filterbank(CFG)
     clip = sine(1000, 0.2)
-    mel = log_mel(stft(clip, CFG), fb)
+    mel = mel_loudness(clip)[0]
     expected_bin = int(np.argmin(np.abs(CENTERS - 1000.0)))
     peaks = mel.argmax(axis=1)
     # all frames agree, within one filter of the geometric expectation
     assert np.all(np.abs(peaks - expected_bin) <= 1)
-
-
-def test_log_mel_shape_mismatch():
-    fb = build_mel_filterbank(CFG)
-    with pytest.raises(InvalidParameterError, match="filterbank expects"):
-        log_mel(np.zeros((2, 100), dtype=complex), fb)
 
 
 def test_a_weighting_anchors():
@@ -265,21 +259,21 @@ def test_a_weighting_shape():
 
 
 def test_loudness_zero_floor():
-    spec = np.zeros((2, CFG.n_bins), dtype=complex)
-    out = loudness(spec, CFG)
+    out = mel_loudness(_zeros(2))[1]
+    assert out.shape == (2,)
     assert np.allclose(out, -100.0)
 
 
 def test_loudness_power_scaling():
     clip = sine(1000, 0.2, amplitude=0.05)
-    l1 = loudness(stft(clip, CFG), CFG)
-    l2 = loudness(stft(AudioClip(10 * clip.samples, defaults.SAMPLE_RATE), CFG), CFG)
+    l1 = mel_loudness(clip)[1]
+    l2 = mel_loudness(AudioClip(10 * clip.samples, defaults.SAMPLE_RATE))[1]
     assert np.allclose(l2 - l1, 20.0, atol=1e-6)
 
 
 def test_loudness_a_weight_difference():
-    l1k = loudness(stft(sine(1000, 0.3), CFG), CFG).mean()
-    l100 = loudness(stft(sine(100, 0.3), CFG), CFG).mean()
+    l1k = mel_loudness(sine(1000, 0.3))[1].mean()
+    l100 = mel_loudness(sine(100, 0.3))[1].mean()
     expected = a_weight_db(1000.0) - a_weight_db(100.0)  # ~= 19.1 dB
     # leakage spreads energy over bins where the A-curve is steep at 100 Hz
     assert abs((l1k - l100) - expected) < 0.75
@@ -287,11 +281,9 @@ def test_loudness_a_weight_difference():
 
 def test_track_alignment_across_features():
     clip = sine(220, 0.7)
-    spec = stft(clip, CFG)
-    fb = build_mel_filterbank(CFG)
-    t_mel = log_mel(spec, fb).shape[0]
-    t_loud = loudness(spec, CFG).shape[0]
-    t_f0 = estimate_f0(clip, CFG).f0_hz.shape[0]
+    mel, loud = mel_loudness(clip)
+    t_mel, t_loud = mel.shape[0], loud.shape[0]
+    t_f0 = estimate_f0(clip).f0_hz.shape[0]
     assert t_mel == t_loud == t_f0 == CFG.num_frames(clip.samples.size)
 
 
@@ -299,10 +291,9 @@ def test_track_alignment_across_features():
 def test_log_mel_monotone_in_amplitude(gain):
     # gains bounded away from 1 so the property dominates FFT round-off
     # in near-cancelling leakage bins
-    fb = build_mel_filterbank(CFG)
     clip = sine(500, 0.15, amplitude=0.1)
-    m1 = log_mel(stft(clip, CFG), fb)
-    m2 = log_mel(stft(AudioClip(gain * clip.samples, defaults.SAMPLE_RATE), CFG), fb)
+    m1 = mel_loudness(clip)[0]
+    m2 = mel_loudness(AudioClip(gain * clip.samples, defaults.SAMPLE_RATE))[0]
     assert np.all(m2 >= m1 - 1e-9)
 
 
@@ -316,11 +307,11 @@ def _noisy_tone(n_frames: int, seed: int) -> AudioClip:
 
 def test_frame_blocks_split_the_frames_in_order():
     clip = _noisy_tone(2 * BLOCK_FRAMES + 37, 1)
-    blocks = frame_blocks(clip, CFG)
+    blocks = frame_blocks(clip)
     assert [b.shape[0] for b in blocks] == [BLOCK_FRAMES, BLOCK_FRAMES, 37]
     assert all(np.shares_memory(b, clip.samples) for b in blocks)  # views, not copies
     assert np.array_equal(np.concatenate(blocks), frame_signal(clip, CFG))
-    assert [b.shape[0] for b in frame_blocks(_noisy_tone(BLOCK_FRAMES, 1), CFG)] == [BLOCK_FRAMES]
+    assert [b.shape[0] for b in frame_blocks(_noisy_tone(BLOCK_FRAMES, 1))] == [BLOCK_FRAMES]
 
 
 @pytest.mark.parametrize("jobs", [0, 2, 3], ids=["map", "pool2", "pool3"])
@@ -328,16 +319,18 @@ def test_frame_blocks_split_the_frames_in_order():
 def test_mel_loudness_equals_whole_clip_features(jobs, rest):
     n_frames = 2 * BLOCK_FRAMES + rest
     clip = _noisy_tone(n_frames, 2)
-    fb = build_mel_filterbank(CFG)
     if jobs:
         with ThreadPoolExecutor(jobs) as pool:
-            mel, loud = mel_loudness(clip, CFG, fb, pool.map)
+            mel, loud = mel_loudness(clip, pool.map)
     else:
-        mel, loud = mel_loudness(clip, CFG, fb)
-    spec = stft(clip, CFG)
-    want = log_mel(spec, fb)
+        mel, loud = mel_loudness(clip)
+    # the whole clip's features, from one spectrogram of every frame
+    power = np.abs(stft(clip, CFG)) ** 2
+    want = np.log(np.maximum(power @ build_mel_filterbank().T, defaults.POWER_FLOOR))
+    a_weight = 10.0 ** (a_weight_db(CFG.bin_frequencies()) / 10.0)
+    want_loud = 10.0 * np.log10(np.einsum("tk,k->t", power, a_weight) + defaults.POWER_FLOOR)
     assert mel.shape == (n_frames, defaults.N_MELS)
-    assert np.array_equal(loud, loudness(spec, CFG))
+    assert np.array_equal(loud, want_loud)
     # BLAS may multiply a one-row block by another kernel than the long
     # matrix's, so only that block's log-mel may move, in its last bits
     whole = n_frames if rest >= 16 else 2 * BLOCK_FRAMES
@@ -346,12 +339,11 @@ def test_mel_loudness_equals_whole_clip_features(jobs, rest):
 
 
 def test_feature_stage_memory_is_bounded_by_the_block():
-    # the whole-clip stft -> log_mel/loudness path peaks near 91 MiB here
+    # a whole-clip spectrogram and its features peak near 91 MiB here
     clip = _noisy_tone(CFG.num_frames(60 * defaults.SAMPLE_RATE), 3)
-    fb = build_mel_filterbank(CFG)
     tracemalloc.start()
     try:
-        mel, loud = mel_loudness(clip, CFG, fb)
+        mel, loud = mel_loudness(clip)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

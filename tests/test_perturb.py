@@ -8,8 +8,7 @@ from scipy.signal import freqz, welch
 
 from svcforge.audio import AudioClip
 from svcforge.errors import InvalidParameterError
-from svcforge.features import hann, istft, stft
-from svcforge.features import CANONICAL_FRAME_CONFIG as CFG, hz_to_mel, mel_to_hz
+from svcforge.features import hann, hz_to_mel, istft, mel_to_hz, stft
 from svcforge.perturb import (
     PerturbConfig,
     formant_shift,
@@ -29,7 +28,7 @@ def _rel_rms_db(out, ref):
 
 
 def _median_f0(clip):
-    track = estimate_f0(clip, CFG)
+    track = estimate_f0(clip)
     return np.median(track.f0_hz[track.vuv])
 
 

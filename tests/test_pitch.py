@@ -19,14 +19,14 @@ from synth import sawtooth, sine, vowel
 
 
 def test_silence_is_unvoiced():
-    track = estimate_f0(AudioClip(np.zeros(24000), 24000), CFG)
+    track = estimate_f0(AudioClip(np.zeros(24000), 24000))
     assert not track.vuv.any()
     assert np.all(track.f0_hz == 0)
     assert np.all(np.isnan(track.log_f0))
 
 
 def test_sine_440():
-    track = estimate_f0(sine(440, 1.0), CFG)
+    track = estimate_f0(sine(440, 1.0))
     interior = track.vuv[2:-2]
     assert interior.mean() >= 0.95
     median = np.median(track.f0_hz[track.vuv])
@@ -34,7 +34,7 @@ def test_sine_440():
 
 
 def test_sawtooth_220_no_octave_errors():
-    track = estimate_f0(sawtooth(220, 1.0), CFG)
+    track = estimate_f0(sawtooth(220, 1.0))
     voiced = track.f0_hz[track.vuv]
     assert abs(np.median(voiced) / 220.0 - 1) < 0.01
     octave_ok = np.abs(voiced / 220.0 - 1) < 0.1
@@ -43,21 +43,21 @@ def test_sawtooth_220_no_octave_errors():
 
 def test_rate_mismatch():
     with pytest.raises(InvalidParameterError, match="clip at 16000 Hz"):
-        estimate_f0(sine(440, 0.5, sample_rate=16000), CFG)
+        estimate_f0(sine(440, 0.5, sample_rate=16000))
     # an input wrong both ways fails on its F0 range, checked before the framing
     with pytest.raises(InvalidParameterError, match="f_floor < f_ceil"):
-        estimate_f0(sine(440, 0.5, sample_rate=16000), CFG, f_floor=500.0, f_ceil=100.0)
+        estimate_f0(sine(440, 0.5, sample_rate=16000), f_floor=500.0, f_ceil=100.0)
 
 
 def test_bad_range():
     with pytest.raises(InvalidParameterError):
-        estimate_f0(sine(440, 0.5), CFG, f_floor=10.0)  # lag exceeds window
+        estimate_f0(sine(440, 0.5), f_floor=10.0)  # lag exceeds window
     with pytest.raises(InvalidParameterError):
-        estimate_f0(sine(440, 0.5), CFG, f_floor=500.0, f_ceil=100.0)
+        estimate_f0(sine(440, 0.5), f_floor=500.0, f_ceil=100.0)
 
 
 def test_voiced_f0_within_range():
-    track = estimate_f0(sawtooth(220, 0.6), CFG, f_floor=80.0, f_ceil=900.0)
+    track = estimate_f0(sawtooth(220, 0.6), f_floor=80.0, f_ceil=900.0)
     voiced = track.f0_hz[track.vuv]
     assert np.all(voiced >= 80.0) and np.all(voiced <= 900.0)
 
@@ -68,8 +68,8 @@ def test_pitch_shift_consistency():
     ratio = 1.25
     inner = resample(base, int(round(24000 / ratio)))
     shifted = AudioClip(inner.samples, 24000)
-    t_base = estimate_f0(base, CFG)
-    t_shift = estimate_f0(shifted, CFG)
+    t_base = estimate_f0(base)
+    t_shift = estimate_f0(shifted)
     m_base = np.median(t_base.f0_hz[t_base.vuv])
     m_shift = np.median(t_shift.f0_hz[t_shift.vuv])
     assert abs(m_shift / (ratio * m_base) - 1) < 0.02
@@ -92,7 +92,7 @@ def test_track_invariants_enforced():
 
 
 def test_track_array_roundtrip():
-    track = estimate_f0(sine(440, 0.5), CFG)
+    track = estimate_f0(sine(440, 0.5))
     back = F0Track.from_array(track.to_array())
     assert np.array_equal(back.f0_hz, track.f0_hz)
     assert np.array_equal(back.vuv, track.vuv)
@@ -147,13 +147,13 @@ def _reference_median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
     return out
 
 
-def _reference_estimate_f0(clip, cfg, f_floor=defaults.F0_FLOOR_HZ,
+def _reference_estimate_f0(clip, f_floor=defaults.F0_FLOOR_HZ,
                            f_ceil=defaults.F0_CEIL_HZ) -> np.ndarray:
     sr = defaults.SAMPLE_RATE
     lag_min = max(2, int(np.ceil(sr / f_ceil)))
     lag_max = int(np.floor(sr / f_floor))
 
-    frames = frame_signal(clip, cfg)
+    frames = frame_signal(clip, CFG)
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     energy_ok = rms >= 10.0 ** (defaults.VUV_ENERGY_FLOOR_DBFS / 20.0)
     r = _normalized_autocorr(frames, lag_max + 1)
@@ -203,8 +203,8 @@ def _sung_phrases(seed: int, seconds: float) -> AudioClip:
 
 
 def _assert_matches_reference(clip, **range_hz):
-    track = estimate_f0(clip, CFG, **range_hz)
-    assert np.array_equal(track.f0_hz, _reference_estimate_f0(clip, CFG, **range_hz))
+    track = estimate_f0(clip, **range_hz)
+    assert np.array_equal(track.f0_hz, _reference_estimate_f0(clip, **range_hz))
     return track
 
 
