@@ -393,63 +393,62 @@ class TrainConfig:
     seed: int = 0
 
 
-def _draw(rng: np.random.Generator, dataset: list, sched: NoiseSchedule) -> tuple:
-    """One noised draw (x_t, t, cond, eps), in the argument order of
-    `l2_loss_and_grads`; the RNG draws the dataset index, then the timestep
-    t, then the noise eps."""
-    x0, cond = dataset[int(rng.integers(len(dataset)))]
-    t = int(rng.integers(1, sched.num_steps + 1))
-    eps = rng.standard_normal(np.shape(x0))
-    return q_sample(x0, t, eps, sched), t, cond, eps
+def _descend(model: ToyDenoiser, dataset: list, sched: NoiseSchedule, steps: int,
+             seed: int, names=(), lr: float = 0.0, p_uncond: float | None = None):
+    """The one training draw loop: yields the loss of each of `steps` noised
+    draws from `dataset`, then steps the `names` parameters down that draw's
+    gradient by `lr`.
 
-
-def _check_training(model: ToyDenoiser, sched: NoiseSchedule, lr: float) -> None:
-    """Reject a learning rate that is not finite and > 0, or a schedule that
-    `_check_schedule` rejects."""
-    if not 0 < lr < math.inf:
+    Per step the RNG (from `seed`) draws, in this fixed order: dataset index,
+    timestep t, noise eps and, when `p_uncond` is given, one uniform that
+    drops the condition (unconditional mode) when it is below p_uncond.
+    Before the first draw it rejects an empty dataset, a schedule that
+    `_check_schedule` rejects and, when `names` is not empty, a learning rate
+    that is not finite and > 0. A loss or a stepped parameter that is not
+    finite means the run diverged.
+    """
+    if not dataset:
+        raise InvalidParameterError("dataset must be nonempty")
+    if names and not 0 < lr < math.inf:
         raise InvalidParameterError(f"learning rate must be finite and > 0, got {lr}")
     _check_schedule(model, sched)
-
-
-def _check_finite(model: ToyDenoiser, losses=()) -> None:
-    """Reject a diverged run: a loss or a parameter that is not finite."""
-    if not (np.all(np.isfinite(losses))
-            and all(np.all(np.isfinite(v)) for v in model.params.values())):
-        raise InvalidParameterError(
-            "training diverged: a loss or a parameter is not finite; lower the learning rate")
+    diverged = InvalidParameterError(
+        "training diverged: a loss or a parameter is not finite; lower the learning rate")
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            x0, cond = dataset[int(rng.integers(len(dataset)))]
+            t = int(rng.integers(1, sched.num_steps + 1))
+            eps = rng.standard_normal(np.shape(x0))
+            drop = p_uncond is not None and rng.random() < p_uncond
+            loss, grads = model.l2_loss_and_grads(q_sample(x0, t, eps, sched), t, cond, eps,
+                                                  unconditional=drop)
+            if not math.isfinite(loss):
+                raise diverged
+            yield loss
+            for name in names:
+                model.params[name] -= lr * grads[name]
+    if not all(np.all(np.isfinite(model.params[name])) for name in names):
+        raise diverged
 
 
 def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
               cfg: TrainConfig) -> np.ndarray:
-    """Epsilon-prediction training loop; returns the per-step loss history.
-
-    Per step the RNG draws, in this fixed order: dataset index, timestep t,
-    noise eps, one uniform for the condition-drop decision. The condition is
-    dropped (unconditional mode) when that uniform is below p_uncond.
-    """
-    if not dataset:
-        raise InvalidParameterError("dataset must be nonempty")
+    """Epsilon-prediction training loop over every parameter (`_descend`,
+    with the condition-drop uniform); returns the per-step loss history."""
     if cfg.steps < 1:
         raise InvalidParameterError("steps must be >= 1")
     check_elements(cfg.steps, "the loss history")
-    _check_training(model, sched, cfg.lr)
     if not 0 <= cfg.p_uncond <= 1:
         raise InvalidParameterError(f"p_uncond must lie in [0, 1], got {cfg.p_uncond}")
-    rng = np.random.default_rng(cfg.seed)
     history = np.empty(cfg.steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cfg.steps):
-            # the drop uniform is drawn after the noised draw
-            loss, grads = model.l2_loss_and_grads(*_draw(rng, dataset, sched),
-                                                  unconditional=rng.random() < cfg.p_uncond)
-            if cfg.contrastive_source is not None:
-                batch = cfg.contrastive_source(n)
-                if batch is not None:
-                    loss += ramp_weight(n) * contrastive_loss(batch)
-            for name, grad in grads.items():
-                model.params[name] -= cfg.lr * grad
-            history[n] = loss
-    _check_finite(model, history)
+    for n, loss in enumerate(_descend(model, dataset, sched, cfg.steps, cfg.seed,
+                                      tuple(model.params), cfg.lr, cfg.p_uncond)):
+        if cfg.contrastive_source is not None:
+            batch = cfg.contrastive_source(n)
+            if batch is not None:
+                loss += ramp_weight(n) * contrastive_loss(batch)
+        history[n] = loss
     return history
 
 
@@ -463,32 +462,23 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     iterations == 0 is a no-op."""
     if iterations < 0:
         raise InvalidParameterError("iterations must be >= 0")
-    _check_training(model, sched, lr)
-    if not dataset:
-        raise InvalidParameterError("dataset must be nonempty")
     # ConditionSet checks that the embedding is 1-D with unit norm
     dataset = [(x0, replace(c, speaker_embedding=target_embedding)) for x0, c in dataset]
-    rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iterations):
-            _, grads = model.l2_loss_and_grads(*_draw(rng, dataset, sched))
-            for name in CLN_PARAM_NAMES:
-                model.params[name] -= lr * grads[name]
-    _check_finite(model)
+    for _ in _descend(model, dataset, sched, iterations, seed, CLN_PARAM_NAMES, lr):
+        pass
     return model
 
 
 def evaluate_l2(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
                 embedding: np.ndarray) -> float:
     """Mean epsilon-prediction loss, with `embedding` as every item's speaker
-    embedding, over 200 fixed random (item, t, eps) draws from seed 12345."""
-    _check_schedule(model, sched)
+    embedding, over 200 fixed random (item, t, eps) draws from seed 12345,
+    summed in draw order."""
     n_draws = 200
     dataset = [(x0, replace(c, speaker_embedding=embedding)) for x0, c in dataset]
-    rng = np.random.default_rng(12345)
     total = 0.0
-    for _ in range(n_draws):
-        total += model.l2_loss_and_grads(*_draw(rng, dataset, sched))[0]
+    for loss in _descend(model, dataset, sched, n_draws, 12345):
+        total += loss
     return total / n_draws
 
 
