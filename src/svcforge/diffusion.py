@@ -393,8 +393,8 @@ class TrainConfig:
     seed: int = 0
 
 
-def _descend(model: ToyDenoiser, dataset: list, sched: NoiseSchedule, steps: int,
-             seed: int, names=(), lr: float = 0.0, p_uncond: float | None = None):
+def _draw_loop(model: ToyDenoiser, dataset: list, sched: NoiseSchedule, steps: int,
+               seed: int, names=(), lr: float = 0.0, p_uncond: float | None = None):
     """The one training draw loop: yields the loss of each of `steps` noised
     draws from `dataset`, then steps the `names` parameters down that draw's
     gradient by `lr`.
@@ -434,7 +434,7 @@ def _descend(model: ToyDenoiser, dataset: list, sched: NoiseSchedule, steps: int
 
 def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
               cfg: TrainConfig) -> np.ndarray:
-    """Epsilon-prediction training loop over every parameter (`_descend`,
+    """Epsilon-prediction training loop over every parameter (`_draw_loop`,
     with the condition-drop uniform); returns the per-step loss history."""
     if cfg.steps < 1:
         raise InvalidParameterError("steps must be >= 1")
@@ -442,8 +442,8 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     if not 0 <= cfg.p_uncond <= 1:
         raise InvalidParameterError(f"p_uncond must lie in [0, 1], got {cfg.p_uncond}")
     history = np.empty(cfg.steps)
-    for n, loss in enumerate(_descend(model, dataset, sched, cfg.steps, cfg.seed,
-                                      tuple(model.params), cfg.lr, cfg.p_uncond)):
+    for n, loss in enumerate(_draw_loop(model, dataset, sched, cfg.steps, cfg.seed,
+                                        tuple(model.params), cfg.lr, cfg.p_uncond)):
         if cfg.contrastive_source is not None:
             batch = cfg.contrastive_source(n)
             if batch is not None:
@@ -464,7 +464,7 @@ def finetune_cln(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
         raise InvalidParameterError("iterations must be >= 0")
     # ConditionSet checks that the embedding is 1-D with unit norm
     dataset = [(x0, replace(c, speaker_embedding=target_embedding)) for x0, c in dataset]
-    for _ in _descend(model, dataset, sched, iterations, seed, CLN_PARAM_NAMES, lr):
+    for _ in _draw_loop(model, dataset, sched, iterations, seed, CLN_PARAM_NAMES, lr):
         pass
     return model
 
@@ -477,7 +477,7 @@ def evaluate_l2(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     n_draws = 200
     dataset = [(x0, replace(c, speaker_embedding=embedding)) for x0, c in dataset]
     total = 0.0
-    for loss in _descend(model, dataset, sched, n_draws, 12345):
+    for loss in _draw_loop(model, dataset, sched, n_draws, 12345):
         total += loss
     return total / n_draws
 

@@ -189,7 +189,7 @@ def build_mel_filterbank() -> np.ndarray:
     weights = np.maximum(0.0, np.minimum(rising, falling))
     if not np.all(weights.max(axis=1) > 0):
         raise InvalidParameterError(
-            "mel filters narrower than one FFT bin; increase fft_size"
+            "mel filters narrower than one FFT bin; raise FFT_SIZE or lower N_MELS"
         )
     return weights
 
