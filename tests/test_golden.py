@@ -5,11 +5,12 @@ One chain of commands over fixed synthetic inputs: `extract` at --jobs 2
 `f0-stats`, `convert-pitch --policy cross-domain`, `segment --mode vad` and
 a small `ddpm train` -> `finetune` -> `sample`. Every written file and every
 command's stdout must hash to the digests below, which a refactor that
-claims byte-identical outputs must leave unchanged. The run is in a fresh
-working directory with relative paths, so stdout holds no machine's path.
+claims byte-identical outputs must leave unchanged. They were computed with
+the numpy and scipy versions CI pins. The run is in a fresh working
+directory with relative paths, so stdout holds no machine's path.
 
-The long take's last block is 37 frames: a last block of 1-15 frames is not
-bit-equal across BLAS builds (see `features.mel_loudness`).
+The long take's last block is 37 frames: BLAS multiplies a last block of
+1-15 frames with other kernels than a full one (see `features.mel_loudness`).
 """
 
 import hashlib
