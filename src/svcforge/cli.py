@@ -12,9 +12,10 @@ order and the clips in input order.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,8 +150,8 @@ def _cmd_f0_stats(args) -> dict:
 
 
 def _cmd_convert_pitch(args) -> dict:
-    offset = defaults.CROSS_DOMAIN_OFFSET_SEMITONES if args.policy == "cross-domain" else 0.0
-    policy = ConversionPolicy(args.scale_sigma, args.quantize_cents, offset)
+    base = ConversionPolicy.cross_domain() if args.policy == "cross-domain" else ConversionPolicy()
+    policy = replace(base, scale_sigma=args.scale_sigma, quantize_cents=args.quantize_cents)
     track = F0Track.from_array(read_tensor(args.input))
     stats_x = load_stats(args.source_stats)
     stats_y = load_stats(args.target_stats)
@@ -170,6 +171,8 @@ def _cmd_convert_pitch(args) -> dict:
 
 
 def _cmd_perturb(args) -> dict:
+    if os.path.realpath(args.out_a) == os.path.realpath(args.out_b):
+        raise InvalidParameterError("--out-a and --out-b name the same file")
     clip = _load_clip_at_canonical_rate(args.input)
     first, second = random_perturb_pair(clip, PerturbConfig(seed=args.seed))
     atomic_write_files({args.out_a: wav_bytes(first), args.out_b: wav_bytes(second)})
@@ -268,39 +271,34 @@ def _cmd_ddpm_finetune(args) -> dict:
     }
 
 
-def _cmd_ddpm_sample(args) -> dict:
-    if args.model_dir is not None:
-        if any(v is not None for v in (args.oracle_std, args.dim, args.steps)):
-            raise _UsageError("--oracle-std, --dim and --steps are not allowed with --model-dir")
-        model = load_model(args.model_dir)
-        sched = linear_schedule(model.num_steps)
-        rng = np.random.default_rng(args.seed)
-        cond = ConditionSet(
-            linguistic=rng.normal(size=(4, _TOY_LING_DIM)),
-            log_f0_vuv=rng.normal(size=(4, 2)),
-            loudness=rng.normal(size=4),
-            speaker_embedding=pseudo_speaker_embedding(args.seed, model.speaker_dim),
-        )
-        denoiser = model
-        dim = model.dim
-    else:
-        sched = linear_schedule(defaults.DIFFUSION_STEPS if args.steps is None else args.steps)
-        dim = 8 if args.dim is None else args.dim
-        std = 1.0 if args.oracle_std is None else args.oracle_std
-        # a scalar mean broadcasts over the sample, so `sample` checks --dim
-        denoiser = analytic_gaussian_denoiser(args.oracle_mean, std, sched)
-        cond = ConditionSet(
-            linguistic=np.zeros((1, 1)), log_f0_vuv=np.zeros((1, 2)),
-            loudness=np.zeros(1),
-        )
-    x = sample(denoiser, sched, cond, w=args.guidance_scale, dim=dim,
-               seed=args.seed)
+def _write_sample(args, denoiser, sched, cond, dim) -> dict:
+    """Run the reverse chain from seeded noise and write the sample."""
+    x = sample(denoiser, sched, cond, w=args.guidance_scale, dim=dim, seed=args.seed)
     write_tensor(args.out, x)
-    return {
-        "command": "ddpm sample", "seed": args.seed,
-        "guidance_scale": args.guidance_scale, "dim": dim,
-        "out": args.out, "mean": float(np.mean(x)),
-    }
+    return {"command": f"ddpm {args.ddpm_command}", "seed": args.seed,
+            "guidance_scale": args.guidance_scale, "dim": dim,
+            "out": args.out, "mean": float(np.mean(x))}
+
+
+def _cmd_ddpm_sample(args) -> dict:
+    model = load_model(args.model_dir)
+    rng = np.random.default_rng(args.seed)
+    cond = ConditionSet(
+        linguistic=rng.normal(size=(4, _TOY_LING_DIM)),
+        log_f0_vuv=rng.normal(size=(4, 2)),
+        loudness=rng.normal(size=4),
+        speaker_embedding=pseudo_speaker_embedding(args.seed, model.speaker_dim),
+    )
+    return _write_sample(args, model, linear_schedule(model.num_steps), cond, model.dim)
+
+
+def _cmd_ddpm_sample_oracle(args) -> dict:
+    sched = linear_schedule(args.steps)
+    # a scalar mean broadcasts over the sample, so `sample` checks --dim
+    denoiser = analytic_gaussian_denoiser(args.mean, args.std, sched)
+    cond = ConditionSet(linguistic=np.zeros((1, 1)), log_f0_vuv=np.zeros((1, 2)),
+                        loudness=np.zeros(1))
+    return _write_sample(args, denoiser, sched, cond, args.dim)
 
 
 def _cmd_eval_cossim(args) -> dict:
@@ -446,22 +444,23 @@ def build_parser() -> argparse.ArgumentParser:
     pf.set_defaults(func=_cmd_ddpm_finetune)
 
     ps = dsub.add_parser("sample",
-                         help="run the reverse chain from seeded noise")
-    ps.add_argument("--out", required=True, help="output sample SVCF path")
-    ps.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    source = ps.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model-dir", help="trained model directory")
-    source.add_argument("--oracle-mean", type=float,
-                        help="use the analytic Gaussian denoiser with this target mean")
-    ps.add_argument("--oracle-std", type=float,
-                    help="target std for the analytic denoiser (oracle mode; default 1.0)")
-    ps.add_argument("--dim", type=int, help="sample dimensionality (oracle mode; default 8)")
-    ps.add_argument("--guidance-scale", type=float, default=defaults.GUIDANCE_SCALE,
-                    help="classifier-free guidance scale w (default %(default)s)")
-    ps.add_argument("--steps", type=int,
-                    help=f"number of diffusion steps (oracle mode; default "
-                         f"{defaults.DIFFUSION_STEPS}; a loaded model carries its own)")
-    ps.set_defaults(func=_cmd_ddpm_sample)
+                         help="run a trained model's reverse chain from seeded noise")
+    ps.add_argument("--model-dir", required=True,
+                    help="trained model directory (it carries its own dim and steps)")
+    po = dsub.add_parser("sample-oracle",
+                         help="run the analytic Gaussian denoiser's reverse chain")
+    po.add_argument("--mean", type=float, required=True, help="target mean")
+    po.add_argument("--std", type=float, default=1.0, help="target std (default %(default)s)")
+    po.add_argument("--dim", type=int, default=8,
+                    help="sample dimensionality (default %(default)s)")
+    po.add_argument("--steps", type=int, default=defaults.DIFFUSION_STEPS,
+                    help="number of diffusion steps (default %(default)s)")
+    for p, func in ((ps, _cmd_ddpm_sample), (po, _cmd_ddpm_sample_oracle)):
+        p.add_argument("--out", required=True, help="output sample SVCF path")
+        p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
+        p.add_argument("--guidance-scale", type=float, default=defaults.GUIDANCE_SCALE,
+                       help="classifier-free guidance scale w (default %(default)s)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval",
                        help="objective metrics over SVCF tensors")

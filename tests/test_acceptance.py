@@ -385,8 +385,8 @@ def test_criterion_11():
 
         def ddpm_sample(tag):
             out = tmp / f"{tag}.svcf"
-            code = quiet_cli(["ddpm", "sample", "--oracle-mean", "0.2",
-                              "--oracle-std", "0.5", "--out", str(out),
+            code = quiet_cli(["ddpm", "sample-oracle", "--mean", "0.2",
+                              "--std", "0.5", "--out", str(out),
                               "--seed", "5", "--dim", "8"])
             assert code == 0
             return out.read_bytes()

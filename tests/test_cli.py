@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import shlex
 import struct
@@ -275,6 +276,19 @@ def test_perturb_ranges_are_not_settable(tmp_path, wavs, capsys, flags):
     assert not pa.exists() and not pb.exists()
 
 
+@pytest.mark.parametrize("out_b", ["p.wav", "./p.wav", "absolute"])
+def test_perturb_refuses_two_names_for_one_output(tmp_path, wavs, capsys, monkeypatch, out_b):
+    # two names for one file would merge into one write, and the summary would
+    # still list two outputs
+    monkeypatch.chdir(tmp_path)
+    out_b = tmp_path / "p.wav" if out_b == "absolute" else out_b
+    before = sorted(p.name for p in tmp_path.iterdir())
+    err = _assert_rejected(capsys, ["perturb", "--in", wavs[0], "--out-a", "p.wav",
+                                    "--out-b", out_b, "--seed", "1"])
+    assert "--out-a and --out-b" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("blocker", ["file", "directory"])
 def test_perturb_writes_both_outputs_or_neither(tmp_path, wavs, capsys, existing, blocker):
@@ -415,10 +429,11 @@ def test_ddpm_train_rejects_nonpositive_steps(tmp_path, capsys, steps):
 
 def test_ddpm_sample_oracle_mode(tmp_path, capsys):
     out = tmp_path / "o.svcf"
-    code, summary = run_cli(capsys, "ddpm", "sample", "--oracle-mean", "0.5",
-                            "--oracle-std", "0.0", "--out", str(out),
+    code, summary = run_cli(capsys, "ddpm", "sample-oracle", "--mean", "0.5",
+                            "--std", "0.0", "--out", str(out),
                             "--seed", "5", "--dim", "4")
     assert code == 0
+    assert summary["command"] == "ddpm sample-oracle"
     assert np.allclose(read_tensor(out), 0.5, atol=1e-5)
 
 
@@ -484,7 +499,9 @@ def test_exit_codes(tmp_path, capsys):
     ["segment", "--mode", "rest"],
     ["segment", "--mode", "vad"],
     ["ddpm", "sample", "--seed", "0"],
-], ids=["rest-without-notes", "vad-without-in", "sample-without-model-or-oracle"])
+    ["ddpm", "sample-oracle", "--seed", "0"],
+], ids=["rest-without-notes", "vad-without-in", "sample-without-model-or-oracle",
+        "sample-oracle-without-mean"])
 def test_mode_dependent_flag_missing_is_a_usage_error(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
@@ -496,11 +513,11 @@ def test_mode_dependent_flag_missing_is_a_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--oracle-mean", "0.5"],
-    ["--oracle-std", "2"],
+    ["--mean", "0.5"],
+    ["--std", "2"],
     ["--dim", "3"],
     ["--steps", "7"],
-    ["--oracle-mean", "0.5", "--dim", "3", "--steps", "7"],
+    ["--mean", "0.5", "--dim", "3", "--steps", "7"],
 ])
 def test_ddpm_sample_oracle_flags_with_a_model_are_a_usage_error(tmp_path, capsys, flags):
     model_dir, out = tmp_path / "model", tmp_path / "x.svcf"
@@ -513,6 +530,31 @@ def test_ddpm_sample_oracle_flags_with_a_model_are_a_usage_error(tmp_path, capsy
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("usage error: ")
     assert not out.exists()
+
+
+def _usage_error_raisers(node, scope=""):
+    """Dotted names of the functions under `node` whose own code raises
+    `_UsageError`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _usage_error_raisers(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Raise) and any(
+                isinstance(n, ast.Name) and n.id == "_UsageError" for n in ast.walk(child)):
+            yield scope
+        yield from _usage_error_raisers(child, scope)
+
+
+def test_the_check_finds_a_usage_error_raise():
+    source = ("class P:\n    def error(self):\n        raise _UsageError('x')\n"
+              "def f():\n    def g():\n        raise _UsageError\n    raise ValueError\n")
+    assert sorted(_usage_error_raisers(ast.parse(source))) == ["P.error", "f.g"]
+
+
+def test_only_the_parser_and_segment_raise_usage_errors():
+    # every other usage rule is argparse's: a required flag or a subcommand's flags
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert set(_usage_error_raisers(tree)) == {"_Parser.error", "_cmd_segment"}
 
 
 @pytest.mark.parametrize("case, message", [
@@ -953,12 +995,12 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("sample", ["--oracle-mean", "0", "--guidance-scale", "inf"]),
-    ("sample", ["--oracle-mean", "0", "--guidance-scale", "nan"]),
-    ("sample", ["--oracle-mean", "0", "--dim", "0"]),
-    ("sample", ["--oracle-mean", "nan"]),
-    ("sample", ["--oracle-mean", "0", "--oracle-std", "nan"]),
-    ("sample", ["--oracle-mean", "0", "--oracle-std", "inf"]),
+    ("sample", ["--mean", "0", "--guidance-scale", "inf"]),
+    ("sample", ["--mean", "0", "--guidance-scale", "nan"]),
+    ("sample", ["--mean", "0", "--dim", "0"]),
+    ("sample", ["--mean", "nan"]),
+    ("sample", ["--mean", "0", "--std", "nan"]),
+    ("sample", ["--mean", "0", "--std", "inf"]),
     ("train", ["--lr", "nan"]),
     ("train", ["--lr", "0"]),
     ("train", ["--lr", "inf"]),
@@ -976,9 +1018,9 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("vad", ["--vad-energy-floor-dbfs", "nan"]),
     ("vad", ["--vad-hangover-ms", "inf"]),
     ("cossim", []),
-    ("sample", ["--oracle-mean", "0", "--oracle-std", "1e200"]),
-    ("sample", ["--oracle-mean", "0", "--oracle-std", "1e154", "--steps", "100"]),
-    ("sample", ["--oracle-mean", "1e300", "--dim", "2"]),
+    ("sample", ["--mean", "0", "--std", "1e200"]),
+    ("sample", ["--mean", "0", "--std", "1e154", "--steps", "100"]),
+    ("sample", ["--mean", "1e300", "--dim", "2"]),
     ("train", ["--lr", "1e300", "--steps", "50"]),
     ("train", ["--lr", "1e30", "--steps", "50"]),
     ("finetune", ["--lr", "1e300", "--iterations", "50"]),
@@ -987,14 +1029,14 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("perturb", ["--seed", "-1"]),
     ("train", ["--seed", "-1"]),
     ("finetune", ["--seed", "-1"]),
-    ("sample", ["--oracle-mean", "0", "--seed", "-2"]),
+    ("sample", ["--mean", "0", "--seed", "-2"]),
     ("sample-model", ["--seed", "-2"]),
     ("extract", ["--f0-floor", "-1"]),
-    ("sample", ["--oracle-mean", "0", "--dim", "-1"]),
+    ("sample", ["--mean", "0", "--dim", "-1"]),
     ("extract", ["--f0-floor", "5e-324"]),
     # sizes of about 10**12 elements, beyond the element budget
-    ("sample", ["--oracle-mean", "0", "--dim", str(10**12)]),
-    ("sample", ["--oracle-mean", "0", "--steps", str(10**12)]),
+    ("sample", ["--mean", "0", "--dim", str(10**12)]),
+    ("sample", ["--mean", "0", "--steps", str(10**12)]),
     ("train", ["--steps", str(10**12)]),
     ("train", ["--diffusion-steps", str(10**12)]),
     ("train", ["--hidden", str(10**11)]),
@@ -1012,8 +1054,8 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
 ])
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"
-    if command == "sample":
-        argv = ["ddpm", "sample", "--out", out, "--seed", "0", "--steps", "5"]
+    if command == "sample":  # the oracle sampler; "sample-model" loads a model
+        argv = ["ddpm", "sample-oracle", "--out", out, "--seed", "0", "--steps", "5"]
     elif command == "train":
         argv = ["ddpm", "train", "--out-dir", out, "--seed", "0", "--steps", "5"]
     elif command in ("finetune", "sample-model"):
@@ -1023,7 +1065,8 @@ def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command
                 "--seed", "0", "--iterations", "5"] if command == "finetune" else \
             ["ddpm", "sample", "--model-dir", model_dir, "--out", out, "--seed", "0"]
     elif command == "perturb":
-        argv = ["perturb", "--in", wavs[0], "--out-a", out, "--out-b", out, "--seed", "0"]
+        argv = ["perturb", "--in", wavs[0], "--out-a", out, "--out-b", tmp_path / "b.wav",
+                "--seed", "0"]
     elif command == "extract":
         argv = ["extract", "--in", wavs[0], "--out-dir", out]
     elif command == "f0-stats":
@@ -1067,6 +1110,7 @@ def test_frame_grid_is_not_settable(tmp_path, wavs, capsys, command, flag):
     ["ddpm", "train", "--help"],
     ["ddpm", "finetune", "--help"],
     ["ddpm", "sample", "--help"],
+    ["ddpm", "sample-oracle", "--help"],
     ["eval", "cossim", "--help"],
     ["eval", "f0", "--help"],
     ["config", "show", "--help"],
@@ -1103,8 +1147,8 @@ _OPTIONS = {
     "ddpm train": "--out-dir --seed --steps --lr --p-uncond --dim --hidden --speaker-dim "
                   "--diffusion-steps",
     "ddpm finetune": "--model-dir --out-dir --seed --iterations --lr",
-    "ddpm sample": "--out --seed --model-dir --oracle-mean --oracle-std --dim "
-                   "--guidance-scale --steps",
+    "ddpm sample": "--model-dir --out --seed --guidance-scale",
+    "ddpm sample-oracle": "--mean --std --dim --steps --out --seed --guidance-scale",
     "eval cossim": "--a --b",
     "eval f0": "--a --b",
     "config show": "",
@@ -1148,7 +1192,7 @@ def test_wav_rate_too_fine_to_resample_is_rejected(tmp_path, capsys, command):
     wav, out = tmp_path / "in.wav", tmp_path / "out"
     _too_fine_rate_wav(wav)
     argv = {"extract": ["--out-dir", out], "segment": ["--mode", "vad", "--out", out],
-            "perturb": ["--out-a", out, "--out-b", out, "--seed", "0"],
+            "perturb": ["--out-a", out, "--out-b", tmp_path / "b.wav", "--seed", "0"],
             "f0-stats": ["--speaker-id", "s", "--out", out]}[command]
     _assert_rejected(capsys, [command, "--in", wav] + argv, out)
 
@@ -1235,14 +1279,14 @@ def test_commands_that_neither_resample_nor_equalise_load_no_scipy(tmp_path):
     report = _scipy_modules_after(
         ["config", "show"],
         ["ddpm", "train", "--steps", 5, "--seed", 0, "--out-dir", tmp_path / "m"],
-        ["ddpm", "sample", "--oracle-mean", 0, "--seed", 0, "--out", tmp_path / "x.svcf"],
+        ["ddpm", "sample-oracle", "--mean", 0, "--seed", 0, "--out", tmp_path / "x.svcf"],
         ["manifest", "compose", "--spec", "final"],
     )
     assert report == {
         "import svcforge.cli": [],
         "config show": [0, []],
         "ddpm train": [0, []],
-        "ddpm sample": [0, []],
+        "ddpm sample-oracle": [0, []],
         "manifest compose": [0, []],
     }
 

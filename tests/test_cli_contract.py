@@ -284,10 +284,10 @@ _FLAG_CASES = {
     "finetune": (["ddpm", "finetune", "--model-dir", "{model}", "--out-dir", "{out}",
                   "--seed", "0", "--iterations", "3"],
                  {"--lr": _reals, "--iterations": st.integers(-2, 6)}),
-    "sample": (["ddpm", "sample", "--out", "{out}", "--seed", "0", "--oracle-mean", "0",
-                "--steps", "5"],
-               {"--oracle-mean": _reals, "--oracle-std": _reals,
-                "--guidance-scale": _reals, "--dim": _sizes, "--steps": _sizes}),
+    "sample-oracle": (["ddpm", "sample-oracle", "--out", "{out}", "--seed", "0",
+                       "--mean", "0", "--steps", "5"],
+                      {"--mean": _reals, "--std": _reals,
+                       "--guidance-scale": _reals, "--dim": _sizes, "--steps": _sizes}),
     "sample-model": (["ddpm", "sample", "--model-dir", "{model}", "--out", "{out}",
                       "--seed", "0"],
                      {"--guidance-scale": _reals}),

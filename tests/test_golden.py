@@ -3,7 +3,8 @@
 One chain of commands over fixed synthetic inputs: `extract` at --jobs 2
 (a 44.1 kHz take of several frame blocks and a one-block 24 kHz take),
 `f0-stats`, `convert-pitch --policy cross-domain`, `segment --mode vad` and
-a small `ddpm train` -> `finetune` -> `sample`. Every written file and every
+a small `ddpm train` -> `finetune` -> `sample`, and apart from that chain a
+`ddpm sample-oracle`. Every written file and every
 command's stdout must hash to the digests below, which a refactor that
 claims byte-identical outputs must leave unchanged. They were computed with
 the numpy and scipy versions CI pins. The run is in a fresh working
@@ -148,3 +149,14 @@ def test_seeded_cli_outputs_match_their_digests(tmp_path, capsys, monkeypatch):
         if path.is_file():
             got[path.as_posix()] = _sha(path.read_bytes())
     assert got == GOLDEN
+
+
+def test_seeded_oracle_sample_matches_its_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["ddpm", "sample-oracle", "--mean", "0.5", "--std", "2.0", "--dim", "8",
+                 "--steps", "20", "--seed", "5", "--guidance-scale", "1.5",
+                 "--out", "y.svcf"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == \
+        "4d9ed770a6b3a185c7edc46772847cc8554eb8632a939fa9b38c91c555dd708f"
+    assert _sha(Path("y.svcf").read_bytes()) == \
+        "e471872c695c096d6b1242c2643a5a39daac265f9fca35f4dfa1d01164e337a8"
