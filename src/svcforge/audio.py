@@ -148,7 +148,7 @@ def wav_bytes(clip: AudioClip) -> bytes:
 
 def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
     """Write `wav_bytes(clip)` to `path`, atomically."""
-    atomic_write_files({path: wav_bytes(clip)})
+    atomic_write_files([(path, wav_bytes(clip))])
 
 
 # `_lowpass_kernel` has 64 taps per unit of max(up, down). This bound admits

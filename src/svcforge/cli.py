@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Every subcommand prints one machine-readable JSON summary on stdout and
-keeps human diagnostics on stderr. Exit status: 0 success, 1 usage error,
+keeps human diagnostics on stderr. A handler returns its summary and its
+output files as `(path, bytes)` pairs; `main` alone writes: it encodes the
+summary, writes every file in one all-or-nothing `svcf.atomic_write_files`
+call, then prints. Exit status: 0 success, 1 usage error,
 2 data/validation error, 3 internal error. Seeded invocations are
 byte-reproducible, including across --jobs settings: `extract` and
 `f0-stats` analyse up to --jobs inputs at once and hand their frame blocks
@@ -12,7 +15,6 @@ order and the clips in input order.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -32,7 +34,6 @@ from .corpus import (
     reference_manifest_path,
     rest_note_segment,
     vad_segment,
-    write_manifest,
 )
 from .diffusion import (
     ConditionSet,
@@ -42,9 +43,9 @@ from .diffusion import (
     finetune_cln,
     linear_schedule,
     load_model,
+    model_files,
     pseudo_speaker_embedding,
     sample,
-    save_model,
     toy_dataset,
     train_toy,
 )
@@ -57,11 +58,10 @@ from .pitchconv import (
     compute_f0_stats,
     convert_logf0,
     load_stats,
-    save_stats,
 )
 from .perturb import PerturbConfig, random_perturb_pair
-from .svcf import (atomic_write_files, dumps, read_json, read_tensor, tensor_bytes,
-                   write_json, write_tensor)
+from .svcf import (atomic_write_files, dumps, json_bytes, jsonl_bytes, read_json, read_tensor,
+                   tensor_bytes)
 
 
 class _UsageError(Exception):
@@ -112,12 +112,7 @@ def _analyse_inputs(paths: list, jobs: int, analyse) -> list:
 
 # -- subcommand handlers ------------------------------------------------------
 
-def _cmd_extract(args) -> dict:
-    stems = [Path(path).stem for path in args.inputs]
-    if len(set(stems)) < len(stems):
-        raise InvalidParameterError(
-            "inputs share a file stem, so their outputs would overwrite each other"
-        )
+def _cmd_extract(args) -> tuple:
     out_dir = Path(args.out_dir)
 
     def analyse(path, clip, block_map):
@@ -127,29 +122,27 @@ def _cmd_extract(args) -> dict:
         outputs = {kind: str(out_dir / f"{Path(path).stem}.{kind}.svcf") for kind in tensors}
         summary = {"input": path, "frames": len(mel), "duration_sec": clip.duration_sec,
                    "outputs": outputs}
-        return summary, {outputs[kind]: tensor_bytes(a, outputs[kind])
-                         for kind, a in tensors.items()}
+        return summary, [(outputs[kind], tensor_bytes(a, outputs[kind]))
+                         for kind, a in tensors.items()]
 
-    # every input is analysed and encoded before anything is written, and
-    # the tensors are written together, so a failed run writes none of them
+    # two inputs with one stem give two pairs for one file, which the writer refuses
     done = _analyse_inputs(args.inputs, args.jobs, analyse)
-    atomic_write_files({dest: blob for _, blobs in done for dest, blob in blobs.items()})
-    return {"command": "extract", "files": [summary for summary, _ in done]}
+    return ({"command": "extract", "files": [summary for summary, _ in done]},
+            [pair for _, pairs in done for pair in pairs])
 
 
-def _cmd_f0_stats(args) -> dict:
+def _cmd_f0_stats(args) -> tuple:
     tracks = _analyse_inputs(args.inputs, args.jobs, lambda path, clip, block_map: estimate_f0(
         clip, args.f0_floor, args.f0_ceil, block_map))
     stats = compute_f0_stats(tracks, args.speaker_id)
-    save_stats(stats, args.out)
     return {
         "command": "f0-stats", "speaker_id": stats.speaker_id,
         "mean_log_f0": stats.mean_log_f0, "std_log_f0": stats.std_log_f0,
         "n_voiced_frames": stats.n_voiced_frames, "out": args.out,
-    }
+    }, [(args.out, json_bytes(asdict(stats)))]
 
 
-def _cmd_convert_pitch(args) -> dict:
+def _cmd_convert_pitch(args) -> tuple:
     base = ConversionPolicy.cross_domain() if args.policy == "cross-domain" else ConversionPolicy()
     policy = replace(base, scale_sigma=args.scale_sigma, quantize_cents=args.quantize_cents)
     track = F0Track.from_array(read_tensor(args.input))
@@ -160,27 +153,23 @@ def _cmd_convert_pitch(args) -> dict:
     median_shift = float(np.median(
         cents_between(track.f0_hz[voiced], converted.f0_hz[voiced])
     )) if np.any(voiced) else None
-    write_tensor(args.out, converted.to_array())
     return {
         "command": "convert-pitch", "out": args.out,
         "policy": asdict(policy),
         "n_frames": int(track.f0_hz.size),
         "n_voiced": int(voiced.sum()),
         "median_shift_cents": median_shift,
-    }
+    }, [(args.out, tensor_bytes(converted.to_array(), args.out))]
 
 
-def _cmd_perturb(args) -> dict:
-    if os.path.realpath(args.out_a) == os.path.realpath(args.out_b):
-        raise InvalidParameterError("--out-a and --out-b name the same file")
+def _cmd_perturb(args) -> tuple:
     clip = _load_clip_at_canonical_rate(args.input)
     first, second = random_perturb_pair(clip, PerturbConfig(seed=args.seed))
-    atomic_write_files({args.out_a: wav_bytes(first), args.out_b: wav_bytes(second)})
     return {
         "command": "perturb", "seed": args.seed,
         "input": args.input, "outputs": [args.out_a, args.out_b],
         "duration_sec": clip.duration_sec,
-    }
+    }, [(args.out_a, wav_bytes(first)), (args.out_b, wav_bytes(second))]
 
 
 def _given(**options) -> dict:
@@ -188,7 +177,7 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
-def _cmd_segment(args) -> dict:
+def _cmd_segment(args) -> tuple:
     stray = [action.option_strings[0]
              for mode, actions in args.mode_options.items() if mode != args.mode
              for action in actions if getattr(args, action.dest) is not None]
@@ -208,35 +197,32 @@ def _cmd_segment(args) -> dict:
         segments = rest_note_segment(read_notes(args.notes), **_given(
             min_rest_sec=args.min_rest_sec, clip_duration=args.clip_duration))
     doc = [asdict(s) for s in segments]
-    if args.out:
-        write_json(args.out, doc)
     return {"command": "segment", "mode": args.mode,
             "n_segments": len(segments), "segments": doc,
-            "out": args.out}
+            "out": args.out}, [] if args.out is None else [(args.out, json_bytes(doc))]
 
 
-def _cmd_manifest_compose(args) -> dict:
-    manifest = read_manifest(args.manifest or reference_manifest_path())
+def _cmd_manifest_compose(args) -> tuple:
+    manifest = read_manifest(
+        reference_manifest_path() if args.manifest is None else args.manifest)
     if args.spec.endswith(".json"):
         spec = TrainingSetSpec.from_json(read_json(args.spec, "training-set spec"))
     else:
         spec = canonical_spec(args.spec)
     selected, hours = compose_training_set(manifest, spec)
-    if args.out:
-        write_manifest(selected, args.out)
     return {
         "command": "manifest compose", "spec": spec.name,
         "manifest": args.manifest, "entries": len(selected),
         "total_hours": round(hours, 6),
         "speakers": sorted({e.speaker for e in selected}),
         "out": args.out,
-    }
+    }, [] if args.out is None else [(args.out, jsonl_bytes(asdict(e) for e in selected))]
 
 
 _TOY_LING_DIM = 8
 
 
-def _cmd_ddpm_train(args) -> dict:
+def _cmd_ddpm_train(args) -> tuple:
     sched = linear_schedule(args.diffusion_steps)
     model = ToyDenoiser(dim=args.dim, cond_dim=_TOY_LING_DIM + 3,
                         speaker_dim=args.speaker_dim,
@@ -246,16 +232,15 @@ def _cmd_ddpm_train(args) -> dict:
                           n_items=8, seed=args.seed)
     history = train_toy(model, dataset, sched, TrainConfig(
         steps=args.steps, lr=args.lr, p_uncond=args.p_uncond, seed=args.seed))
-    save_model(model, args.out_dir)
     return {
         "command": "ddpm train", "seed": args.seed, "steps": args.steps,
         "out_dir": args.out_dir,
         "first_loss": float(history[0]), "last_loss": float(history[-1]),
         "mean_last_50": float(np.mean(history[-50:])),
-    }
+    }, model_files(model, args.out_dir)
 
 
-def _cmd_ddpm_finetune(args) -> dict:
+def _cmd_ddpm_finetune(args) -> tuple:
     model = load_model(args.model_dir)
     sched = linear_schedule(model.num_steps)
     target = pseudo_speaker_embedding(args.seed, model.speaker_dim)
@@ -263,24 +248,22 @@ def _cmd_ddpm_finetune(args) -> dict:
                           n_items=8, seed=args.seed + 1)
     finetune_cln(model, dataset, sched, iterations=args.iterations,
                  target_embedding=target, lr=args.lr, seed=args.seed)
-    save_model(model, args.out_dir)
     return {
         "command": "ddpm finetune", "seed": args.seed,
         "iterations": args.iterations, "model_dir": args.model_dir,
         "out_dir": args.out_dir,
-    }
+    }, model_files(model, args.out_dir)
 
 
-def _write_sample(args, denoiser, sched, cond, dim) -> dict:
-    """Run the reverse chain from seeded noise and write the sample."""
+def _reverse_chain(args, denoiser, sched, cond, dim) -> tuple:
+    """Run the reverse chain from seeded noise; the sample goes to --out."""
     x = sample(denoiser, sched, cond, w=args.guidance_scale, dim=dim, seed=args.seed)
-    write_tensor(args.out, x)
     return {"command": f"ddpm {args.ddpm_command}", "seed": args.seed,
             "guidance_scale": args.guidance_scale, "dim": dim,
-            "out": args.out, "mean": float(np.mean(x))}
+            "out": args.out, "mean": float(np.mean(x))}, [(args.out, tensor_bytes(x, args.out))]
 
 
-def _cmd_ddpm_sample(args) -> dict:
+def _cmd_ddpm_sample(args) -> tuple:
     model = load_model(args.model_dir)
     rng = np.random.default_rng(args.seed)
     cond = ConditionSet(
@@ -289,33 +272,33 @@ def _cmd_ddpm_sample(args) -> dict:
         loudness=rng.normal(size=4),
         speaker_embedding=pseudo_speaker_embedding(args.seed, model.speaker_dim),
     )
-    return _write_sample(args, model, linear_schedule(model.num_steps), cond, model.dim)
+    return _reverse_chain(args, model, linear_schedule(model.num_steps), cond, model.dim)
 
 
-def _cmd_ddpm_sample_oracle(args) -> dict:
+def _cmd_ddpm_sample_oracle(args) -> tuple:
     sched = linear_schedule(args.steps)
     # a scalar mean broadcasts over the sample, so `sample` checks --dim
     denoiser = analytic_gaussian_denoiser(args.mean, args.std, sched)
     cond = ConditionSet(linguistic=np.zeros((1, 1)), log_f0_vuv=np.zeros((1, 2)),
                         loudness=np.zeros(1))
-    return _write_sample(args, denoiser, sched, cond, args.dim)
+    return _reverse_chain(args, denoiser, sched, cond, args.dim)
 
 
-def _cmd_eval_cossim(args) -> dict:
+def _cmd_eval_cossim(args) -> tuple:
     sims = cosine_similarity(np.atleast_2d(read_tensor(args.a)),
                              np.atleast_2d(read_tensor(args.b)))
     return {"command": "eval cossim", "n_pairs": sims.size,
-            "cossim": float(np.mean(np.clip(sims, -1.0, 1.0)))}
+            "cossim": float(np.mean(np.clip(sims, -1.0, 1.0)))}, []
 
 
-def _cmd_eval_f0(args) -> dict:
+def _cmd_eval_f0(args) -> tuple:
     track_a = F0Track.from_array(read_tensor(args.a))
     track_b = F0Track.from_array(read_tensor(args.b))
-    return {"command": "eval f0", **f0_metrics(track_a, track_b)}
+    return {"command": "eval f0", **f0_metrics(track_a, track_b)}, []
 
 
-def _cmd_config_show(args) -> dict:
-    return {"command": "config show", **defaults.as_dict()}
+def _cmd_config_show(args) -> tuple:
+    return {"command": "config show", **defaults.as_dict()}, []
 
 
 # -- parser -------------------------------------------------------------------
@@ -491,7 +474,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
-        line = dumps(args.func(args))
+        summary, files = args.func(args)
+        line = dumps(summary)
+        atomic_write_files(files)
     except _UsageError as exc:
         _log(f"usage error: {exc}")
         return 1

@@ -19,7 +19,7 @@ import numpy as np
 from . import defaults
 from .audio import AudioClip
 from .errors import FormatError, InvalidParameterError
-from .svcf import json_field, read_json, read_jsonl, write_jsonl
+from .svcf import json_field, read_json, read_jsonl
 
 SVCC_TARGET_SPEAKERS = ("IDF1", "IDM1", "CDF1", "CDM1")
 
@@ -61,11 +61,6 @@ class ManifestEntry:
 def read_manifest(path: str | os.PathLike) -> list:
     """Entries of a UTF-8 JSONL manifest; blank lines are skipped."""
     return [ManifestEntry.from_json(doc) for doc in read_jsonl(path, "manifest")]
-
-
-def write_manifest(entries: list, path: str | os.PathLike) -> None:
-    """Write JSONL atomically, one entry per line in field order."""
-    write_jsonl(path, (asdict(e) for e in entries))
 
 
 def reference_manifest_path() -> Path:

@@ -25,8 +25,7 @@ import numpy as np
 from . import defaults
 from .contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
 from .errors import FormatError, InvalidParameterError, check_elements
-from .svcf import (atomic_write_files, json_bytes, json_field, read_json, read_tensor,
-                   tensor_bytes)
+from .svcf import json_bytes, json_field, read_json, read_tensor, tensor_bytes
 
 _LN_EPS = 1e-5  # layer-norm variance epsilon
 TIME_FREQS = 4  # sinusoid pairs in the time embedding
@@ -514,28 +513,27 @@ def toy_dataset(model_dim: int, ling_dim: int, speaker_dim: int,
 
 # -- model serialization ----------------------------------------------------
 
-def save_model(model: ToyDenoiser, directory: str | os.PathLike) -> None:
-    """One SVCF tensor per named parameter plus a JSON index of num_steps and files.
-
-    SVCF payloads are float32, so loading quantizes parameters accordingly;
-    all are encoded (and checked) before anything is written, and the files
-    are written together (creating the directory), so a failed save changes
-    none of them.
-    """
+def model_files(model: ToyDenoiser, directory: str | os.PathLike) -> list:
+    """The `(path, bytes)` pairs of a model saved in `directory`, for
+    `svcf.atomic_write_files`: one SVCF tensor per named parameter plus a
+    JSON index of num_steps and files. SVCF payloads are float32, so loading
+    quantizes parameters accordingly; a non-finite parameter is an
+    InvalidParameterError here, before anything is written."""
     d = Path(directory)
     files = {name: f"{name}.svcf" for name in model.params}
-    blobs = {d / f: tensor_bytes(model.params[name], str(d / f)) for name, f in files.items()}
-    blobs[d / "index.json"] = json_bytes({"num_steps": model.num_steps, "params": files})
-    atomic_write_files(blobs)
+    index = json_bytes({"num_steps": model.num_steps, "params": files})
+    return [(d / f, tensor_bytes(model.params[name], str(d / f)))
+            for name, f in files.items()] + [(d / "index.json", index)]
 
 
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:
-    """Inverse of `save_model`. Every named file must lie inside `directory`
-    and hold a finite tensor. The sizes are read off the shapes of w1 (hidden
-    rows, dim + 2 TIME_FREQS + cond_dim columns), w2 (dim rows) and cln_w_gamma
-    (speaker_dim columns); the tensors must then be exactly the parameters of
-    a model of those sizes, and an older index's size fields must equal them.
-    Anything else is a FormatError."""
+    """The model whose `model_files(model, directory)` were written. Every
+    named file must lie inside `directory` and hold a finite tensor. The
+    sizes are read off the shapes of w1 (hidden rows, dim + 2 TIME_FREQS +
+    cond_dim columns), w2 (dim rows) and cln_w_gamma (speaker_dim columns);
+    the tensors must then be exactly the parameters of a model of those
+    sizes, and an older index's size fields must equal them. Anything else
+    is a FormatError."""
     d = Path(directory)
     index_path = d / "index.json"
     what = f"model index {index_path}"

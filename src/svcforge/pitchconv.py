@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults
 from .errors import InvalidParameterError
 from .pitch import F0Track
-from .svcf import json_field, read_json, write_json
+from .svcf import json_field, read_json
 
 _LN2 = math.log(2.0)
 
@@ -125,10 +125,6 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
     f0 = np.zeros_like(track.f0_hz)
     f0[track.vuv] = voiced_f0
     return F0Track(f0)
-
-
-def save_stats(stats: SpeakerF0Stats, path: str | os.PathLike) -> None:
-    write_json(path, asdict(stats))
 
 
 def load_stats(path: str | os.PathLike) -> SpeakerF0Stats:

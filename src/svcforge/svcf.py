@@ -17,8 +17,11 @@ and the CLI's stdout summary). Both directions are strict RFC 8259: reading
 NaN/Infinity or a number that overflows a double is a FormatError,
 writing a non-finite float an InvalidParameterError.
 
-Writes are temp-then-rename, all files of one write at once (creating
-missing directories), so a failed run leaves no partial file or new directory.
+Writes take `(path, bytes)` pairs and are temp-then-rename, all files of
+one write at once (creating missing directories), so a failed run leaves no
+partial file or new directory. Before anything is made, a write refuses two
+pairs that name one file (by `os.path.realpath`) and a path holding a NUL;
+both are InvalidParameterErrors.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def tensor_bytes(array: np.ndarray, name: str) -> bytes:
 
 def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
     """Write `tensor_bytes(array)` to an SVCF file, atomically."""
-    atomic_write_files({path: tensor_bytes(array, str(path))})
+    atomic_write_files([(path, tensor_bytes(array, str(path)))])
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
@@ -81,19 +84,30 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
         raise FormatError(f"{p}: dims {list(dims)}: {exc}") from exc
 
 
-def atomic_write_files(files: dict) -> None:
-    """Write each `{path: bytes}` entry via a temp file beside its path,
+def atomic_write_files(files) -> None:
+    """Write each `(path, bytes)` pair via a temp file beside its path,
     creating missing parent directories, and rename them all into place only
     once every one is written and no path is a directory (a check that stats
-    each path, so a name the OS refuses also fails before any rename). On a
-    failure no temp file remains, the directories this call made are removed
-    and the other paths are untouched. A temp name is at most the path's
-    first 32 characters, a dot and 8 random ones: within 255 bytes whatever
-    the destination's name. An OSError from a mkdir or a temp file names
-    `path` as given."""
+    each path, so a name the OS refuses also fails before any rename). Two
+    pairs whose paths have one `os.path.realpath`, or a path with a NUL, are
+    an InvalidParameterError before anything is made. On a failure no temp
+    file remains, the directories this call made are removed and the other
+    paths are untouched. A temp name is at most the path's first 32
+    characters, a dot and 8 random ones: within 255 bytes whatever the
+    destination's name. An OSError from a mkdir or a temp file names `path`
+    as given."""
+    files, named = list(files), {}
+    for path, _ in files:
+        try:  # realpath: on a symlink loop Path.resolve raises RuntimeError
+            real = os.path.realpath(path)
+        except ValueError as exc:  # a NUL in the path
+            raise InvalidParameterError(f"bad output path {os.fspath(path)!r}: {exc}") from exc
+        if real in named:
+            raise InvalidParameterError(f"outputs {named[real]} and {path} name one file")
+        named[real] = path
     staged, made = {}, []
     try:
-        for path, data in files.items():
+        for path, data in files:
             p = Path(path)
             try:
                 missing = list(takewhile(lambda d: not d.exists(), [p.parent, *p.parent.parents]))
@@ -200,11 +214,6 @@ def json_bytes(doc) -> bytes:
     return (dumps(doc, indent=2) + "\n").encode()
 
 
-def write_json(path: str | os.PathLike, doc) -> None:
-    """Write `json_bytes(doc)` to `path`, atomically."""
-    atomic_write_files({path: json_bytes(doc)})
-
-
-def write_jsonl(path: str | os.PathLike, docs) -> None:
-    """Write one compact JSON document per line, atomically."""
-    atomic_write_files({path: "".join(dumps(d) + "\n" for d in docs).encode()})
+def jsonl_bytes(docs) -> bytes:
+    """One compact JSON document per line, UTF-8 encoded."""
+    return "".join(dumps(d) + "\n" for d in docs).encode()

@@ -14,9 +14,9 @@ import pytest
 from svcforge import cli, defaults
 from svcforge.audio import AudioClip, read_wav, write_wav
 from svcforge.cli import build_parser, main
-from svcforge.diffusion import ToyDenoiser, save_model
+from svcforge.diffusion import ToyDenoiser, model_files
 from svcforge.features import BLOCK_FRAMES, CANONICAL_FRAME_CONFIG as CFG
-from svcforge.svcf import read_tensor, write_tensor
+from svcforge.svcf import atomic_write_files, read_tensor, write_tensor
 from synth import sawtooth, sine
 from test_audio import _pcm16_wav, _wav_with_a_second
 
@@ -285,8 +285,35 @@ def test_perturb_refuses_two_names_for_one_output(tmp_path, wavs, capsys, monkey
     before = sorted(p.name for p in tmp_path.iterdir())
     err = _assert_rejected(capsys, ["perturb", "--in", wavs[0], "--out-a", "p.wav",
                                     "--out-b", out_b, "--seed", "1"])
-    assert "--out-a and --out-b" in err
+    assert err == f"error: outputs p.wav and {out_b} name one file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["ddpm", "sample-oracle", "--mean", "0", "--steps", "5", "--seed", "0",
+     "--out", "x\0.svcf"],
+    ["f0-stats", "--in", "{wav}", "--speaker-id", "s", "--out", "x\0.json"],
+    ["perturb", "--in", "{wav}", "--out-a", "a\0.wav", "--out-b", "b.wav", "--seed", "0"],
+], ids=["sample-oracle", "f0-stats", "perturb"])
+def test_an_output_path_with_a_nul_exits_2(tmp_path, wavs, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    err = _assert_rejected(capsys, [wavs[0] if a == "{wav}" else a for a in argv])
+    assert "embedded null byte" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["segment", "--mode", "rest", "--notes", "notes.json", "--out", ""],
+    ["manifest", "compose", "--spec", "final", "--out", ""],
+    ["manifest", "compose", "--spec", "final", "--manifest", ""],
+], ids=["segment-out", "compose-out", "compose-manifest"])
+def test_an_empty_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # an empty path is a path, not an absent option
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notes.json").write_text(_NOTES)
+    _assert_rejected(capsys, argv)
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.json"]
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -521,7 +548,7 @@ def test_mode_dependent_flag_missing_is_a_usage_error(tmp_path, capsys, argv):
 ])
 def test_ddpm_sample_oracle_flags_with_a_model_are_a_usage_error(tmp_path, capsys, flags):
     model_dir, out = tmp_path / "model", tmp_path / "x.svcf"
-    save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+    atomic_write_files(model_files(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir))
     code = main(["ddpm", "sample", "--model-dir", str(model_dir), "--out", str(out),
                  "--seed", "2", *flags])
     captured = capsys.readouterr()
@@ -555,6 +582,29 @@ def test_only_the_parser_and_segment_raise_usage_errors():
     # every other usage rule is argparse's: a required flag or a subcommand's flags
     tree = ast.parse(Path(cli.__file__).read_text())
     assert set(_usage_error_raisers(tree)) == {"_Parser.error", "_cmd_segment"}
+
+
+def _writers(tree):
+    """The top-level functions under `tree` that name the all-or-nothing
+    writer or a `write_*` or `save_*` function."""
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and any(
+                name == "atomic_write_files" or name.startswith(("write_", "save_"))
+                for node in ast.walk(func)
+                for name in [getattr(node, "id", None) or getattr(node, "attr", "")]):
+            yield func.name
+
+
+def test_the_check_finds_a_writer():
+    source = ("def main():\n    atomic_write_files(f)\n"
+              "def _cmd_a():\n    def g():\n        svcf.write_tensor(p, x)\n"
+              "def _cmd_b():\n    save_stats(s, p)\ndef _cmd_c():\n    return tensor_bytes(x)\n")
+    assert list(_writers(ast.parse(source))) == ["main", "_cmd_a", "_cmd_b"]
+
+
+def test_main_is_the_one_place_that_writes():
+    # every handler returns its files, and `main` writes them in one call
+    assert list(_writers(ast.parse(Path(cli.__file__).read_text()))) == ["main"]
 
 
 @pytest.mark.parametrize("case, message", [
@@ -730,7 +780,7 @@ def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
                                         "symlink-loop"])
 def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     model_dir = tmp_path / "model"
-    save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+    atomic_write_files(model_files(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir))
     index_path = model_dir / "index.json"
     index = json.loads(index_path.read_text())
     w1 = read_tensor(model_dir / "w1.svcf")
@@ -779,7 +829,7 @@ def test_paths_the_os_refuses_exit_2(tmp_path, wavs, capsys, case):
     afile = tmp_path / "afile"
     afile.write_bytes(b"")
     model_dir = tmp_path / "model"
-    save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+    atomic_write_files(model_files(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir))
     out = tmp_path / "out.json"
     argv = {
         "extract --in": ["extract", "--in", long, "--out-dir", tmp_path / "ex"],
@@ -970,7 +1020,8 @@ def test_json_records_accept_their_field_types(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["sample", "finetune"])
 def test_ddpm_rejects_a_model_whose_condition_width_differs(tmp_path, capsys, command):
     model_dir, out = tmp_path / "model", tmp_path / "out"
-    save_model(ToyDenoiser(dim=4, cond_dim=5, speaker_dim=3, seed=1), model_dir)
+    model = ToyDenoiser(dim=4, cond_dim=5, speaker_dim=3, seed=1)
+    atomic_write_files(model_files(model, model_dir))
     argv = ["ddpm", command, "--model-dir", model_dir, "--seed", "1"]
     argv += ["--out", out] if command == "sample" else \
         ["--out-dir", out, "--iterations", "3"]
@@ -990,7 +1041,7 @@ def test_extract_failure_on_a_later_input_leaves_no_outputs(tmp_path, capsys):
 
 def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     import svcforge.cli as cli
-    monkeypatch.setattr(cli, "_cmd_config_show", lambda args: {"x": float("nan")})
+    monkeypatch.setattr(cli, "_cmd_config_show", lambda args: ({"x": float("nan")}, []))
     _assert_rejected(capsys, ["config", "show"])
 
 
@@ -1060,7 +1111,8 @@ def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command
         argv = ["ddpm", "train", "--out-dir", out, "--seed", "0", "--steps", "5"]
     elif command in ("finetune", "sample-model"):
         model_dir = tmp_path / "model"
-        save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir)
+        model = ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4)
+        atomic_write_files(model_files(model, model_dir))
         argv = ["ddpm", "finetune", "--model-dir", model_dir, "--out-dir", out,
                 "--seed", "0", "--iterations", "5"] if command == "finetune" else \
             ["ddpm", "sample", "--model-dir", model_dir, "--out", out, "--seed", "0"]

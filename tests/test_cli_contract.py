@@ -32,9 +32,9 @@ from hypothesis import given, settings, strategies as st
 
 from svcforge.audio import write_wav
 from svcforge.cli import main
-from svcforge.diffusion import ToyDenoiser, save_model
+from svcforge.diffusion import ToyDenoiser, model_files
 from svcforge.errors import MAX_ELEMENTS
-from svcforge.svcf import write_tensor
+from svcforge.svcf import atomic_write_files, write_tensor
 from synth import sine
 
 contract = settings(derandomize=True)
@@ -89,7 +89,8 @@ def base(tmp_path_factory):
     (d / "stats.json").write_text(json.dumps(_RECORDS["stats"]))
     (d / "notes.json").write_text(json.dumps(
         [_RECORDS["notes"], {"onset_sec": 2.0, "offset_sec": 3.0, "pitch": 62}]))
-    save_model(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4, hidden=8), d / "model")
+    model = ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4, hidden=8)
+    atomic_write_files(model_files(model, d / "model"))
     return d
 
 
@@ -331,19 +332,22 @@ def test_out_of_domain_numeric_flags_keep_the_contract(base, case):
 # -- paths the OS refuses -------------------------------------------------------
 
 _HOSTILE_KINDS = ["file", "under-file", "long-name", "symlink-loop", "directory",
-                  "newline", "name-250", "under-missing"]
+                  "newline", "nul", "name-250", "under-missing"]
 
 
 def _hostile_path(kind, work):
     """In `work`: an existing regular file, a path under one, a name longer
-    than the OS allows, a symlink loop, an existing directory, a missing
-    name that holds a newline or is 250 bytes long (within the OS's limit,
-    so an output of that name is written), or a name under two missing
-    directories (which a write creates)."""
+    than the OS allows, a symlink loop, an existing directory, a name with a
+    NUL (which no system call takes), a missing name that holds a newline or
+    is 250 bytes long (within the OS's limit, so an output of that name is
+    written), or a name under two missing directories (which a write
+    creates)."""
     if kind == "long-name":
         return work / ("x" * 300)
     if kind == "newline":
         return work / "new\nline"
+    if kind == "nul":
+        return work / "nul\0x"
     if kind == "name-250":
         return work / ("y" * 250)
     if kind == "under-missing":

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from svcforge.corpus import (
     reference_manifest_path,
     rest_note_segment,
     vad_segment,
-    write_manifest,
 )
 from svcforge.errors import FormatError, InvalidParameterError
+from svcforge.svcf import jsonl_bytes
 from synth import sine
 
 EXPECTED_HOURS = {
@@ -74,7 +75,7 @@ def test_spec_json_roundtrip():
 
 def test_manifest_roundtrip(tmp_path, reference):
     p = tmp_path / "m.jsonl"
-    write_manifest(reference, p)
+    p.write_bytes(jsonl_bytes(asdict(e) for e in reference))
     assert read_manifest(p) == reference
 
 

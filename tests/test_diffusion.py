@@ -24,12 +24,13 @@ from svcforge.diffusion import (
     q_sample,
     guided_eps,
     reverse_step,
+    model_files,
     sample,
-    save_model,
     train_toy,
 )
 from svcforge.errors import FormatError, InvalidParameterError
 from svcforge.features import build_mel_filterbank
+from svcforge.svcf import atomic_write_files
 
 SCHED = linear_schedule()
 
@@ -696,7 +697,7 @@ def test_pseudo_embedding_dim_one():
 
 def test_model_save_load_roundtrip(tmp_path):
     model, cond = _toy(dim=4, seed=9)
-    save_model(model, tmp_path / "m")
+    atomic_write_files(model_files(model, tmp_path / "m"))
     index_path = tmp_path / "m" / "index.json"
     index = json.loads(index_path.read_text())
     assert set(index) == {"num_steps", "params"}
@@ -723,13 +724,13 @@ def test_save_model_checks_every_parameter_before_creating_the_directory(tmp_pat
     model, _ = _toy()
     model.params["cln_b_beta"] = np.full_like(model.params["cln_b_beta"], 1e39)
     with pytest.raises(InvalidParameterError):
-        save_model(model, tmp_path / "m")
+        model_files(model, tmp_path / "m")
     assert not (tmp_path / "m").exists()
 
 
 def test_model_index_with_malformed_params_rejected(tmp_path):
     model, _ = _toy()
-    save_model(model, tmp_path / "m")
+    atomic_write_files(model_files(model, tmp_path / "m"))
     index_path = tmp_path / "m" / "index.json"
     index = json.loads(index_path.read_text())
     index["params"] = sorted(index["params"].values())

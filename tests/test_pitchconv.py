@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from svcforge.pitchconv import (
     convert_logf0,
     load_stats,
     quantize_shift_cents,
-    save_stats,
 )
+from svcforge.svcf import json_bytes
 
 IDENTITY = ConversionPolicy(scale_sigma=False, quantize_cents=0,
                             cross_domain_offset_semitones=0.0)
@@ -165,6 +166,6 @@ def test_monotone_in_input_frequency(f_lo, f_hi):
 def test_stats_json_roundtrip(tmp_path):
     stats = SpeakerF0Stats("singer-a", math.log(261.0), 0.21, 4242)
     p = tmp_path / "stats.json"
-    save_stats(stats, p)
+    p.write_bytes(json_bytes(asdict(stats)))
     back = load_stats(p)
     assert back == stats

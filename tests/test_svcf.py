@@ -7,11 +7,11 @@ from svcforge.errors import FormatError, InvalidParameterError, MissingFileError
 from svcforge.svcf import (
     atomic_write_files,
     dumps,
+    json_bytes,
+    jsonl_bytes,
     read_json,
     read_jsonl,
     read_tensor,
-    write_json,
-    write_jsonl,
     write_tensor,
 )
 
@@ -51,7 +51,7 @@ def test_longest_names_write(tmp_path, name):
 
 
 def test_writes_create_missing_directories(tmp_path):
-    atomic_write_files({tmp_path / "a" / "b" / "x.bin": b"x", tmp_path / "a" / "y.bin": b"y"})
+    atomic_write_files([(tmp_path / "a" / "b" / "x.bin", b"x"), (tmp_path / "a" / "y.bin", b"y")])
     assert (tmp_path / "a" / "b" / "x.bin").read_bytes() == b"x"
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "y.bin"]
 
@@ -60,7 +60,7 @@ def test_failed_write_removes_the_directories_it_created(tmp_path):
     (tmp_path / "afile").write_bytes(b"")
     dest = tmp_path / "afile" / "sub" / "y.bin"
     with pytest.raises(NotADirectoryError) as exc:
-        atomic_write_files({tmp_path / "new" / "deep" / "x.bin": b"x", dest: b"y"})
+        atomic_write_files([(tmp_path / "new" / "deep" / "x.bin", b"x"), (dest, b"y")])
     assert exc.value.filename == str(dest)
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
@@ -104,17 +104,17 @@ def test_truncated_payload(tmp_path):
 
 def test_json_roundtrip_and_layout(tmp_path):
     doc = {"b": [1, 2.5, None, True], "a": "\u00e9"}
-    write_json(tmp_path / "d.json", doc)
+    (tmp_path / "d.json").write_bytes(json_bytes(doc))
     assert (tmp_path / "d.json").read_bytes() == (
         b'{\n  "b": [\n    1,\n    2.5,\n    null,\n    true\n  ],\n'
         b'  "a": "\\u00e9"\n}\n')
     assert read_json(tmp_path / "d.json", "doc") == doc
-    write_jsonl(tmp_path / "d.jsonl", [doc, {"c": 1}])
+    (tmp_path / "d.jsonl").write_bytes(jsonl_bytes([doc, {"c": 1}]))
     assert (tmp_path / "d.jsonl").read_text().splitlines()[1] == '{"c": 1}'
     assert read_jsonl(tmp_path / "d.jsonl", "lines") == [doc, {"c": 1}]
     assert dumps({"x": 0.1}) == '{"x": 0.1}'
     big = 2 ** 64 + 1
-    write_json(tmp_path / "n.json", {"i": big, "f": 1.7e308})
+    (tmp_path / "n.json").write_bytes(json_bytes({"i": big, "f": 1.7e308}))
     assert read_json(tmp_path / "n.json", "doc") == {"i": big, "f": 1.7e308}
 
 
@@ -146,10 +146,9 @@ def test_json_writers_reject_non_finite_floats(tmp_path, value):
     with pytest.raises(InvalidParameterError):
         dumps(doc)
     with pytest.raises(InvalidParameterError):
-        write_json(tmp_path / "d.json", doc)
+        json_bytes(doc)
     with pytest.raises(InvalidParameterError):
-        write_jsonl(tmp_path / "d.jsonl", [{"ok": 1}, doc])
-    assert list(tmp_path.iterdir()) == []
+        jsonl_bytes([{"ok": 1}, doc])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39],
