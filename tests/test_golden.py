@@ -2,19 +2,23 @@
 
 One chain of commands over fixed synthetic inputs: `extract` at --jobs 2
 (a 44.1 kHz take of several frame blocks and a one-block 24 kHz take),
-`f0-stats`, `convert-pitch --policy cross-domain`, `segment --mode vad` and
-a small `ddpm train` -> `finetune` -> `sample`, and apart from that chain a
-`ddpm sample-oracle`. Every written file and every
-command's stdout must hash to the digests below, which a refactor that
-claims byte-identical outputs must leave unchanged. They were computed with
-the numpy and scipy versions CI pins. The run is in a fresh working
-directory with relative paths, so stdout holds no machine's path.
+`f0-stats`, `convert-pitch --policy cross-domain`, `segment --mode vad`,
+`manifest compose` over a small manifest and a JSON spec (`kinds` null,
+`always_include_datasets` absent), `segment --mode rest` over notes whose
+pitches are an integer, null, absent and "Rest", and a small `ddpm train` ->
+`finetune` -> `sample`; apart from that chain a `ddpm sample-oracle`. Every
+written file and every command's stdout must hash to the digests below,
+which a refactor that claims byte-identical outputs must leave unchanged.
+They were computed with the numpy and scipy versions CI pins. The run is in
+a fresh working directory with relative paths, so stdout holds no machine's
+path.
 
 The long take's last block is 37 frames: BLAS multiplies a last block of
 1-15 frames with other kernels than a full one (see `features.mel_loudness`).
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,10 @@ GOLDEN = {
         "d13b4eea78bc6b1d4721ca5425118fadf479f568e30ef1b23e2526d18b5528ca",
     "stdout of segment --mode vad --in long.wav --out seg.json":
         "b391444ae3639bc45c5b123a25af644fbfa44ed0967b83080de2a525ceba39e5",
+    "stdout of manifest compose --manifest m.jsonl --spec spec.json --out sel.jsonl":
+        "52021fcc579c433e34f8e5b951593f1d73286bdcece8c1e59658218a61913c52",
+    "stdout of segment --mode rest --notes notes.json --out rest.json":
+        "1db59f534af8e0e383726137fa283a66f7f2f61e0ac23fcfb142053615ca0937",
     "stdout of ddpm train --out-dir model --seed 3 --steps 40 --diffusion-steps 20":
         "5b92a0bc23e06c8dc9d3108f3d05d46e4cfc4b06d4f1a71e61d8a8f2938222a5",
     "stdout of ddpm finetune --model-dir model --out-dir tuned --seed 4 --iterations 30":
@@ -58,6 +66,8 @@ GOLDEN = {
         "113efd085aef96be0a2c4afc4b942500a7232a7da4c3f8b6b575ec9377021462",
     "long.wav":
         "fde344310ed32ba55de95401265d4955b4a15656f38d65c04b825c01848f458a",
+    "m.jsonl":
+        "1e7d621a1e2d5816e5d5254894b8f2825aa1b2c71c02793b32c84a8989b07fb2",
     "model/b1.svcf":
         "9007e334c50a42132c8cf714e0bcc4642b80ee14ea802fe5d8aafef0e60c1491",
     "model/b2.svcf":
@@ -76,12 +86,20 @@ GOLDEN = {
         "ed1bc9ef1eed6e9e9a542c5f23a17d559df6d64d1e46afe56919a377fd4a4727",
     "model/w2.svcf":
         "f8a2c5654ebc332e12a39b6c922a0188d6ff89c77b909a4a237659b15ce88e20",
+    "notes.json":
+        "f846c8ee91bb3ae1533a65384c36dea0b68cb83b99d8e6ed7445ad23249ba526",
+    "rest.json":
+        "fdaf0fd7c820e8ed7646a4b9a8905cff1e4bec56b7d950e9efe6e7390fbf81c2",
     "sample.svcf":
         "f215da9da370eb7194b93b78e38c2e2847b2aa87f90254b41c9d699363fc6933",
     "seg.json":
         "dfd605a5ce6aceb861ef80859fa3f98dbe2f072a189c74251c02b29bc2c3e225",
+    "sel.jsonl":
+        "fce6841e102205e5dae41319fd8e648906890aa427f166408d80378163504d60",
     "short.wav":
         "5cc2bf644724a6e222dbe510c9d79e479ee16f3f88850b7d5c2ab9bde7c8f015",
+    "spec.json":
+        "6464238e1a9d343d0069c347c0a9ba5df8376aa56b896f3d3f1f4a5ca4bda43c",
     "src.json":
         "70a1e6a3232f8f9b742f72173188712fb741641b2c5894bfcaf83b5dbb921ef8",
     "tgt.json":
@@ -116,6 +134,22 @@ def _inputs() -> None:
     long[long.size // 3:long.size // 2] = 0.0  # a silent stretch, for VAD and VUV
     write_wav(AudioClip(long, rate), "long.wav")
     write_wav(vowel(f0_hz=150.0, duration_sec=0.8), "short.wav")
+    entries = [("a/1", "en", "singing", 30.5), ("a/2", "en", "speech", 12),
+               ("b/1", "zh", "singing", 7.25), ("svcc/1", "en", "singing", 3600)]
+    Path("m.jsonl").write_text("".join(json.dumps({
+        "id": eid, "path": f"corpora/{eid}", "dataset": eid.split("/")[0], "language": lang,
+        "kind": kind, "speaker": eid.replace("/", "-"), "duration_sec": sec,
+        "sample_rate": 24000, "note": "an unknown key"}) + "\n" for eid, lang, kind, sec in entries))
+    Path("spec.json").write_text(json.dumps({"name": "en_any", "languages": ["en"],
+                                             "kinds": None}))
+    Path("notes.json").write_text(json.dumps([
+        {"onset_sec": 0.0, "offset_sec": 0.5, "pitch": 60},
+        {"onset_sec": 0.5, "offset_sec": 1.25, "pitch": None},
+        {"onset_sec": 1.25, "offset_sec": 1.5, "pitch": 62},
+        {"onset_sec": 1.5, "offset_sec": 2.25},
+        {"onset_sec": 2.25, "offset_sec": 2.5, "pitch": 64},
+        {"onset_sec": 2.5, "offset_sec": 3.25, "pitch": "Rest"},
+        {"onset_sec": 3.25, "offset_sec": 3.5, "pitch": 65}]))
 
 
 _COMMANDS = [
@@ -126,6 +160,8 @@ _COMMANDS = [
     ["convert-pitch", "--in", "feats/long.f0.svcf", "--out", "conv.f0.svcf",
      "--source-stats", "src.json", "--target-stats", "tgt.json", "--policy", "cross-domain"],
     ["segment", "--mode", "vad", "--in", "long.wav", "--out", "seg.json"],
+    ["manifest", "compose", "--manifest", "m.jsonl", "--spec", "spec.json", "--out", "sel.jsonl"],
+    ["segment", "--mode", "rest", "--notes", "notes.json", "--out", "rest.json"],
     ["ddpm", "train", "--out-dir", "model", "--seed", "3", "--steps", "40",
      "--diffusion-steps", "20"],
     ["ddpm", "finetune", "--model-dir", "model", "--out-dir", "tuned", "--seed", "4",
