@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,8 @@ from .pitchconv import (
     load_stats,
 )
 from .perturb import PerturbConfig, random_perturb_pair
-from .svcf import (atomic_write_files, dumps, json_bytes, jsonl_bytes, read_json, read_tensor,
-                   tensor_bytes)
+from .svcf import (atomic_write_files, dumps, json_bytes, json_record, jsonl_bytes, read_json,
+                   read_tensor, tensor_bytes)
 
 
 class _UsageError(Exception):
@@ -135,11 +135,8 @@ def _cmd_f0_stats(args) -> tuple:
     tracks = _analyse_inputs(args.inputs, args.jobs, lambda path, clip, block_map: estimate_f0(
         clip, args.f0_floor, args.f0_ceil, block_map))
     stats = compute_f0_stats(tracks, args.speaker_id)
-    return {
-        "command": "f0-stats", "speaker_id": stats.speaker_id,
-        "mean_log_f0": stats.mean_log_f0, "std_log_f0": stats.std_log_f0,
-        "n_voiced_frames": stats.n_voiced_frames, "out": args.out,
-    }, [(args.out, json_bytes(asdict(stats)))]
+    return ({"command": "f0-stats", **asdict(stats), "out": args.out},
+            [(args.out, json_bytes(asdict(stats)))])
 
 
 def _cmd_convert_pitch(args) -> tuple:
@@ -187,10 +184,8 @@ def _cmd_segment(args) -> tuple:
         if args.input is None:
             raise _UsageError("--mode vad requires --in")
         clip = _load_clip_at_canonical_rate(args.input)
-        segments = vad_segment(clip, VadConfig(**_given(
-            frame_ms=args.vad_frame_ms, energy_floor_dbfs=args.vad_energy_floor_dbfs,
-            min_speech_ms=args.vad_min_speech_ms, hangover_ms=args.vad_hangover_ms,
-            min_gap_ms=args.vad_min_gap_ms)))
+        segments = vad_segment(clip, VadConfig(**_given(**{  # --vad-X sets VadConfig.X
+            f.name: getattr(args, f"vad_{f.name}") for f in fields(VadConfig)})))
     else:
         if args.notes is None:
             raise _UsageError("--mode rest requires --notes")
@@ -206,7 +201,8 @@ def _cmd_manifest_compose(args) -> tuple:
     manifest = read_manifest(
         reference_manifest_path() if args.manifest is None else args.manifest)
     if args.spec.endswith(".json"):
-        spec = TrainingSetSpec.from_json(read_json(args.spec, "training-set spec"))
+        spec = json_record(TrainingSetSpec, read_json(args.spec, "training-set spec"),
+                           "training-set spec")
     else:
         spec = canonical_spec(args.spec)
     selected, hours = compose_training_set(manifest, spec)
@@ -474,6 +470,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
+        for flag in ("out_dir", "model_dir"):  # "" would name the working directory
+            if getattr(args, flag, None) == "":
+                raise InvalidParameterError(f"--{flag.replace('_', '-')} must not be empty")
         summary, files = args.func(args)
         line = dumps(summary)
         atomic_write_files(files)

@@ -19,7 +19,7 @@ import numpy as np
 from . import defaults
 from .audio import AudioClip
 from .errors import FormatError, InvalidParameterError
-from .svcf import json_field, read_json, read_jsonl
+from .svcf import json_record, read_json, read_jsonl
 
 SVCC_TARGET_SPEAKERS = ("IDF1", "IDM1", "CDF1", "CDM1")
 
@@ -47,20 +47,10 @@ class ManifestEntry:
                 f"{self.id}: kind must be one of {_KINDS}, got {self.kind!r}"
             )
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ManifestEntry":
-        def get(key, kind=str):
-            return json_field(doc, key, kind, "manifest entry")
-
-        return cls(id=get("id"), path=get("path"), dataset=get("dataset"),
-                   language=get("language"), kind=get("kind"), speaker=get("speaker"),
-                   duration_sec=get("duration_sec", float),
-                   sample_rate=get("sample_rate", int))
-
 
 def read_manifest(path: str | os.PathLike) -> list:
     """Entries of a UTF-8 JSONL manifest; blank lines are skipped."""
-    return [ManifestEntry.from_json(doc) for doc in read_jsonl(path, "manifest")]
+    return [json_record(ManifestEntry, d, "manifest entry") for d in read_jsonl(path, "manifest")]
 
 
 def reference_manifest_path() -> Path:
@@ -91,27 +81,6 @@ class TrainingSetSpec:
         if self.kinds is not None and entry.kind not in self.kinds:
             return False
         return True
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrainingSetSpec":
-        """Parse a spec object; each filter is a JSON array of strings, and
-        `languages`/`kinds` may also be null (or absent) for "any"."""
-        def names(key, default):
-            value = doc.get(key, default)
-            if value is None and default is None:
-                return None
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise FormatError(
-                    f"bad training-set spec: {key} must be an array of strings"
-                )
-            return frozenset(value)
-
-        return cls(
-            name=json_field(doc, "name", str, "training-set spec"),
-            languages=names("languages", None),
-            kinds=names("kinds", None),
-            always_include_datasets=names("always_include_datasets", []),
-        )
 
 
 _ALWAYS = frozenset({"svcc2023"})
@@ -243,23 +212,15 @@ class NoteEvent:
     def is_rest(self) -> bool:
         return self.pitch is None
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "NoteEvent":
-        """Times are JSON numbers; `pitch` is a JSON integer (a MIDI note), or
-        "rest", null or absent for a rest."""
-        onset = json_field(doc, "onset_sec", float, "note event")
-        offset = json_field(doc, "offset_sec", float, "note event")
-        pitch = doc.get("pitch")
-        if pitch is not None and not (isinstance(pitch, str) and pitch.lower() == "rest"):
-            return cls(onset, offset, json_field(doc, "pitch", int, "note event"))
-        return cls(onset, offset)
-
 
 def read_notes(path: str | os.PathLike) -> list:
     docs = read_json(path, "notes file")
     if not isinstance(docs, list):
         raise FormatError(f"{path}: notes file must hold a JSON array")
-    return [NoteEvent.from_json(d) for d in docs]
+    for d in docs:  # a pitch of "rest", in any case, is a rest like null
+        if isinstance(d, dict) and isinstance(d.get("pitch"), str) and d["pitch"].lower() == "rest":
+            d["pitch"] = None
+    return [json_record(NoteEvent, d, "note event") for d in docs]
 
 
 def rest_note_segment(notes: list, min_rest_sec: float = defaults.MIN_REST_SEC,

@@ -18,7 +18,7 @@ import numpy as np
 from . import defaults
 from .errors import InvalidParameterError
 from .pitch import F0Track
-from .svcf import json_field, read_json
+from .svcf import json_record, read_json
 
 _LN2 = math.log(2.0)
 
@@ -128,11 +128,4 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
 
 
 def load_stats(path: str | os.PathLike) -> SpeakerF0Stats:
-    doc = read_json(path, "stats file")
-    what = f"stats file {path}"
-    return SpeakerF0Stats(
-        speaker_id=json_field(doc, "speaker_id", str, what),
-        mean_log_f0=json_field(doc, "mean_log_f0", float, what),
-        std_log_f0=json_field(doc, "std_log_f0", float, what),
-        n_voiced_frames=json_field(doc, "n_voiced_frames", int, what),
-    )
+    return json_record(SpeakerF0Stats, read_json(path, "stats file"), f"stats file {path}")

@@ -12,10 +12,10 @@ little-endian):
 Every value in a written file is finite: NaN, infinities and float64
 values beyond float32's range are rejected before anything is written.
 
-This module is also the one JSON codec (documents, JSON-lines manifests
-and the CLI's stdout summary). Both directions are strict RFC 8259: reading
-NaN/Infinity or a number that overflows a double is a FormatError,
-writing a non-finite float an InvalidParameterError.
+This module is also the one JSON codec (documents, JSON-lines manifests,
+dataclass records via `json_record`, the CLI's stdout summary), strict RFC
+8259 both ways: reading NaN/Infinity or a number that overflows a double is
+a FormatError, writing a non-finite float an InvalidParameterError.
 
 Writes take `(path, bytes)` pairs and are temp-then-rename, all files of
 one write at once (creating missing directories), so a failed run leaves no
@@ -32,6 +32,7 @@ import os
 import struct
 import tempfile
 from contextlib import suppress
+from dataclasses import MISSING, fields
 from itertools import takewhile
 from pathlib import Path
 
@@ -182,22 +183,48 @@ def read_jsonl(path: str | os.PathLike, what: str) -> list:
     return [_parse(line, f"{what} {path}:{n}") for n, line in lines if line.strip()]
 
 
-# The JSON types a record field may have: a bool is neither integer nor number.
+# The JSON type each field type takes: a bool is neither integer nor number,
+# and a frozenset takes an array of strings.
 _FIELD_TYPES = {str: ((str,), "string"), int: ((int,), "integer"),
-                float: ((int, float), "number")}
+                float: ((int, float), "number"), frozenset: ((list,), "array of strings")}
 
 
 def json_field(doc, key: str, kind: type, what: str):
-    """`kind(doc[key])` for a `kind` of str, int or float, when `doc` is a
-    JSON object whose `key` holds a JSON string, integer or number
-    respectively; anything else is a FormatError naming `what`."""
+    """`kind(doc[key])` for a `kind` in `_FIELD_TYPES`, when `doc` is a JSON
+    object whose `key` holds a JSON value of that kind; anything else is a
+    FormatError naming `what`."""
     types, name = _FIELD_TYPES[kind]
     if not isinstance(doc, dict) or key not in doc:
         raise FormatError(f"bad {what}: want an object with a {key!r} field")
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types) or (
+            kind is frozenset and not all(isinstance(v, str) for v in value)):
         raise FormatError(f"bad {what}: {key} must be a JSON {name}, got {value!r}")
     return kind(value)
+
+
+# Each type a record field may declare, as a type or as the text that
+# `from __future__ import annotations` leaves: (the type `json_field` reads,
+# whether the field may be null).
+_RECORD_TYPES = {declared: (k, nullable) for k in _FIELD_TYPES for declared, nullable in (
+    (k, False), (k.__name__, False), (k | None, True), (f"{k.__name__} | None", True))}
+
+
+def json_record(cls, doc, what: str):
+    """The dataclass `cls` built from the JSON object `doc`, each field read
+    by `json_field` at its declared type; a field declared `X | None` may
+    also be null or absent, an absent field with a default takes it, and
+    keys that name no field are ignored. A field declared with a type not
+    in `_RECORD_TYPES` is a TypeError, whatever `doc` holds."""
+    plan = [(f, *_RECORD_TYPES.get(f.type, (None, None))) for f in fields(cls)]
+    for f, kind, _ in plan:
+        if kind is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: json_record cannot read type {f.type!r}")
+    if not isinstance(doc, dict):
+        raise FormatError(f"bad {what}: want a JSON object")
+    return cls(**{f.name: None if nullable and doc.get(f.name) is None
+                  else json_field(doc, f.name, kind, what) for f, kind, nullable in plan
+                  if f.name in doc or f.default is MISSING and f.default_factory is MISSING})
 
 
 def dumps(doc, indent: int | None = None) -> str:

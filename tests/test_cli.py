@@ -763,6 +763,27 @@ def test_manifest_compose_spec_filters_must_be_arrays(tmp_path, capsys, key, val
                      out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["extract", "--in", "a.wav", "--out-dir", ""],
+    ["ddpm", "train", "--out-dir", "", "--seed", "0", "--steps", "3"],
+    ["ddpm", "finetune", "--model-dir", "model", "--out-dir", "", "--seed", "0",
+     "--iterations", "3"],
+    ["ddpm", "finetune", "--model-dir", "", "--out-dir", "tuned", "--seed", "0",
+     "--iterations", "3"],
+    ["ddpm", "sample", "--model-dir", "", "--out", "s.svcf", "--seed", "0"],
+])
+def test_an_empty_directory_path_is_rejected(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_wav(sine(440, 0.3), "a.wav")
+    for out_dir in (".", "model"):  # a model in the working directory, read by --model-dir ""
+        assert main(["ddpm", "train", "--out-dir", out_dir, "--seed", "0", "--steps", "3"]) == 0
+    capsys.readouterr()
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    err = _assert_rejected(capsys, argv)
+    assert "must not be empty" in err
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
     inputs = [tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"]
     for path, clip in zip(inputs, (sine(440, 0.3), sawtooth(220, 0.3))):

@@ -23,7 +23,7 @@ from svcforge.corpus import (
     vad_segment,
 )
 from svcforge.errors import FormatError, InvalidParameterError
-from svcforge.svcf import jsonl_bytes
+from svcforge.svcf import json_record, jsonl_bytes
 from synth import sine
 
 EXPECTED_HOURS = {
@@ -67,9 +67,9 @@ def test_unknown_spec():
 
 def test_spec_json_roundtrip():
     spec = canonical_spec("v2_ssmix_en")
-    back = TrainingSetSpec.from_json(json.loads(
+    back = json_record(TrainingSetSpec, json.loads(
         '{"name": "v2_ssmix_en", "languages": ["en"], "kinds": null,'
-        ' "always_include_datasets": ["svcc2023"]}'))
+        ' "always_include_datasets": ["svcc2023"]}'), "training-set spec")
     assert back == spec
 
 

@@ -1,13 +1,17 @@
 import struct
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 import pytest
 
+from svcforge.corpus import ManifestEntry, NoteEvent, TrainingSetSpec
 from svcforge.errors import FormatError, InvalidParameterError, MissingFileError
+from svcforge.pitchconv import SpeakerF0Stats
 from svcforge.svcf import (
     atomic_write_files,
     dumps,
     json_bytes,
+    json_record,
     jsonl_bytes,
     read_json,
     read_jsonl,
@@ -157,3 +161,45 @@ def test_tensor_writer_rejects_non_finite_values(tmp_path, value):
     with pytest.raises(InvalidParameterError):
         write_tensor(tmp_path / "t.svcf", np.array([[1.0, value]], dtype=np.float64))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("doc, record", [
+    ({"id": "x", "path": "x.wav", "dataset": "d", "language": "en", "kind": "singing",
+      "speaker": "s", "duration_sec": 36, "sample_rate": 24000},
+     ManifestEntry("x", "x.wav", "d", "en", "singing", "s", 36.0, 24000)),
+    ({"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": 0, "n_voiced_frames": 10},
+     SpeakerF0Stats("s", 5.4, 0.0, 10)),
+    ({"name": "s", "languages": ["en", "zh"], "kinds": ["singing"],
+      "always_include_datasets": ["svcc2023"]},
+     TrainingSetSpec("s", frozenset({"en", "zh"}), frozenset({"singing"}),
+                     frozenset({"svcc2023"}))),
+    ({"onset_sec": 0, "offset_sec": 1.5, "pitch": 60}, NoteEvent(0.0, 1.5, 60)),
+])
+def test_json_record_reads_every_record_class_from_a_full_document(doc, record):
+    got = json_record(type(record), {**doc, "comment": "a key that names no field"}, "record")
+    assert got == record
+    for f in fields(record):  # an integer read into a float field becomes a float
+        assert type(getattr(got, f.name)) is type(getattr(record, f.name))
+
+
+def test_json_record_reads_null_absent_and_defaulted_fields():
+    assert json_record(TrainingSetSpec, {"name": "s", "kinds": None}, "spec") == \
+        TrainingSetSpec("s", None, None, frozenset())
+    for doc in ({"onset_sec": 0, "offset_sec": 1}, {"onset_sec": 0, "offset_sec": 1, "pitch": None}):
+        assert json_record(NoteEvent, doc, "note") == NoteEvent(0.0, 1.0, None)
+    with pytest.raises(FormatError, match="bad spec: always_include_datasets must be a JSON array"):
+        json_record(TrainingSetSpec, {"name": "s", "always_include_datasets": None}, "spec")
+    with pytest.raises(FormatError, match="bad stats: want an object with a 'n_voiced_frames'"):
+        json_record(SpeakerF0Stats, {"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": 0.1},
+                    "stats")
+    with pytest.raises(FormatError, match="bad note: want a JSON object"):
+        json_record(NoteEvent, [0, 1], "note")
+
+
+@pytest.mark.parametrize("kind", [list, bool, dict, int | str, frozenset[str], float | int,
+                                  "list", "Optional[int]", "None | int", "typing.FrozenSet"])
+def test_json_record_refuses_a_field_type_it_cannot_read(kind):
+    odd = make_dataclass("Odd", [("name", str), ("values", kind)])
+    for doc in ({"name": "x", "values": []}, {}, "not an object"):
+        with pytest.raises(TypeError, match="Odd.values: json_record cannot read type"):
+            json_record(odd, doc, "odd record")
