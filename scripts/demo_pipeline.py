@@ -4,7 +4,9 @@
 Synthesizes a vowel and a sung tone, runs feature extraction, makes a
 seeded perturbation pair, computes speaker F0 statistics, converts the
 tone's pitch track with the cross-domain policy, and scores the result.
-All outputs land in a scratch directory printed at the end.
+The eight outputs are encoded as (path, bytes) pairs and written in one
+`atomic_write_files` call, as the CLI writes, into a scratch directory that
+the summary names.
 """
 
 import json
@@ -19,13 +21,13 @@ sys.path.insert(0, str(ROOT / "tests"))  # synth: the test suite's synthetic sig
 import numpy as np
 
 from svcforge import defaults
-from svcforge.audio import write_wav
+from svcforge.audio import wav_bytes
 from svcforge.features import mel_loudness
 from svcforge.metrics import f0_metrics
 from svcforge.perturb import PerturbConfig, random_perturb_pair
 from svcforge.pitch import estimate_f0
 from svcforge.pitchconv import ConversionPolicy, compute_f0_stats, convert_logf0
-from svcforge.svcf import write_tensor
+from svcforge.svcf import atomic_write_files, tensor_bytes
 from synth import sawtooth, vowel
 
 
@@ -34,20 +36,13 @@ def main() -> int:
 
     speech = vowel(f0_hz=120.0, duration_sec=1.5)
     singing = sawtooth(261.6, 1.5)  # roughly C4
-    write_wav(speech, out_dir / "speech.wav")
-    write_wav(singing, out_dir / "singing.wav")
 
     # features for the singing clip, one block of frames at a time
     mel, loud = mel_loudness(singing)
-    write_tensor(out_dir / "singing.mel.svcf", mel)
-    write_tensor(out_dir / "singing.loudness.svcf", loud)
     sing_track = estimate_f0(singing)
-    write_tensor(out_dir / "singing.f0.svcf", sing_track.to_array())
 
     # a seeded perturbation pair of the vowel
     pair = random_perturb_pair(speech, PerturbConfig(seed=7))
-    write_wav(pair[0], out_dir / "speech_perturb_a.wav")
-    write_wav(pair[1], out_dir / "speech_perturb_b.wav")
 
     # speech-range source stats, singing-range conversion with the
     # cross-domain policy (+6 semitones on top of the quantized shift)
@@ -55,8 +50,15 @@ def main() -> int:
     singing_stats = compute_f0_stats([sing_track], "singing")
     converted = convert_logf0(sing_track, singing_stats, speech_stats,
                               ConversionPolicy.cross_domain())
-    write_tensor(out_dir / "converted.f0.svcf", converted.to_array())
     agreement = f0_metrics(sing_track, converted)
+
+    clips = {"speech.wav": speech, "singing.wav": singing,
+             "speech_perturb_a.wav": pair[0], "speech_perturb_b.wav": pair[1]}
+    tensors = {"singing.mel.svcf": mel, "singing.loudness.svcf": loud,
+               "singing.f0.svcf": sing_track.to_array(),
+               "converted.f0.svcf": converted.to_array()}
+    atomic_write_files([(out_dir / name, wav_bytes(clip)) for name, clip in clips.items()]
+                       + [(out_dir / name, tensor_bytes(t, name)) for name, t in tensors.items()])
 
     summary = {
         "out_dir": str(out_dir),

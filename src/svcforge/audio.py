@@ -1,4 +1,4 @@
-"""WAV I/O, mono mixdown, and polyphase resampling.
+"""WAV reading and encoding, mono mixdown, and polyphase resampling.
 
 Everything downstream runs at the canonical 24 kHz rate; `resample` is the
 only sanctioned way to get there. Clips are immutable values.
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .errors import FormatError, InvalidParameterError
-from .svcf import atomic_write_files, read_bytes
+from .svcf import read_bytes
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,6 @@ def wav_bytes(clip: AudioClip) -> bytes:
     )
     header += b"data" + struct.pack("<I", len(data))
     return header + data
-
-
-def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
-    """Write `wav_bytes(clip)` to `path`, atomically."""
-    atomic_write_files([(path, wav_bytes(clip))])
 
 
 # `_lowpass_kernel` has 64 taps per unit of max(up, down). This bound admits

@@ -17,11 +17,11 @@ dataclass records via `json_record`, the CLI's stdout summary), strict RFC
 8259 both ways: reading NaN/Infinity or a number that overflows a double is
 a FormatError, writing a non-finite float an InvalidParameterError.
 
-Writes take `(path, bytes)` pairs and are temp-then-rename, all files of
-one write at once (creating missing directories), so a failed run leaves no
-partial file or new directory. Before anything is made, a write refuses two
-pairs that name one file (by `os.path.realpath`) and a path holding a NUL;
-both are InvalidParameterErrors.
+The encoders return bytes; the one writer, `atomic_write_files`, takes
+`(path, bytes)` pairs and is temp-then-rename, all files at once (creating
+missing directories), so a failed run leaves no partial file or new
+directory. Before anything is made it refuses, as InvalidParameterErrors,
+two pairs that name one file (by `os.path.realpath`) and a path with a NUL.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ def tensor_bytes(array: np.ndarray, name: str) -> bytes:
         raise InvalidParameterError(f"cannot write {name}: a value is not finite in float32")
     header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
     return header + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
-
-
-def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
-    """Write `tensor_bytes(array)` to an SVCF file, atomically."""
-    atomic_write_files([(path, tensor_bytes(array, str(path)))])
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import freqz
 
-from svcforge.audio import write_wav
+from svcforge.audio import wav_bytes
 from svcforge.cli import main as cli_main
 from svcforge.contrastive import ramp_weight
 from svcforge.corpus import (
@@ -355,8 +355,8 @@ def test_criterion_11():
         tmp = Path(tmp)
         wav_a = tmp / "a.wav"
         wav_b = tmp / "b.wav"
-        write_wav(sine(440, 0.5), wav_a)
-        write_wav(sawtooth(220, 0.5), wav_b)
+        wav_a.write_bytes(wav_bytes(sine(440, 0.5)))
+        wav_b.write_bytes(wav_bytes(sawtooth(220, 0.5)))
 
         def quiet_cli(argv):
             with contextlib.redirect_stdout(io.StringIO()):

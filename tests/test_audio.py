@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svcforge.audio import AudioClip, read_wav, resample, write_wav
+from svcforge.audio import AudioClip, read_wav, resample, wav_bytes
 from svcforge.errors import FormatError, InvalidParameterError, MissingFileError
 from synth import sine
 
@@ -207,7 +207,7 @@ def test_extensible_other_subformats_unsupported(tmp_path, subformat, bits, guid
 def test_write_roundtrip_sine(tmp_path):
     clip = sine(440, 1.0, amplitude=0.9)
     p = tmp_path / "s.wav"
-    write_wav(clip, p)
+    p.write_bytes(wav_bytes(clip))
     back = read_wav(p)
     assert back.sample_rate == clip.sample_rate
     assert np.max(np.abs(back.samples - clip.samples)) <= 2.0 ** -15
@@ -215,14 +215,14 @@ def test_write_roundtrip_sine(tmp_path):
 
 def test_write_empty_clip(tmp_path):
     p = tmp_path / "e.wav"
-    write_wav(AudioClip(np.zeros(0), 24000), p)
+    p.write_bytes(wav_bytes(AudioClip(np.zeros(0), 24000)))
     back = read_wav(p)
     assert back.samples.size == 0
 
 
 def test_write_clamps_full_scale(tmp_path):
     p = tmp_path / "c.wav"
-    write_wav(AudioClip(np.array([1.0, -1.5]), 24000), p)
+    p.write_bytes(wav_bytes(AudioClip(np.array([1.0, -1.5]), 24000)))
     raw = p.read_bytes()
     vals = np.frombuffer(raw[-4:], dtype="<i2")
     assert vals[0] == 32767
@@ -298,6 +298,6 @@ def test_resample_linearity(scale):
 def test_wav_roundtrip_quantization_bound(tmp_path_factory, samples):
     clip = AudioClip(np.array(samples), 24000)
     p = tmp_path_factory.mktemp("wav") / "q.wav"
-    write_wav(clip, p)
+    p.write_bytes(wav_bytes(clip))
     back = read_wav(p)
     assert np.max(np.abs(back.samples - clip.samples)) <= 2.0 ** -15

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from svcforge import cli, defaults
-from svcforge.audio import AudioClip, read_wav, write_wav
+from svcforge.audio import AudioClip, read_wav, wav_bytes
 from svcforge.cli import build_parser, main
 from svcforge.diffusion import ToyDenoiser, model_files
 from svcforge.features import BLOCK_FRAMES, CANONICAL_FRAME_CONFIG as CFG
-from svcforge.svcf import atomic_write_files, read_tensor, write_tensor
+from svcforge.svcf import atomic_write_files, read_tensor, tensor_bytes
 from synth import sawtooth, sine
 from test_audio import _pcm16_wav, _wav_with_a_second
 
@@ -34,8 +34,8 @@ def run_cli(capsys, *args):
 def wavs(tmp_path):
     a = tmp_path / "a.wav"
     b = tmp_path / "b.wav"
-    write_wav(sine(440, 0.6), a)
-    write_wav(sawtooth(220, 0.6), b)
+    a.write_bytes(wav_bytes(sine(440, 0.6)))
+    b.write_bytes(wav_bytes(sawtooth(220, 0.6)))
     return a, b
 
 
@@ -62,8 +62,8 @@ def test_extract_and_f0_stats_identical_across_jobs_over_several_blocks(tmp_path
     long_wav, short_wav = tmp_path / "long.wav", tmp_path / "short.wav"
     tone = sine(180, seconds).samples.copy()
     tone[BLOCK_FRAMES * CFG.hop:2 * BLOCK_FRAMES * CFG.hop] *= 0.01  # a quiet block
-    write_wav(AudioClip(tone, defaults.SAMPLE_RATE), long_wav)
-    write_wav(sine(440, 0.6), short_wav)
+    long_wav.write_bytes(wav_bytes(AudioClip(tone, defaults.SAMPLE_RATE)))
+    short_wav.write_bytes(wav_bytes(sine(440, 0.6)))
     runs = []
     for jobs in ("1", "2", "3"):
         out, stats = tmp_path / f"x{jobs}", tmp_path / f"s{jobs}.json"
@@ -178,7 +178,7 @@ def test_f0_stats_and_convert_pitch_cross_domain(tmp_path, wavs, capsys):
 ])
 def test_convert_pitch_policy_from_flags(tmp_path, capsys, flags, policy):
     track, stats, out = tmp_path / "f0.svcf", tmp_path / "stats.json", tmp_path / "o.svcf"
-    write_tensor(track, np.array([[220.0, 1.0], [0.0, 0.0]], dtype=np.float32))
+    track.write_bytes(tensor_bytes(np.array([[220.0, 1.0], [0.0, 0.0]], dtype=np.float32), track))
     _write_stats(stats)
     code, summary = run_cli(capsys, "convert-pitch", "--in", str(track), "--out", str(out),
                             "--source-stats", str(stats), "--target-stats", str(stats),
@@ -248,7 +248,7 @@ def test_perturb_deterministic(tmp_path, wavs, capsys):
 
 def test_perturb_empty_wav(tmp_path, capsys):
     src = tmp_path / "empty.wav"
-    write_wav(AudioClip(np.zeros(0), 24000), src)
+    src.write_bytes(wav_bytes(AudioClip(np.zeros(0), 24000)))
     pa, pb = tmp_path / "pa.wav", tmp_path / "pb.wav"
     code, summary = run_cli(capsys, "perturb", "--in", str(src), "--out-a", str(pa),
                             "--out-b", str(pb), "--seed", "0")
@@ -342,7 +342,7 @@ def test_refused_write_names_the_destination(tmp_path, wavs, capsys, monkeypatch
     (tmp_path / "afile").write_bytes(b"")
     # a 255-byte input name whose 251-byte stem makes a 260-byte tensor name
     stem = "z" * 251
-    write_wav(sine(440, 0.3), tmp_path / f"{stem}.wav")
+    (tmp_path / f"{stem}.wav").write_bytes(wav_bytes(sine(440, 0.3)))
     for argv, dest in [
         (["perturb", "--in", wavs[0], "--out-a", "pa.wav", "--out-b", "afile/b.wav",
           "--seed", "1"], "afile/b.wav"),
@@ -357,7 +357,7 @@ def test_failed_extract_leaves_no_new_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # a 251-byte stem makes a 260-byte tensor name, which the OS refuses
     stem = "z" * 251
-    write_wav(sine(440, 0.3), tmp_path / f"{stem}.wav")
+    (tmp_path / f"{stem}.wav").write_bytes(wav_bytes(sine(440, 0.3)))
     err = _assert_rejected(capsys, ["extract", "--in", f"{stem}.wav", "--out-dir", "feats/deep"])
     assert err.rstrip().endswith(f": 'feats/deep/{stem}.mel.svcf'")
     assert [p.name for p in tmp_path.iterdir()] == [f"{stem}.wav"]
@@ -465,9 +465,8 @@ def test_ddpm_sample_oracle_mode(tmp_path, capsys):
 
 
 def test_eval_cossim(tmp_path, capsys):
-    write_tensor(tmp_path / "a.svcf", np.array([1.0, 0.0], dtype=np.float32))
-    write_tensor(tmp_path / "b.svcf", np.array([[1.0, 0.0], [0.0, 1.0]],
-                                               dtype=np.float32))
+    (tmp_path / "a.svcf").write_bytes(tensor_bytes(np.array([1.0, 0.0]), "a.svcf"))
+    (tmp_path / "b.svcf").write_bytes(tensor_bytes(np.array([[1.0, 0.0], [0.0, 1.0]]), "b.svcf"))
     code, summary = run_cli(capsys, "eval", "cossim", "--a",
                             str(tmp_path / "a.svcf"), "--b", str(tmp_path / "b.svcf"))
     assert code == 0
@@ -478,8 +477,8 @@ def test_eval_cossim(tmp_path, capsys):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_eval_cossim_stays_in_the_unit_range(tmp_path, capsys, sign):
     # the unclipped cosine of [1, 1, 1] with itself rounds to 1 + 2**-52
-    write_tensor(tmp_path / "a.svcf", np.ones((2, 3), dtype=np.float32))
-    write_tensor(tmp_path / "b.svcf", sign * np.ones(3, dtype=np.float32))
+    (tmp_path / "a.svcf").write_bytes(tensor_bytes(np.ones((2, 3), dtype=np.float32), "a.svcf"))
+    (tmp_path / "b.svcf").write_bytes(tensor_bytes(sign * np.ones(3, dtype=np.float32), "b.svcf"))
     code, summary = run_cli(capsys, "eval", "cossim", "--a",
                             str(tmp_path / "a.svcf"), "--b", str(tmp_path / "b.svcf"))
     assert code == 0
@@ -489,8 +488,8 @@ def test_eval_cossim_stays_in_the_unit_range(tmp_path, capsys, sign):
 
 def test_eval_f0(tmp_path, capsys):
     track = np.array([[220.0, 1.0], [0.0, 0.0]], dtype=np.float32)
-    write_tensor(tmp_path / "a.svcf", track)
-    write_tensor(tmp_path / "b.svcf", track)
+    (tmp_path / "a.svcf").write_bytes(tensor_bytes(track, "a.svcf"))
+    (tmp_path / "b.svcf").write_bytes(tensor_bytes(track, "b.svcf"))
     code, summary = run_cli(capsys, "eval", "f0", "--a", str(tmp_path / "a.svcf"),
                             "--b", str(tmp_path / "b.svcf"))
     assert code == 0
@@ -584,27 +583,33 @@ def test_only_the_parser_and_segment_raise_usage_errors():
     assert set(_usage_error_raisers(tree)) == {"_Parser.error", "_cmd_segment"}
 
 
-def _writers(tree):
-    """The top-level functions under `tree` that name the all-or-nothing
-    writer or a `write_*` or `save_*` function."""
-    for func in tree.body:
-        if isinstance(func, ast.FunctionDef) and any(
+def _writers(tree, module=""):
+    """The functions under `tree`, at any depth, that are named `write_*` or
+    `save_*`, or whose code names the all-or-nothing writer or such a
+    function; `module` prefixes each name."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and (func.name.startswith(("write_", "save_")) or any(
                 name == "atomic_write_files" or name.startswith(("write_", "save_"))
                 for node in ast.walk(func)
-                for name in [getattr(node, "id", None) or getattr(node, "attr", "")]):
-            yield func.name
+                for name in [getattr(node, "id", None) or getattr(node, "attr", "")])):
+            yield module + func.name
 
 
 def test_the_check_finds_a_writer():
     source = ("def main():\n    atomic_write_files(f)\n"
               "def _cmd_a():\n    def g():\n        svcf.write_tensor(p, x)\n"
-              "def _cmd_b():\n    save_stats(s, p)\ndef _cmd_c():\n    return tensor_bytes(x)\n")
-    assert list(_writers(ast.parse(source))) == ["main", "_cmd_a", "_cmd_b"]
+              "def _cmd_b():\n    save_stats(s, p)\ndef _cmd_c():\n    return tensor_bytes(x)\n"
+              "class C:\n    def write_x(self):\n        pass\n")
+    assert list(_writers(ast.parse(source), "m.")) == ["m.main", "m._cmd_a", "m._cmd_b",
+                                                       "m.g", "m.write_x"]
 
 
 def test_main_is_the_one_place_that_writes():
-    # every handler returns its files, and `main` writes them in one call
-    assert list(_writers(ast.parse(Path(cli.__file__).read_text()))) == ["main"]
+    # every handler returns its files, `main` writes them in one call, and the
+    # rest of the package only encodes: no module has another writer
+    package = Path(cli.__file__).parent
+    assert [name for path in sorted(package.glob("*.py"))
+            for name in _writers(ast.parse(path.read_text()), f"{path.stem}.")] == ["cli.main"]
 
 
 @pytest.mark.parametrize("case, message", [
@@ -639,7 +644,7 @@ def test_malformed_wav_and_svcf_files_exit_2(tmp_path, capsys, case, message):
 def test_removed_flags_are_usage_errors(tmp_path, wavs, capsys, command, flag, value):
     out = tmp_path / "out"
     track, stats = tmp_path / "f0.svcf", tmp_path / "stats.json"
-    write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+    track.write_bytes(tensor_bytes(np.array([[220.0, 1.0]], dtype=np.float32), track))
     _write_stats(stats)
     argv = {"extract": ["--in", wavs[0], "--out-dir", out],
             "f0-stats": ["--in", wavs[0], "--speaker-id", "s", "--out", out],
@@ -695,7 +700,7 @@ def _assert_rejected(capsys, argv, *outputs):
 
 
 def _write_raw_svcf(path, array):
-    """SVCF bytes written by hand, for values that `write_tensor` refuses."""
+    """SVCF bytes written by hand, for values that `tensor_bytes` refuses."""
     arr = np.ascontiguousarray(array, dtype="<f4")
     path.write_bytes(b"SVCF" + struct.pack(f"<II{arr.ndim}I", 1, arr.ndim, *arr.shape)
                      + arr.tobytes())
@@ -718,7 +723,7 @@ def test_json_readers_reject_bad_documents(tmp_path, capsys, reader, kind):
     elif reader == "stats":
         doc = tmp_path / "stats.json"
         track = tmp_path / "f0.svcf"
-        write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+        track.write_bytes(tensor_bytes(np.array([[220.0, 1.0]], dtype=np.float32), track))
         argv = ["convert-pitch", "--in", str(track), "--out", str(out),
                 "--source-stats", str(doc), "--target-stats", str(doc)]
     elif reader == "model-index":
@@ -774,7 +779,7 @@ def test_manifest_compose_spec_filters_must_be_arrays(tmp_path, capsys, key, val
 ])
 def test_an_empty_directory_path_is_rejected(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    write_wav(sine(440, 0.3), "a.wav")
+    Path("a.wav").write_bytes(wav_bytes(sine(440, 0.3)))
     for out_dir in (".", "model"):  # a model in the working directory, read by --model-dir ""
         assert main(["ddpm", "train", "--out-dir", out_dir, "--seed", "0", "--steps", "3"]) == 0
     capsys.readouterr()
@@ -788,7 +793,7 @@ def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
     inputs = [tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"]
     for path, clip in zip(inputs, (sine(440, 0.3), sawtooth(220, 0.3))):
         path.parent.mkdir()
-        write_wav(clip, path)
+        path.write_bytes(wav_bytes(clip))
     out_dir = tmp_path / "out"
     _assert_rejected(capsys, ["extract", "--in", inputs[0], "--in", inputs[1],
                               "--out-dir", out_dir], out_dir)
@@ -806,11 +811,12 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     index = json.loads(index_path.read_text())
     w1 = read_tensor(model_dir / "w1.svcf")
     if corruption == "wrong-shape":
-        write_tensor(model_dir / "w1.svcf", w1[:, :-1])
+        (model_dir / "w1.svcf").write_bytes(tensor_bytes(w1[:, :-1], "w1.svcf"))
     elif corruption == "narrow-w1":  # 8 + 2 * 4 columns leave no condition summary
-        write_tensor(model_dir / "w1.svcf", w1[:, :16])
+        (model_dir / "w1.svcf").write_bytes(tensor_bytes(w1[:, :16], "w1.svcf"))
     elif corruption == "vector-w2":
-        write_tensor(model_dir / "w2.svcf", read_tensor(model_dir / "w2.svcf")[0])
+        w2 = read_tensor(model_dir / "w2.svcf")
+        (model_dir / "w2.svcf").write_bytes(tensor_bytes(w2[0], "w2.svcf"))
     elif corruption == "huge-steps":
         index["num_steps"] = 10**12
     elif corruption.endswith("legacy-hidden"):
@@ -824,7 +830,7 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
         (model_dir / "loop.svcf").symlink_to("loop.svcf")
         index["params"]["w1"] = "loop.svcf"
     elif corruption == "outside-path":
-        write_tensor(tmp_path / "outside.svcf", w1)
+        (tmp_path / "outside.svcf").write_bytes(tensor_bytes(w1, "outside.svcf"))
         index["params"]["w1"] = "../outside.svcf"
     elif corruption == "fractional-steps":
         index["num_steps"] = 100.5
@@ -922,18 +928,18 @@ def test_tensors_with_bad_values_rejected(tmp_path, capsys, command, tensor):
         argv = ["convert-pitch", "--in", bad, "--out", out,
                 "--source-stats", stats, "--target-stats", stats]
     elif command == "eval-f0":
-        write_tensor(good, np.array([[220.0, 1.0], [220.0, 1.0]], dtype=np.float32))
+        good.write_bytes(tensor_bytes(np.array([[220.0, 1.0], [220.0, 1.0]]), good))
         argv = ["eval", "f0", "--a", good, "--b", bad]
     else:
-        write_tensor(good, np.array([1.0, 0.0], dtype=np.float32))
+        good.write_bytes(tensor_bytes(np.array([1.0, 0.0], dtype=np.float32), good))
         argv = ["eval", "cossim", "--a", bad, "--b", good]
     _assert_rejected(capsys, argv, out)
 
 
 def test_eval_cossim_rejects_tensors_above_two_dimensions(tmp_path, capsys):
     cube, vec = tmp_path / "cube.svcf", tmp_path / "vec.svcf"
-    write_tensor(cube, np.ones((2, 2, 2), dtype=np.float32))
-    write_tensor(vec, np.ones(2, dtype=np.float32))
+    cube.write_bytes(tensor_bytes(np.ones((2, 2, 2), dtype=np.float32), cube))
+    vec.write_bytes(tensor_bytes(np.ones(2, dtype=np.float32), vec))
     _assert_rejected(capsys, ["eval", "cossim", "--a", cube, "--b", cube])
     _assert_rejected(capsys, ["eval", "cossim", "--a", vec, "--b", cube])
 
@@ -943,7 +949,7 @@ def test_eval_cossim_rejects_tensors_above_two_dimensions(tmp_path, capsys):
                          ids=["underflow", "overflow"])
 def test_convert_pitch_rejects_f0_out_of_range_before_writing(tmp_path, capsys, f0_hz):
     track = tmp_path / "in.svcf"
-    write_tensor(track, np.array([[f, 1.0] for f in f0_hz], dtype=np.float32))
+    track.write_bytes(tensor_bytes(np.array([[f, 1.0] for f in f0_hz], dtype=np.float32), track))
     source, target = tmp_path / "x.json", tmp_path / "y.json"
     source.write_text(json.dumps({"speaker_id": "x", "mean_log_f0": 5.99,
                                   "std_log_f0": 0.001, "n_voiced_frames": 10}))
@@ -979,7 +985,7 @@ def test_json_readers_reject_non_finite_numbers(tmp_path, capsys, document, toke
         doc.write_text('{"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": %s, '
                        '"n_voiced_frames": 10}' % token)
         track = tmp_path / "f0.svcf"
-        write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+        track.write_bytes(tensor_bytes(np.array([[220.0, 1.0]], dtype=np.float32), track))
         argv = ["convert-pitch", "--in", track, "--out", out,
                 "--source-stats", doc, "--target-stats", doc]
     _assert_rejected(capsys, argv, out)
@@ -1021,7 +1027,7 @@ def test_json_records_require_field_types(tmp_path, capsys, document, key, value
     else:
         doc.write_text(json.dumps(record))
         track = tmp_path / "f0.svcf"
-        write_tensor(track, np.array([[220.0, 1.0]], dtype=np.float32))
+        track.write_bytes(tensor_bytes(np.array([[220.0, 1.0]], dtype=np.float32), track))
         argv = ["convert-pitch", "--in", track, "--out", out,
                 "--source-stats", doc, "--target-stats", doc]
     _assert_rejected(capsys, argv, out)
@@ -1051,7 +1057,7 @@ def test_ddpm_rejects_a_model_whose_condition_width_differs(tmp_path, capsys, co
 
 def test_extract_failure_on_a_later_input_leaves_no_outputs(tmp_path, capsys):
     good, bad = tmp_path / "good.wav", tmp_path / "bad.wav"
-    write_wav(sine(440, 0.3), good)
+    good.write_bytes(wav_bytes(sine(440, 0.3)))
     bad.write_bytes(b"RIFFxxxxWAVEjunk")
     out_dir = tmp_path / "o"
     for jobs in ("1", "2"):
@@ -1153,7 +1159,7 @@ def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command
         argv = ["segment", "--mode", "vad", "--in", wavs[0], "--out", out]
     else:
         empty = tmp_path / "empty.svcf"
-        write_tensor(empty, np.zeros((0, 2), dtype=np.float32))
+        empty.write_bytes(tensor_bytes(np.zeros((0, 2), dtype=np.float32), empty))
         argv = ["eval", "cossim", "--a", empty, "--b", empty]
     _assert_rejected(capsys, argv + flags, out)
 
@@ -1257,7 +1263,7 @@ def test_cli_option_surface():
 
 def _too_fine_rate_wav(path):
     """0.2 s of silence at 1,000,003 Hz, a rate coprime with 24 kHz."""
-    write_wav(AudioClip(np.zeros(200_000), 1_000_003), path)
+    path.write_bytes(wav_bytes(AudioClip(np.zeros(200_000), 1_000_003)))
 
 
 @pytest.mark.parametrize("command", ["extract", "segment", "perturb", "f0-stats"])
@@ -1303,7 +1309,7 @@ def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     # second input is missing: the first file's outputs may exist (per-file
     # work is independent), but nothing partial is ever left behind
     good = tmp_path / "good.wav"
-    write_wav(sine(440, 0.3), good)
+    good.write_bytes(wav_bytes(sine(440, 0.3)))
     out_dir = tmp_path / "out"
     code, _ = run_cli(capsys, "extract", "--in", str(tmp_path / "missing.wav"),
                       "--out-dir", str(out_dir))
@@ -1366,7 +1372,7 @@ def test_commands_that_neither_resample_nor_equalise_load_no_scipy(tmp_path):
 
 def test_extract_of_a_44k_wav_loads_scipy_signal(tmp_path):
     wav = tmp_path / "a.wav"
-    write_wav(sine(440, 0.2, sample_rate=44100), wav)
+    wav.write_bytes(wav_bytes(sine(440, 0.2, sample_rate=44100)))
     report = _scipy_modules_after(["extract", "--in", wav, "--out-dir", tmp_path / "out"])
     code, loaded = report["extract --in"]
     assert code == 0

@@ -30,11 +30,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svcforge.audio import write_wav
+from svcforge.audio import wav_bytes
 from svcforge.cli import main
 from svcforge.diffusion import ToyDenoiser, model_files
 from svcforge.errors import MAX_ELEMENTS
-from svcforge.svcf import atomic_write_files, write_tensor
+from svcforge.svcf import atomic_write_files, tensor_bytes
 from synth import sine
 
 contract = settings(derandomize=True)
@@ -84,8 +84,9 @@ def base(tmp_path_factory):
     """Valid inputs shared by every example: a WAV, an F0 track, a stats
     file, a note list and a trained model."""
     d = tmp_path_factory.mktemp("contract")
-    write_wav(sine(220, 0.3), d / "in.wav")
-    write_tensor(d / "f0.svcf", np.array([[220.0, 1.0], [0.0, 0.0], [230.0, 1.0]]))
+    (d / "in.wav").write_bytes(wav_bytes(sine(220, 0.3)))
+    track = np.array([[220.0, 1.0], [0.0, 0.0], [230.0, 1.0]])
+    (d / "f0.svcf").write_bytes(tensor_bytes(track, "f0.svcf"))
     (d / "stats.json").write_text(json.dumps(_RECORDS["stats"]))
     (d / "notes.json").write_text(json.dumps(
         [_RECORDS["notes"], {"onset_sec": 2.0, "offset_sec": 3.0, "pitch": 62}]))
@@ -443,7 +444,7 @@ def test_edited_model_indexes_keep_the_contract(base, edit, command):
             index.update(value)
         else:
             name, shape = value
-            write_tensor(model / f"{name}.svcf", np.full(shape, 0.1))
+            (model / f"{name}.svcf").write_bytes(tensor_bytes(np.full(shape, 0.1), f"{name}.svcf"))
         (model / "index.json").write_text(json.dumps(index))
         argv = {"sample": ["ddpm", "sample", "--model-dir", model, "--out", out],
                 "finetune": ["ddpm", "finetune", "--model-dir", model, "--out-dir", out,

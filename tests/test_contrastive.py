@@ -93,12 +93,12 @@ def test_batch_validation():
 
 
 def test_batch_survives_svcf_interchange(tmp_path):
-    from svcforge.svcf import read_tensor, write_tensor
+    from svcforge.svcf import read_tensor, tensor_bytes
 
     z = _unit_rows(3, 4, seed=30).astype(np.float32)
     zp = _unit_rows(3, 4, seed=31).astype(np.float32)
-    write_tensor(tmp_path / "z.svcf", z)
-    write_tensor(tmp_path / "zp.svcf", zp)
+    (tmp_path / "z.svcf").write_bytes(tensor_bytes(z, "z.svcf"))
+    (tmp_path / "zp.svcf").write_bytes(tensor_bytes(zp, "zp.svcf"))
     direct = contrastive_loss(FeaturePairBatch(z, zp))
     via_files = contrastive_loss(FeaturePairBatch(
         read_tensor(tmp_path / "z.svcf"), read_tensor(tmp_path / "zp.svcf")))

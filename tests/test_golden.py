@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from svcforge import defaults
-from svcforge.audio import AudioClip, write_wav
+from svcforge.audio import AudioClip, wav_bytes
 from svcforge.cli import main
 from svcforge.features import BLOCK_FRAMES
 from synth import sawtooth, vowel
@@ -132,8 +132,8 @@ def _inputs() -> None:
     long = sawtooth(196.0, n / defaults.SAMPLE_RATE, sample_rate=rate).samples.copy()
     long += 0.01 * np.random.default_rng(22).standard_normal(long.size)
     long[long.size // 3:long.size // 2] = 0.0  # a silent stretch, for VAD and VUV
-    write_wav(AudioClip(long, rate), "long.wav")
-    write_wav(vowel(f0_hz=150.0, duration_sec=0.8), "short.wav")
+    Path("long.wav").write_bytes(wav_bytes(AudioClip(long, rate)))
+    Path("short.wav").write_bytes(wav_bytes(vowel(f0_hz=150.0, duration_sec=0.8)))
     entries = [("a/1", "en", "singing", 30.5), ("a/2", "en", "speech", 12),
                ("b/1", "zh", "singing", 7.25), ("svcc/1", "en", "singing", 3600)]
     Path("m.jsonl").write_text("".join(json.dumps({

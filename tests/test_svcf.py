@@ -16,14 +16,14 @@ from svcforge.svcf import (
     read_json,
     read_jsonl,
     read_tensor,
-    write_tensor,
+    tensor_bytes,
 )
 
 
 def test_roundtrip_bit_exact(tmp_path):
     arr = np.arange(24, dtype=np.float32).reshape(4, 6) / 7.0
     path = tmp_path / "x.svcf"
-    write_tensor(path, arr)
+    path.write_bytes(tensor_bytes(arr, path))
     back = read_tensor(path)
     assert back.dtype == np.float32
     assert np.array_equal(back, arr)
@@ -32,13 +32,13 @@ def test_roundtrip_bit_exact(tmp_path):
 def test_roundtrip_1d_and_3d(tmp_path):
     for shape in [(5,), (2, 3, 4)]:
         arr = np.random.default_rng(0).normal(size=shape).astype(np.float32)
-        write_tensor(tmp_path / "t.svcf", arr)
+        (tmp_path / "t.svcf").write_bytes(tensor_bytes(arr, "t.svcf"))
         assert np.array_equal(read_tensor(tmp_path / "t.svcf"), arr)
 
 
 def test_float64_input_is_quantized_to_f32(tmp_path):
     arr = np.array([1 / 3], dtype=np.float64)
-    write_tensor(tmp_path / "t.svcf", arr)
+    (tmp_path / "t.svcf").write_bytes(tensor_bytes(arr, "t.svcf"))
     assert read_tensor(tmp_path / "t.svcf")[0] == np.float32(1 / 3)
 
 
@@ -49,7 +49,7 @@ def test_float64_input_is_quantized_to_f32(tmp_path):
 def test_longest_names_write(tmp_path, name):
     assert len(name.encode()) in (254, 255)
     arr = np.arange(3, dtype=np.float32)
-    write_tensor(tmp_path / name, arr)
+    atomic_write_files([(tmp_path / name, tensor_bytes(arr, name))])
     assert np.array_equal(read_tensor(tmp_path / name), arr)
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
@@ -99,7 +99,7 @@ def test_dims_no_array_can_hold_are_rejected(tmp_path, dims):
 
 def test_truncated_payload(tmp_path):
     p = tmp_path / "ok.svcf"
-    write_tensor(p, np.zeros(4, dtype=np.float32))
+    p.write_bytes(tensor_bytes(np.zeros(4, dtype=np.float32), p))
     blob = p.read_bytes()
     p.write_bytes(blob[:-2])
     with pytest.raises(FormatError, match="payload is 14 bytes, expected 16"):
@@ -157,10 +157,9 @@ def test_json_writers_reject_non_finite_floats(tmp_path, value):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39],
                          ids=["nan", "inf", "-inf", "beyond-float32"])
-def test_tensor_writer_rejects_non_finite_values(tmp_path, value):
-    with pytest.raises(InvalidParameterError):
-        write_tensor(tmp_path / "t.svcf", np.array([[1.0, value]], dtype=np.float64))
-    assert list(tmp_path.iterdir()) == []
+def test_tensor_writer_rejects_non_finite_values(value):
+    with pytest.raises(InvalidParameterError, match="cannot write t.svcf"):
+        tensor_bytes(np.array([[1.0, value]], dtype=np.float64), "t.svcf")
 
 
 @pytest.mark.parametrize("doc, record", [
