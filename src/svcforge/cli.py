@@ -97,17 +97,21 @@ def _load_clip_at_canonical_rate(path: str) -> AudioClip:
 
 
 def _analyse_inputs(paths: list, jobs: int, analyse) -> list:
-    """`analyse(path, clip, block_map)` of each input, read and resampled to
-    the canonical rate, in input order. Up to `jobs` inputs are analysed at
-    once, and all their frame blocks share one pool of `jobs` threads
-    through `block_map`, so a long take and a batch of short ones alike keep
-    every worker busy. Input tasks wait on block tasks, never the other way
-    round, so neither pool can deadlock."""
+    """`analyse(path, clip, block_map)` of each input, read and resampled to the
+    canonical rate, in input order; an InvalidParameterError there gains the path in
+    front (`read_wav`'s FormatErrors name it already). Up to `jobs` inputs are analysed
+    at once, and all their frame blocks share one pool of `jobs` threads through
+    `block_map`. Input tasks wait on block tasks, never the reverse, so none can deadlock."""
     if jobs < 1:
         raise InvalidParameterError(f"--jobs must be >= 1, got {jobs}")
+
+    def analyse_input(path):
+        try:
+            return analyse(path, _load_clip_at_canonical_rate(path), blocks.map)
+        except InvalidParameterError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     with ThreadPoolExecutor(jobs) as blocks, ThreadPoolExecutor(jobs) as inputs:
-        return list(inputs.map(
-            lambda path: analyse(path, _load_clip_at_canonical_rate(path), blocks.map), paths))
+        return list(inputs.map(analyse_input, paths))
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -202,7 +206,7 @@ def _cmd_manifest_compose(args) -> tuple:
         reference_manifest_path() if args.manifest is None else args.manifest)
     if args.spec.endswith(".json"):
         spec = json_record(TrainingSetSpec, read_json(args.spec, "training-set spec"),
-                           "training-set spec")
+                           f"training-set spec {args.spec}")
     else:
         spec = canonical_spec(args.spec)
     selected, hours = compose_training_set(manifest, spec)

@@ -50,7 +50,7 @@ class ManifestEntry:
 
 def read_manifest(path: str | os.PathLike) -> list:
     """Entries of a UTF-8 JSONL manifest; blank lines are skipped."""
-    return [json_record(ManifestEntry, d, "manifest entry") for d in read_jsonl(path, "manifest")]
+    return [json_record(ManifestEntry, d, place) for place, d in read_jsonl(path, "manifest")]
 
 
 def reference_manifest_path() -> Path:
@@ -220,7 +220,7 @@ def read_notes(path: str | os.PathLike) -> list:
     for d in docs:  # a pitch of "rest", in any case, is a rest like null
         if isinstance(d, dict) and isinstance(d.get("pitch"), str) and d["pitch"].lower() == "rest":
             d["pitch"] = None
-    return [json_record(NoteEvent, d, "note event") for d in docs]
+    return [json_record(NoteEvent, d, f"note event {path}[{i}]") for i, d in enumerate(docs)]
 
 
 def rest_note_segment(notes: list, min_rest_sec: float = defaults.MIN_REST_SEC,

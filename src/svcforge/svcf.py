@@ -173,9 +173,11 @@ def read_json(path: str | os.PathLike, what: str):
 
 
 def read_jsonl(path: str | os.PathLike, what: str) -> list:
-    """The documents of a UTF-8 JSON-lines file, one per non-blank line."""
+    """`(place, doc)` for each non-blank line of a UTF-8 JSON-lines file,
+    where place, `{what} {path}:{line number}`, is how errors name the line."""
     lines = enumerate(_read_text(path, what).splitlines(), 1)
-    return [_parse(line, f"{what} {path}:{n}") for n, line in lines if line.strip()]
+    places = [(f"{what} {path}:{n}", line) for n, line in lines if line.strip()]
+    return [(place, _parse(line, place)) for place, line in places]
 
 
 # The JSON type each field type takes: a bool is neither integer nor number,
@@ -206,20 +208,23 @@ _RECORD_TYPES = {declared: (k, nullable) for k in _FIELD_TYPES for declared, nul
 
 
 def json_record(cls, doc, what: str):
-    """The dataclass `cls` built from the JSON object `doc`, each field read
-    by `json_field` at its declared type; a field declared `X | None` may
-    also be null or absent, an absent field with a default takes it, and
-    keys that name no field are ignored. A field declared with a type not
-    in `_RECORD_TYPES` is a TypeError, whatever `doc` holds."""
+    """The dataclass `cls` built from the JSON object `doc`, each field read by
+    `json_field` at its declared type; a field declared `X | None` may also be
+    null or absent, an absent field with a default takes it, and keys that name
+    no field are ignored. `cls`'s own InvalidParameterError gains `bad {what}: `
+    in front; a field type not in `_RECORD_TYPES` is a TypeError whatever `doc` holds."""
     plan = [(f, *_RECORD_TYPES.get(f.type, (None, None))) for f in fields(cls)]
     for f, kind, _ in plan:
         if kind is None:
             raise TypeError(f"{cls.__name__}.{f.name}: json_record cannot read type {f.type!r}")
     if not isinstance(doc, dict):
         raise FormatError(f"bad {what}: want a JSON object")
-    return cls(**{f.name: None if nullable and doc.get(f.name) is None
-                  else json_field(doc, f.name, kind, what) for f, kind, nullable in plan
-                  if f.name in doc or f.default is MISSING and f.default_factory is MISSING})
+    try:  # json_field raises FormatErrors, which pass through
+        return cls(**{f.name: None if nullable and doc.get(f.name) is None
+                      else json_field(doc, f.name, kind, what) for f, kind, nullable in plan
+                      if f.name in doc or f.default is MISSING and f.default_factory is MISSING})
+    except InvalidParameterError as exc:
+        raise type(exc)(f"bad {what}: {exc}") from exc
 
 
 def dumps(doc, indent: int | None = None) -> str:

@@ -966,6 +966,39 @@ _MANIFEST_LINE = ('{"id": "x", "path": "x.wav", "dataset": "d", "language": "en"
                   '"sample_rate": 24000}\n')
 
 
+_GOOD_NOTE = '{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60}'
+
+
+@pytest.mark.parametrize("case, text, place, message", [
+    ("manifest", _MANIFEST_LINE % "1" + "\n" + (_MANIFEST_LINE % "1").replace('"s"', "null"),
+     "manifest {doc}:3", "speaker must be a JSON string, got None"),
+    ("manifest", _MANIFEST_LINE % "1" + (_MANIFEST_LINE % "-1").replace('"x"', '"y"', 1),
+     "manifest {doc}:2", "y: duration must be positive"),
+    ("notes", f'[{_GOOD_NOTE}, {{"onset_sec": 1.0, "offset_sec": 2.0, "pitch": 1.5}}]',
+     "note event {doc}[1]", "pitch must be a JSON integer, got 1.5"),
+    ("notes", f'[{{"onset_sec": 1.0, "offset_sec": 1.0}}, {_GOOD_NOTE}]',
+     "note event {doc}[0]", "note onset must precede offset"),
+    ("spec", '{"name": 3, "languages": null, "kinds": null}',
+     "training-set spec {doc}", "name must be a JSON string, got 3"),
+    ("stats", '{"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": -1, "n_voiced_frames": 1}',
+     "stats file {doc}", "std_log_f0 must be >= 0"),
+], ids=["manifest-field", "manifest-check", "notes-field", "notes-check", "spec-field",
+        "stats-check"])
+def test_record_errors_name_the_file_and_the_line_or_index(tmp_path, capsys, case, text,
+                                                            place, message):
+    doc, out = tmp_path / f"{case}.json", tmp_path / "out"
+    doc.write_text(text)
+    track = tmp_path / "f0.svcf"
+    track.write_bytes(tensor_bytes(np.array([[220.0, 1.0]]), track))
+    argv = {"manifest": ["manifest", "compose", "--manifest", doc, "--spec", "final"],
+            "notes": ["segment", "--mode", "rest", "--notes", doc],
+            "spec": ["manifest", "compose", "--spec", doc],
+            "stats": ["convert-pitch", "--in", track, "--source-stats", doc,
+                      "--target-stats", doc]}[case]
+    err = _assert_rejected(capsys, [*argv, "--out", out], out)
+    assert err == f"error: bad {place.format(doc=doc)}: {message}\n"
+
+
 @pytest.mark.parametrize("document, token", [
     ("manifest", "NaN"), ("manifest", "Infinity"), ("manifest", "1e999"),
     ("manifest", "1" + "0" * 400), ("notes", "Infinity"), ("notes", "1e999"),
@@ -1274,6 +1307,22 @@ def test_wav_rate_too_fine_to_resample_is_rejected(tmp_path, capsys, command):
             "perturb": ["--out-a", out, "--out-b", tmp_path / "b.wav", "--seed", "0"],
             "f0-stats": ["--speaker-id", "s", "--out", out]}[command]
     _assert_rejected(capsys, [command, "--in", wav] + argv, out)
+
+
+@pytest.mark.parametrize("command", ["extract", "f0-stats"])
+@pytest.mark.parametrize("case", ["short", "rate"])
+def test_analysis_errors_name_their_input(tmp_path, capsys, command, case):
+    good, bad, out = tmp_path / "good.wav", tmp_path / "bad.wav", tmp_path / "out"
+    good.write_bytes(wav_bytes(sine(440, 0.3)))
+    if case == "short":  # 10 ms, less than one analysis window
+        bad.write_bytes(wav_bytes(AudioClip(np.zeros(240), defaults.SAMPLE_RATE)))
+    else:
+        _too_fine_rate_wav(bad)
+    argv = ["--out-dir", out] if command == "extract" else ["--speaker-id", "s", "--out", out]
+    err = _assert_rejected(capsys, [command, "--in", good, "--in", bad, *argv], out)
+    assert err.startswith(f"error: {bad}: ")
+    assert ("240 samples < one 960-sample window" if case == "short"
+            else "cannot resample 1000003 Hz") in err
 
 
 def test_wav_rate_too_fine_to_resample_fails_cleanly_under_a_memory_cap(tmp_path):

@@ -115,7 +115,8 @@ def test_json_roundtrip_and_layout(tmp_path):
     assert read_json(tmp_path / "d.json", "doc") == doc
     (tmp_path / "d.jsonl").write_bytes(jsonl_bytes([doc, {"c": 1}]))
     assert (tmp_path / "d.jsonl").read_text().splitlines()[1] == '{"c": 1}'
-    assert read_jsonl(tmp_path / "d.jsonl", "lines") == [doc, {"c": 1}]
+    assert read_jsonl(tmp_path / "d.jsonl", "lines") == [
+        (f"lines {tmp_path / 'd.jsonl'}:1", doc), (f"lines {tmp_path / 'd.jsonl'}:2", {"c": 1})]
     assert dumps({"x": 0.1}) == '{"x": 0.1}'
     big = 2 ** 64 + 1
     (tmp_path / "n.json").write_bytes(json_bytes({"i": big, "f": 1.7e308}))
