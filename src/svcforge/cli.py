@@ -109,7 +109,7 @@ def _analyse_inputs(paths: list, jobs: int, analyse) -> list:
         try:
             return analyse(path, _load_clip_at_canonical_rate(path), blocks.map)
         except InvalidParameterError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+            raise InvalidParameterError(f"{path}: {exc}") from exc
     with ThreadPoolExecutor(jobs) as blocks, ThreadPoolExecutor(jobs) as inputs:
         return list(inputs.map(analyse_input, paths))
 

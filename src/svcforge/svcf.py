@@ -224,7 +224,7 @@ def json_record(cls, doc, what: str):
                       else json_field(doc, f.name, kind, what) for f, kind, nullable in plan
                       if f.name in doc or f.default is MISSING and f.default_factory is MISSING})
     except InvalidParameterError as exc:
-        raise type(exc)(f"bad {what}: {exc}") from exc
+        raise InvalidParameterError(f"bad {what}: {exc}") from exc
 
 
 def dumps(doc, indent: int | None = None) -> str:
