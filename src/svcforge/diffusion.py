@@ -239,6 +239,8 @@ def analytic_gaussian_denoiser(mu0: np.ndarray, sigma0: float,
 
 
 CLN_PARAM_NAMES = ("cln_w_gamma", "cln_b_gamma", "cln_w_beta", "cln_b_beta")
+# ToyDenoiser's parameters in build order; a model directory holds each as <name>.svcf
+PARAM_NAMES = ("w1", "b1", *CLN_PARAM_NAMES, "w2", "b2")
 
 
 class ToyDenoiser:
@@ -515,58 +517,48 @@ def toy_dataset(model_dim: int, ling_dim: int, speaker_dim: int,
 
 def model_files(model: ToyDenoiser, directory: str | os.PathLike) -> list:
     """The `(path, bytes)` pairs of a model saved in `directory`, for
-    `svcf.atomic_write_files`: one SVCF tensor per named parameter plus a
-    JSON index of num_steps and files. SVCF payloads are float32, so loading
-    quantizes parameters accordingly; a non-finite parameter is an
-    InvalidParameterError here, before anything is written."""
+    `svcf.atomic_write_files`: one SVCF tensor `<name>.svcf` per name in
+    PARAM_NAMES plus an `index.json` that holds only num_steps. SVCF payloads
+    are float32, so loading quantizes parameters accordingly; a non-finite
+    parameter is an InvalidParameterError here, before anything is written."""
     d = Path(directory)
-    files = {name: f"{name}.svcf" for name in model.params}
-    index = json_bytes({"num_steps": model.num_steps, "params": files})
-    return [(d / f, tensor_bytes(model.params[name], str(d / f)))
-            for name, f in files.items()] + [(d / "index.json", index)]
+    index = json_bytes({"num_steps": model.num_steps})
+    return [(d / f"{n}.svcf", tensor_bytes(model.params[n], str(d / f"{n}.svcf")))
+            for n in PARAM_NAMES] + [(d / "index.json", index)]
 
 
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:
-    """The model whose `model_files(model, directory)` were written. Every
-    named file must lie inside `directory` and hold a finite tensor. The
-    sizes are read off the shapes of w1 (hidden rows, dim + 2 TIME_FREQS +
-    cond_dim columns), w2 (dim rows) and cln_w_gamma (speaker_dim columns);
-    the tensors must then be exactly the parameters of a model of those
-    sizes, and an older index's size fields must equal them. Anything else
-    is a FormatError."""
+    """The model whose `model_files(model, directory)` were written. Each
+    `<name>.svcf` is read like any input path and must hold a finite tensor;
+    other index keys are ignored, so an older index's file map and sizes are
+    too. The sizes are read off the shapes of w1 (hidden rows, dim +
+    2 TIME_FREQS + cond_dim columns), w2 (dim rows) and cln_w_gamma
+    (speaker_dim columns); the tensors must then be exactly the parameters
+    of a model of those sizes. Anything else is a FormatError."""
     d = Path(directory)
     index_path = d / "index.json"
     what = f"model index {index_path}"
-    index = read_json(index_path, "model index")
-    num_steps = json_field(index, "num_steps", int, what)
+    num_steps = json_field(read_json(index_path, "model index"), "num_steps", int, what)
 
     def bad(why):
         return FormatError(f"bad {what}: {why}")
 
-    # realpath: on a symlink loop Path.resolve raises RuntimeError
-    params, root = {}, Path(os.path.realpath(d))
+    params = {name: read_tensor(d / f"{name}.svcf").astype(np.float64) for name in PARAM_NAMES}
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise bad(f"{name} has non-finite entries")
+    if any(params[n].ndim != 2 for n in ("w1", "w2", "cln_w_gamma")):
+        raise bad("w1, w2 and cln_w_gamma must be matrices")
+    (hidden, width), (dim, _), (_, speaker_dim) = (
+        params[n].shape for n in ("w1", "w2", "cln_w_gamma"))
+    sizes = {"dim": dim, "cond_dim": width - dim - 2 * TIME_FREQS,
+             "speaker_dim": speaker_dim, "hidden": hidden}
     try:
-        for name, fname in index["params"].items():
-            path = d / fname
-            if root not in Path(os.path.realpath(path)).parents:
-                raise bad(f"{name} file {fname!r} is outside the model directory")
-            params[name] = read_tensor(path).astype(np.float64)
-            if not np.all(np.isfinite(params[name])):
-                raise bad(f"{name} has non-finite entries")
-        if any(params[n].ndim != 2 for n in ("w1", "w2", "cln_w_gamma")):
-            raise bad("w1, w2 and cln_w_gamma must be matrices")
-        (hidden, width), (dim, _), (_, speaker_dim) = (
-            params[n].shape for n in ("w1", "w2", "cln_w_gamma"))
-        sizes = {"dim": dim, "cond_dim": width - dim - 2 * TIME_FREQS,
-                 "speaker_dim": speaker_dim, "hidden": hidden}
-        for key, size in {**sizes, "time_freqs": TIME_FREQS}.items():
-            if key in index and json_field(index, key, int, what) != size:
-                raise bad(f"{key} is {index[key]}, but the tensors give {size}")
         model = ToyDenoiser(num_steps=num_steps, **sizes)
-        got, want = ({n: v.shape for n, v in p.items()} for p in (params, model.params))
-        if got != want:
-            raise bad(f"parameter shapes {got}, but a model of {sizes} has {want}")
-        model.params.update(params)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except InvalidParameterError as exc:
         raise bad(exc) from exc
+    got, want = ({n: v.shape for n, v in p.items()} for p in (params, model.params))
+    if got != want:
+        raise bad(f"parameter shapes {got}, but a model of {sizes} has {want}")
+    model.params.update(params)
     return model

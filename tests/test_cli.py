@@ -799,11 +799,9 @@ def test_extract_rejects_inputs_with_the_same_stem(tmp_path, capsys):
                               "--out-dir", out_dir], out_dir)
 
 
-@pytest.mark.parametrize("corruption", ["wrong-shape", "missing-param", "outside-path",
-                                        "non-finite", "fractional-steps", "huge-steps",
-                                        "narrow-w1", "vector-w2", "legacy-hidden",
-                                        "huge-legacy-hidden", "nul-in-path",
-                                        "symlink-loop"])
+@pytest.mark.parametrize("corruption", ["wrong-shape", "missing-param", "non-finite",
+                                        "fractional-steps", "huge-steps", "narrow-w1",
+                                        "vector-w2", "symlink-loop"])
 def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     model_dir = tmp_path / "model"
     atomic_write_files(model_files(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir))
@@ -819,19 +817,11 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
         (model_dir / "w2.svcf").write_bytes(tensor_bytes(w2[0], "w2.svcf"))
     elif corruption == "huge-steps":
         index["num_steps"] = 10**12
-    elif corruption.endswith("legacy-hidden"):
-        index.update(dim=8, cond_dim=11, speaker_dim=4, time_freqs=4,
-                     hidden=10**11 if corruption.startswith("huge") else 33)
     elif corruption == "missing-param":
-        del index["params"]["b2"]
-    elif corruption == "nul-in-path":
-        index["params"]["w1"] = "w1\u0000.svcf"
+        (model_dir / "b2.svcf").unlink()
     elif corruption == "symlink-loop":
-        (model_dir / "loop.svcf").symlink_to("loop.svcf")
-        index["params"]["w1"] = "loop.svcf"
-    elif corruption == "outside-path":
-        (tmp_path / "outside.svcf").write_bytes(tensor_bytes(w1, "outside.svcf"))
-        index["params"]["w1"] = "../outside.svcf"
+        (model_dir / "w1.svcf").unlink()
+        (model_dir / "w1.svcf").symlink_to("w1.svcf")
     elif corruption == "fractional-steps":
         index["num_steps"] = 100.5
     else:

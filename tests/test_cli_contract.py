@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from svcforge.audio import wav_bytes
 from svcforge.cli import main
-from svcforge.diffusion import ToyDenoiser, model_files
+from svcforge.diffusion import PARAM_NAMES, ToyDenoiser, model_files
 from svcforge.errors import MAX_ELEMENTS
 from svcforge.svcf import atomic_write_files, tensor_bytes
 from synth import sine
@@ -425,8 +425,7 @@ def model_edits(draw):
         values = _sizes | st.sampled_from(sorted(set(_MODEL_SIZES.values())))
         return action, draw(st.dictionaries(st.sampled_from(sorted(_MODEL_SIZES)), values,
                                             min_size=1))
-    name = draw(st.sampled_from(["w1", "b1", "cln_w_gamma", "cln_b_gamma", "cln_w_beta",
-                                 "cln_b_beta", "w2", "b2"]))
+    name = draw(st.sampled_from(PARAM_NAMES))
     return action, (name, draw(st.lists(st.integers(0, 30), max_size=3)))
 
 

@@ -10,6 +10,7 @@ from svcforge import defaults
 from svcforge.contrastive import FeaturePairBatch, contrastive_loss, ramp_weight
 from svcforge.diffusion import (
     CLN_PARAM_NAMES,
+    PARAM_NAMES,
     TIME_FREQS,
     ConditionSet,
     NoiseSchedule,
@@ -28,7 +29,7 @@ from svcforge.diffusion import (
     sample,
     train_toy,
 )
-from svcforge.errors import FormatError, InvalidParameterError
+from svcforge.errors import InvalidParameterError
 from svcforge.features import build_mel_filterbank
 from svcforge.svcf import atomic_write_files
 
@@ -698,10 +699,12 @@ def test_pseudo_embedding_dim_one():
 def test_model_save_load_roundtrip(tmp_path):
     model, cond = _toy(dim=4, seed=9)
     atomic_write_files(model_files(model, tmp_path / "m"))
-    index_path = tmp_path / "m" / "index.json"
-    index = json.loads(index_path.read_text())
-    assert set(index) == {"num_steps", "params"}
+    index = json.loads((tmp_path / "m" / "index.json").read_text())
+    assert set(index) == {"num_steps"}
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == sorted(
+        ["index.json", *(f"{name}.svcf" for name in PARAM_NAMES)])
     back = load_model(tmp_path / "m")
+    assert tuple(model.params) == tuple(back.params) == PARAM_NAMES
     sizes = ("dim", "cond_dim", "speaker_dim", "num_steps")
     assert [getattr(back, k) for k in sizes] == [getattr(model, k) for k in sizes]
     assert back.params["w1"].shape == model.params["w1"].shape
@@ -712,12 +715,28 @@ def test_model_save_load_roundtrip(tmp_path):
     a = model.predict_eps(x, 10, cond)
     b = back.predict_eps(x, 10, cond)
     assert np.allclose(a, b, atol=1e-5)  # float32 storage quantization
-    # an index that still records the sizes loads when they agree with the tensors
-    index.update(dim=model.dim, cond_dim=model.cond_dim, speaker_dim=model.speaker_dim,
-                 hidden=model.params["w1"].shape[0], time_freqs=4)
-    index_path.write_text(json.dumps(index))
-    legacy = load_model(tmp_path / "m")
-    assert all(np.array_equal(legacy.params[n], back.params[n]) for n in model.params)
+
+
+@pytest.mark.parametrize("variant", ["sizes-agree", "legacy-hidden", "huge-legacy-hidden",
+                                     "params-list"])
+def test_an_older_model_index_loads(tmp_path, variant):
+    """An index as older versions wrote it, with a file map and the sizes,
+    loads from the tensors alone: its other keys are ignored, whatever they say."""
+    model, _ = _toy(dim=4, seed=9)
+    atomic_write_files(model_files(model, tmp_path / "m"))
+    current = load_model(tmp_path / "m")
+    index = {"num_steps": model.num_steps, "params": {n: f"{n}.svcf" for n in PARAM_NAMES},
+             "dim": model.dim, "cond_dim": model.cond_dim, "speaker_dim": model.speaker_dim,
+             "hidden": model.params["w1"].shape[0], "time_freqs": TIME_FREQS}
+    if variant.endswith("legacy-hidden"):
+        index["hidden"] = 10**11 if variant.startswith("huge") else 33
+    elif variant == "params-list":
+        index["params"] = sorted(index["params"].values())
+    (tmp_path / "m" / "index.json").write_text(json.dumps(index))
+    older = load_model(tmp_path / "m")
+    assert older.num_steps == model.num_steps
+    assert tuple(older.params) == PARAM_NAMES
+    assert all(np.array_equal(older.params[n], current.params[n]) for n in PARAM_NAMES)
 
 
 def test_save_model_checks_every_parameter_before_creating_the_directory(tmp_path):
@@ -726,14 +745,3 @@ def test_save_model_checks_every_parameter_before_creating_the_directory(tmp_pat
     with pytest.raises(InvalidParameterError):
         model_files(model, tmp_path / "m")
     assert not (tmp_path / "m").exists()
-
-
-def test_model_index_with_malformed_params_rejected(tmp_path):
-    model, _ = _toy()
-    atomic_write_files(model_files(model, tmp_path / "m"))
-    index_path = tmp_path / "m" / "index.json"
-    index = json.loads(index_path.read_text())
-    index["params"] = sorted(index["params"].values())
-    index_path.write_text(json.dumps(index))
-    with pytest.raises(FormatError, match="bad model index .*'list' object has no attribute 'items'"):
-        load_model(tmp_path / "m")

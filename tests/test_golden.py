@@ -81,7 +81,7 @@ GOLDEN = {
     "model/cln_w_gamma.svcf":
         "e9d1b9cf579b985608dbeb21e3420933dabc468d7feffc8a5c01fa529d9d7b49",
     "model/index.json":
-        "c109bc103451f62768d080d4055e018431fdf60f6d2173dc0ba2c69622eeff31",
+        "214cefd4b19e555e53fe65f666aacc68e7af49f8ae8eb04dd571c34b8bfaf89f",
     "model/w1.svcf":
         "ed1bc9ef1eed6e9e9a542c5f23a17d559df6d64d1e46afe56919a377fd4a4727",
     "model/w2.svcf":
@@ -117,7 +117,7 @@ GOLDEN = {
     "tuned/cln_w_gamma.svcf":
         "3dfbda96b95a9977bee2a21e1ee80f93c898a5a13dd92cd1b4885c3b3f78077f",
     "tuned/index.json":
-        "c109bc103451f62768d080d4055e018431fdf60f6d2173dc0ba2c69622eeff31",
+        "214cefd4b19e555e53fe65f666aacc68e7af49f8ae8eb04dd571c34b8bfaf89f",
     "tuned/w1.svcf":
         "ed1bc9ef1eed6e9e9a542c5f23a17d559df6d64d1e46afe56919a377fd4a4727",
     "tuned/w2.svcf":
