@@ -52,7 +52,7 @@ from .diffusion import (
 from .errors import InvalidParameterError, SvcforgeError
 from .features import mel_loudness
 from .metrics import cosine_similarity, f0_metrics
-from .pitch import F0Track, cents_between, estimate_f0
+from .pitch import F0Track, cents_between, estimate_f0, lag_range
 from .pitchconv import (
     ConversionPolicy,
     compute_f0_stats,
@@ -96,22 +96,25 @@ def _load_clip_at_canonical_rate(path: str) -> AudioClip:
     return resample(read_wav(path), defaults.SAMPLE_RATE)
 
 
-def _analyse_inputs(paths: list, jobs: int, analyse) -> list:
-    """`analyse(path, clip, block_map)` of each input, read and resampled to the
-    canonical rate, in input order; an InvalidParameterError there gains the path in
-    front (`read_wav`'s FormatErrors name it already). Up to `jobs` inputs are analysed
-    at once, and all their frame blocks share one pool of `jobs` threads through
-    `block_map`. Input tasks wait on block tasks, never the reverse, so none can deadlock."""
-    if jobs < 1:
-        raise InvalidParameterError(f"--jobs must be >= 1, got {jobs}")
+def _analyse_inputs(args, analyse) -> list:
+    """`analyse(path, clip, block_map)` of each of `args.inputs`, read and resampled to
+    the canonical rate, in input order; an InvalidParameterError there gains the path in
+    front (`read_wav`'s FormatErrors name it already). The flags `_add_analysis_flags`
+    adds are checked first, before any input is read: --jobs, then the F0 range
+    (`pitch.lag_range`). Up to --jobs inputs are analysed at once, and all their frame
+    blocks share one pool of --jobs threads through `block_map`. Input tasks wait on
+    block tasks, never the reverse, so none can deadlock."""
+    if args.jobs < 1:
+        raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
+    lag_range(args.f0_floor, args.f0_ceil)
 
     def analyse_input(path):
         try:
             return analyse(path, _load_clip_at_canonical_rate(path), blocks.map)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{path}: {exc}") from exc
-    with ThreadPoolExecutor(jobs) as blocks, ThreadPoolExecutor(jobs) as inputs:
-        return list(inputs.map(analyse_input, paths))
+    with ThreadPoolExecutor(args.jobs) as blocks, ThreadPoolExecutor(args.jobs) as inputs:
+        return list(inputs.map(analyse_input, args.inputs))
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -130,13 +133,13 @@ def _cmd_extract(args) -> tuple:
                          for kind, a in tensors.items()]
 
     # two inputs with one stem give two pairs for one file, which the writer refuses
-    done = _analyse_inputs(args.inputs, args.jobs, analyse)
+    done = _analyse_inputs(args, analyse)
     return ({"command": "extract", "files": [summary for summary, _ in done]},
             [pair for _, pairs in done for pair in pairs])
 
 
 def _cmd_f0_stats(args) -> tuple:
-    tracks = _analyse_inputs(args.inputs, args.jobs, lambda path, clip, block_map: estimate_f0(
+    tracks = _analyse_inputs(args, lambda path, clip, block_map: estimate_f0(
         clip, args.f0_floor, args.f0_ceil, block_map))
     stats = compute_f0_stats(tracks, args.speaker_id)
     return ({"command": "f0-stats", **asdict(stats), "out": args.out},

@@ -143,6 +143,19 @@ def _median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
     return np.where(vuv, (lo + hi) / 2, f0)
 
 
+def lag_range(f_floor: float, f_ceil: float) -> tuple:
+    """(lag_min, lag_max) in samples at the canonical rate for F0 candidates
+    in [f_floor, f_ceil]; an InvalidParameterError unless 0 < f_floor < f_ceil
+    and lag_max + 1 fits in the analysis window."""
+    sr, win_length = defaults.SAMPLE_RATE, CANONICAL_FRAME_CONFIG.win_length
+    if not 0 < f_floor < f_ceil:
+        raise InvalidParameterError("need 0 < f_floor < f_ceil")
+    if sr / f_floor >= win_length - 1:  # lag_max + 1 >= win_length, before int(inf)
+        raise InvalidParameterError(
+            f"f_floor {f_floor} Hz needs lags beyond the {win_length}-sample window")
+    return max(2, int(np.ceil(sr / f_ceil))), int(np.floor(sr / f_floor))
+
+
 def estimate_f0(clip: AudioClip, f_floor: float = defaults.F0_FLOOR_HZ,
                 f_ceil: float = defaults.F0_CEIL_HZ, map=map) -> F0Track:
     """Track F0 with voiced/unvoiced decisions on the canonical frame grid.
@@ -151,19 +164,9 @@ def estimate_f0(clip: AudioClip, f_floor: float = defaults.F0_FLOOR_HZ,
     0.3 and its RMS is at least -60 dBFS. `map` runs the per-block peak
     picking; the track is the same whichever map runs it.
     """
-    sr = defaults.SAMPLE_RATE
-    win_length = CANONICAL_FRAME_CONFIG.win_length
-    if not 0 < f_floor < f_ceil:
-        raise InvalidParameterError("need 0 < f_floor < f_ceil")
-    if sr / f_floor >= win_length - 1:  # lag_max + 1 >= win_length, before int(inf)
-        raise InvalidParameterError(
-            f"f_floor {f_floor} Hz needs lags beyond the {win_length}-sample window"
-        )
-    lag_min = max(2, int(np.ceil(sr / f_ceil)))
-    lag_max = int(np.floor(sr / f_floor))
-
+    lag_min, lag_max = lag_range(f_floor, f_ceil)
     f0 = np.concatenate(list(map(
-        lambda frames: _pick_f0(frames, sr, lag_min, lag_max, f_floor, f_ceil),
+        lambda frames: _pick_f0(frames, defaults.SAMPLE_RATE, lag_min, lag_max, f_floor, f_ceil),
         frame_blocks(clip))))
     return F0Track(_median_smooth_runs(f0, f0 > 0))
 

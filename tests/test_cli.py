@@ -1188,6 +1188,28 @@ def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command
 
 
 @pytest.mark.parametrize("command", ["extract", "f0-stats"])
+@pytest.mark.parametrize("flags, message", [
+    (["--f0-floor", "-1"], "need 0 < f_floor < f_ceil"),
+    (["--f0-floor", "500", "--f0-ceil", "100"], "need 0 < f_floor < f_ceil"),
+    (["--f0-ceil", "nan"], "need 0 < f_floor < f_ceil"),
+    (["--f0-floor", "20"], "f_floor 20.0 Hz needs lags beyond the 960-sample window"),
+], ids=["negative-floor", "floor-above-ceil", "nan-ceil", "floor-below-window"])
+@pytest.mark.parametrize("present", [True, False], ids=["good-input", "missing-input"])
+def test_f0_range_flags_checked_before_any_input_is_read(tmp_path, capsys, command, flags,
+                                                         message, present):
+    """A bad F0 range is the flags' fault: the error names no input, and it
+    comes before any input is read, so a missing input does not mask it."""
+    wav = tmp_path / "a.wav"
+    if present:
+        wav.write_bytes(wav_bytes(sine(220, 0.3)))
+    out = tmp_path / "out"
+    argv = {"extract": ["extract", "--in", wav, "--out-dir", out],
+            "f0-stats": ["f0-stats", "--in", wav, "--speaker-id", "s", "--out", out]}[command]
+    assert _assert_rejected(capsys, argv + flags, out) == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == ([wav] if present else [])
+
+
+@pytest.mark.parametrize("command", ["extract", "f0-stats"])
 @pytest.mark.parametrize("flag", ["--hop", "--win-length", "--fft-size"])
 def test_frame_grid_is_not_settable(tmp_path, wavs, capsys, command, flag):
     out = tmp_path / "out"
