@@ -530,8 +530,8 @@ def model_files(model: ToyDenoiser, directory: str | os.PathLike) -> list:
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:
     """The model whose `model_files(model, directory)` were written. Each
     `<name>.svcf` is read like any input path and must hold a finite tensor;
-    other index keys are ignored, so an older index's file map and sizes are
-    too. The sizes are read off the shapes of w1 (hidden rows, dim +
+    any index key but num_steps, such as an older index's file map and sizes,
+    is ignored. The sizes are read off the shapes of w1 (hidden rows, dim +
     2 TIME_FREQS + cond_dim columns), w2 (dim rows) and cln_w_gamma
     (speaker_dim columns); the tensors must then be exactly the parameters
     of a model of those sizes. Anything else is a FormatError."""
