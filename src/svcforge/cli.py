@@ -1,15 +1,15 @@
 """Command-line interface.
 
-Every subcommand prints one machine-readable JSON summary on stdout and
-keeps human diagnostics on stderr. A handler returns its summary and its
-output files as `(path, bytes)` pairs; `main` alone writes: it encodes the
-summary, writes every file in one all-or-nothing `svcf.atomic_write_files`
-call, then prints. Exit status: 0 success, 1 usage error,
-2 data/validation error, 3 internal error. Seeded invocations are
-byte-reproducible, including across --jobs settings: `extract` and
-`f0-stats` analyse up to --jobs inputs at once and hand their frame blocks
-to one pool of --jobs threads; each clip's blocks are joined in block
-order and the clips in input order.
+Every subcommand prints one machine-readable JSON summary on stdout and keeps
+human diagnostics on stderr. An option matches by its full name only: a prefix
+of it is a usage error. A handler returns its summary and its output files as
+`(path, bytes)` pairs; `main` alone writes: it encodes the summary, writes every
+file in one all-or-nothing `svcf.atomic_write_files` call, then prints. Exit
+status: 0 success, 1 usage error, 2 data/validation error, 3 internal error.
+Seeded invocations are byte-reproducible, including across --jobs settings:
+`extract` and `f0-stats` analyse up to --jobs inputs at once and hand their
+frame blocks to one pool of --jobs threads; each clip's blocks are joined in
+block order and the clips in input order.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # an option matches by its full name only
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -84,6 +87,8 @@ def _log(msg: str) -> None:
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by the subcommands that run F0 analysis over WAV files."""
+    p.add_argument("--in", dest="inputs", action="append", required=True,
+                   metavar="WAV", help="input WAV file (repeatable)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers over frame blocks (default %(default)s)")
     p.add_argument("--f0-floor", type=float, default=defaults.F0_FLOOR_HZ,
@@ -188,14 +193,10 @@ def _cmd_segment(args) -> tuple:
     if stray:
         raise _UsageError(f"--mode {args.mode} does not take {', '.join(stray)}")
     if args.mode == "vad":
-        if args.input is None:
-            raise _UsageError("--mode vad requires --in")
         clip = _load_clip_at_canonical_rate(args.input)
         segments = vad_segment(clip, VadConfig(**_given(**{  # --vad-X sets VadConfig.X
             f.name: getattr(args, f"vad_{f.name}") for f in fields(VadConfig)})))
     else:
-        if args.notes is None:
-            raise _UsageError("--mode rest requires --notes")
         segments = rest_note_segment(read_notes(args.notes), **_given(
             min_rest_sec=args.min_rest_sec, clip_duration=args.clip_duration))
     doc = [asdict(s) for s in segments]
@@ -313,19 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract",
                        help="extract mel/loudness/F0 feature tensors from WAV files")
-    p.add_argument("--in", dest="inputs", action="append", required=True,
-                   metavar="WAV", help="input WAV file (repeatable)")
-    p.add_argument("--out-dir", required=True, help="output directory for SVCF files")
     _add_analysis_flags(p)
+    p.add_argument("--out-dir", required=True, help="output directory for SVCF files")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("f0-stats",
                        help="compute speaker log-F0 statistics from WAV files")
-    p.add_argument("--in", dest="inputs", action="append", required=True,
-                   metavar="WAV", help="input WAV file (repeatable)")
+    _add_analysis_flags(p)
     p.add_argument("--speaker-id", required=True, help="speaker tag for the stats file")
     p.add_argument("--out", required=True, help="output stats JSON path")
-    _add_analysis_flags(p)
     p.set_defaults(func=_cmd_f0_stats)
 
     p = sub.add_parser("convert-pitch",
@@ -355,14 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment",
                        help="segment audio by voice activity or score rests")
-    # each mode's options default to None, so `_cmd_segment` refuses any
-    # given one of the other mode, and an unset one takes the callee's default
-    vad = [p.add_argument("--in", dest="input", help="input WAV file (vad mode)")]
+    # one input, --in or --notes; each mode's options default to None, so `_cmd_segment`
+    # refuses any given one of the other mode, and an unset one takes the callee's default
+    inputs = p.add_mutually_exclusive_group(required=True)
+    vad = [inputs.add_argument("--in", dest="input", help="input WAV file (vad mode)")]
     p.add_argument("--mode", choices=("vad", "rest"), required=True,
                    help="segmentation strategy")
     p.add_argument("--out", default=None, help="output segments JSON path")
     rest = [
-        p.add_argument("--notes", help="note-event JSON array (rest mode)"),
+        inputs.add_argument("--notes", help="note-event JSON array (rest mode)"),
         p.add_argument("--min-rest-sec", type=float,
                        help=f"minimum rest length in seconds that splits (rest mode; "
                             f"default {defaults.MIN_REST_SEC})"),

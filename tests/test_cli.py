@@ -102,13 +102,15 @@ _NOTES = '[{"onset_sec": 0.0, "offset_sec": 0.2, "pitch": 60}, ' \
          '{"onset_sec": 0.9, "offset_sec": 1.0, "pitch": 62}]'
 
 
-@pytest.mark.parametrize("mode, flags", [
-    ("rest", ["--in", "{wav}", "--vad-frame-ms", "10"]),
-    ("vad", ["--notes", "nope.json", "--min-rest-sec", "3", "--clip-duration", "0.1"]),
-    ("vad", ["--min-rest-sec", str(defaults.MIN_REST_SEC)]),
-    ("rest", ["--vad-min-gap-ms", str(defaults.VAD_MIN_GAP_MS)]),
+@pytest.mark.parametrize("mode, flags, message", [
+    ("rest", ["--in", "{wav}", "--vad-frame-ms", "10"],
+     "argument --in: not allowed with argument --notes"),
+    ("vad", ["--notes", "nope.json", "--min-rest-sec", "3", "--clip-duration", "0.1"],
+     "argument --notes: not allowed with argument --in"),
+    ("vad", ["--min-rest-sec", str(defaults.MIN_REST_SEC)], "does not take"),
+    ("rest", ["--vad-min-gap-ms", str(defaults.VAD_MIN_GAP_MS)], "does not take"),
 ], ids=["vad-flags-in-rest", "rest-flags-in-vad", "rest-default-in-vad", "vad-default-in-rest"])
-def test_segment_refuses_the_other_modes_flags(tmp_path, wavs, capsys, mode, flags):
+def test_segment_refuses_the_other_modes_flags(tmp_path, wavs, capsys, mode, flags, message):
     notes, out = tmp_path / "notes.json", tmp_path / "seg.json"
     notes.write_text(_NOTES)
     own = ["--in", str(wavs[0])] if mode == "vad" else ["--notes", str(notes)]
@@ -116,7 +118,7 @@ def test_segment_refuses_the_other_modes_flags(tmp_path, wavs, capsys, mode, fla
     code = main(["segment", "--mode", mode, *own, *flags, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1 and "does not take" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1 and message in captured.err
     assert not out.exists()
 
 
@@ -256,24 +258,6 @@ def test_perturb_empty_wav(tmp_path, capsys):
     assert summary["duration_sec"] == 0.0
     for path in (pa, pb):
         assert read_wav(path).samples.size == 0
-
-
-@pytest.mark.parametrize("flags", [
-    ["--formant-ratio-range", "0.8", "1.2"],
-    ["--pitch-semitone-range", "-2", "2"],
-    ["--eq-bands", "4"],
-    ["--eq-gain-range-db", "-6", "6"],
-    ["--eq-q-range", "1", "2"],
-])
-def test_perturb_ranges_are_not_settable(tmp_path, wavs, capsys, flags):
-    pa, pb = tmp_path / "pa.wav", tmp_path / "pb.wav"
-    code = main(["perturb", "--in", str(wavs[0]), "--out-a", str(pa), "--out-b", str(pb),
-                 "--seed", "0", *flags])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert not pa.exists() and not pb.exists()
 
 
 @pytest.mark.parametrize("out_b", ["p.wav", "./p.wav", "absolute"])
@@ -538,26 +522,6 @@ def test_mode_dependent_flag_missing_is_a_usage_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flags", [
-    ["--mean", "0.5"],
-    ["--std", "2"],
-    ["--dim", "3"],
-    ["--steps", "7"],
-    ["--mean", "0.5", "--dim", "3", "--steps", "7"],
-])
-def test_ddpm_sample_oracle_flags_with_a_model_are_a_usage_error(tmp_path, capsys, flags):
-    model_dir, out = tmp_path / "model", tmp_path / "x.svcf"
-    atomic_write_files(model_files(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4), model_dir))
-    code = main(["ddpm", "sample", "--model-dir", str(model_dir), "--out", str(out),
-                 "--seed", "2", *flags])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert captured.err.startswith("usage error: ")
-    assert not out.exists()
-
-
 def _usage_error_raisers(node, scope=""):
     """Dotted names of the functions under `node` whose own code raises
     `_UsageError`."""
@@ -633,29 +597,6 @@ def test_malformed_wav_and_svcf_files_exit_2(tmp_path, capsys, case, message):
         argv = ["segment", "--mode", "vad", "--in", doc, "--out", out]
     before = sorted(tmp_path.iterdir())
     assert message in _assert_rejected(capsys, argv, out)
-    assert sorted(tmp_path.iterdir()) == before
-
-
-@pytest.mark.parametrize("command, flag, value", [
-    ("extract", "--seed", "1"),
-    ("f0-stats", "--material", "evaluation"),
-    ("convert-pitch", "--offset-semitones", "3.5"),
-])
-def test_removed_flags_are_usage_errors(tmp_path, wavs, capsys, command, flag, value):
-    out = tmp_path / "out"
-    track, stats = tmp_path / "f0.svcf", tmp_path / "stats.json"
-    track.write_bytes(tensor_bytes(np.array([[220.0, 1.0]], dtype=np.float32), track))
-    _write_stats(stats)
-    argv = {"extract": ["--in", wavs[0], "--out-dir", out],
-            "f0-stats": ["--in", wavs[0], "--speaker-id", "s", "--out", out],
-            "convert-pitch": ["--in", track, "--out", out, "--source-stats", stats,
-                              "--target-stats", stats]}[command]
-    before = sorted(tmp_path.iterdir())
-    code = main([command, *map(str, argv), flag, value])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -1209,44 +1150,6 @@ def test_f0_range_flags_checked_before_any_input_is_read(tmp_path, capsys, comma
     assert list(tmp_path.iterdir()) == ([wav] if present else [])
 
 
-@pytest.mark.parametrize("command", ["extract", "f0-stats"])
-@pytest.mark.parametrize("flag", ["--hop", "--win-length", "--fft-size"])
-def test_frame_grid_is_not_settable(tmp_path, wavs, capsys, command, flag):
-    out = tmp_path / "out"
-    argv = ["--in", str(wavs[0]), flag, "120"]
-    argv += ["--out-dir", str(out)] if command == "extract" else \
-        ["--speaker-id", "s", "--out", str(out)]
-    code = main([command] + argv)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["extract", "--help"],
-    ["f0-stats", "--help"],
-    ["convert-pitch", "--help"],
-    ["perturb", "--help"],
-    ["segment", "--help"],
-    ["manifest", "compose", "--help"],
-    ["ddpm", "train", "--help"],
-    ["ddpm", "finetune", "--help"],
-    ["ddpm", "sample", "--help"],
-    ["ddpm", "sample-oracle", "--help"],
-    ["eval", "cossim", "--help"],
-    ["eval", "f0", "--help"],
-    ["config", "show", "--help"],
-])
-def test_help_available_everywhere(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "--help" in out or "usage" in out
-
-
 def test_help_mentions_units(capsys):
     for command, units in [("convert-pitch", ("semitones", "cents")),
                            ("segment", ("ms", "dBFS"))]:
@@ -1257,10 +1160,11 @@ def test_help_mentions_units(capsys):
             assert needle in out
 
 
-# every command's options but -h/--help, in the order `--help` lists them
+# every spelling of an option that a command accepts but -h/--help, in the order
+# `--help` lists them: no prefix of an option is accepted in its place
 _OPTIONS = {
-    "extract": "--in --out-dir --jobs --f0-floor --f0-ceil",
-    "f0-stats": "--in --speaker-id --out --jobs --f0-floor --f0-ceil",
+    "extract": "--in --jobs --f0-floor --f0-ceil --out-dir",
+    "f0-stats": "--in --jobs --f0-floor --f0-ceil --speaker-id --out",
     "convert-pitch": "--in --out --source-stats --target-stats --policy --scale-sigma "
                      "--quantize-cents",
     "perturb": "--in --out-a --out-b --seed",
@@ -1277,6 +1181,15 @@ _OPTIONS = {
     "eval f0": "--a --b",
     "config show": "",
 }
+
+
+@pytest.mark.parametrize("argv", [[*command.split(), "--help"] for command in _OPTIONS])
+def test_help_available_everywhere(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--help" in out or "usage" in out
 
 
 def test_readme_cli_examples_parse():
@@ -1304,6 +1217,34 @@ def test_cli_option_surface():
                 yield from commands(child, f"{prefix} {name}".strip())
 
     assert dict(commands(build_parser(), "")) == _OPTIONS
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_commands_refuse_other_commands_options_and_prefixes(tmp_path, capsys, monkeypatch,
+                                                             command):
+    """A command refuses each option that only other commands declare, and each
+    strict prefix of its own options that it does not declare itself."""
+    parser = leaf = build_parser()
+    for word in command.split():
+        leaf = next(a for a in leaf._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices[word]
+    # its required options and one of each required group, so that `base` alone parses
+    needed = [a for a in leaf._actions if a.required] + [
+        g._group_actions[0] for g in leaf._mutually_exclusive_groups if g.required]
+    base = command.split() + [w for a in needed
+                              for w in (a.option_strings[0], str((a.choices or [1])[0]))]
+    parser.parse_args(base)
+    own = set(_OPTIONS[command].split())
+    refused = {o for options in _OPTIONS.values() for o in options.split()} | {
+        o[:k] for o in own for k in range(3, len(o))}
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # one parser for every call
+    monkeypatch.chdir(tmp_path)
+    for spelling in sorted(refused - own):
+        code = main([*base, spelling, "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), spelling
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def _too_fine_rate_wav(path):
