@@ -10,9 +10,9 @@ from .pitch import F0Track, cents_between
 
 
 def cosine_similarity(a, b) -> np.ndarray:
-    """[N, M] cosine similarities between the rows of finite a [N, d] and
-    b [M, d]: each row divided by its L2 norm, then one matrix product,
-    unclipped. Both need at least one row, and no row may have zero norm."""
+    """[N, M] cosine similarities between the rows of finite a [N, d] and b [M, d]: each
+    row divided by its largest magnitude, so its L2 norm neither under- nor overflows, then
+    by that norm; then one matrix product, unclipped. Each side needs a row, none all zero."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise InvalidParameterError(f"cosine similarity needs [N, d] and [M, d] rows, "
@@ -21,10 +21,11 @@ def cosine_similarity(a, b) -> np.ndarray:
         raise InvalidParameterError("cosine similarity needs at least one row on each side")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidParameterError("cosine similarity needs finite input")
-    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
-    if np.any(na == 0) or np.any(nb == 0):
+    peak_a, peak_b = np.abs(a).max(axis=1, initial=0.0), np.abs(b).max(axis=1, initial=0.0)
+    if not (peak_a.all() and peak_b.all()):
         raise InvalidParameterError("cosine similarity undefined for a zero-norm row")
-    return (a / na[:, None]) @ (b / nb[:, None]).T
+    a, b = a / peak_a[:, None], b / peak_b[:, None]
+    return (a / np.linalg.norm(a, axis=1)[:, None]) @ (b / np.linalg.norm(b, axis=1)[:, None]).T
 
 
 def f0_metrics(track_a: F0Track, track_b: F0Track) -> dict:

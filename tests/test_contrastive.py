@@ -63,6 +63,16 @@ def test_row_scale_invariance(c):
         base, abs=1e-9)
 
 
+@pytest.mark.parametrize("size", [1e-200, 1e200])
+def test_tiny_and_huge_rows_keep_the_loss(size):
+    # rows whose squared entries under- or overflow float64
+    z = _unit_rows(4, 3, seed=21)
+    zp = _unit_rows(4, 3, seed=22)
+    base = contrastive_loss(FeaturePairBatch(z, zp))
+    assert contrastive_loss(FeaturePairBatch(z * size, zp * size)) == pytest.approx(
+        base, abs=1e-9)
+
+
 def test_logsumexp_port_is_bit_equal_to_scipy():
     """600 seeded 32x32 matrices on the scale of cos / tau, both axes; every
     third has each row's maximum copied into a second column, the ties that

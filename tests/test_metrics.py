@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from svcforge.errors import InvalidParameterError
 from svcforge.metrics import cosine_similarity, f0_metrics
@@ -47,6 +47,7 @@ def test_cosine_errors():
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8),
        st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8),
        st.floats(min_value=1e-3, max_value=1e3))
+@example(xs=[2.264206495849417e-158, 0.0], ys=[1.0, 0.0], scale=0.25)  # a norm that underflowed
 def test_cosine_properties(xs, ys, scale):
     n = min(len(xs), len(ys))
     a, b = np.array(xs[:n]), np.array(ys[:n])
@@ -55,6 +56,15 @@ def test_cosine_properties(xs, ys, scale):
     s = _cos(a, b)
     assert _cos(b, a) == pytest.approx(s, abs=1e-12)
     assert _cos(scale * a, b) == pytest.approx(s, abs=1e-9)
+
+
+@pytest.mark.parametrize("size", [1e-200, 5.66e-159, 1e-320, 1e200, 1e307])
+def test_cosine_of_tiny_and_huge_rows(size):
+    # the squares of such entries under- or overflow float64, so their norms do too
+    assert _cos([size, 0.0], [1.0, 0.0]) == 1.0
+    assert _cos([size, size], [1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+    assert _cos([size, -size], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+    assert _cos([0.0, size], [size, 0.0]) == 0.0
 
 
 def test_cosine_matrix_is_every_row_pair():
