@@ -49,7 +49,7 @@ from .diffusion import (
     toy_dataset,
     train_toy,
 )
-from .errors import InvalidParameterError, SvcforgeError
+from .errors import FormatError, InvalidParameterError, SvcforgeError
 from .features import mel_loudness
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0, lag_range
@@ -98,17 +98,19 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_clip_at_canonical_rate(path: str) -> AudioClip:
-    return resample(read_wav(path), defaults.SAMPLE_RATE)
+    try:
+        return resample(read_wav(path), defaults.SAMPLE_RATE)
+    except InvalidParameterError as exc:  # an unusable rate or sample: named, as read_wav's are
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _analyse_inputs(args, analyse) -> list:
     """`analyse(path, clip, block_map)` of each of `args.inputs`, read and resampled to
-    the canonical rate, in input order; an InvalidParameterError there gains the path in
-    front (`read_wav`'s FormatErrors name it already). The flags `_add_analysis_flags`
-    adds are checked first, before any input is read: --jobs, then the F0 range
-    (`pitch.lag_range`). Up to --jobs inputs are analysed at once, and all their frame
-    blocks share one pool of --jobs threads through `block_map`. Input tasks wait on
-    block tasks, never the reverse, so none can deadlock."""
+    the canonical rate, in input order; an InvalidParameterError of `analyse` gains the
+    path in front. The flags `_add_analysis_flags` adds are checked first, before any
+    input is read: --jobs, then the F0 range (`pitch.lag_range`). Up to --jobs inputs are
+    analysed at once, and all their frame blocks share one pool of --jobs threads through
+    `block_map`. Input tasks wait on block tasks, never the reverse, so none can deadlock."""
     if args.jobs < 1:
         raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
     lag_range(args.f0_floor, args.f0_ceil)

@@ -1259,7 +1259,8 @@ def test_wav_rate_too_fine_to_resample_is_rejected(tmp_path, capsys, command):
     argv = {"extract": ["--out-dir", out], "segment": ["--mode", "vad", "--out", out],
             "perturb": ["--out-a", out, "--out-b", tmp_path / "b.wav", "--seed", "0"],
             "f0-stats": ["--speaker-id", "s", "--out", out]}[command]
-    _assert_rejected(capsys, [command, "--in", wav] + argv, out)
+    assert _assert_rejected(capsys, [command, "--in", wav] + argv, out).startswith(
+        f"error: {wav}: ")
 
 
 @pytest.mark.parametrize("command", ["extract", "f0-stats"])
