@@ -194,13 +194,14 @@ def _cmd_segment(args) -> tuple:
              for action in actions if getattr(args, action.dest) is not None]
     if stray:
         raise _UsageError(f"--mode {args.mode} does not take {', '.join(stray)}")
-    if args.mode == "vad":
-        clip = _load_clip_at_canonical_rate(args.input)
-        segments = vad_segment(clip, VadConfig(**_given(**{  # --vad-X sets VadConfig.X
-            f.name: getattr(args, f"vad_{f.name}") for f in fields(VadConfig)})))
+    if args.mode == "vad":  # each mode checks its flags before it reads its input
+        cfg = VadConfig(**_given(**{  # --vad-X sets VadConfig.X
+            f.name: getattr(args, f"vad_{f.name}") for f in fields(VadConfig)}))
+        segments = vad_segment(_load_clip_at_canonical_rate(args.input), cfg)
     else:
-        segments = rest_note_segment(read_notes(args.notes), **_given(
-            min_rest_sec=args.min_rest_sec, clip_duration=args.clip_duration))
+        given = _given(min_rest_sec=args.min_rest_sec, clip_duration=args.clip_duration)
+        rest_note_segment([], **given)  # no notes: checks only the flags
+        segments = rest_note_segment(read_notes(args.notes), **given)
     doc = [asdict(s) for s in segments]
     return {"command": "segment", "mode": args.mode,
             "n_segments": len(segments), "segments": doc,

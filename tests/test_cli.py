@@ -1263,6 +1263,24 @@ def test_wav_rate_too_fine_to_resample_is_rejected(tmp_path, capsys, command):
         f"error: {wav}: ")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "vad", "--in", "a.wav", "--vad-frame-ms", "0"], "VAD frame_ms must be > 0"),
+    (["--mode", "vad", "--in", "a.wav", "--vad-min-gap-ms", "nan"],
+     "VAD min_gap_ms must be finite, got nan"),
+    (["--mode", "rest", "--notes", "n.json", "--min-rest-sec", "-1"],
+     "min_rest_sec must be finite and >= 0, got -1.0"),
+    (["--mode", "rest", "--notes", "n.json", "--clip-duration", "0"],
+     "clip_duration must be > 0, got 0.0"),
+], ids=["vad-frame", "vad-gap", "min-rest", "clip-duration"])
+def test_segment_flags_checked_before_its_input_is_read(tmp_path, capsys, monkeypatch, flags,
+                                                       message):
+    # the input does not exist, and the flags' error is the one named
+    monkeypatch.chdir(tmp_path)
+    assert _assert_rejected(capsys, ["segment", *flags, "--out", "seg.json"]) == \
+        f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["extract", "f0-stats"])
 @pytest.mark.parametrize("case", ["short", "rate"])
 def test_analysis_errors_name_their_input(tmp_path, capsys, command, case):
