@@ -3,7 +3,8 @@
 
 Synthesizes a vowel and a sung tone, runs feature extraction, makes a
 seeded perturbation pair, computes speaker F0 statistics, converts the
-tone's pitch track with the cross-domain policy, and scores the result.
+tone's pitch track with the cross-domain policy, and scores the result. Exits 1
+unless the conversion keeps every frame's voicing (a VUV error rate of 0).
 The eight outputs are encoded as (path, bytes) pairs and written in one
 `atomic_write_files` call, as the CLI writes, into a scratch directory that
 the summary names.
@@ -69,7 +70,7 @@ def main() -> int:
         "vuv_error_rate": agreement["vuv_error_rate"],
     }
     print(json.dumps(summary, indent=2))
-    return 0
+    return 0 if agreement["vuv_error_rate"] == 0 else 1
 
 
 if __name__ == "__main__":

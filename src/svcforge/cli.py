@@ -15,6 +15,7 @@ block order and the clips in input order.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
@@ -46,6 +47,7 @@ from .diffusion import (
     model_files,
     pseudo_speaker_embedding,
     sample,
+    toy_condition,
     toy_dataset,
     train_toy,
 )
@@ -235,9 +237,7 @@ def _cmd_ddpm_train(args) -> tuple:
                         speaker_dim=args.speaker_dim,
                         num_steps=sched.num_steps, hidden=args.hidden,
                         seed=args.seed)
-    dataset = toy_dataset(args.dim, _TOY_LING_DIM, args.speaker_dim,
-                          n_items=8, seed=args.seed)
-    history = train_toy(model, dataset, sched, TrainConfig(
+    history = train_toy(model, toy_dataset(model, seed=args.seed), sched, TrainConfig(
         steps=args.steps, lr=args.lr, p_uncond=args.p_uncond, seed=args.seed))
     return {
         "command": "ddpm train", "seed": args.seed, "steps": args.steps,
@@ -251,10 +251,8 @@ def _cmd_ddpm_finetune(args) -> tuple:
     model = load_model(args.model_dir)
     sched = linear_schedule(model.num_steps)
     target = pseudo_speaker_embedding(args.seed, model.speaker_dim)
-    dataset = toy_dataset(model.dim, _TOY_LING_DIM, model.speaker_dim,
-                          n_items=8, seed=args.seed + 1)
-    finetune_cln(model, dataset, sched, iterations=args.iterations,
-                 target_embedding=target, lr=args.lr, seed=args.seed)
+    finetune_cln(model, toy_dataset(model, seed=args.seed + 1), sched,
+                 iterations=args.iterations, target_embedding=target, lr=args.lr, seed=args.seed)
     return {
         "command": "ddpm finetune", "seed": args.seed,
         "iterations": args.iterations, "model_dir": args.model_dir,
@@ -263,22 +261,20 @@ def _cmd_ddpm_finetune(args) -> tuple:
 
 
 def _reverse_chain(args, denoiser, sched, cond, dim) -> tuple:
-    """Run the reverse chain from seeded noise; the sample goes to --out."""
-    x = sample(denoiser, sched, cond, w=args.guidance_scale, dim=dim, seed=args.seed)
-    return {"command": f"ddpm {args.ddpm_command}", "seed": args.seed,
-            "guidance_scale": args.guidance_scale, "dim": dim,
+    """Run the reverse chain from seeded noise, guided by --guidance-scale where the
+    command takes it; the sample goes to --out."""
+    guidance = {"guidance_scale": args.guidance_scale} if "guidance_scale" in args else {}
+    x = sample(denoiser, sched, cond, dim=dim, seed=args.seed,
+               w=guidance.get("guidance_scale", defaults.GUIDANCE_SCALE))
+    return {"command": f"ddpm {args.ddpm_command}", "seed": args.seed, **guidance, "dim": dim,
             "out": args.out, "mean": float(np.mean(x))}, [(args.out, tensor_bytes(x, args.out))]
 
 
 def _cmd_ddpm_sample(args) -> tuple:
     model = load_model(args.model_dir)
-    rng = np.random.default_rng(args.seed)
-    cond = ConditionSet(
-        linguistic=rng.normal(size=(4, _TOY_LING_DIM)),
-        log_f0_vuv=rng.normal(size=(4, 2)),
-        loudness=rng.normal(size=4),
-        speaker_embedding=pseudo_speaker_embedding(args.seed, model.speaker_dim),
-    )
+    # the speaker that `ddpm finetune --seed S` tunes to, for `sample --seed S`
+    cond = replace(toy_condition(model, np.random.default_rng(args.seed)),
+                   speaker_embedding=pseudo_speaker_embedding(args.seed, model.speaker_dim))
     return _reverse_chain(args, model, linear_schedule(model.num_steps), cond, model.dim)
 
 
@@ -310,7 +306,9 @@ def _cmd_config_show(args) -> tuple:
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first call, not at import; callers share it."""
     parser = _Parser(prog="svcforge",
                      description="Desk-scale singing voice conversion toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -445,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p, func in ((ps, _cmd_ddpm_sample), (po, _cmd_ddpm_sample_oracle)):
         p.add_argument("--out", required=True, help="output sample SVCF path")
         p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-        p.add_argument("--guidance-scale", type=float, default=defaults.GUIDANCE_SCALE,
-                       help="classifier-free guidance scale w (default %(default)s)")
         p.set_defaults(func=func)
+    ps.add_argument("--guidance-scale", type=float, default=defaults.GUIDANCE_SCALE,
+                    help="classifier-free guidance scale w (default %(default)s)")
 
     p = sub.add_parser("eval",
                        help="objective metrics over SVCF tensors")

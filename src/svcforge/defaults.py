@@ -7,7 +7,7 @@ DIFFUSION_STEPS, GUIDANCE_SCALE, P_UNCOND and FINETUNE_ITERATIONS (`ddpm`).
 Every other entry, CROSS_DOMAIN_OFFSET_SEMITONES among them, is read from
 the table when used, so `config show` prints the value in use. The toy
 denoiser's literals (lr 1e-3, 500 steps, hidden 32, dim 8, speaker_dim 4,
-8 dataset items, `evaluate_l2`'s 200 draws from seed 12345) are not here.
+`toy_dataset`'s 8 items, 200 `evaluate_l2` draws from seed 12345) are not here.
 """
 
 from __future__ import annotations

@@ -255,8 +255,9 @@ class ToyDenoiser:
     def __init__(self, dim: int, cond_dim: int, speaker_dim: int,
                  num_steps: int = defaults.DIFFUSION_STEPS,
                  hidden: int = 32, seed: int = 0):
-        if min(dim, cond_dim, speaker_dim, hidden) < 1:
-            raise InvalidParameterError("all model dimensions must be >= 1")
+        if min(dim, cond_dim, speaker_dim, hidden, num_steps) < 1:
+            raise InvalidParameterError("all model dimensions and num_steps must be >= 1")
+        check_elements(num_steps, "the noise schedule")
         in_dim = dim + 2 * TIME_FREQS + cond_dim
         check_elements(hidden * (in_dim + 2 * speaker_dim + dim + 3) + dim,
                        "the model's parameters")
@@ -494,23 +495,23 @@ def pseudo_speaker_embedding(seed: int, dim: int) -> np.ndarray:
     return v / norm
 
 
-def toy_dataset(model_dim: int, ling_dim: int, speaker_dim: int,
-                n_items: int, seed: int) -> list:
-    """Deterministic synthetic (x0, condition) pairs for the desk-scale
-    model, each with 4-frame condition tracks and a unit speaker embedding."""
+def toy_condition(model: ToyDenoiser, rng: np.random.Generator) -> ConditionSet:
+    """A seeded 4-frame condition whose summary fits `model`, without a speaker:
+    linguistic [4, cond_dim - 3], log_f0_vuv [4, 2] and loudness [4], in that order."""
+    if model.cond_dim < 3:  # no room for the log-F0, VUV and loudness means
+        raise InvalidParameterError(f"a toy condition needs cond_dim >= 3, got {model.cond_dim}")
+    return ConditionSet(linguistic=rng.normal(size=(4, model.cond_dim - 3)),
+                        log_f0_vuv=rng.normal(size=(4, 2)), loudness=rng.normal(size=4))
+
+
+def toy_dataset(model: ToyDenoiser, seed: int) -> list:
+    """Eight seeded (x0, condition) pairs sized by `model`; each item draws x0, a
+    `toy_condition` and the seed of a unit speaker embedding, in that order."""
     rng = np.random.default_rng(seed)
-    dataset = []
-    for _ in range(n_items):
-        x0 = rng.normal(scale=0.5, size=model_dim)
-        cond = ConditionSet(
-            linguistic=rng.normal(size=(4, ling_dim)),
-            log_f0_vuv=rng.normal(size=(4, 2)),
-            loudness=rng.normal(size=4),
-            speaker_embedding=pseudo_speaker_embedding(
-                int(rng.integers(1 << 31)), speaker_dim),
-        )
-        dataset.append((x0, cond))
-    return dataset
+    items = ((rng.normal(scale=0.5, size=model.dim), toy_condition(model, rng),
+              pseudo_speaker_embedding(int(rng.integers(1 << 31)), model.speaker_dim))
+             for _ in range(8))
+    return [(x0, replace(cond, speaker_embedding=embedding)) for x0, cond, embedding in items]
 
 
 # -- model serialization ----------------------------------------------------

@@ -749,8 +749,9 @@ def test_ddpm_rejects_corrupt_model(tmp_path, capsys, corruption):
     index_path = model_dir / "index.json"
     index = json.loads(index_path.read_text())
     w1 = read_tensor(model_dir / "w1.svcf")
-    if corruption == "wrong-shape":
-        (model_dir / "w1.svcf").write_bytes(tensor_bytes(w1[:, :-1], "w1.svcf"))
+    if corruption == "wrong-shape":  # w2's columns disagree with w1's hidden rows
+        w2 = read_tensor(model_dir / "w2.svcf")
+        (model_dir / "w2.svcf").write_bytes(tensor_bytes(w2[:, :-1], "w2.svcf"))
     elif corruption == "narrow-w1":  # 8 + 2 * 4 columns leave no condition summary
         (model_dir / "w1.svcf").write_bytes(tensor_bytes(w1[:, :16], "w1.svcf"))
     elif corruption == "vector-w2":
@@ -1008,15 +1009,43 @@ def test_json_records_accept_their_field_types(tmp_path, capsys):
     assert summary["n_segments"] == 1
 
 
-@pytest.mark.parametrize("command", ["sample", "finetune"])
-def test_ddpm_rejects_a_model_whose_condition_width_differs(tmp_path, capsys, command):
+def _ddpm_model_argv(tmp_path, command, cond_dim):
+    """`ddpm sample` or `ddpm finetune` over a saved model of `cond_dim`, and its output."""
     model_dir, out = tmp_path / "model", tmp_path / "out"
-    model = ToyDenoiser(dim=4, cond_dim=5, speaker_dim=3, seed=1)
+    model = ToyDenoiser(dim=4, cond_dim=cond_dim, speaker_dim=3, seed=1)
     atomic_write_files(model_files(model, model_dir))
-    argv = ["ddpm", command, "--model-dir", model_dir, "--seed", "1"]
-    argv += ["--out", out] if command == "sample" else \
-        ["--out-dir", out, "--iterations", "3"]
-    _assert_rejected(capsys, argv, out)
+    argv = ["ddpm", command, "--model-dir", str(model_dir), "--seed", "1"]
+    argv += ["--out", str(out)] if command == "sample" else \
+        ["--out-dir", str(out), "--iterations", "3"]
+    return argv, out
+
+
+@pytest.mark.parametrize("command", ["sample", "finetune"])
+def test_ddpm_sizes_its_condition_from_the_model(tmp_path, capsys, command):
+    argv, out = _ddpm_model_argv(tmp_path, command, cond_dim=5)
+    code, summary = run_cli(capsys, *argv)
+    assert (code, summary["command"]) == (0, f"ddpm {command}")
+    assert out.exists()
+    if command == "sample":
+        assert read_tensor(out).shape == (4,)
+
+
+@pytest.mark.parametrize("cond_dim", [1, 2])
+@pytest.mark.parametrize("command", ["sample", "finetune"])
+def test_ddpm_rejects_a_model_too_narrow_for_a_condition(tmp_path, capsys, command, cond_dim):
+    argv, out = _ddpm_model_argv(tmp_path, command, cond_dim)
+    err = _assert_rejected(capsys, argv, out)
+    assert err == f"error: a toy condition needs cond_dim >= 3, got {cond_dim}\n"
+
+
+@pytest.mark.parametrize("num_steps", [0, -3, 10**10])
+@pytest.mark.parametrize("command", ["sample", "finetune"])
+def test_ddpm_bad_num_steps_names_the_model_index(tmp_path, capsys, command, num_steps):
+    argv, out = _ddpm_model_argv(tmp_path, command, cond_dim=11)
+    index = tmp_path / "model" / "index.json"
+    index.write_text(json.dumps({"num_steps": num_steps}))
+    err = _assert_rejected(capsys, argv, out)
+    assert err.startswith(f"error: bad model index {index}: ")
 
 
 def test_extract_failure_on_a_later_input_leaves_no_outputs(tmp_path, capsys):
@@ -1031,14 +1060,13 @@ def test_extract_failure_on_a_later_input_leaves_no_outputs(tmp_path, capsys):
 
 
 def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
-    import svcforge.cli as cli
-    monkeypatch.setattr(cli, "_cmd_config_show", lambda args: ({"x": float("nan")}, []))
+    monkeypatch.setattr(defaults, "as_dict", lambda: {"x": float("nan")})
     _assert_rejected(capsys, ["config", "show"])
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("sample", ["--mean", "0", "--guidance-scale", "inf"]),
-    ("sample", ["--mean", "0", "--guidance-scale", "nan"]),
+    ("sample-model", ["--guidance-scale", "inf"]),
+    ("sample-model", ["--guidance-scale", "nan"]),
     ("sample", ["--mean", "0", "--dim", "0"]),
     ("sample", ["--mean", "nan"]),
     ("sample", ["--mean", "0", "--std", "nan"]),
@@ -1176,7 +1204,7 @@ _OPTIONS = {
                   "--diffusion-steps",
     "ddpm finetune": "--model-dir --out-dir --seed --iterations --lr",
     "ddpm sample": "--model-dir --out --seed --guidance-scale",
-    "ddpm sample-oracle": "--mean --std --dim --steps --out --seed --guidance-scale",
+    "ddpm sample-oracle": "--mean --std --dim --steps --out --seed",
     "eval cossim": "--a --b",
     "eval f0": "--a --b",
     "config show": "",
@@ -1237,7 +1265,6 @@ def test_commands_refuse_other_commands_options_and_prefixes(tmp_path, capsys, m
     own = set(_OPTIONS[command].split())
     refused = {o for options in _OPTIONS.values() for o in options.split()} | {
         o[:k] for o in own for k in range(3, len(o))}
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # one parser for every call
     monkeypatch.chdir(tmp_path)
     for spelling in sorted(refused - own):
         code = main([*base, spelling, "1"])

@@ -288,8 +288,8 @@ _FLAG_CASES = {
                  {"--lr": _reals, "--iterations": st.integers(-2, 6)}),
     "sample-oracle": (["ddpm", "sample-oracle", "--out", "{out}", "--seed", "0",
                        "--mean", "0", "--steps", "5"],
-                      {"--mean": _reals, "--std": _reals,
-                       "--guidance-scale": _reals, "--dim": _sizes, "--steps": _sizes}),
+                      {"--mean": _reals, "--std": _reals, "--dim": _sizes,
+                       "--steps": _sizes}),
     "sample-model": (["ddpm", "sample", "--model-dir", "{model}", "--out", "{out}",
                       "--seed", "0"],
                      {"--guidance-scale": _reals}),

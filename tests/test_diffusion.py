@@ -27,6 +27,7 @@ from svcforge.diffusion import (
     reverse_step,
     model_files,
     sample,
+    toy_dataset,
     train_toy,
 )
 from svcforge.errors import InvalidParameterError
@@ -446,6 +447,28 @@ def test_condition_summary_follows_replace_and_stays_out_of_eq_and_repr():
 def test_condition_tracks_need_a_frame():
     with pytest.raises(InvalidParameterError, match="share one frame count"):
         ConditionSet(np.zeros((0, 4)), np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("num_steps", [0, -3, 10**10])
+def test_toy_denoiser_checks_its_num_steps(num_steps):
+    with pytest.raises(InvalidParameterError, match="num_steps|noise schedule"):
+        ToyDenoiser(dim=3, cond_dim=7, speaker_dim=3, num_steps=num_steps)
+
+
+@pytest.mark.parametrize("cond_dim", [3, 11])
+def test_toy_dataset_is_sized_by_the_model(cond_dim):
+    model = ToyDenoiser(dim=5, cond_dim=cond_dim, speaker_dim=2)
+    dataset = toy_dataset(model, seed=0)
+    assert len(dataset) == 8
+    for x0, cond in dataset:
+        assert (x0.shape, cond.summary.size, cond.speaker_embedding.size) == ((5,), cond_dim, 2)
+    x0, cond = dataset[0]
+    assert math.isfinite(model.l2_loss_and_grads(x0, 1, cond, np.zeros(5))[0])
+
+
+def test_toy_dataset_needs_room_for_the_pitch_and_loudness_means():
+    with pytest.raises(InvalidParameterError, match="cond_dim >= 3"):
+        toy_dataset(ToyDenoiser(dim=5, cond_dim=2, speaker_dim=2), seed=0)
 
 
 def test_time_embedding_is_the_written_out_expression_for_every_step():

@@ -190,9 +190,8 @@ def test_seeded_cli_outputs_match_their_digests(tmp_path, capsys, monkeypatch):
 def test_seeded_oracle_sample_matches_its_digest(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["ddpm", "sample-oracle", "--mean", "0.5", "--std", "2.0", "--dim", "8",
-                 "--steps", "20", "--seed", "5", "--guidance-scale", "1.5",
-                 "--out", "y.svcf"]) == 0
+                 "--steps", "20", "--seed", "5", "--out", "y.svcf"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == \
-        "4d9ed770a6b3a185c7edc46772847cc8554eb8632a939fa9b38c91c555dd708f"
+        "6d01813618e5d282a2a433a058d46262575eff5300367925bcafc2415446f3a3"
     assert _sha(Path("y.svcf").read_bytes()) == \
         "e471872c695c096d6b1242c2643a5a39daac265f9fca35f4dfa1d01164e337a8"
