@@ -1,10 +1,9 @@
 """WAV reading and encoding, mono mixdown, and polyphase resampling.
 
 Everything downstream runs at the canonical 24 kHz rate; `resample` is the
-only sanctioned way to get there. Clips are immutable values.
+only sanctioned way to get there. Its anti-alias filter is the one
+`scipy.signal.firwin` designs. Clips are immutable values.
 """
-
-from __future__ import annotations
 
 import os
 import struct
@@ -146,25 +145,11 @@ def wav_bytes(clip: AudioClip) -> bytes:
     return header + data
 
 
-# `_lowpass_kernel` has 64 taps per unit of max(up, down). This bound admits
-# every rate up to 48 kHz and the 44.1/48 kHz multiples up to 768 kHz, and
-# refuses a rate coprime with the target, such as 1,000,003 Hz, before a
-# gigabyte-sized kernel is built.
+# The resampler's filter has RESAMPLE_TAPS_PER_PHASE (64) taps per unit of
+# max(up, down). This bound admits every rate up to 48 kHz and the 44.1/48 kHz
+# multiples up to 768 kHz, and refuses a rate coprime with the target, such as
+# 1,000,003 Hz, before a gigabyte-sized filter is built.
 MAX_RESAMPLE_FACTOR = 48_000
-
-
-def _lowpass_kernel(up: int, down: int) -> np.ndarray:
-    """Kaiser-windowed sinc prototype for the polyphase resampler.
-
-    64 taps per phase at the internal (upsampled) rate, cutoff at the
-    narrower of the two Nyquist bands.
-    """
-    max_rate = max(up, down)
-    half = (defaults.RESAMPLE_TAPS_PER_PHASE * max_rate) // 2
-    n = np.arange(-half, half + 1)
-    cutoff = 1.0 / (2.0 * max_rate)
-    kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * n)
-    return kernel * np.kaiser(kernel.size, defaults.RESAMPLE_KAISER_BETA)
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -173,6 +158,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     Output length is ceil(n * target / source), so duration is preserved
     to within one output sample. Rates whose reduced ratio up/down has
     max(up, down) above MAX_RESAMPLE_FACTOR are an InvalidParameterError.
+
+    The filter, firwin's Kaiser window (RESAMPLE_KAISER_BETA) over a sinc of
+    RESAMPLE_TAPS_PER_PHASE taps per unit of max(up, down), cuts off at the
+    narrower of the two Nyquist bands and has a DC gain of exactly 1.
     """
     if int(target_rate) != target_rate or target_rate <= 0:
         raise InvalidParameterError("target_rate must be a positive integer")
@@ -187,7 +176,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
             f"ratio {up}/{down} has a term above {MAX_RESAMPLE_FACTOR}")
     if clip.samples.size == 0:
         return AudioClip(np.zeros(0), target_rate)
-    from scipy.signal import resample_poly  # here, so importing the package stays cheap
+    from scipy.signal import firwin, resample_poly  # here, so importing the package stays cheap
 
-    y = resample_poly(clip.samples, up, down, window=_lowpass_kernel(up, down))
+    m = max(up, down)
+    kernel = firwin(defaults.RESAMPLE_TAPS_PER_PHASE * m + 1, 1 / m,
+                    window=("kaiser", defaults.RESAMPLE_KAISER_BETA))
+    y = resample_poly(clip.samples, up, down, window=kernel)
     return AudioClip(y, target_rate)

@@ -2,20 +2,20 @@
 
 Every subcommand prints one machine-readable JSON summary on stdout and keeps
 human diagnostics on stderr. An option matches by its full name only: a prefix
-of it is a usage error. A handler returns its summary and its output files as
-`(path, bytes)` pairs; `main` alone writes: it encodes the summary, writes every
-file in one all-or-nothing `svcf.atomic_write_files` call, then prints. Exit
-status: 0 success, 1 usage error, 2 data/validation error, 3 internal error.
-Seeded invocations are byte-reproducible, including across --jobs settings:
-`extract` and `f0-stats` analyse up to --jobs inputs at once and hand their
-frame blocks to one pool of --jobs threads; each clip's blocks are joined in
-block order and the clips in input order.
+of it is a usage error. A float option takes a negative value in any notation,
+`-1e-3` and `-inf` among them. A handler returns its summary and its output
+files as `(path, bytes)` pairs; `main` alone writes: it encodes the summary,
+writes every file in one all-or-nothing `svcf.atomic_write_files` call, then
+prints. Exit status: 0 success, 1 usage error, 2 data/validation error, 3
+internal error. Seeded invocations are byte-reproducible, including across
+--jobs settings: `extract` and `f0-stats` analyse up to --jobs inputs at once
+and hand their frame blocks to one pool of --jobs threads; each clip's blocks
+are joined in block order and the clips in input order.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
@@ -73,6 +73,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):  # an option matches by its full name only
         super().__init__(allow_abbrev=False, **kwargs)
+        # argparse takes only -12 and -1.5 for negative numbers, so it would read
+        # -1e-3, -inf and -nan as options
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)
@@ -266,8 +270,9 @@ def _reverse_chain(args, denoiser, sched, cond, dim) -> tuple:
     guidance = {"guidance_scale": args.guidance_scale} if "guidance_scale" in args else {}
     x = sample(denoiser, sched, cond, dim=dim, seed=args.seed,
                w=guidance.get("guidance_scale", defaults.GUIDANCE_SCALE))
+    data = tensor_bytes(x, args.out)  # first: it refuses a sample whose mean would overflow
     return {"command": f"ddpm {args.ddpm_command}", "seed": args.seed, **guidance, "dim": dim,
-            "out": args.out, "mean": float(np.mean(x))}, [(args.out, tensor_bytes(x, args.out))]
+            "out": args.out, "mean": float(np.mean(x))}, [(args.out, data)]
 
 
 def _cmd_ddpm_sample(args) -> tuple:
@@ -279,7 +284,7 @@ def _cmd_ddpm_sample(args) -> tuple:
 
 
 def _cmd_ddpm_sample_oracle(args) -> tuple:
-    sched = linear_schedule(args.steps)
+    sched = linear_schedule(args.diffusion_steps)
     # a scalar mean broadcasts over the sample, so `sample` checks --dim
     denoiser = analytic_gaussian_denoiser(args.mean, args.std, sched)
     cond = ConditionSet(linguistic=np.zeros((1, 1)), log_f0_vuv=np.zeros((1, 2)),
@@ -438,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--std", type=float, default=1.0, help="target std (default %(default)s)")
     po.add_argument("--dim", type=int, default=8,
                     help="sample dimensionality (default %(default)s)")
-    po.add_argument("--steps", type=int, default=defaults.DIFFUSION_STEPS,
-                    help="number of diffusion steps (default %(default)s)")
+    po.add_argument("--diffusion-steps", type=int, default=defaults.DIFFUSION_STEPS,
+                    help="number of diffusion steps in the schedule (default %(default)s)")
     for p, func in ((ps, _cmd_ddpm_sample), (po, _cmd_ddpm_sample_oracle)):
         p.add_argument("--out", required=True, help="output sample SVCF path")
         p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")

@@ -4,8 +4,6 @@ Symmetric InfoNCE over cosine similarities: row i of each side of a batch
 comes from the same underlying frame, every other row is a negative.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -6,8 +6,6 @@ package; the composition predicates reproduce the four canonical training
 sets from it. Actual audio is always user-supplied.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from dataclasses import asdict, dataclass

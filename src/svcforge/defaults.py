@@ -10,8 +10,6 @@ denoiser's literals (lr 1e-3, 500 steps, hidden 32, dim 8, speaker_dim 4,
 `toy_dataset`'s 8 items, 200 `evaluate_l2` draws from seed 12345) are not here.
 """
 
-from __future__ import annotations
-
 DEFAULTS_VERSION = "2"
 
 # Canonical pipeline rate and frame grid (10 ms hop, 40 ms window).

@@ -11,8 +11,6 @@ Steps are 1-based: t runs from 1 to T, matching the forward-process
 indexing x_t = sqrt(abar_t) x_0 + sqrt(1 - abar_t) eps.
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
 import os

@@ -6,7 +6,8 @@ spectrogram and the A-weighted loudness (`mel_loudness`) and the F0 track
 per-frame track lines up with every other and no caller passes a grid or a
 filterbank. `FrameConfig`, `frame_signal`, `stft` and `istft` take a grid
 as an argument, because the formant shifter analyses on a second one.
-Framing is non-centered (no padding): T = 1 + (n - win) // hop.
+Framing is non-centered (no padding): T = 1 + (n - win) // hop, and the
+frames are read-only `sliding_window_view` rows of the clip's samples.
 
 Long clips are analysed in blocks of BLOCK_FRAMES frames (`frame_blocks`):
 `mel_loudness` and `pitch.estimate_f0` run their per-block kernels through
@@ -14,11 +15,10 @@ a `map` the caller passes, so memory stays bounded by a few blocks however
 long the clip is, and a thread pool's `map` spreads the blocks over cores.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults
 from .audio import AudioClip
@@ -75,18 +75,14 @@ BLOCK_FRAMES = 512
 
 
 def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
-    """[T, win_length] view of the non-centered frames of a clip at
-    defaults.SAMPLE_RATE, the rate of the frame grid."""
+    """[T, win_length] read-only view of the non-centered frames of a clip
+    at defaults.SAMPLE_RATE, the rate of the frame grid."""
     if clip.sample_rate != defaults.SAMPLE_RATE:
         raise InvalidParameterError(
             f"clip at {clip.sample_rate} Hz, the frame grid wants {defaults.SAMPLE_RATE} Hz"
         )
-    x = clip.samples
-    t = cfg.num_frames(x.size)
-    stride = x.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        x, shape=(t, cfg.win_length), strides=(cfg.hop * stride, stride)
-    )
+    cfg.num_frames(clip.samples.size)  # a clip shorter than one window is refused here
+    return sliding_window_view(clip.samples, cfg.win_length)[::cfg.hop]
 
 
 def frame_blocks(clip: AudioClip) -> list:

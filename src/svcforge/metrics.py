@@ -1,8 +1,6 @@
 """Self-contained objective metrics: embedding cosine similarity and
 F0/VUV agreement between two tracks."""
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import InvalidParameterError

@@ -7,11 +7,10 @@ linguistic content (timing, F0 for formant shift/EQ) intact. Given the same
 seed, `random_perturb_pair` is bit-reproducible.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults
 from .audio import AudioClip, resample
@@ -133,7 +132,7 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
             corr = np.correlate(xp[lo:hi + seg], ref, mode="valid")
             start = lo + int(np.argmax(corr))
         pos[m] = prev = start
-    frames = xp[pos[:, None] + np.arange(seg)] * win
+    frames = sliding_window_view(xp, seg)[pos] * win
     return overlap_add(frames, hop, win, target_len)
 
 

@@ -16,8 +16,6 @@ memory stays bounded however long the clip is; the run-median smoother is
 then one array pass over the joined track.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

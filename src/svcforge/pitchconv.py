@@ -7,8 +7,6 @@ a fixed +6 semitone offset when converting from speech-range to
 singing-range material.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from dataclasses import dataclass

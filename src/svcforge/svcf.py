@@ -13,9 +13,10 @@ Every value in a written file is finite: NaN, infinities and float64
 values beyond float32's range are rejected before anything is written.
 
 This module is also the one JSON codec (documents, JSON-lines manifests,
-dataclass records via `json_record`, the CLI's stdout summary), strict RFC
-8259 both ways: reading NaN/Infinity or a number that overflows a double is
-a FormatError, writing a non-finite float an InvalidParameterError.
+dataclass records via `json_record`, which reads each field by its declared
+type, the CLI's stdout summary), strict RFC 8259 both ways: reading
+NaN/Infinity or a number that overflows a double is a FormatError, writing a
+non-finite float an InvalidParameterError.
 
 The encoders return bytes; the one writer, `atomic_write_files`, takes
 `(path, bytes)` pairs and is temp-then-rename, all files at once (creating
@@ -23,8 +24,6 @@ missing directories), so a failed run leaves no partial file or new
 directory. Before anything is made it refuses, as InvalidParameterErrors,
 two pairs that name one file (by `os.path.realpath`) and a path with a NUL.
 """
-
-from __future__ import annotations
 
 import json
 import math
@@ -200,11 +199,10 @@ def json_field(doc, key: str, kind: type, what: str):
     return kind(value)
 
 
-# Each type a record field may declare, as a type or as the text that
-# `from __future__ import annotations` leaves: (the type `json_field` reads,
-# whether the field may be null).
-_RECORD_TYPES = {declared: (k, nullable) for k in _FIELD_TYPES for declared, nullable in (
-    (k, False), (k.__name__, False), (k | None, True), (f"{k.__name__} | None", True))}
+# Each type a record field may declare: (the type `json_field` reads, whether
+# the field may be null).
+_RECORD_TYPES = {declared: (k, nullable) for k in _FIELD_TYPES
+                 for declared, nullable in ((k, False), (k | None, True))}
 
 
 def json_record(cls, doc, what: str):

@@ -269,6 +269,21 @@ def test_resample_preserves_tone(src, dst, freq):
     assert abs(np.sqrt(np.mean(core ** 2)) / (0.5 / np.sqrt(2)) - 1) < 0.01
 
 
+def test_resample_filter_passes_dc_at_unit_gain_and_stops_aliases():
+    # a constant keeps its mean level: the filter's DC gain is exactly 1. Each
+    # polyphase branch's gain is off by up to 8e-6, so the mean runs over whole
+    # cycles of the branches: 480 is a multiple of every `up` (80, 1, 160, 3)
+    for rate in (44100, 48000, 22050, 16000):
+        out = resample(AudioClip(np.ones(rate // 2), rate), 24000).samples[480:-480]
+        assert out.size % 480 == 0 and abs(np.mean(out) - 1.0) < 1e-9, rate
+    # a tone at 0.3x the input rate lies above the output's 12 kHz Nyquist
+    # frequency and would alias; the Kaiser window's stopband holds it 80 dB down
+    for rate in (44100, 48000):
+        tone = sine(0.3 * rate, 0.5, sample_rate=rate)
+        out = resample(tone, 24000).samples[500:-500]
+        assert 20 * np.log10(np.std(out) / np.std(tone.samples)) < -80.0, rate
+
+
 @pytest.mark.parametrize("rate", [11025, 44056, 47952, 88200, 96000, 192000, 768000])
 def test_resample_accepts_common_and_odd_rates(rate):
     n = rate // 10

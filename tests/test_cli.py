@@ -274,7 +274,7 @@ def test_perturb_refuses_two_names_for_one_output(tmp_path, wavs, capsys, monkey
 
 
 @pytest.mark.parametrize("argv", [
-    ["ddpm", "sample-oracle", "--mean", "0", "--steps", "5", "--seed", "0",
+    ["ddpm", "sample-oracle", "--mean", "0", "--diffusion-steps", "5", "--seed", "0",
      "--out", "x\0.svcf"],
     ["f0-stats", "--in", "{wav}", "--speaker-id", "s", "--out", "x\0.json"],
     ["perturb", "--in", "{wav}", "--out-a", "a\0.wav", "--out-b", "b.wav", "--seed", "0"],
@@ -1089,7 +1089,7 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("vad", ["--vad-hangover-ms", "inf"]),
     ("cossim", []),
     ("sample", ["--mean", "0", "--std", "1e200"]),
-    ("sample", ["--mean", "0", "--std", "1e154", "--steps", "100"]),
+    ("sample", ["--mean", "0", "--std", "1e154", "--diffusion-steps", "100"]),
     ("sample", ["--mean", "1e300", "--dim", "2"]),
     ("train", ["--lr", "1e300", "--steps", "50"]),
     ("train", ["--lr", "1e30", "--steps", "50"]),
@@ -1106,7 +1106,7 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
     ("extract", ["--f0-floor", "5e-324"]),
     # sizes of about 10**12 elements, beyond the element budget
     ("sample", ["--mean", "0", "--dim", str(10**12)]),
-    ("sample", ["--mean", "0", "--steps", str(10**12)]),
+    ("sample", ["--mean", "0", "--diffusion-steps", str(10**12)]),
     ("train", ["--steps", str(10**12)]),
     ("train", ["--diffusion-steps", str(10**12)]),
     ("train", ["--hidden", str(10**11)]),
@@ -1125,7 +1125,7 @@ def test_non_finite_summary_is_a_validation_error(capsys, monkeypatch):
 def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command, flags):
     out = tmp_path / "out"
     if command == "sample":  # the oracle sampler; "sample-model" loads a model
-        argv = ["ddpm", "sample-oracle", "--out", out, "--seed", "0", "--steps", "5"]
+        argv = ["ddpm", "sample-oracle", "--out", out, "--seed", "0", "--diffusion-steps", "5"]
     elif command == "train":
         argv = ["ddpm", "train", "--out-dir", out, "--seed", "0", "--steps", "5"]
     elif command in ("finetune", "sample-model"):
@@ -1154,6 +1154,18 @@ def test_numeric_flags_checked_before_any_output(tmp_path, wavs, capsys, command
         empty.write_bytes(tensor_bytes(np.zeros((0, 2), dtype=np.float32), empty))
         argv = ["eval", "cossim", "--a", empty, "--b", empty]
     _assert_rejected(capsys, argv + flags, out)
+
+
+def test_a_guided_sample_beyond_float32_is_refused_before_its_mean(tmp_path, capsys):
+    # this model's sample at w = 1.28e308 is finite in float64, about 5e307, so
+    # the summary's mean of it would overflow if it were taken before the check
+    model_dir, out = tmp_path / "model", tmp_path / "x.svcf"
+    atomic_write_files(model_files(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4, hidden=8),
+                                   model_dir))
+    err = _assert_rejected(capsys, ["ddpm", "sample", "--model-dir", model_dir, "--out", out,
+                                    "--seed", "0", "--guidance-scale", "1.284403095089859e308"],
+                           out)
+    assert err == f"error: cannot write {out}: a value is not finite in float32\n"
 
 
 @pytest.mark.parametrize("command", ["extract", "f0-stats"])
@@ -1204,7 +1216,7 @@ _OPTIONS = {
                   "--diffusion-steps",
     "ddpm finetune": "--model-dir --out-dir --seed --iterations --lr",
     "ddpm sample": "--model-dir --out --seed --guidance-scale",
-    "ddpm sample-oracle": "--mean --std --dim --steps --out --seed",
+    "ddpm sample-oracle": "--mean --std --dim --diffusion-steps --out --seed",
     "eval cossim": "--a --b",
     "eval f0": "--a --b",
     "config show": "",
@@ -1247,6 +1259,14 @@ def test_cli_option_surface():
     assert dict(commands(build_parser(), "")) == _OPTIONS
 
 
+def _required_argv(parser):
+    """Its required options and one of each required group, each with a value, so
+    that they alone parse."""
+    needed = [a for a in parser._actions if a.required] + [
+        g._group_actions[0] for g in parser._mutually_exclusive_groups if g.required]
+    return [w for a in needed for w in (a.option_strings[0], str((a.choices or [1])[0]))]
+
+
 @pytest.mark.parametrize("command", list(_OPTIONS))
 def test_commands_refuse_other_commands_options_and_prefixes(tmp_path, capsys, monkeypatch,
                                                              command):
@@ -1256,11 +1276,7 @@ def test_commands_refuse_other_commands_options_and_prefixes(tmp_path, capsys, m
     for word in command.split():
         leaf = next(a for a in leaf._actions
                     if isinstance(a, argparse._SubParsersAction)).choices[word]
-    # its required options and one of each required group, so that `base` alone parses
-    needed = [a for a in leaf._actions if a.required] + [
-        g._group_actions[0] for g in leaf._mutually_exclusive_groups if g.required]
-    base = command.split() + [w for a in needed
-                              for w in (a.option_strings[0], str((a.choices or [1])[0]))]
+    base = command.split() + _required_argv(leaf)
     parser.parse_args(base)
     own = set(_OPTIONS[command].split())
     refused = {o for options in _OPTIONS.values() for o in options.split()} | {
@@ -1272,6 +1288,39 @@ def test_commands_refuse_other_commands_options_and_prefixes(tmp_path, capsys, m
         assert (code, captured.out) == (1, ""), spelling
         assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def _float_options(parser):
+    """Each leaf parser under `parser` with each of its `type=float` options."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _float_options(child)
+        elif action.type is float:
+            yield parser, action
+
+
+def test_float_options_read_a_negative_value_in_any_notation():
+    options = list(_float_options(build_parser()))
+    assert len({a.option_strings[0] for _, a in options}) == 14
+    assert len({p.prog for p, _ in options}) == 7
+    for parser, action in options:
+        base, option = _required_argv(parser), action.option_strings[0]
+        for value in ("-1e-3", "-inf", "-1E+2", "-.5e1", "-NaN", "-Infinity"):
+            spaced = getattr(parser.parse_args([*base, option, value]), action.dest)
+            joined = getattr(parser.parse_args([*base, f"{option}={value}"]), action.dest)
+            assert repr(spaced) == repr(joined) == repr(float(value)), (parser.prog, option)
+
+
+def test_negative_values_in_exponent_notation_run_end_to_end(tmp_path, wavs, capsys):
+    vad = ["segment", "--mode", "vad", "--in", str(wavs[0]), "--vad-energy-floor-dbfs"]
+    code, summary = run_cli(capsys, *vad, "-1e2")
+    assert code == 0 and summary["n_segments"] == 1
+    assert (code, summary) == run_cli(capsys, *vad, "-100")
+    out = tmp_path / "model"
+    assert _assert_rejected(capsys, ["ddpm", "train", "--out-dir", out, "--seed", "0",
+                                     "--lr", "-1e-3"], out) == \
+        "error: learning rate must be finite and > 0, got -0.001\n"
 
 
 def _too_fine_rate_wav(path):

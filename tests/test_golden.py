@@ -55,9 +55,9 @@ GOLDEN = {
     "feats/long.f0.svcf":
         "2e1a73d5b1395e87ba54eb9d7b4bc13bf02f9681aac41901885423a3e60c9b47",
     "feats/long.loudness.svcf":
-        "81e9a1fe6d6ebcaaf9ee726900fb1cd51c909c78f59e8beea3709c95c55a026d",
+        "85b554c2018d84edbdfaabb04f28ccba27d09218cfe4203f209ae7147c9e03c8",
     "feats/long.mel.svcf":
-        "775d5fafe8df9d6b2d5586799d7c1fd00589c8d3951d4a98a7d90b61fdef7c93",
+        "88f4bcbe440983abb8fb85b8b6af70cdcd451dee891ff111b679aa553c44e6dc",
     "feats/short.f0.svcf":
         "3707ffa2c4ff6cfd2329ee83c1ba7bb8f7493c9dafd78a104feae53051ca4e47",
     "feats/short.loudness.svcf":
@@ -190,7 +190,7 @@ def test_seeded_cli_outputs_match_their_digests(tmp_path, capsys, monkeypatch):
 def test_seeded_oracle_sample_matches_its_digest(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["ddpm", "sample-oracle", "--mean", "0.5", "--std", "2.0", "--dim", "8",
-                 "--steps", "20", "--seed", "5", "--out", "y.svcf"]) == 0
+                 "--diffusion-steps", "20", "--seed", "5", "--out", "y.svcf"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == \
         "6d01813618e5d282a2a433a058d46262575eff5300367925bcafc2415446f3a3"
     assert _sha(Path("y.svcf").read_bytes()) == \

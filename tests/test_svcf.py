@@ -197,7 +197,8 @@ def test_json_record_reads_null_absent_and_defaulted_fields():
 
 
 @pytest.mark.parametrize("kind", [list, bool, dict, int | str, frozenset[str], float | int,
-                                  "list", "Optional[int]", "None | int", "typing.FrozenSet"])
+                                  "list", "Optional[int]", "None | int", "typing.FrozenSet",
+                                  "str", "int | None"])
 def test_json_record_refuses_a_field_type_it_cannot_read(kind):
     odd = make_dataclass("Odd", [("name", str), ("values", kind)])
     for doc in ({"name": "x", "values": []}, {}, "not an object"):
