@@ -1,8 +1,9 @@
 """WAV reading and encoding, mono mixdown, and polyphase resampling.
 
 Everything downstream runs at the canonical 24 kHz rate; `resample` is the
-only sanctioned way to get there. Its anti-alias filter is the one
-`scipy.signal.firwin` designs. Clips are immutable values.
+only sanctioned way to get there. It computes `scipy.signal.resample_poly`'s
+output, with the Kaiser filter `scipy.signal.firwin` designs, in numpy alone:
+this module imports no scipy. Clips are immutable values.
 """
 
 import os
@@ -12,6 +13,7 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults
 from .errors import FormatError, InvalidParameterError
@@ -150,6 +152,107 @@ def wav_bytes(clip: AudioClip) -> bytes:
 # multiples up to 768 kHz, and refuses a rate coprime with the target, such as
 # 1,000,003 Hz, before a gigabyte-sized filter is built.
 MAX_RESAMPLE_FACTOR = 48_000
+# A run's map of filter taps holds at most max(ceil(taps / up), this) entries
+# (512 KiB), so each matrix product below multiplies at least 4 rows.
+_RESAMPLE_MAP_ENTRIES = 1 << 16
+# Each matrix product does at most this many multiply-adds (M * N * K), or one
+# row where a map alone holds more (only for a source rate above 4,096 times
+# the target). OpenBLAS runs a product this small on the calling thread, so
+# the bits of the output do not depend on the BLAS thread count.
+_RESAMPLE_MACS_PER_CALL = 1 << 18
+
+
+def _run_span(k0: int, count: int, up: int, down: int, taps: int) -> tuple:
+    """(first, length) of the input samples that outputs k0 .. k0 + count - 1
+    read; `first` is negative where the filter overhangs the input's start."""
+    half = (taps - 1) // 2
+    first = -((taps - 1 - half - k0 * down) // up)
+    return first, ((k0 + count - 1) * down + half) // up - first + 1
+
+
+def _output_runs(up: int, down: int, taps: int) -> tuple:
+    """(period, runs). The outputs' maps repeat every `period` outputs, the
+    smallest multiple of `up` that is >= 64. A period splits into `runs` runs
+    of consecutive outputs, each with its own map: runs of about 64 outputs,
+    shorter while the widest run's map, of at most
+    ((width - 1) * down + taps - 1) // up + 1 rows, would hold more than
+    _RESAMPLE_MAP_ENTRIES entries."""
+    period = up * -(-64 // up)
+    runs = max(1, period // 64)
+    while runs < period:
+        width = -(-period // runs)
+        if width * (((width - 1) * down + taps - 1) // up + 1) <= _RESAMPLE_MAP_ENTRIES:
+            break
+        runs += 1
+    return period, runs
+
+
+def _resample_taps(taps: int, up: int, m: int, pad: int) -> np.ndarray:
+    """`pad` zeros, the filter `firwin(taps, 1 / m, window=("kaiser",
+    RESAMPLE_KAISER_BETA))` designs times the gain `up` that zero-stuffing
+    asks for, then `pad` zeros."""
+    beta, alpha = defaults.RESAMPLE_KAISER_BETA, (taps - 1) / 2
+    t = np.arange((taps + 1) // 2) - alpha  # the filter is even: compute its first half
+    head = np.sinc(t / m) / m * (np.i0(beta * np.sqrt(1 - (t / alpha) ** 2)) / np.i0(beta))
+    hp = np.zeros(taps + 2 * pad)
+    h = hp[pad:pad + taps]
+    h[:head.size] = head
+    h[head.size:] = head[:taps // 2][::-1]
+    h *= up / h.sum()
+    return hp
+
+
+def _segment(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """x[start:stop], read as zero outside x."""
+    if 0 <= start and stop <= x.size:
+        return x[start:stop]
+    seg = np.zeros(stop - start)
+    lo, hi = max(start, 0), min(stop, x.size)
+    if lo < hi:
+        seg[lo - start:hi - start] = x[lo:hi]
+    return seg
+
+
+def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """y[k] = sum_j h[k * down + half - j * up] x[j] for k < ceil(x.size *
+    up / down), with half = (len(h) - 1) // 2: the output of
+    `scipy.signal.resample_poly(x, up, down, window=h / up)`, computed run by
+    run.
+
+    A run of consecutive outputs is one window of the input times a map
+    W [span, width] of filter taps. Outputs `period` apart (a multiple of
+    `up`) read inputs `step` = period / up * down apart through the same
+    taps, so the runs at one place in every period share one map.
+    """
+    m = max(up, down)
+    taps = defaults.RESAMPLE_TAPS_PER_PHASE * m + 1
+    half = (taps - 1) // 2
+    period, runs = _output_runs(up, down, taps)
+    step = period // up * down
+    pad = (-(-period // runs) - 1) * down
+    hp = _resample_taps(taps, up, m, pad)
+    n_out = -(-x.size * up // down)
+    y = np.empty((-(-n_out // period), period))
+    for run in range(runs):
+        k0, k1 = period * run // runs, period * (run + 1) // runs
+        first, span = _run_span(k0, k1 - k0, up, down, taps)
+        # w[s, i] = h[(k0 + i) * down + half - (first + s) * up], read from hp
+        # (zero beyond the filter) with s running backwards, then flipped
+        top = pad + k0 * down + half - (first + span - 1) * up
+        w = sliding_window_view(hp[top:], (span - 1) * up + 1)[:(k1 - k0 - 1) * down + 1:down, ::up]
+        w = np.ascontiguousarray(w.T[::-1])
+        out = y[:, k0:k1]
+        rows = max(1, _RESAMPLE_MACS_PER_CALL // w.size)
+        inner = sliding_window_view(x, span) if x.size >= span else None
+        for r in range(0, len(y), rows):
+            start = first + r * step
+            stop = start + (min(rows, len(y) - r) - 1) * step + span
+            if start >= 0 and stop <= x.size:
+                windows = inner[start:stop - span + 1:step]
+            else:
+                windows = sliding_window_view(_segment(x, start, stop), span)[::step]
+            out[r:r + rows] = windows @ w
+    return y.reshape(-1)[:n_out]
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -161,7 +264,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
     The filter, firwin's Kaiser window (RESAMPLE_KAISER_BETA) over a sinc of
     RESAMPLE_TAPS_PER_PHASE taps per unit of max(up, down), cuts off at the
-    narrower of the two Nyquist bands and has a DC gain of exactly 1.
+    narrower of the two Nyquist bands and has a DC gain of exactly 1. The
+    output is `resample_poly`'s with that filter, to within about 1e-14,
+    computed as numpy matrix products over runs of outputs; its bytes do
+    not depend on the BLAS thread count.
     """
     if int(target_rate) != target_rate or target_rate <= 0:
         raise InvalidParameterError("target_rate must be a positive integer")
@@ -176,10 +282,4 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
             f"ratio {up}/{down} has a term above {MAX_RESAMPLE_FACTOR}")
     if clip.samples.size == 0:
         return AudioClip(np.zeros(0), target_rate)
-    from scipy.signal import firwin, resample_poly  # here, so importing the package stays cheap
-
-    m = max(up, down)
-    kernel = firwin(defaults.RESAMPLE_TAPS_PER_PHASE * m + 1, 1 / m,
-                    window=("kaiser", defaults.RESAMPLE_KAISER_BETA))
-    y = resample_poly(clip.samples, up, down, window=kernel)
-    return AudioClip(y, target_rate)
+    return AudioClip(_polyphase(clip.samples, up, down), target_rate)

@@ -2,15 +2,16 @@
 
 Every subcommand prints one machine-readable JSON summary on stdout and keeps
 human diagnostics on stderr. An option matches by its full name only: a prefix
-of it is a usage error. A float option takes a negative value in any notation,
-`-1e-3` and `-inf` among them. A handler returns its summary and its output
-files as `(path, bytes)` pairs; `main` alone writes: it encodes the summary,
-writes every file in one all-or-nothing `svcf.atomic_write_files` call, then
-prints. Exit status: 0 success, 1 usage error, 2 data/validation error, 3
-internal error. Seeded invocations are byte-reproducible, including across
---jobs settings: `extract` and `f0-stats` analyse up to --jobs inputs at once
-and hand their frame blocks to one pool of --jobs threads; each clip's blocks
-are joined in block order and the clips in input order.
+of it is a usage error. A float option takes a negative value in any notation
+float() reads, `-1e-3`, `-inf` and `-1_000` among them. A handler returns its
+summary and its output files as `(path, bytes)` pairs; `main` alone writes: it
+encodes the summary, writes every file in one all-or-nothing
+`svcf.atomic_write_files` call, then prints. Exit status: 0 success, 1 usage
+error, 2 data/validation error, 3 internal error. Seeded invocations are
+byte-reproducible, including across --jobs settings: `extract` and `f0-stats`
+analyse up to --jobs inputs at once and hand their frame blocks to one pool of
+--jobs threads; each clip's blocks are joined in block order and the clips in
+input order.
 """
 
 import argparse
@@ -74,9 +75,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):  # an option matches by its full name only
         super().__init__(allow_abbrev=False, **kwargs)
         # argparse takes only -12 and -1.5 for negative numbers, so it would read
-        # -1e-3, -inf and -nan as options
+        # -1e-3, -inf, -nan and -1_000 as options; float() takes "_" between digits
+        digits = r"\d(_?\d)*"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            rf"^-({digits}\.?({digits})?|\.{digits})(e[-+]?{digits})?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)

@@ -79,14 +79,15 @@ def _normalized_autocorr(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """
     x = frames - frames.mean(axis=1, keepdims=True)
     w = x.shape[1]
-    nfft = 1 << int(np.ceil(np.log2(w + max_lag + 1)))
+    # the smaller of the next 2^k and the next 3 * 2^k that holds every lag
+    # without wrapping around (1,536, not 2,048, for the default F0 range)
+    need = w + max_lag + 1
+    nfft = min(1 << (need - 1).bit_length(), 3 << (-(-need // 3) - 1).bit_length())
     spec = np.fft.rfft(x, n=nfft, axis=1)
     corr = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=1)[:, :max_lag + 1]
     sq = np.concatenate([np.zeros((x.shape[0], 1)), np.cumsum(x * x, axis=1)], axis=1)
-    total = sq[:, -1:]
-    lags = np.arange(max_lag + 1)
-    head = sq[:, w - lags]      # energy of x[:W-lag]
-    tail = total - sq[:, lags]  # energy of x[lag:]
+    head = sq[:, w - max_lag:w + 1][:, ::-1]  # energy of x[:W-lag]
+    tail = sq[:, -1:] - sq[:, :max_lag + 1]  # energy of x[lag:]
     denom = np.sqrt(np.maximum(head * tail, 0.0))
     return np.where(denom > 0, corr / np.maximum(denom, 1e-300), 0.0)
 

@@ -1,11 +1,18 @@
 import struct
+import subprocess
+import sys
 import tracemalloc
+from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.signal import firwin, resample_poly
 
-from svcforge.audio import AudioClip, read_wav, resample, wav_bytes
+from svcforge import defaults
+from svcforge.audio import (_RESAMPLE_MAP_ENTRIES, AudioClip, _run_span, _output_runs,
+                            read_wav, resample, wav_bytes)
 from svcforge.errors import FormatError, InvalidParameterError, MissingFileError
 from synth import sine
 
@@ -282,6 +289,68 @@ def test_resample_filter_passes_dc_at_unit_gain_and_stops_aliases():
         tone = sine(0.3 * rate, 0.5, sample_rate=rate)
         out = resample(tone, 24000).samples[500:-500]
         assert 20 * np.log10(np.std(out) / np.std(tone.samples)) < -80.0, rate
+
+
+# the standard rates to 24 kHz, and three of perturb's inner rates from it
+@pytest.mark.parametrize("src,dst", [
+    *((rate, 24000) for rate in (44100, 48000, 22050, 16000, 11025, 8000, 96000, 88200, 768000)),
+    (24000, 12100), (24000, 25400), (24000, 47900),
+])
+def test_resample_matches_resample_poly_with_the_firwin_filter(src, dst):
+    g = gcd(src, dst)
+    up, down = dst // g, src // g
+    m = max(up, down)
+    kernel = firwin(defaults.RESAMPLE_TAPS_PER_PHASE * m + 1, 1 / m,
+                    window=("kaiser", defaults.RESAMPLE_KAISER_BETA))
+    rng = np.random.default_rng(src + dst)
+    for n in (1, 2, 5, 1000, 4099):
+        x = rng.uniform(-1, 1, n)
+        expected = resample_poly(x, up, down, window=kernel)
+        out = resample(AudioClip(x, src), dst).samples
+        assert out.shape == expected.shape, (n, out.shape, expected.shape)
+        assert np.max(np.abs(out - expected)) < 1e-13, n
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from svcforge.audio import AudioClip, resample
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for rate in (44100, 48000, 47900, 96000, 768000):
+    h.update(resample(AudioClip(rng.uniform(-1, 1, 30000), rate), 24000).samples.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_resampled_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a larger product over its threads, and the split moves bits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for threads in ("1", "4"):
+        result = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
+
+
+def test_resample_maps_stay_within_their_budget():
+    # every rate README names to 24 kHz, every perturb inner rate from it, and
+    # two extreme ratios
+    rates = (8000, 11025, 16000, 22050, 44056, 44100, 47952, 48000, 50001, 88200, 96000,
+             176400, 192000, 352800, 384000, 705600, 768000)
+    pairs = [(24000 // gcd(r, 24000), r // gcd(r, 24000)) for r in rates]
+    pairs += [(r // gcd(r, 24000), 24000 // gcd(r, 24000)) for r in range(12000, 48001, 100)]
+    for up, down in pairs + [(1, 48000), (24000, 47999)]:
+        taps = defaults.RESAMPLE_TAPS_PER_PHASE * max(up, down) + 1
+        period, runs = _output_runs(up, down, taps)
+        for run in range(runs):  # each run of a period has its own map
+            k0, k1 = period * run // runs, period * (run + 1) // runs
+            entries = (k1 - k0) * _run_span(k0, k1 - k0, up, down, taps)[1]
+            assert entries <= max(-(-taps // up), _RESAMPLE_MAP_ENTRIES) <= max(taps, 1 << 20), \
+                (up, down, run)
 
 
 @pytest.mark.parametrize("rate", [11025, 44056, 47952, 88200, 96000, 192000, 768000])

@@ -1306,7 +1306,8 @@ def test_float_options_read_a_negative_value_in_any_notation():
     assert len({p.prog for p, _ in options}) == 7
     for parser, action in options:
         base, option = _required_argv(parser), action.option_strings[0]
-        for value in ("-1e-3", "-inf", "-1E+2", "-.5e1", "-NaN", "-Infinity"):
+        for value in ("-1e-3", "-inf", "-1E+2", "-.5e1", "-NaN", "-Infinity", "-1_0",
+                      "-1_0.5e1_0"):
             spaced = getattr(parser.parse_args([*base, option, value]), action.dest)
             joined = getattr(parser.parse_args([*base, f"{option}={value}"]), action.dest)
             assert repr(spaced) == repr(joined) == repr(float(value)), (parser.prog, option)
@@ -1431,7 +1432,7 @@ import contextlib, io, json, sys
 import svcforge.cli
 
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.special")))
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 report = {"import svcforge.cli": scipy_loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -1467,10 +1468,22 @@ def test_commands_that_neither_resample_nor_equalise_load_no_scipy(tmp_path):
     }
 
 
-def test_extract_of_a_44k_wav_loads_scipy_signal(tmp_path):
+def test_analysis_of_a_44k_wav_loads_no_scipy_and_perturb_loads_scipy_signal(tmp_path):
+    # the resampler is numpy alone; only perturb's EQ filters with scipy.signal
     wav = tmp_path / "a.wav"
-    wav.write_bytes(wav_bytes(sine(440, 0.2, sample_rate=44100)))
-    report = _scipy_modules_after(["extract", "--in", wav, "--out-dir", tmp_path / "out"])
-    code, loaded = report["extract --in"]
-    assert code == 0
-    assert "scipy.signal" in loaded
+    wav.write_bytes(wav_bytes(sine(440, 0.5, sample_rate=44100)))
+    report = _scipy_modules_after(
+        ["extract", "--in", wav, "--out-dir", tmp_path / "out"],
+        ["f0-stats", "--in", wav, "--speaker-id", "s", "--out", tmp_path / "s.json"],
+        ["segment", "--mode", "vad", "--in", wav],
+        ["perturb", "--in", wav, "--out-a", tmp_path / "pa.wav", "--out-b", tmp_path / "pb.wav",
+         "--seed", 0],
+    )
+    code, loaded = report.pop("perturb --in")
+    assert code == 0 and "scipy.signal" in loaded
+    assert report == {
+        "import svcforge.cli": [],
+        "extract --in": [0, []],
+        "f0-stats --in": [0, []],
+        "segment --mode": [0, []],
+    }
