@@ -203,9 +203,7 @@ def _resample_taps(taps: int, up: int, m: int, pad: int) -> np.ndarray:
 
 
 def _segment(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """x[start:stop], read as zero outside x."""
-    if 0 <= start and stop <= x.size:
-        return x[start:stop]
+    """A copy of x[start:stop], read as zero outside x."""
     seg = np.zeros(stop - start)
     lo, hi = max(start, 0), min(stop, x.size)
     if lo < hi:
