@@ -50,7 +50,7 @@ def main() -> int:
     speech_stats = compute_f0_stats([estimate_f0(speech)], "speech")
     singing_stats = compute_f0_stats([sing_track], "singing")
     converted = convert_logf0(sing_track, singing_stats, speech_stats,
-                              ConversionPolicy.cross_domain())
+                              ConversionPolicy(cross_domain=True))
     agreement = f0_metrics(sing_track, converted)
 
     clips = {"speech.wav": speech, "singing.wav": singing,

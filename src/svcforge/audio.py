@@ -178,7 +178,7 @@ def _output_runs(up: int, down: int, taps: int) -> tuple:
     ((width - 1) * down + taps - 1) // up + 1 rows, would hold more than
     _RESAMPLE_MAP_ENTRIES entries."""
     period = up * -(-64 // up)
-    runs = max(1, period // 64)
+    runs = period // 64
     while runs < period:
         width = -(-period // runs)
         if width * (((width - 1) * down + taps - 1) // up + 1) <= _RESAMPLE_MAP_ENTRIES:
@@ -278,6 +278,4 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         raise InvalidParameterError(
             f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: the reduced "
             f"ratio {up}/{down} has a term above {MAX_RESAMPLE_FACTOR}")
-    if clip.samples.size == 0:
-        return AudioClip(np.zeros(0), target_rate)
     return AudioClip(_polyphase(clip.samples, up, down), target_rate)

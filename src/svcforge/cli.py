@@ -163,8 +163,7 @@ def _cmd_f0_stats(args) -> tuple:
 
 
 def _cmd_convert_pitch(args) -> tuple:
-    base = ConversionPolicy.cross_domain() if args.policy == "cross-domain" else ConversionPolicy()
-    policy = replace(base, scale_sigma=args.scale_sigma, quantize_cents=args.quantize_cents)
+    policy = ConversionPolicy(args.scale_sigma, args.quantize_cents, args.policy == "cross-domain")
     track = F0Track.from_array(read_tensor(args.input))
     stats_x = load_stats(args.source_stats)
     stats_y = load_stats(args.target_stats)

@@ -4,10 +4,12 @@
 override F0_FLOOR_HZ and F0_CEIL_HZ (`extract`, `f0-stats`), VAD_* and
 MIN_REST_SEC (`segment`), QUANTIZE_CENTS (`convert-pitch`), and
 DIFFUSION_STEPS, GUIDANCE_SCALE, P_UNCOND and FINETUNE_ITERATIONS (`ddpm`).
-Every other entry, CROSS_DOMAIN_OFFSET_SEMITONES among them, is read from
-the table when used, so `config show` prints the value in use. The toy
-denoiser's literals (lr 1e-3, 500 steps, hidden 32, dim 8, speaker_dim 4,
-`toy_dataset`'s 8 items, 200 `evaluate_l2` draws from seed 12345) are not here.
+Every other entry, CROSS_DOMAIN_OFFSET_SEMITONES and F0_MEDIAN_WIDTH among
+them, is read from the table when used, so `config show` prints the value in
+use; only HOP, WIN_LENGTH and FFT_SIZE are bound at import, into the one frame
+grid `features.CANONICAL_FRAME_CONFIG`. The toy denoiser's literals (lr 1e-3,
+500 steps, hidden 32, dim 8, speaker_dim 4, `toy_dataset`'s 8 items, 200
+`evaluate_l2` draws from seed 12345) are not here.
 """
 
 DEFAULTS_VERSION = "2"

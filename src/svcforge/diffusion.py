@@ -158,10 +158,13 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
 
 def _check_schedule(denoiser, sched: NoiseSchedule) -> None:
     """Reject a schedule whose length is not the `num_steps` the denoiser was
-    trained or built for; a denoiser without `num_steps` is unchecked."""
+    trained or built for, or whose betas are not those of the `sched` it was
+    built on (the oracle's); a denoiser without either is unchecked."""
     steps = getattr(denoiser, "num_steps", sched.num_steps)
     if sched.num_steps != steps:
         raise InvalidParameterError(f"a {sched.num_steps}-step schedule for a {steps}-step model")
+    if not np.array_equal(getattr(denoiser, "sched", sched).beta, sched.beta):
+        raise InvalidParameterError("the schedule's betas are not the ones the model was built on")
 
 
 def sample(denoiser, sched: NoiseSchedule, cond: ConditionSet,
@@ -173,7 +176,7 @@ def sample(denoiser, sched: NoiseSchedule, cond: ConditionSet,
     n independent samples in one pass; every operation in the chain is
     elementwise or scalar-weighted, so the rows do not interact. A chain
     that overflows to a non-finite value is an InvalidParameterError, and so
-    is a schedule whose length is not the denoiser's.
+    is a schedule that `_check_schedule` rejects.
     """
     _check_schedule(denoiser, sched)
     shape = (dim,) if isinstance(dim, int) else tuple(dim)

@@ -92,14 +92,15 @@ def _normalized_autocorr(frames: np.ndarray, max_lag: int) -> np.ndarray:
     return np.where(denom > 0, corr / np.maximum(denom, 1e-300), 0.0)
 
 
-def _pick_f0(frames: np.ndarray, sr: int, lag_min: int, lag_max: int,
-             f_floor: float, f_ceil: float) -> np.ndarray:
+def _pick_f0(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
     """F0 of each frame of a block, 0 where it is unvoiced.
 
     A frame's peaks are the local maxima of its correlation over
     [lag_min + 1, lag_max - 1] that reach the voicing threshold; the
     earliest within `_PEAK_MARGIN` of the best one wins, and its lag is
-    refined by a parabola through it and its two neighbours.
+    refined by a parabola through it and its two neighbours. The refined
+    lag lies in [lag_min + 0.5, lag_max - 0.5], so with `lag_range`'s lags
+    the F0 lies within [f_floor, f_ceil] without a clamp.
     """
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     energy_ok = rms >= 10.0 ** (defaults.VUV_ENERGY_FLOOR_DBFS / 20.0)
@@ -117,13 +118,12 @@ def _pick_f0(frames: np.ndarray, sr: int, lag_min: int, lag_max: int,
     denom = y0 - 2 * y1 + y2
     delta = np.zeros_like(denom)
     np.divide(0.5 * (y0 - y2), denom, out=delta, where=np.abs(denom) > 1e-12)
-    delta = np.clip(delta, -0.5, 0.5)
-    f0 = np.clip(sr / (lag + delta), f_floor, f_ceil)
+    delta = np.clip(delta, -0.5, 0.5)  # finite on rows without a peak, zeroed below
+    f0 = defaults.SAMPLE_RATE / (lag + delta)
     return np.where(energy_ok & peak.any(axis=1), f0, 0.0)
 
 
-def _median_smooth_runs(f0: np.ndarray, vuv: np.ndarray,
-                        width: int = defaults.F0_MEDIAN_WIDTH) -> np.ndarray:
+def _median_smooth_runs(f0: np.ndarray, vuv: np.ndarray, width: int) -> np.ndarray:
     """Centred running median of `width` frames within each voiced run.
 
     Windows are clipped to the run, so a run's edge frames take the median
@@ -165,9 +165,8 @@ def estimate_f0(clip: AudioClip, f_floor: float = defaults.F0_FLOOR_HZ,
     """
     lag_min, lag_max = lag_range(f_floor, f_ceil)
     f0 = np.concatenate(list(map(
-        lambda frames: _pick_f0(frames, defaults.SAMPLE_RATE, lag_min, lag_max, f_floor, f_ceil),
-        frame_blocks(clip))))
-    return F0Track(_median_smooth_runs(f0, f0 > 0))
+        lambda frames: _pick_f0(frames, lag_min, lag_max), frame_blocks(clip))))
+    return F0Track(_median_smooth_runs(f0, f0 > 0, defaults.F0_MEDIAN_WIDTH))
 
 
 def semitones_to_ratio(semitones: float) -> float:

@@ -46,23 +46,18 @@ class ConversionPolicy:
     """Knobs for the conversion heuristics.
 
     scale_sigma=False applies a pure shift (both sigmas treated as one);
-    quantize_cents is 0 (off) or 100; cross_domain_offset_semitones is added
-    last and is deliberately not quantized.
+    quantize_cents is 0 (off) or 100; cross_domain (Task 2, speech-range to
+    singing-range material) adds defaults.CROSS_DOMAIN_OFFSET_SEMITONES last,
+    deliberately not quantized.
     """
 
     scale_sigma: bool = False
     quantize_cents: int = defaults.QUANTIZE_CENTS
-    cross_domain_offset_semitones: float = 0.0
+    cross_domain: bool = False
 
     def __post_init__(self):
         if self.quantize_cents not in (0, 100):
             raise InvalidParameterError("quantize_cents must be 0 or 100")
-        if not 0 <= self.cross_domain_offset_semitones <= 12:
-            raise InvalidParameterError("offset must be within [0, 12] semitones")
-
-    @classmethod
-    def cross_domain(cls) -> "ConversionPolicy":
-        return cls(cross_domain_offset_semitones=defaults.CROSS_DOMAIN_OFFSET_SEMITONES)
 
 
 def compute_f0_stats(tracks: list, speaker_id: str) -> SpeakerF0Stats:
@@ -114,7 +109,8 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
             delta_cents = (stats_y.mean_log_f0 - stats_x.mean_log_f0) * 1200.0 / _LN2
             delta_cents = quantize_shift_cents(delta_cents, policy.quantize_cents)
             out = lf + delta_cents * _LN2 / 1200.0
-        out = out + policy.cross_domain_offset_semitones * _LN2 / 12.0
+        if policy.cross_domain:
+            out = out + defaults.CROSS_DOMAIN_OFFSET_SEMITONES * _LN2 / 12.0
         voiced_f0 = np.exp(out)
     if not np.all(np.isfinite(voiced_f0) & (voiced_f0 > 0)):
         raise InvalidParameterError(

@@ -103,7 +103,7 @@ def test_criterion_02():
     # cross-domain with matched means: every voiced frame moves exactly
     # +600 cents, a ratio of 2^0.5
     stats = SpeakerF0Stats("s", math.log(220.0), 0.2, 99)
-    out = convert_logf0(track, stats, stats, ConversionPolicy.cross_domain())
+    out = convert_logf0(track, stats, stats, ConversionPolicy(cross_domain=True))
     ratio = out.f0_hz[out.vuv] / track.f0_hz[track.vuv]
     assert np.max(np.abs(ratio - 2 ** 0.5)) < 1e-12
     assert np.array_equal(out.vuv, track.vuv)

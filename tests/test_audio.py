@@ -243,6 +243,8 @@ def test_clip_validation():
         AudioClip(np.zeros((2, 2)), 24000)
     with pytest.raises(InvalidParameterError):
         AudioClip(np.zeros(4), 0)
+    with pytest.raises(InvalidParameterError, match="target_rate"):
+        resample(AudioClip(np.zeros(4), 24000), 0)
 
 
 def test_resample_identity():
@@ -353,12 +355,14 @@ def test_resample_maps_stay_within_their_budget():
                 (up, down, run)
 
 
-@pytest.mark.parametrize("rate", [11025, 44056, 47952, 88200, 96000, 192000, 768000])
+@pytest.mark.parametrize("rate", [8000, 11025, 44056, 44100, 47952, 48000, 88200, 96000,
+                                  192000, 768000])
 def test_resample_accepts_common_and_odd_rates(rate):
-    n = rate // 10
-    out = resample(AudioClip(np.zeros(n), rate), 24000)
-    assert out.sample_rate == 24000
-    assert out.samples.size == -(-n * 24000 // rate)
+    for n in (rate // 10, 0):  # an empty clip gives an empty clip
+        out = resample(AudioClip(np.zeros(n), rate), 24000)
+        assert out.sample_rate == 24000
+        assert out.samples.dtype == np.float64
+        assert out.samples.shape == (-(-n * 24000 // rate),)
 
 
 @pytest.mark.parametrize("rate", [48001, 50003, 1000003])

@@ -168,15 +168,15 @@ def test_f0_stats_and_convert_pitch_cross_domain(tmp_path, wavs, capsys):
     assert code == 0
     # matched stats: the quantized mean shift is 0, offset contributes +600
     assert summary["median_shift_cents"] == pytest.approx(600.0, abs=1e-6)
-    assert summary["policy"]["cross_domain_offset_semitones"] == 6.0
+    assert summary["policy"]["cross_domain"] is True
 
 
 @pytest.mark.parametrize("flags, policy", [
-    ([], (False, 100, 0.0)),
-    (["--policy", "in-domain"], (False, 100, 0.0)),
-    (["--policy", "cross-domain"], (False, 100, 6.0)),
-    (["--scale-sigma"], (True, 100, 0.0)),
-    (["--quantize-cents", "0"], (False, 0, 0.0)),
+    ([], (False, 100, False)),
+    (["--policy", "in-domain"], (False, 100, False)),
+    (["--policy", "cross-domain"], (False, 100, True)),
+    (["--scale-sigma"], (True, 100, False)),
+    (["--quantize-cents", "0"], (False, 0, False)),
 ])
 def test_convert_pitch_policy_from_flags(tmp_path, capsys, flags, policy):
     track, stats, out = tmp_path / "f0.svcf", tmp_path / "stats.json", tmp_path / "o.svcf"
@@ -187,7 +187,7 @@ def test_convert_pitch_policy_from_flags(tmp_path, capsys, flags, policy):
                             *flags)
     assert code == 0
     assert summary["policy"] == dict(zip(
-        ["scale_sigma", "quantize_cents", "cross_domain_offset_semitones"], policy))
+        ["scale_sigma", "quantize_cents", "cross_domain"], policy))
 
 
 def test_manifest_compose_reference_totals(capsys):
@@ -914,8 +914,10 @@ _GOOD_NOTE = '{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60}'
      "training-set spec {doc}", "name must be a JSON string, got 3"),
     ("stats", '{"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": -1, "n_voiced_frames": 1}',
      "stats file {doc}", "std_log_f0 must be >= 0"),
+    ("stats", '{"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": 0.1, "n_voiced_frames": 0}',
+     "stats file {doc}", "need at least one voiced frame"),
 ], ids=["manifest-field", "manifest-check", "notes-field", "notes-check", "spec-field",
-        "stats-check"])
+        "stats-check", "stats-no-voiced-frame"])
 def test_record_errors_name_the_file_and_the_line_or_index(tmp_path, capsys, case, text,
                                                             place, message):
     doc, out = tmp_path / f"{case}.json", tmp_path / "out"

@@ -100,6 +100,8 @@ def test_batch_validation():
         FeaturePairBatch(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(InvalidParameterError):
         FeaturePairBatch(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        FeaturePairBatch(np.array([[1.0, 0.0], [np.nan, 1.0]]), np.eye(2))
 
 
 def test_batch_survives_svcf_interchange(tmp_path):

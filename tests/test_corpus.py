@@ -91,6 +91,9 @@ def test_entry_validation():
         ManifestEntry("x", "p", "d", "en", "humming", "s", 10.0, 24000)
     with pytest.raises(InvalidParameterError):
         ManifestEntry("x", "p", "d", "en", "speech", "s", 0.0, 24000)
+    for start, end in ((2.0, 1.0), (1.0, 1.0), (-0.5, 1.0)):
+        with pytest.raises(InvalidParameterError, match="start < end"):
+            SegmentSpec(start, end)
 
 
 # -- VAD ----------------------------------------------------------------------

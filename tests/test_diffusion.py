@@ -101,11 +101,20 @@ def test_hyper_parameters_are_read_from_the_table_when_used(monkeypatch):
     after = used()
     assert after[0] != before[0]
     assert (before[1:], after[1:]) == ((0.01, 0.02, 80), (0.02, 0.03, 40))
+    # 200 filters over 0-12 kHz put the lowest ones' feet closer than the
+    # 23.4 Hz bin spacing
+    monkeypatch.setattr(defaults, "N_MELS", 200)
+    with pytest.raises(InvalidParameterError, match="narrower than one FFT bin"):
+        build_mel_filterbank()
 
 
 def test_schedule_validation():
     with pytest.raises(InvalidParameterError):
         linear_schedule(num_steps=0)
+    with pytest.raises(InvalidParameterError, match="nonempty"):
+        NoiseSchedule(np.zeros(0))
+    with pytest.raises(InvalidParameterError, match="0 < beta"):
+        NoiseSchedule(np.array([0.01, 0.0]))
     for t in (0, 101, -1):
         with pytest.raises(InvalidParameterError, match="outside"):
             SCHED.at(t)
@@ -447,6 +456,11 @@ def test_condition_summary_follows_replace_and_stays_out_of_eq_and_repr():
 def test_condition_tracks_need_a_frame():
     with pytest.raises(InvalidParameterError, match="share one frame count"):
         ConditionSet(np.zeros((0, 4)), np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(InvalidParameterError, match="want linguistic"):
+        ConditionSet(np.zeros(4), np.zeros((1, 2)), np.zeros(1))
+    with pytest.raises(InvalidParameterError, match="must be 1-D"):
+        ConditionSet(np.zeros((1, 4)), np.zeros((1, 2)), np.zeros(1),
+                     speaker_embedding=np.eye(2)[:1])
 
 
 @pytest.mark.parametrize("num_steps", [0, -3, 10**10])
@@ -513,6 +527,17 @@ def test_training_rejects_a_schedule_whose_length_is_not_the_models(sched_steps)
     assert sample(_TwoFaced(np.zeros(3), np.zeros(3)), sched, cond, dim=3).shape == (3,)
 
 
+def test_the_oracle_refuses_a_schedule_it_was_not_built_on():
+    # one length, other betas: the oracle's posterior would read the wrong
+    # alpha_bar at every step and the samples would miss N(mu0, sigma0^2)
+    oracle = analytic_gaussian_denoiser(np.full(8, 1.5), 1.0, SCHED)
+    with pytest.raises(InvalidParameterError, match="betas"):
+        sample(oracle, NoiseSchedule(np.full(100, 0.05)), _cond(), dim=8)
+    # an equal schedule built anew is the same schedule
+    assert np.array_equal(sample(oracle, linear_schedule(), _cond(), dim=8),
+                          sample(oracle, SCHED, _cond(), dim=8))
+
+
 def test_forward_checks_shapes():
     model, cond = _toy()
     wrong_speaker = replace(cond, speaker_embedding=pseudo_speaker_embedding(0, 2))
@@ -524,6 +549,10 @@ def test_forward_checks_shapes():
         model.l2_loss_and_grads(np.zeros(4), 3, cond, np.zeros(4))
     with pytest.raises(InvalidParameterError, match="speaker embedding"):
         model.l2_loss_and_grads(np.zeros(3), 3, wrong_speaker, np.zeros(3))
+    with pytest.raises(InvalidParameterError, match="needs a speaker embedding"):
+        model.predict_eps(np.zeros(3), 3, replace(cond, speaker_embedding=None))
+    with pytest.raises(InvalidParameterError, match="matching 1-D vectors"):
+        model.l2_loss_and_grads(np.zeros((2, 3)), 3, cond, np.zeros((2, 3)))
     # condition summary of 8, model wants 7
     with pytest.raises(InvalidParameterError, match="7-entry condition summary, got 8"):
         model.predict_eps(np.zeros(3), 3, _cond(ling_dim=5))
@@ -652,6 +681,14 @@ def test_train_rejects_bad_rate_and_drop_probability(lr, p_uncond):
         train_toy(model, [(np.zeros(3), cond)], SCHED,
                   TrainConfig(steps=2, lr=lr, p_uncond=p_uncond))
     assert model.param_hash() == before
+
+
+def test_training_that_overflows_a_parameter_diverged():
+    # the one loss is finite; the step it takes at this rate overflows
+    model = ToyDenoiser(dim=4, cond_dim=5, speaker_dim=2, num_steps=10, hidden=4, seed=0)
+    with pytest.raises(InvalidParameterError, match="training diverged"):
+        train_toy(model, toy_dataset(model, 0), linear_schedule(10),
+                  TrainConfig(steps=1, lr=1.7e308))
 
 
 @pytest.mark.parametrize("lr", [math.nan, 0.0, -1e-3, math.inf])

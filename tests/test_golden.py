@@ -37,7 +37,7 @@ GOLDEN = {
     "stdout of f0-stats --in short.wav --speaker-id tgt --out tgt.json":
         "0598b6df877136f7251776acfd2f15608cfbd314d6f8820099ba6a93788b0946",
     "stdout of convert-pitch --in feats/long.f0.svcf --out conv.f0.svcf --source-stats src.json --target-stats tgt.json --policy cross-domain":
-        "d13b4eea78bc6b1d4721ca5425118fadf479f568e30ef1b23e2526d18b5528ca",
+        "a6f815a16d9031dbfa786755b4b181e360e050298fcabcd13e87f7219a8ae4cd",
     "stdout of segment --mode vad --in long.wav --out seg.json":
         "b391444ae3639bc45c5b123a25af644fbfa44ed0967b83080de2a525ceba39e5",
     "stdout of manifest compose --manifest m.jsonl --spec spec.json --out sel.jsonl":

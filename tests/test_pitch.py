@@ -57,9 +57,29 @@ def test_bad_range():
 
 
 def test_voiced_f0_within_range():
-    track = estimate_f0(sawtooth(220, 0.6), f_floor=80.0, f_ceil=900.0)
-    voiced = track.f0_hz[track.vuv]
-    assert np.all(voiced >= 80.0) and np.all(voiced <= 900.0)
+    # the range's ends lie at exact integer lags, lag_max = 110 and lag_min =
+    # 100; the last two periods put the refined lag within half a sample of them
+    for freq, f_floor, f_ceil in ((220.0, 80.0, 900.0), (220.0, 24000 / 110, 240.0),
+                                  (24000 / 109.45, 24000 / 110, 240.0),
+                                  (24000 / 100.55, 24000 / 110, 240.0)):
+        track = estimate_f0(sawtooth(freq, 0.6), f_floor=f_floor, f_ceil=f_ceil)
+        voiced = track.f0_hz[track.vuv]
+        assert voiced.size > 0, freq
+        assert np.all(voiced >= f_floor) and np.all(voiced <= f_ceil), freq
+
+
+def test_median_width_is_read_from_the_table_when_used(monkeypatch):
+    # 220 Hz with a 5.5 Hz vibrato of one semitone: the F0 moves every frame,
+    # so the run median changes the track and width 1 leaves it as picked
+    sr = defaults.SAMPLE_RATE
+    t = np.arange(sr) / sr
+    f = 220.0 * 2.0 ** (np.sin(2 * np.pi * 5.5 * t) / 12.0)
+    clip = AudioClip(0.5 * np.sin(2 * np.pi * np.cumsum(f) / sr), sr)
+    smoothed = estimate_f0(clip)
+    monkeypatch.setattr(defaults, "F0_MEDIAN_WIDTH", 1)
+    picked = estimate_f0(clip)
+    assert np.array_equal(picked.vuv, smoothed.vuv) and picked.vuv.any()
+    assert not np.array_equal(picked.f0_hz, smoothed.f0_hz)
 
 
 def test_pitch_shift_consistency():

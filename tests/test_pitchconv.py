@@ -17,8 +17,7 @@ from svcforge.pitchconv import (
 )
 from svcforge.svcf import json_bytes
 
-IDENTITY = ConversionPolicy(scale_sigma=False, quantize_cents=0,
-                            cross_domain_offset_semitones=0.0)
+IDENTITY = ConversionPolicy(scale_sigma=False, quantize_cents=0, cross_domain=False)
 
 
 def _track(f0_values):
@@ -68,6 +67,8 @@ def test_quantize_cases():
     assert quantize_shift_cents(349.9, granularity=0) == 349.9
     with pytest.raises(InvalidParameterError):
         quantize_shift_cents(100.0, granularity=50)
+    with pytest.raises(InvalidParameterError, match="0 or 100"):
+        ConversionPolicy(quantize_cents=50)
 
 
 def test_identity_conversion():
@@ -81,8 +82,7 @@ def test_identity_conversion():
 def test_cross_domain_offset_six_semitones():
     track = _track([220.0])
     stats = compute_f0_stats([_track([220.0, 247.0])], "s")
-    policy = ConversionPolicy(scale_sigma=False, quantize_cents=0,
-                              cross_domain_offset_semitones=6.0)
+    policy = ConversionPolicy(scale_sigma=False, quantize_cents=0, cross_domain=True)
     out = convert_logf0(track, stats, stats, policy)
     assert out.f0_hz[0] == pytest.approx(220.0 * 2 ** 0.5, abs=1e-9)
 
