@@ -31,8 +31,9 @@ class PerturbConfig:
 
 def peaking_biquad(fc_hz: float, q: float, gain_db: float,
                    sample_rate: int) -> tuple:
-    """Peaking-EQ biquad (cookbook closed form) as lfilter's (b, a), with
-    a[0] == 1.
+    """Peaking-EQ biquad (cookbook closed form) as the coefficients (b, a) of
+    H(z) = (b[0] + b[1] z^-1 + b[2] z^-2) / (a[0] + a[1] z^-1 + a[2] z^-2),
+    with a[0] == 1.
 
     |H| at fc equals 10^(gain_db/20) exactly; gain_db = 0 collapses to the
     identity filter. A pole on or outside the unit circle, or a coefficient
@@ -54,14 +55,69 @@ def peaking_biquad(fc_hz: float, q: float, gain_db: float,
     return b, a
 
 
-def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
-    """Cascade of peaking filters; bands are (fc_hz, q, gain_db) triples."""
-    from scipy.signal import lfilter  # here, so importing the package stays cheap
+# The EQ cascade runs over blocks of this many samples: each block's output
+# and end state are matrix products, and one Python step per block carries
+# the cascade's state into the next block.
+_EQ_BLOCK = 128
 
-    y = clip.samples
-    for fc, q, gain_db in bands:
-        y = lfilter(*peaking_biquad(fc, q, gain_db, clip.sample_rate), y)
-    return AudioClip(np.asarray(y, dtype=np.float64), clip.sample_rate)
+
+def _cascade_system(sections: list) -> tuple:
+    """State space (A, B, C, D) of biquads (b, a) run one after another, each
+    in transposed direct form II with states (z1, z2): from state s and input
+    u, the output is C s + D u and the next state A s + B u."""
+    n = 2 * len(sections)
+    a_mat, b_vec, c_vec, d = np.zeros((n, n)), np.zeros(n), np.zeros(n), 1.0
+    for i, (b, a) in enumerate(sections):
+        k = 2 * i
+        gain = np.array([b[1] - a[1] * b[0], b[2] - a[2] * b[0]])
+        a_mat[k:k + 2, :k] = np.outer(gain, c_vec[:k])  # the section reads C s + D u
+        a_mat[k:k + 2, k:k + 2] = [[-a[1], 1.0], [-a[2], 0.0]]
+        b_vec[k:k + 2] = gain * d
+        c_vec[:k] *= b[0]
+        c_vec[k] = 1.0
+        d *= b[0]
+    return a_mat, b_vec, c_vec, d
+
+
+def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
+    """Cascade of peaking filters; bands are (fc_hz, q, gain_db) triples.
+
+    The biquads run as one state-space system over blocks of _EQ_BLOCK
+    samples. Each block's response to its own input is a product with the
+    cascade's lower-triangular Toeplitz impulse-response matrix; the state
+    it hands on is a product with the rows A^m B, and the block's response
+    to the state it receives one with the rows C A^m. The powers of A are
+    built by the same one-step recurrence as the per-sample filter, so the
+    output matches filtering each section in turn to within about 1e-13 of
+    its peak. An empty clip or band list returns a copy of the input.
+    """
+    sections = [peaking_biquad(fc, q, gain_db, clip.sample_rate) for fc, q, gain_db in bands]
+    x = clip.samples
+    if not sections or x.size == 0:
+        return AudioClip(x.copy(), clip.sample_rate)
+    a_mat, b_vec, c_vec, d = _cascade_system(sections)
+    block = _EQ_BLOCK
+    powers = np.empty((block + 1,) + a_mat.shape)  # powers[m] = A^m
+    powers[0] = np.eye(len(a_mat))
+    for m in range(block):
+        powers[m + 1] = a_mat @ powers[m]
+    from_state = c_vec @ powers[:block]  # row m: C A^m
+    to_state = powers[block - 1::-1] @ b_vec  # row j: A^(block - 1 - j) B
+    impulse = np.concatenate([[d], from_state[:block - 1] @ b_vec])
+    # toeplitz[j, m] = impulse[m - j], and 0 for m < j
+    toeplitz = np.ascontiguousarray(sliding_window_view(
+        np.concatenate([np.zeros(block - 1), impulse]), block)[::-1])
+
+    blocks = np.zeros(-(-x.size // block) * block)
+    blocks[:x.size] = x
+    blocks = blocks.reshape(-1, block)
+    states = np.zeros((len(blocks), len(a_mat)))  # states[k]: the state block k starts from
+    states[1:] = blocks[:-1] @ to_state
+    for k in range(1, len(states)):
+        states[k] += powers[block] @ states[k - 1]
+    y = blocks @ toeplitz
+    y += states @ from_state.T
+    return AudioClip(y.reshape(-1)[:x.size], clip.sample_rate)
 
 
 # 1024-point frames, quarter-window hop, periodic Hann on both analysis and

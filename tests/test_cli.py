@@ -1470,8 +1470,8 @@ def test_commands_that_neither_resample_nor_equalise_load_no_scipy(tmp_path):
     }
 
 
-def test_analysis_of_a_44k_wav_loads_no_scipy_and_perturb_loads_scipy_signal(tmp_path):
-    # the resampler is numpy alone; only perturb's EQ filters with scipy.signal
+def test_analysis_and_perturbation_of_a_44k_wav_load_no_scipy(tmp_path):
+    # the resampler and perturb's EQ cascade are numpy alone
     wav = tmp_path / "a.wav"
     wav.write_bytes(wav_bytes(sine(440, 0.5, sample_rate=44100)))
     report = _scipy_modules_after(
@@ -1481,11 +1481,10 @@ def test_analysis_of_a_44k_wav_loads_no_scipy_and_perturb_loads_scipy_signal(tmp
         ["perturb", "--in", wav, "--out-a", tmp_path / "pa.wav", "--out-b", tmp_path / "pb.wav",
          "--seed", 0],
     )
-    code, loaded = report.pop("perturb --in")
-    assert code == 0 and "scipy.signal" in loaded
     assert report == {
         "import svcforge.cli": [],
         "extract --in": [0, []],
         "f0-stats --in": [0, []],
         "segment --mode": [0, []],
+        "perturb --in": [0, []],
     }

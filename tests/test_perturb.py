@@ -4,7 +4,7 @@ from math import gcd, log2
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.signal import freqz, welch
+from scipy.signal import freqz, lfilter, welch
 
 from svcforge.audio import AudioClip
 from svcforge.errors import InvalidParameterError
@@ -129,6 +129,53 @@ def test_eq_white_noise_band_boost():
     k = np.argmin(np.abs(f - 2000.0))
     boost_db = 10 * np.log10(p_out[k] / p_in[k])
     assert abs(boost_db - 12.0) < 1.0
+
+
+def _lfilter_cascade(x, bands, sample_rate=24000):
+    for fc, q, gain_db in bands:
+        x = lfilter(*peaking_biquad(fc, q, gain_db, sample_rate), x)
+    return x
+
+
+_EQ_CENTERS = np.geomspace(defaults.EQ_FC_LO_HZ, defaults.EQ_FC_HI_HZ, defaults.EQ_BANDS)
+
+
+def _drawn_bands(seed):
+    rng = np.random.default_rng(seed)
+    return [(fc, rng.uniform(defaults.EQ_Q_LO, defaults.EQ_Q_HI),
+             rng.uniform(defaults.EQ_GAIN_LO_DB, defaults.EQ_GAIN_HI_DB)) for fc in _EQ_CENTERS]
+
+
+_EQ_BAND_SETS = {
+    "boost": lambda: [(fc, 5.0, 12.0) for fc in _EQ_CENTERS],
+    "cut": lambda: [(fc, 5.0, -12.0) for fc in _EQ_CENTERS],
+    **{f"drawn-{seed}": (lambda seed=seed: _drawn_bands(seed)) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQ_BAND_SETS))
+def test_eq_matches_lfilter_cascade(name):
+    bands = _EQ_BAND_SETS[name]()
+    x = np.random.default_rng(2).normal(scale=0.1, size=4 * 24000)
+    got = parametric_eq(AudioClip(x, 24000), bands).samples
+    want = _lfilter_cascade(x, bands)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 4 * 24000])
+def test_eq_keeps_the_clip_length(n):
+    x = np.random.default_rng(n).normal(scale=0.1, size=n)
+    out = parametric_eq(AudioClip(x, 24000), _EQ_BAND_SETS["boost"]())
+    assert out.samples.shape == (n,) and out.sample_rate == 24000
+    want = _lfilter_cascade(x, _EQ_BAND_SETS["boost"]())
+    assert np.max(np.abs(out.samples - want), initial=0) <= 1e-11 * np.max(np.abs(want), initial=0)
+
+
+def test_eq_empty_clip_comes_back_empty():
+    clip = AudioClip(np.zeros(0), 24000)
+    out = parametric_eq(clip, _EQ_BAND_SETS["cut"]())
+    assert out.samples.size == 0 and out.sample_rate == 24000
+    assert out.samples is not clip.samples
 
 
 # -- formant shift -----------------------------------------------------------
@@ -377,13 +424,14 @@ def test_pair_deterministic():
 
 # sha256 of both outputs' float64 samples, computed when each chain ran its
 # own formant analysis and overlap-add looped over frames, and pinned again
-# when the resampler's filter took a unit DC gain and when the resampler
-# became numpy block products: any moved bit fails
+# when the resampler's filter took a unit DC gain, when the resampler
+# became numpy block products and when the EQ became numpy block products:
+# any moved bit fails
 _PAIR_DIGESTS = {
-    ("vowel", 0): "1a5b792609abca578c4b073d906def2b1f3ebb1c1930cc5ed4af40da52e527b1",
-    ("vowel", 7): "426b2a0dce3a1ec93f484ad60ae0751123e2749191e3c2f46ab339de6c61e41e",
-    ("sawtooth", 0): "52fd342a45f0349a02ab88f274fa5f07ea7416cfb403bf7cf752df7560c5bbeb",
-    ("sawtooth", 7): "f5946600406c2d27b0a733a5fe8f5e3f65e7136a0fea555ba042eb6d74d4257b",
+    ("vowel", 0): "a71d542992b40dfe39ced776d0f4e99797b899195f06a3e912d726ff78ac1498",
+    ("vowel", 7): "2279709cf40b4c02a64a914ee2b5fcc3365b4eff3a0ece95a2350a25e326fee8",
+    ("sawtooth", 0): "b7564d838532d7f0b6969bd8a46a52f461d81aeb50540b3d79f2a6c025363f46",
+    ("sawtooth", 7): "803384f7c2a90e67c95eb1bbc2cabe9a789a7681ca3886d4818144ba3b6e9b2b",
 }
 
 
