@@ -100,7 +100,7 @@ def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
     powers = np.empty((block + 1,) + a_mat.shape)  # powers[m] = A^m
     powers[0] = np.eye(len(a_mat))
     for m in range(block):
-        powers[m + 1] = a_mat @ powers[m]
+        a_mat.dot(powers[m], out=powers[m + 1])
     from_state = c_vec @ powers[:block]  # row m: C A^m
     to_state = powers[block - 1::-1] @ b_vec  # row j: A^(block - 1 - j) B
     impulse = np.concatenate([[d], from_state[:block - 1] @ b_vec])
@@ -113,8 +113,10 @@ def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
     blocks = blocks.reshape(-1, block)
     states = np.zeros((len(blocks), len(a_mat)))  # states[k]: the state block k starts from
     states[1:] = blocks[:-1] @ to_state
-    for k in range(1, len(states)):
-        states[k] += powers[block] @ states[k - 1]
+    carry, state = powers[block].dot, states[0]  # a bound ndarray.dot costs less per call than @
+    for row in states[1:]:
+        row += carry(state)
+        state = row
     y = blocks @ toeplitz
     y += states @ from_state.T
     return AudioClip(y.reshape(-1)[:x.size], clip.sample_rate)

@@ -1,5 +1,8 @@
 import hashlib
+import subprocess
+import sys
 from math import gcd, log2
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +179,37 @@ def test_eq_empty_clip_comes_back_empty():
     out = parametric_eq(clip, _EQ_BAND_SETS["cut"]())
     assert out.samples.size == 0 and out.sample_rate == 24000
     assert out.samples is not clip.samples
+
+
+_EQ_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from svcforge import defaults
+from svcforge.audio import AudioClip
+from svcforge.perturb import parametric_eq
+rng = np.random.default_rng(0)
+centers = np.geomspace(defaults.EQ_FC_LO_HZ, defaults.EQ_FC_HI_HZ, defaults.EQ_BANDS)
+h = hashlib.sha256()
+for n in (14400, 96000, 240001):
+    bands = [(fc, rng.uniform(defaults.EQ_Q_LO, defaults.EQ_Q_HI),
+              rng.uniform(defaults.EQ_GAIN_LO_DB, defaults.EQ_GAIN_HI_DB)) for fc in centers]
+    clip = AudioClip(rng.normal(scale=0.1, size=n), 24000)
+    h.update(parametric_eq(clip, bands).samples.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_eq_bytes_do_not_depend_on_the_blas_thread_count():
+    # the block products are large enough for OpenBLAS to split them over its threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for threads in ("1", "4"):
+        result = subprocess.run(
+            [sys.executable, "-c", _EQ_THREAD_PROBE], capture_output=True, text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
 
 
 # -- formant shift -----------------------------------------------------------
