@@ -106,7 +106,9 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
         raise FormatError(
             f"{p}: format tag {format_tag} at {bits} bits is not supported"
         )
-    if len(raw) % (bits // 8 * channels):
+    if block_align != channels * bits // 8:
+        raise FormatError(f"{p}: block align {block_align} is not {channels} x {bits // 8} bytes")
+    if len(raw) % block_align:
         raise FormatError(f"{p}: data not a whole number of frames")
 
     def channel(c: int) -> np.ndarray:

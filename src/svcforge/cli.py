@@ -16,6 +16,7 @@ input order.
 
 import argparse
 import functools
+import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -342,12 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-stats", required=True, help="target speaker stats JSON")
     p.add_argument("--policy", choices=("in-domain", "cross-domain"),
                    default="in-domain",
-                   help="in-domain: quantized shift; cross-domain: adds +6 semitones")
+                   help=f"cross-domain adds {defaults.CROSS_DOMAIN_OFFSET_SEMITONES:+g} semitones")
     p.add_argument("--scale-sigma", action="store_true",
                    help="scale by sigma_y/sigma_x instead of a pure shift")
     p.add_argument("--quantize-cents", type=int, choices=(0, 100),
                    default=defaults.QUANTIZE_CENTS,
-                   help="shift quantization granularity in cents (default %(default)s)")
+                   help="snap the pure shift to this many cents, 0 for off; not applied "
+                        "with --scale-sigma (default %(default)s)")
     p.set_defaults(func=_cmd_convert_pitch)
 
     p = sub.add_parser("perturb",
@@ -489,16 +491,21 @@ def main(argv=None) -> int:
         summary, files = args.func(args)
         line = dumps(summary)
         atomic_write_files(files)
+        try:
+            print(line, flush=True)
+        except OSError:  # a full or closed stdout: the flush at exit goes to /dev/null
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise
     except _UsageError as exc:
         _log(f"usage error: {exc}")
         return 1
-    except (SvcforgeError, OSError) as exc:  # an OSError: a path the OS refuses
+    except (SvcforgeError, OSError) as exc:  # an OSError: a path or a stdout the OS refuses
         _log(f"error: {exc}")
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         _log(f"internal error: {type(exc).__name__}: {exc}")
         return 3
-    print(line)
     return 0
 
 

@@ -383,16 +383,15 @@ class ToyDenoiser:
 class TrainConfig:
     """Training-loop knobs.
 
-    contrastive_source, when set, maps a step index to a FeaturePairBatch
-    (or None for "nothing this step"); its weighted loss is added to the
-    recorded history. The batches carry no model parameters, so they shape
-    the history, not the gradients.
+    contrastive_source, when set, maps step n to a FeaturePairBatch whose
+    contrastive loss, times ramp_weight(n), is added to step n's recorded
+    loss. A batch carries no model parameters: it shapes the history only.
     """
 
     steps: int = 500
     lr: float = 1e-3
     p_uncond: float = defaults.P_UNCOND
-    contrastive_source: Callable[[int], FeaturePairBatch | None] | None = None
+    contrastive_source: Callable[[int], FeaturePairBatch] | None = None
     seed: int = 0
 
 
@@ -448,9 +447,7 @@ def train_toy(model: ToyDenoiser, dataset: list, sched: NoiseSchedule,
     for n, loss in enumerate(_draw_loop(model, dataset, sched, cfg.steps, cfg.seed,
                                         tuple(model.params), cfg.lr, cfg.p_uncond)):
         if cfg.contrastive_source is not None:
-            batch = cfg.contrastive_source(n)
-            if batch is not None:
-                loss += ramp_weight(n) * contrastive_loss(batch)
+            loss += ramp_weight(n) * contrastive_loss(cfg.contrastive_source(n))
         history[n] = loss
     return history
 

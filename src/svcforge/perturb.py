@@ -36,8 +36,9 @@ def peaking_biquad(fc_hz: float, q: float, gain_db: float,
     with a[0] == 1.
 
     |H| at fc equals 10^(gain_db/20) exactly; gain_db = 0 collapses to the
-    identity filter. A pole on or outside the unit circle, or a coefficient
-    that overflows, is an InvalidParameterError.
+    identity filter. Jury's test, |a[2]| < 1 and |a[1]| < 1 + a[2], raises
+    InvalidParameterError for a pole on or outside the unit circle and for an
+    overflow (NaN); it parts from np.roots' moduli only at Q < 1e-3 or > 1e6.
     """
     if not 0 < fc_hz < sample_rate / 2:
         raise InvalidParameterError(f"fc must be in (0, Nyquist), got {fc_hz}")
@@ -50,7 +51,7 @@ def peaking_biquad(fc_hz: float, q: float, gain_db: float,
         a0 = 1.0 + alpha / amp
         b = np.array([1.0 + alpha * amp, -2.0 * np.cos(w0), 1.0 - alpha * amp]) / a0
         a = np.array([a0, -2.0 * np.cos(w0), 1.0 - alpha / amp]) / a0
-    if not np.all(np.isfinite(a)) or np.any(np.abs(np.roots(a)) >= 1.0):
+    if not (abs(a[2]) < 1.0 and abs(a[1]) < 1.0 + a[2]):
         raise InvalidParameterError("unstable biquad: pole outside unit circle")
     return b, a
 

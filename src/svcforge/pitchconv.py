@@ -2,9 +2,9 @@
 
 The core map is mean-variance normalization in the log-F0 domain; on top of
 it sit three production heuristics: optionally freezing both sigmas to one
-(pure pitch shift), quantizing the mean shift to 100-cent steps, and adding
-a fixed +6 semitone offset when converting from speech-range to
-singing-range material.
+(pure pitch shift), quantizing that pure shift to 100-cent steps, and adding
+defaults.CROSS_DOMAIN_OFFSET_SEMITONES when converting from speech-range to
+singing-range material. ConversionPolicy holds the three choices.
 """
 
 import math
@@ -46,9 +46,9 @@ class ConversionPolicy:
     """Knobs for the conversion heuristics.
 
     scale_sigma=False applies a pure shift (both sigmas treated as one);
-    quantize_cents is 0 (off) or 100; cross_domain (Task 2, speech-range to
-    singing-range material) adds defaults.CROSS_DOMAIN_OFFSET_SEMITONES last,
-    deliberately not quantized.
+    quantize_cents, 0 (off) or 100, snaps that pure shift only; cross_domain
+    (Task 2, speech-range to singing-range material) adds
+    defaults.CROSS_DOMAIN_OFFSET_SEMITONES last, deliberately not quantized.
     """
 
     scale_sigma: bool = False
@@ -74,17 +74,9 @@ def compute_f0_stats(tracks: list, speaker_id: str) -> SpeakerF0Stats:
     )
 
 
-def quantize_shift_cents(delta_cents: float, granularity: int = 100) -> float:
-    """Snap a shift to the nearest multiple of `granularity` cents.
-
-    Ties round away from zero; granularity 0 means pass-through.
-    """
-    if granularity not in (0, 100):
-        raise InvalidParameterError("granularity must be 0 or 100")
-    if granularity == 0:
-        return float(delta_cents)
-    steps = math.floor(abs(delta_cents) / granularity + 0.5)
-    return math.copysign(steps * granularity, delta_cents)
+def quantize_shift_cents(delta_cents: float) -> float:
+    """Snap a shift to the nearest multiple of 100 cents, ties away from zero."""
+    return math.copysign(math.floor(abs(delta_cents) / 100 + 0.5) * 100, delta_cents)
 
 
 def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
@@ -106,9 +98,9 @@ def convert_logf0(track: F0Track, stats_x: SpeakerF0Stats,
             out = (stats_y.std_log_f0 / stats_x.std_log_f0) * (lf - stats_x.mean_log_f0) \
                 + stats_y.mean_log_f0
         else:
-            delta_cents = (stats_y.mean_log_f0 - stats_x.mean_log_f0) * 1200.0 / _LN2
-            delta_cents = quantize_shift_cents(delta_cents, policy.quantize_cents)
-            out = lf + delta_cents * _LN2 / 1200.0
+            cents = (stats_y.mean_log_f0 - stats_x.mean_log_f0) * 1200.0 / _LN2
+            cents = quantize_shift_cents(cents) if policy.quantize_cents else cents
+            out = lf + cents * _LN2 / 1200.0
         if policy.cross_domain:
             out = out + defaults.CROSS_DOMAIN_OFFSET_SEMITONES * _LN2 / 12.0
         voiced_f0 = np.exp(out)

@@ -116,6 +116,19 @@ def test_repeated_chunk_is_malformed(tmp_path, chunk):
         read_wav(p)
 
 
+@pytest.mark.parametrize("channels, bits, align", [(1, 24, 4), (2, 16, 2)],
+                         ids=["pcm24-in-4-byte-containers", "stereo-pcm16-at-mono-align"])
+def test_block_align_that_disagrees_with_the_format_is_malformed(tmp_path, channels, bits,
+                                                                 align):
+    # 48 bytes: 12 frames of `align` bytes, which the format's frames would misread
+    fmt = struct.pack("<HHIIHH", 1, channels, 24000, 24000 * align, align, bits)
+    p = tmp_path / "misaligned.wav"
+    p.write_bytes(_wav(fmt, bytes(range(48))))
+    with pytest.raises(FormatError,
+                       match=f"block align {align} is not {channels} x {bits // 8} bytes"):
+        read_wav(p)
+
+
 _PCM_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 

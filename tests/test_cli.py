@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import os
 import shlex
 import struct
 import subprocess
@@ -1427,6 +1428,55 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["total_hours"] == pytest.approx(750.14, abs=0.01)
+
+
+@pytest.mark.parametrize("module", ["svcforge", "svcforge.cli"])
+def test_python_m_prints_the_line_main_prints(capsys, module):
+    assert main(["config", "show"]) == 0
+    line = capsys.readouterr().out
+    result = subprocess.run([sys.executable, "-m", module, "config", "show"],
+                            capture_output=True, text=True,
+                            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"})
+    assert (result.returncode, result.stdout, result.stderr) == (0, line, "")
+
+
+def _config_show_into(stdout):
+    """Exit code and stderr lines of `python -m svcforge config show` printing to `stdout`."""
+    result = subprocess.run([sys.executable, "-m", "svcforge", "config", "show"],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"})
+    return result.returncode, result.stderr.splitlines()
+
+
+def test_a_summary_into_a_closed_pipe_exits_2_on_one_line():
+    # unhandled, this exited 120 with "Exception ignored ... BrokenPipeError"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = _config_show_into(write_end)
+    finally:
+        os.close(write_end)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "Broken pipe" in err[0], err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_summary_into_a_full_device_exits_2_on_one_line():
+    # unhandled, this exited 1, the usage-error code, with a traceback
+    with open("/dev/full", "wb") as full:
+        code, err = _config_show_into(full)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0], err
+
+
+def test_a_bug_in_a_handler_exits_3_on_one_line(capsys, monkeypatch):
+    def as_dict():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(defaults, "as_dict", as_dict)
+    assert main(["config", "show"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: RuntimeError: boom\n")
 
 
 _SCIPY_PROBE = """

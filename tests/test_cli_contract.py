@@ -106,13 +106,16 @@ _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 @st.composite
 def malformed_wavs(draw):
+    """A WAV file's bytes, and whether its block align disagrees with its
+    channels and bits (which every reading command must refuse, exit 2)."""
     tag = draw(st.sampled_from([1, 3, 0xFFFE, 0, 2]))
     channels = draw(st.integers(0, 3))
     rate = draw(st.sampled_from(_RATES))
     bits = draw(st.sampled_from([16, 24, 32, 8, 64, 0]))
     block = channels * bits // 8
+    align = block + draw(st.sampled_from([0, 0, 0, 1]))
     frames = min(rate * draw(st.integers(0, 300)) // 1000, 20_000)
-    fmt = struct.pack("<HHIIHH", tag, channels, rate, (rate * block) % 2**32, block, bits)
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, (rate * block) % 2**32, align, bits)
     if tag == 0xFFFE:
         sub = draw(st.sampled_from([1, 3, 2]))
         tail = draw(st.sampled_from([_GUID_TAIL, bytes(14)]))
@@ -131,7 +134,7 @@ def malformed_wavs(draw):
     blob = draw(st.sampled_from([b"RIFF", b"RIFX"])) + struct.pack("<I", 4 + len(body))
     blob += b"WAVE" + body
     cut = draw(st.sampled_from([None, None, 4, 20, 44, -1, -3]))
-    return blob if cut is None else blob[:cut]
+    return (blob if cut is None else blob[:cut]), align != block
 
 
 def _wav_argv(command, wav, work):
@@ -147,15 +150,17 @@ def _wav_argv(command, wav, work):
 
 
 @contract
-@given(blob=malformed_wavs(), command=st.sampled_from(["extract", "f0-stats", "perturb",
-                                                   "segment"]))
-def test_malformed_wavs_keep_the_contract(blob, command):
+@given(drawn=malformed_wavs(), command=st.sampled_from(["extract", "f0-stats", "perturb",
+                                                     "segment"]))
+def test_malformed_wavs_keep_the_contract(drawn, command):
+    blob, misaligned = drawn
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         wav = work / "in.wav"
         wav.write_bytes(blob)
         argv, outputs = _wav_argv(command, wav, work)
-        _run(work, argv, outputs)
+        code = _run(work, argv, outputs)
+    assert code == 2 or not misaligned
 
 
 # -- malformed SVCF tensors ---------------------------------------------------

@@ -102,6 +102,21 @@ def test_biquad_invalid_params():
         peaking_biquad(1000, 5e-324, 3.0, 24000)  # alpha overflows
 
 
+def test_biquad_verdict_at_absurd_q_follows_the_coefficients():
+    # Q -> 0: the poles lie just inside the unit circle (a[2] = -1 + 7e-16), where
+    # np.roots' rounded moduli may read 1, in some processes and not in others;
+    # the filter is then the flat gain 10^(gain/20)
+    _, a = peaking_biquad(500.0, 1e-17, 12.0, 24000)
+    assert -1.0 < a[2] < -1.0 + 1e-15
+    x = np.random.default_rng(0).standard_normal(4800)
+    y = parametric_eq(AudioClip(x, 24000), [(500.0, 1e-17, 12.0)]).samples
+    assert np.allclose(y, 10 ** (12 / 20) * x, rtol=0, atol=1e-12)
+    # Q -> inf: a[2] rounds to exactly 1, a pole pair on the unit circle, which
+    # np.roots' rounded moduli may put just inside it
+    with pytest.raises(InvalidParameterError, match="unstable"):
+        peaking_biquad(1000.0, 1e16, 12.0, 24000)
+
+
 # -- parametric EQ -----------------------------------------------------------
 
 def test_eq_empty_band_list_is_identity():

@@ -64,9 +64,6 @@ def test_quantize_cases():
     assert quantize_shift_cents(349.9) == 300.0
     assert quantize_shift_cents(250.0) == 300.0  # tie away from zero
     assert quantize_shift_cents(-250.0) == -300.0
-    assert quantize_shift_cents(349.9, granularity=0) == 349.9
-    with pytest.raises(InvalidParameterError):
-        quantize_shift_cents(100.0, granularity=50)
     with pytest.raises(InvalidParameterError, match="0 or 100"):
         ConversionPolicy(quantize_cents=50)
 
