@@ -38,10 +38,12 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     `scipy.special.logsumexp` takes (and bit-equal to it): with a_max the
     maximum, m the number of entries equal to it and s the sum of
     exp(a - a_max) over the other entries, log1p(s / m) + log(m) + a_max."""
-    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     at_max = a == a_max
-    m = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
-    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+    m = np.add.reduce(at_max, axis=axis, keepdims=True, dtype=a.dtype)
+    rest = np.where(at_max, -np.inf, a)
+    rest -= a_max
+    s = np.add.reduce(np.exp(rest, out=rest), axis=axis, keepdims=True)
     return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)
 
 
@@ -52,11 +54,15 @@ def contrastive_loss(batch: FeaturePairBatch) -> float:
     L = -(1/2N) sum_i [log softmax_j(cos(z_i, z'_j)/tau)_i
                        + log softmax_j(cos(z'_i, z_j)/tau)_i]
     """
-    sim = cosine_similarity(batch.z, batch.z_prime) / defaults.CONTRASTIVE_TAU
-    diag = np.diag(sim)
-    forward = _logsumexp(sim, axis=1) - diag
-    backward = _logsumexp(sim, axis=0) - diag
-    return float(np.mean(forward + backward) / 2.0)
+    sim = cosine_similarity(batch.z, batch.z_prime)
+    sim /= defaults.CONTRASTIVE_TAU
+    diag = sim.diagonal()
+    forward = _logsumexp(sim, axis=1)
+    forward -= diag
+    backward = _logsumexp(sim, axis=0)
+    backward -= diag
+    forward += backward
+    return float(np.add.reduce(forward) / forward.size / 2.0)
 
 
 def ramp_weight(n: int) -> float:

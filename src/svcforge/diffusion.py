@@ -9,10 +9,16 @@ the gradient and moment tests depend on it.
 
 Steps are 1-based: t runs from 1 to T, matching the forward-process
 indexing x_t = sqrt(abar_t) x_0 + sqrt(1 - abar_t) eps.
+
+The sampling and training hot paths allocate each formula's result once and
+compute the rest of it in place, in the written-out formula's operand order,
+so the bits are those of the formula; an array a caller passed in, or that a
+denoiser's `predict_eps` returned, is never written.
 """
 
 import hashlib
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -134,7 +140,9 @@ def guided_eps(denoiser, x_t: np.ndarray, t: int,
         return denoiser.predict_eps(x_t, t, cond, unconditional=True)
     eps_c = denoiser.predict_eps(x_t, t, cond, unconditional=False)
     eps_u = denoiser.predict_eps(x_t, t, cond, unconditional=True)
-    return eps_u + w * (eps_c - eps_u)
+    out = eps_c - eps_u
+    out *= w
+    return np.add(eps_u, out, out=out)
 
 
 def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
@@ -152,8 +160,11 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
     if t == 1 and np.any(z != 0):
         raise InvalidParameterError("z must be the zero vector at t == 1")
     beta, alpha, ab = sched.at(t)
-    mean = (x_t - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(alpha)
-    return mean + math.sqrt(beta) * z
+    out = beta / math.sqrt(1.0 - ab) * eps_hat
+    np.subtract(x_t, out, out=out)
+    out /= math.sqrt(alpha)
+    out += math.sqrt(beta) * z
+    return out
 
 
 def _check_schedule(denoiser, sched: NoiseSchedule) -> None:
@@ -172,14 +183,17 @@ def sample(denoiser, sched: NoiseSchedule, cond: ConditionSet,
            seed: int = 0) -> np.ndarray:
     """Full reverse chain from seeded x_T ~ N(0, I) down to x_0.
 
-    `dim` may be an int (one vector) or a shape tuple such as (n, d) to draw
-    n independent samples in one pass; every operation in the chain is
+    `dim` may be an integer (one vector) or a shape tuple such as (n, d) to
+    draw n independent samples in one pass; every operation in the chain is
     elementwise or scalar-weighted, so the rows do not interact. A chain
     that overflows to a non-finite value is an InvalidParameterError, and so
     is a schedule that `_check_schedule` rejects.
     """
     _check_schedule(denoiser, sched)
-    shape = (dim,) if isinstance(dim, int) else tuple(dim)
+    try:
+        shape = (operator.index(dim),)
+    except TypeError:
+        shape = tuple(dim)
     if not math.isfinite(w):
         raise InvalidParameterError(f"guidance scale must be finite, got {w}")
     if min(shape, default=1) < 1:
@@ -230,8 +244,15 @@ class AnalyticGaussianDenoiser:
                     unconditional: bool = False) -> np.ndarray:
         ab = self.sched.at(t)[2]
         denom = ab * self.var0 + 1.0 - ab
-        x0_hat = (self.var0 * math.sqrt(ab) * x_t + (1.0 - ab) * self.mu0) / denom
-        return (x_t - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab)
+        # float64 and the shape of x_t broadcast against mu0, like the formula's result
+        out = np.multiply(self.var0 * math.sqrt(ab), x_t,
+                          out=np.empty(np.broadcast_shapes(np.shape(x_t), self.mu0.shape)))
+        out += (1.0 - ab) * self.mu0
+        out /= denom  # x0_hat
+        out *= math.sqrt(ab)
+        np.subtract(x_t, out, out=out)
+        out /= math.sqrt(1.0 - ab)
+        return out
 
 
 def analytic_gaussian_denoiser(mu0: np.ndarray, sigma0: float,
@@ -333,15 +354,23 @@ class ToyDenoiser:
         inp = np.empty(x_t.shape[:-1] + (self.dim + fixed.size,))
         inp[..., :self.dim] = x_t
         inp[..., self.dim:] = fixed
-        h = inp @ p["w1"].T + p["b1"]
-        centred = h - h.mean(axis=-1, keepdims=True)
-        s = np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + _LN_EPS)
-        h_hat = centred / s
+        # h, then centred, then h_hat in one array; a mean is a sum over the count
+        h = inp @ p["w1"].T
+        h += p["b1"]
+        n = h.shape[-1]
+        h -= np.add.reduce(h, axis=-1, keepdims=True) / n
+        s = np.add.reduce(h * h, axis=-1, keepdims=True) / n
+        s += _LN_EPS
+        np.sqrt(s, out=s)
+        h /= s
         gamma = p["cln_w_gamma"] @ e + p["cln_b_gamma"]
         beta = p["cln_w_beta"] @ e + p["cln_b_beta"]
-        a = np.tanh(gamma * h_hat + beta)
-        out = a @ p["w2"].T + p["b2"]
-        return out, (inp, e, h_hat, s, gamma, a)
+        a = gamma * h
+        a += beta
+        np.tanh(a, out=a)
+        out = a @ p["w2"].T
+        out += p["b2"]
+        return out, (inp, e, h, s, gamma, a)
 
     def predict_eps(self, x_t: np.ndarray, t: int, cond: ConditionSet,
                     unconditional: bool = False) -> np.ndarray:
@@ -349,34 +378,41 @@ class ToyDenoiser:
         return self._forward(x_t, t, cond, unconditional)[0]
 
     def l2_loss_and_grads(self, x_t: np.ndarray, t: int, cond: ConditionSet,
-                          eps_target: np.ndarray,
-                          unconditional: bool = False) -> tuple:
-        """Squared-error loss ||eps_target - predict_eps||^2 and its analytic
-        gradient for every parameter. Single vectors only."""
+                          eps_target: np.ndarray, unconditional: bool = False,
+                          names=PARAM_NAMES) -> tuple:
+        """Squared-error loss ||eps_target - predict_eps||^2 and a dict of its
+        analytic gradient for each parameter in `names` (only those are
+        computed). Single vectors only."""
         x_t = np.asarray(x_t, dtype=np.float64)
         eps_target = np.asarray(eps_target, dtype=np.float64)
         if x_t.ndim != 1 or eps_target.shape != x_t.shape:
             raise InvalidParameterError("loss path expects matching 1-D vectors")
         out, (inp, e, h_hat, s, gamma, a) = self._forward(x_t, t, cond, unconditional)
-        r = out - eps_target
-        loss = float(r @ r)
+        out -= eps_target  # the residual
+        loss = float(out @ out)
+        if not names:
+            return loss, {}
 
-        g_out = 2.0 * r
-        g_a = self.params["w2"].T @ g_out
-        g_y = g_a * (1.0 - a * a)
-        g_hhat = g_y * gamma
-        g_h = (g_hhat - g_hhat.mean() - h_hat * np.mean(g_hhat * h_hat)) / s
-        grads = {
-            "w2": np.outer(g_out, a),
-            "b2": g_out,
-            "cln_w_gamma": np.outer(g_y * h_hat, e),
-            "cln_b_gamma": g_y * h_hat,
-            "cln_w_beta": np.outer(g_y, e),
-            "cln_b_beta": g_y,
-            "w1": np.outer(g_h, inp),
-            "b1": g_h,
-        }
-        return loss, grads
+        g_out = out
+        g_out *= 2.0
+        g_y = a * a
+        np.subtract(1.0, g_y, out=g_y)
+        np.multiply(self.params["w2"].T @ g_out, g_y, out=g_y)
+        grads = {"b2": g_out, "cln_b_gamma": g_y * h_hat, "cln_b_beta": g_y}
+        if "w1" in names or "b1" in names:
+            n = a.size
+            g_h = g_y * gamma  # the gradient at h_hat, then at h in place
+            mean_gh = np.add.reduce(g_h * h_hat) / n
+            g_h -= np.add.reduce(g_h) / n
+            g_h -= h_hat * mean_gh
+            g_h /= s
+            grads["b1"] = g_h
+        # a weight's gradient is the outer product of its bias's gradient and its input
+        for weight, bias, v in (("w2", "b2", a), ("cln_w_gamma", "cln_b_gamma", e),
+                                ("cln_w_beta", "cln_b_beta", e), ("w1", "b1", inp)):
+            if weight in names:
+                grads[weight] = grads[bias][:, None] * v
+        return loss, {name: grads[name] for name in names}
 
 
 @dataclass
@@ -399,7 +435,7 @@ def _draw_loop(model: ToyDenoiser, dataset: list, sched: NoiseSchedule, steps: i
                seed: int, names=(), lr: float = 0.0, p_uncond: float | None = None):
     """The one training draw loop: yields the loss of each of `steps` noised
     draws from `dataset`, then steps the `names` parameters down that draw's
-    gradient by `lr`.
+    gradient by `lr`; no other gradient is computed.
 
     Per step the RNG (from `seed`) draws, in this fixed order: dataset index,
     timestep t, noise eps and, when `p_uncond` is given, one uniform that
@@ -424,7 +460,7 @@ def _draw_loop(model: ToyDenoiser, dataset: list, sched: NoiseSchedule, steps: i
             eps = rng.standard_normal(np.shape(x0))
             drop = p_uncond is not None and rng.random() < p_uncond
             loss, grads = model.l2_loss_and_grads(q_sample(x0, t, eps, sched), t, cond, eps,
-                                                  unconditional=drop)
+                                                  unconditional=drop, names=names)
             if not math.isfinite(loss):
                 raise diverged
             yield loss

@@ -23,7 +23,9 @@ def cosine_similarity(a, b) -> np.ndarray:
     if not (peak_a.all() and peak_b.all()):
         raise InvalidParameterError("cosine similarity undefined for a zero-norm row")
     a, b = a / peak_a[:, None], b / peak_b[:, None]
-    return (a / np.linalg.norm(a, axis=1)[:, None]) @ (b / np.linalg.norm(b, axis=1)[:, None]).T
+    a /= np.sqrt(np.add.reduce(a * a, axis=1))[:, None]
+    b /= np.sqrt(np.add.reduce(b * b, axis=1))[:, None]
+    return a @ b.T
 
 
 def f0_metrics(track_a: F0Track, track_b: F0Track) -> dict:

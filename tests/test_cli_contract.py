@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from svcforge.audio import wav_bytes
 from svcforge.cli import main
@@ -106,8 +106,9 @@ _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 @st.composite
 def malformed_wavs(draw):
-    """A WAV file's bytes, and whether its block align disagrees with its
-    channels and bits (which every reading command must refuse, exit 2)."""
+    """A WAV file's bytes, and whether every reading command must refuse it
+    (exit 2): here, whether its block align disagrees with its channels and
+    bits."""
     tag = draw(st.sampled_from([1, 3, 0xFFFE, 0, 2]))
     channels = draw(st.integers(0, 3))
     rate = draw(st.sampled_from(_RATES))
@@ -137,6 +138,20 @@ def malformed_wavs(draw):
     return (blob if cut is None else blob[:cut]), align != block
 
 
+def _one_fault_wav(channels=1, rate=24_000, bits=16, extra_align=0, cut=0):
+    """A 0.3 s 16-bit mono PCM WAV that every reading command takes, but with
+    the given fmt fields, its block align `extra_align` bytes above channels x
+    bits / 8 and `cut` bytes cut off its data: one fault, which only its own
+    check in `read_wav` refuses."""
+    data = wav_bytes(sine(220, 0.3))[44:]
+    data = data[:len(data) - cut]
+    align = channels * bits // 8 + extra_align
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * align, align, bits)
+    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 def _wav_argv(command, wav, work):
     out = work / "out"
     argv = {
@@ -152,15 +167,29 @@ def _wav_argv(command, wav, work):
 @contract
 @given(drawn=malformed_wavs(), command=st.sampled_from(["extract", "f0-stats", "perturb",
                                                      "segment"]))
+@example(drawn=(_one_fault_wav(extra_align=1), True), command="extract")
+@example(drawn=(_one_fault_wav(channels=3), True), command="f0-stats")
+@example(drawn=(_one_fault_wav(bits=12), True), command="perturb")
+@example(drawn=(_one_fault_wav(rate=0), True), command="segment")
+@example(drawn=(_one_fault_wav(cut=1), True), command="extract")
 def test_malformed_wavs_keep_the_contract(drawn, command):
-    blob, misaligned = drawn
+    blob, must_refuse = drawn
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         wav = work / "in.wav"
         wav.write_bytes(blob)
         argv, outputs = _wav_argv(command, wav, work)
         code = _run(work, argv, outputs)
-    assert code == 2 or not misaligned
+    assert code == 2 or not must_refuse
+
+
+@pytest.mark.parametrize("command", ["extract", "f0-stats", "perturb", "segment"])
+def test_the_one_fault_wavs_fault_is_their_only_one(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        wav = work / "in.wav"
+        wav.write_bytes(_one_fault_wav())
+        assert _run(work, *_wav_argv(command, wav, work)) == 0
 
 
 # -- malformed SVCF tensors ---------------------------------------------------

@@ -205,6 +205,86 @@ def test_reverse_step_errors():
         reverse_step(np.zeros(2), 1, np.zeros(2), SCHED, np.ones(2))
 
 
+# -- the in-place chain: no input written, each formula's bits ------------------
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class _Fixed:
+    """Returns its own read-only predictions themselves, not copies; one
+    array for both modes when built with a single prediction."""
+
+    def __init__(self, eps_c, eps_u=None):
+        self.eps_c = eps_c
+        self.eps_u = eps_c if eps_u is None else eps_u
+
+    def predict_eps(self, x_t, t, cond, unconditional=False):
+        return self.eps_u if unconditional else self.eps_c
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("w", [2.0, -0.5, 3.25])
+def test_guided_eps_writes_no_prediction_and_keeps_the_formula(dtype, w):
+    rng = np.random.default_rng(3)
+    eps_c, eps_u = (_read_only(rng.normal(size=(5, 3)).astype(dtype)) for _ in range(2))
+    x_t = _read_only(rng.normal(size=(5, 3)))
+    for den in (_Fixed(eps_c, eps_u), _Fixed(eps_c)):
+        saved = den.eps_c.copy(), den.eps_u.copy()
+        got = guided_eps(den, x_t, 7, _cond(), w=w)
+        assert _same_bits(got, den.eps_u + w * (den.eps_c - den.eps_u))
+        assert not np.shares_memory(got, den.eps_c) and not np.shares_memory(got, den.eps_u)
+        assert np.array_equal(den.eps_c, saved[0]) and np.array_equal(den.eps_u, saved[1])
+
+
+@pytest.mark.parametrize("t", [1, 37, 100])
+def test_reverse_step_writes_no_input_and_keeps_the_formula(t):
+    rng = np.random.default_rng(t)
+    x_t, eps_hat = rng.normal(size=(2, 4, 3))
+    x_t[0, 0], eps_hat[0, 0] = -0.0, 0.0  # a -0.0 mean, which + 0.0 z at t == 1 makes +0.0
+    x_t, eps_hat = _read_only(x_t), _read_only(eps_hat)
+    z = _read_only(np.zeros((4, 3)) if t == 1 else rng.normal(size=(4, 3)))
+    saved = x_t.copy(), eps_hat.copy(), z.copy()
+    got = reverse_step(x_t, t, eps_hat, SCHED, z)
+    beta, alpha, ab = SCHED.at(t)
+    want = (x_t - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(alpha) + math.sqrt(beta) * z
+    assert _same_bits(got, want)
+    assert not any(np.shares_memory(got, a) for a in (x_t, eps_hat, z))
+    assert all(np.array_equal(a, b) for a, b in zip((x_t, eps_hat, z), saved))
+
+
+@pytest.mark.parametrize("mu0", [0.5, [0.2, -1.0, 3.0]])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(3,), (6, 3)])
+def test_oracle_predict_eps_writes_no_input_and_keeps_the_formula(mu0, dtype, shape):
+    den = analytic_gaussian_denoiser(np.array(mu0), 2.0, SCHED)
+    den.mu0.flags.writeable = False
+    x_t = _read_only(np.random.default_rng(8).normal(size=shape).astype(dtype))
+    saved = x_t.copy(), den.mu0.copy()
+    for t in (1, 50, 100):
+        got = den.predict_eps(x_t, t, _cond())
+        ab = SCHED.at(t)[2]
+        denom = ab * den.var0 + 1.0 - ab
+        x0_hat = (den.var0 * math.sqrt(ab) * x_t + (1.0 - ab) * den.mu0) / denom
+        assert _same_bits(got, (x_t - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab))
+        assert not np.shares_memory(got, x_t) and not np.shares_memory(got, den.mu0)
+    assert np.array_equal(x_t, saved[0]) and np.array_equal(den.mu0, saved[1])
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0])
+def test_a_mean_that_does_not_fit_the_sample_is_refused(w):
+    den = analytic_gaussian_denoiser(np.zeros(4), 1.0, SCHED)
+    assert den.predict_eps(np.zeros((5, 1)), 10, _cond()).shape == (5, 4)  # broadcast
+    with pytest.raises(InvalidParameterError, match="must agree"):
+        sample(den, SCHED, _cond(), w=w, dim=(5, 1), seed=0)
+
+
 # -- sampler + analytic denoiser ---------------------------------------------
 
 def test_sample_deterministic_per_seed():
@@ -230,6 +310,13 @@ def test_sample_rejects_bad_scale_and_dims(w, dim):
     den = analytic_gaussian_denoiser(np.zeros(4), 1.0, SCHED)
     with pytest.raises(InvalidParameterError):
         sample(den, SCHED, _cond(), w=w, dim=dim, seed=0)
+
+
+@pytest.mark.parametrize("dim", [np.int64(4), np.uint8(4)])
+def test_sample_reads_any_integer_dim(dim):
+    den = analytic_gaussian_denoiser(np.zeros(4), 1.0, SCHED)
+    got = sample(den, SCHED, _cond(), w=1.0, dim=dim, seed=3)
+    assert np.array_equal(got, sample(den, SCHED, _cond(), w=1.0, dim=(int(dim),), seed=3))
 
 
 @pytest.mark.parametrize("mu0, sigma0", [([0.0, math.nan], 1.0), ([math.inf, 0.0], 1.0),
@@ -371,6 +458,32 @@ def test_toy_gradients_unconditional_mode():
             fd = (up - down) / 2e-5
             worst = max(worst, abs(grad[idx] - fd) / max(abs(grad[idx]), abs(fd), 1e-6))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("names", [(), ("w2",), ("b1",), CLN_PARAM_NAMES,
+                                   ("w1", "b2", "cln_w_beta"), PARAM_NAMES[::-1]])
+def test_named_gradients_are_the_full_calls_entries(names):
+    model, cond = _toy()
+    for name in CLN_PARAM_NAMES:  # move the CLN off its identity init
+        model.params[name] = np.random.default_rng(4).normal(size=model.params[name].shape)
+    x_t, eps_t = np.random.default_rng(15).normal(size=(2, 3))
+    for unconditional in (False, True):
+        loss, full = model.l2_loss_and_grads(x_t, 17, cond, eps_t, unconditional=unconditional)
+        got_loss, got = model.l2_loss_and_grads(x_t, 17, cond, eps_t,
+                                                unconditional=unconditional, names=names)
+        assert list(full) == list(PARAM_NAMES)
+        assert got_loss == loss and list(got) == list(names)
+        assert all(_same_bits(got[n], full[n]) for n in names)
+
+
+def test_evaluate_l2_is_the_summed_loss_of_its_draws_to_the_bit():
+    model, _ = _toy()
+    dataset = toy_dataset(model, 5)
+    embedding = pseudo_speaker_embedding(9, 3)
+    # float.hex of the values before the loss path computed only the named gradients
+    assert evaluate_l2(model, dataset, SCHED, embedding).hex() == "0x1.e6ed4345e50eap+1"
+    train_toy(model, dataset, SCHED, TrainConfig(steps=30, lr=1e-2, seed=2))
+    assert evaluate_l2(model, dataset, SCHED, embedding).hex() == "0x1.8804eabe89284p+1"
 
 
 def test_predict_eps_batched_matches_single():

@@ -50,6 +50,8 @@ GOLDEN = {
         "074d07369003181db7baa3c072d840849426e8d94278c68ffddfbae14ce38438",
     "stdout of ddpm sample --model-dir tuned --out sample.svcf --seed 5":
         "56cb5fe71df4002ea3950e6363dc35eaf49fe072d35e77fe4d5d441e322084d0",
+    "stdout of ddpm sample --model-dir tuned --out guided.svcf --seed 5 --guidance-scale 2":
+        "45064992b90675d643c327a6a7e05e5a87f5fdd64b6e47524e8c05f708190a9d",
     "conv.f0.svcf":
         "7239b070a7bc1bc7eb03b05b063e867cefc4304b30eb4173411586f881928883",
     "feats/long.f0.svcf":
@@ -64,6 +66,8 @@ GOLDEN = {
         "ef22d88f42f788451e3fa6e030964cd09d5697d7bf1710c007039403ab4cb832",
     "feats/short.mel.svcf":
         "113efd085aef96be0a2c4afc4b942500a7232a7da4c3f8b6b575ec9377021462",
+    "guided.svcf":
+        "a0d0ca8d4ece6db031c62b64273742bdb587418e5355c3e3436fa7047997edfa",
     "long.wav":
         "fde344310ed32ba55de95401265d4955b4a15656f38d65c04b825c01848f458a",
     "m.jsonl":
@@ -167,6 +171,8 @@ _COMMANDS = [
     ["ddpm", "finetune", "--model-dir", "model", "--out-dir", "tuned", "--seed", "4",
      "--iterations", "30"],
     ["ddpm", "sample", "--model-dir", "tuned", "--out", "sample.svcf", "--seed", "5"],
+    ["ddpm", "sample", "--model-dir", "tuned", "--out", "guided.svcf", "--seed", "5",
+     "--guidance-scale", "2"],
 ]
 
 
