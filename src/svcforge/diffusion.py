@@ -140,7 +140,7 @@ def guided_eps(denoiser, x_t: np.ndarray, t: int,
         return denoiser.predict_eps(x_t, t, cond, unconditional=True)
     eps_c = denoiser.predict_eps(x_t, t, cond, unconditional=False)
     eps_u = denoiser.predict_eps(x_t, t, cond, unconditional=True)
-    out = eps_c - eps_u
+    out = np.asarray(eps_c - eps_u)  # 0-d predictions subtract to a scalar
     out *= w
     return np.add(eps_u, out, out=out)
 
@@ -160,7 +160,7 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray,
     if t == 1 and np.any(z != 0):
         raise InvalidParameterError("z must be the zero vector at t == 1")
     beta, alpha, ab = sched.at(t)
-    out = beta / math.sqrt(1.0 - ab) * eps_hat
+    out = np.asarray(beta / math.sqrt(1.0 - ab) * eps_hat)  # a scalar for a 0-d eps_hat
     np.subtract(x_t, out, out=out)
     out /= math.sqrt(alpha)
     out += math.sqrt(beta) * z

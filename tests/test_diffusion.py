@@ -229,12 +229,13 @@ class _Fixed:
         return self.eps_u if unconditional else self.eps_c
 
 
+@pytest.mark.parametrize("shape", [(5, 3), ()])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("w", [2.0, -0.5, 3.25])
-def test_guided_eps_writes_no_prediction_and_keeps_the_formula(dtype, w):
+def test_guided_eps_writes_no_prediction_and_keeps_the_formula(shape, dtype, w):
     rng = np.random.default_rng(3)
-    eps_c, eps_u = (_read_only(rng.normal(size=(5, 3)).astype(dtype)) for _ in range(2))
-    x_t = _read_only(rng.normal(size=(5, 3)))
+    eps_c, eps_u = (_read_only(rng.normal(size=shape).astype(dtype)) for _ in range(2))
+    x_t = _read_only(rng.normal(size=shape))
     for den in (_Fixed(eps_c, eps_u), _Fixed(eps_c)):
         saved = den.eps_c.copy(), den.eps_u.copy()
         got = guided_eps(den, x_t, 7, _cond(), w=w)
@@ -243,13 +244,14 @@ def test_guided_eps_writes_no_prediction_and_keeps_the_formula(dtype, w):
         assert np.array_equal(den.eps_c, saved[0]) and np.array_equal(den.eps_u, saved[1])
 
 
+@pytest.mark.parametrize("shape", [(4, 3), ()])
 @pytest.mark.parametrize("t", [1, 37, 100])
-def test_reverse_step_writes_no_input_and_keeps_the_formula(t):
+def test_reverse_step_writes_no_input_and_keeps_the_formula(t, shape):
     rng = np.random.default_rng(t)
-    x_t, eps_hat = rng.normal(size=(2, 4, 3))
-    x_t[0, 0], eps_hat[0, 0] = -0.0, 0.0  # a -0.0 mean, which + 0.0 z at t == 1 makes +0.0
+    x_t, eps_hat = rng.normal(size=(2, *shape))
+    x_t.flat[0], eps_hat.flat[0] = -0.0, 0.0  # a -0.0 mean, which + 0.0 z at t == 1 makes +0.0
     x_t, eps_hat = _read_only(x_t), _read_only(eps_hat)
-    z = _read_only(np.zeros((4, 3)) if t == 1 else rng.normal(size=(4, 3)))
+    z = _read_only(np.zeros(shape) if t == 1 else rng.normal(size=shape))
     saved = x_t.copy(), eps_hat.copy(), z.copy()
     got = reverse_step(x_t, t, eps_hat, SCHED, z)
     beta, alpha, ab = SCHED.at(t)
@@ -261,7 +263,7 @@ def test_reverse_step_writes_no_input_and_keeps_the_formula(t):
 
 @pytest.mark.parametrize("mu0", [0.5, [0.2, -1.0, 3.0]])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("shape", [(3,), (6, 3)])
+@pytest.mark.parametrize("shape", [(3,), (6, 3), ()])
 def test_oracle_predict_eps_writes_no_input_and_keeps_the_formula(mu0, dtype, shape):
     den = analytic_gaussian_denoiser(np.array(mu0), 2.0, SCHED)
     den.mu0.flags.writeable = False
@@ -317,6 +319,14 @@ def test_sample_reads_any_integer_dim(dim):
     den = analytic_gaussian_denoiser(np.zeros(4), 1.0, SCHED)
     got = sample(den, SCHED, _cond(), w=1.0, dim=dim, seed=3)
     assert np.array_equal(got, sample(den, SCHED, _cond(), w=1.0, dim=(int(dim),), seed=3))
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0])
+def test_sample_of_an_empty_shape_is_one_draw(w):
+    den = analytic_gaussian_denoiser(0.3, 1.0, SCHED)
+    got = sample(den, SCHED, _cond(), w=w, dim=(), seed=4)
+    assert np.shape(got) == ()
+    assert got == sample(den, SCHED, _cond(), w=w, dim=1, seed=4)[0]
 
 
 @pytest.mark.parametrize("mu0, sigma0", [([0.0, math.nan], 1.0), ([math.inf, 0.0], 1.0),

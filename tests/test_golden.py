@@ -6,7 +6,9 @@ One chain of commands over fixed synthetic inputs: `extract` at --jobs 2
 `manifest compose` over a small manifest and a JSON spec (`kinds` null,
 `always_include_datasets` absent), `segment --mode rest` over notes whose
 pitches are an integer, null, absent and "Rest", and a small `ddpm train` ->
-`finetune` -> `sample`; apart from that chain a `ddpm sample-oracle`. Every
+`finetune` -> `sample`, at the default guidance scale and at 2 (the one digest
+of eps_u + w (eps_c - eps_u) with w off 0 and 1); apart from that chain a
+`ddpm sample-oracle`. Every
 written file and every command's stdout must hash to the digests below,
 which a refactor that claims byte-identical outputs must leave unchanged.
 They were computed with the numpy and scipy versions CI pins. The run is in
