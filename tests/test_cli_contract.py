@@ -141,8 +141,8 @@ def malformed_wavs(draw):
 def _one_fault_wav(channels=1, rate=24_000, bits=16, extra_align=0, cut=0):
     """A 0.3 s 16-bit mono PCM WAV that every reading command takes, but with
     the given fmt fields, its block align `extra_align` bytes above channels x
-    bits / 8 and `cut` bytes cut off its data: one fault, which only its own
-    check in `read_wav` refuses."""
+    bits / 8 and `cut` bytes cut off its data: one fault, which its own check
+    in `read_wav` is the first to refuse."""
     data = wav_bytes(sine(220, 0.3))[44:]
     data = data[:len(data) - cut]
     align = channels * bits // 8 + extra_align
@@ -184,7 +184,7 @@ def test_malformed_wavs_keep_the_contract(drawn, command):
 
 
 @pytest.mark.parametrize("command", ["extract", "f0-stats", "perturb", "segment"])
-def test_the_one_fault_wavs_fault_is_their_only_one(command):
+def test_the_wav_under_each_single_fault_is_read_by_every_command(command):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         wav = work / "in.wav"

@@ -8,9 +8,9 @@ One chain of commands over fixed synthetic inputs: `extract` at --jobs 2
 pitches are an integer, null, absent and "Rest", and a small `ddpm train` ->
 `finetune` -> `sample`, at the default guidance scale and at 2 (the one digest
 of eps_u + w (eps_c - eps_u) with w off 0 and 1); apart from that chain a
-`ddpm sample-oracle`. Every
-written file and every command's stdout must hash to the digests below,
-which a refactor that claims byte-identical outputs must leave unchanged.
+`ddpm sample-oracle`. Every written file and every command's stdout must hash
+to the digests below, which a refactor that claims byte-identical outputs must
+leave unchanged.
 They were computed with the numpy and scipy versions CI pins. The run is in
 a fresh working directory with relative paths, so stdout holds no machine's
 path.
