@@ -97,8 +97,6 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     if fmt is None or raw is None:
         raise FormatError(f"{p}: missing fmt or data chunk")
     format_tag, channels, rate, _byte_rate, block_align, bits = fmt
-    if rate <= 0:
-        raise FormatError(f"{p}: nonsensical sample rate {rate}")
     if channels not in (1, 2):
         raise FormatError(f"{p}: {channels} channels (want 1 or 2)")
 

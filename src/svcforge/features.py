@@ -2,17 +2,16 @@
 
 `CANONICAL_FRAME_CONFIG` is the one analysis grid: the 80-bin log-mel
 spectrogram and the A-weighted loudness (`mel_loudness`) and the F0 track
-(`pitch.estimate_f0`, through `frame_blocks`) all read it here, so every
-per-frame track lines up with every other and no caller passes a grid or a
-filterbank. `FrameConfig`, `frame_signal`, `stft` and `istft` take a grid
-as an argument, because the formant shifter analyses on a second one.
-Framing is non-centered (no padding): T = 1 + (n - win) // hop, and the
-frames are read-only `sliding_window_view` rows of the clip's samples.
+(`pitch.estimate_f0`) all read it here, so every per-frame track lines up
+with every other and no caller passes a grid or a filterbank;
+`frame_blocks` and `spectrum` also take the formant shifter's grid.
+Framing is non-centered (no padding): T = 1 + (n - win) // hop.
 
-Long clips are analysed in blocks of BLOCK_FRAMES frames (`frame_blocks`):
-`mel_loudness` and `pitch.estimate_f0` run their per-block kernels through
-a `map` the caller passes, so memory stays bounded by a few blocks however
-long the clip is, and a thread pool's `map` spreads the blocks over cores.
+Every clip is split into blocks of BLOCK_FRAMES frames (`frame_blocks`) and
+analysed one block at a time, with `add_frames` the one overlap-add of a
+resynthesis, so memory stays bounded by a few blocks however long the
+clip is. `mel_loudness` and `pitch.estimate_f0` run their per-block kernels
+through a `map` the caller passes, which a thread pool spreads over cores.
 """
 
 from dataclasses import dataclass
@@ -74,31 +73,22 @@ CANONICAL_FRAME_CONFIG = FrameConfig()
 BLOCK_FRAMES = 512
 
 
-def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
-    """[T, win_length] read-only view of the non-centered frames of a clip
-    at defaults.SAMPLE_RATE, the rate of the frame grid."""
+def frame_blocks(clip: AudioClip, cfg: FrameConfig = CANONICAL_FRAME_CONFIG) -> list:
+    """The frames of a clip at defaults.SAMPLE_RATE on grid `cfg`, as
+    consecutive read-only views of BLOCK_FRAMES rows of its samples; the
+    last holds the remainder."""
     if clip.sample_rate != defaults.SAMPLE_RATE:
         raise InvalidParameterError(
             f"clip at {clip.sample_rate} Hz, the frame grid wants {defaults.SAMPLE_RATE} Hz"
         )
     cfg.num_frames(clip.samples.size)  # a clip shorter than one window is refused here
-    return sliding_window_view(clip.samples, cfg.win_length)[::cfg.hop]
-
-
-def frame_blocks(clip: AudioClip) -> list:
-    """The clip's frames on the canonical grid as consecutive views of
-    BLOCK_FRAMES rows; the last holds the remainder."""
-    frames = frame_signal(clip, CANONICAL_FRAME_CONFIG)
+    frames = sliding_window_view(clip.samples, cfg.win_length)[::cfg.hop]
     return [frames[i:i + BLOCK_FRAMES] for i in range(0, frames.shape[0], BLOCK_FRAMES)]
 
 
-def _spectrum(frames: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+def spectrum(frames: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """One-sided complex spectrum [M, n_bins] of Hann-windowed frames [M, win_length]."""
     return np.fft.rfft(frames * cfg.window(), n=cfg.fft_size, axis=1)
-
-
-def stft(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
-    """One-sided complex spectrogram, shape [T, fft_size//2 + 1]."""
-    return _spectrum(frame_signal(clip, cfg), cfg)
 
 
 def mel_loudness(clip: AudioClip, map=map) -> tuple:
@@ -122,7 +112,7 @@ def mel_loudness(clip: AudioClip, map=map) -> tuple:
     a_weight = 10.0 ** (a_weight_db(cfg.bin_frequencies()) / 10.0)
 
     def block(frames):
-        power = np.abs(_spectrum(frames, cfg)) ** 2
+        power = np.abs(spectrum(frames, cfg)) ** 2
         mel = np.log(np.maximum(power @ fb.T, defaults.POWER_FLOOR))
         # a row-by-row sum, not `power @ a_weight`: BLAS splits a matrix-vector
         # product's rows over its threads, and a row's bits then depend on where it falls
@@ -133,32 +123,29 @@ def mel_loudness(clip: AudioClip, map=map) -> tuple:
     return np.concatenate(mels), np.concatenate(louds)
 
 
-def istft(spec: np.ndarray, cfg: FrameConfig, n_samples: int) -> np.ndarray:
-    """Weighted overlap-add inverse of `stft`, `n_samples` long: frames are
-    windowed again and overlap-added with the squared window as weight."""
-    win = cfg.window()
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.win_length] * win
-    return overlap_add(frames, cfg.hop, win ** 2, n_samples)
+def add_frames(out: np.ndarray, frames: np.ndarray, hop: int, first: int = 0) -> None:
+    """Add frame m of `frames` ([M, L]) into `out`, a contiguous buffer a
+    whole number of hops long, at sample (first + m) * hop. Slab c (columns
+    c * hop to (c + 1) * hop) of every frame is added at once, in descending
+    c, so each sample gets its frames in ascending m, as from a per-frame
+    loop, and calls in ascending `first` keep that order."""
+    n_frames, length = frames.shape
+    rows = out.reshape(-1, hop)[first:]
+    for c in reversed(range(-(-length // hop))):
+        lo, width = c * hop, min(hop, length - c * hop)
+        rows[c:c + n_frames, :width] += frames[:, lo:lo + width]
 
 
 def overlap_add(frames: np.ndarray, hop: int, weight: np.ndarray,
                 n_samples: int) -> np.ndarray:
     """Add frame m of `frames` ([M, L]) at sample m * hop and divide by
     `weight` ([L]) added the same way, where that sum exceeds 1e-8;
-    uncovered samples stay zero. Returns `n_samples` samples.
-
-    Slab c (columns c * hop to (c + 1) * hop) of every frame is added at
-    once onto hop-wide block m + c, in descending c, so each sample gets
-    its frames in ascending m: bit-identical to a per-frame loop."""
+    uncovered samples stay zero. Returns `n_samples` samples."""
     n_frames, length = frames.shape
-    n_slabs = -(-length // hop)
-    n_blocks = max(n_frames + n_slabs - 1, -(-n_samples // hop))
-    y = np.zeros(n_blocks * hop)
-    wsum = np.zeros(n_blocks * hop)
-    for c in reversed(range(n_slabs)):
-        lo, width = c * hop, min(hop, length - c * hop)
-        y.reshape(n_blocks, hop)[c:c + n_frames, :width] += frames[:, lo:lo + width]
-        wsum.reshape(n_blocks, hop)[c:c + n_frames, :width] += weight[lo:lo + width]
+    n_rows = max(n_frames - 1 + -(-length // hop), -(-n_samples // hop))
+    y, wsum = np.zeros(n_rows * hop), np.zeros(n_rows * hop)
+    add_frames(y, frames, hop)
+    add_frames(wsum, np.broadcast_to(weight, frames.shape), hop)
     np.divide(y, wsum, out=y, where=wsum > 1e-8)
     return y[:n_samples]
 

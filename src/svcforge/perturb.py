@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import defaults
 from .audio import AudioClip, resample
 from .errors import InvalidParameterError
-from .features import FrameConfig, hann, istft, overlap_add, stft
+from .features import FrameConfig, add_frames, frame_blocks, hann, overlap_add, spectrum
 from .pitch import semitones_to_ratio
 
 # Formant and pitch ratios are limited to one octave either way.
@@ -135,35 +135,47 @@ def formant_shift(clip: AudioClip, rhos: list) -> list:
     Per frame the log magnitude (floored at 1e-10) is cepstrally smoothed
     (1.25 ms quefrency cutoff) into an envelope, whose frequency axis is
     resampled at f / rho (clamped at the edges); the complex spectrum is
-    scaled by exp(warped envelope - envelope) and overlap-added back.
-    Every ratio is checked first; the analysis up to the envelope then runs
-    once per call, and output i equals `formant_shift(clip, [rhos[i]])[0]`.
+    scaled by exp(warped envelope - envelope) and overlap-added back with
+    the squared window as weight. Every ratio is checked first. The analysis
+    up to the envelope runs once per `frame_blocks` block, whose frames are
+    then added into every ratio's output, so output i equals
+    `formant_shift(clip, [rhos[i]])[0]` and no whole-clip spectrogram is held.
     The clip must be at the canonical rate (InvalidParameterError otherwise).
     """
     for rho in rhos:
         if not RATIO_LO <= rho <= RATIO_HI:
             raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
-    n = clip.samples.size
-    n_fft = _FORMANT_FRAMES.fft_size
+    cfg = _FORMANT_FRAMES
+    n, n_fft, hop, win = clip.samples.size, cfg.fft_size, cfg.hop, cfg.window()
     x = np.concatenate([np.zeros(n_fft), clip.samples, np.zeros(2 * n_fft)])
-    spec = stft(AudioClip(x, clip.sample_rate), _FORMANT_FRAMES)
-
+    blocks = frame_blocks(AudioClip(x, clip.sample_rate), cfg)
     qcut = int(round(defaults.FORMANT_QUEFRENCY_CUTOFF_SEC * clip.sample_rate))
-    cep = np.fft.irfft(np.log(np.maximum(np.abs(spec), 1e-10)), n=n_fft, axis=1)
-    cep[:, qcut + 1:n_fft - qcut] = 0.0
-    env = np.fft.rfft(cep, axis=1).real
+    query = np.arange(cfg.n_bins) / np.array(rhos, dtype=float).reshape(-1, 1)
+    i0 = np.clip(np.floor(query).astype(int), 0, cfg.n_bins - 1)
+    i1 = np.minimum(i0 + 1, cfg.n_bins - 1)
+    frac = np.clip(query - i0, 0.0, 1.0)
 
-    n_bins = env.shape[1]
-    out = []
-    for rho in rhos:
-        query = np.arange(n_bins) / rho
-        i0 = np.clip(np.floor(query).astype(int), 0, n_bins - 1)
-        i1 = np.minimum(i0 + 1, n_bins - 1)
-        frac = np.clip(query - i0, 0.0, 1.0)
-        env_warped = env[:, i0] * (1.0 - frac) + env[:, i1] * frac
-        y = istft(spec * np.exp(env_warped - env), _FORMANT_FRAMES, len(x))
-        out.append(AudioClip(y[n_fft:n_fft + n], clip.sample_rate))
-    return out
+    size = -(-x.size // hop) * hop  # the frames end within x
+    ys, wsum = np.zeros((len(rhos), size)), np.zeros(size)
+    first = 0
+    for frames in blocks:
+        spec = spectrum(frames, cfg)
+        env = np.fft.irfft(np.log(np.maximum(np.abs(spec), 1e-10)), n=n_fft, axis=1)
+        env[:, qcut + 1:n_fft - qcut] = 0.0  # the liftered cepstrum, then its envelope
+        env = np.fft.rfft(env, axis=1).real
+        for y, lo, hi, f in zip(ys, i0, i1, frac):
+            gain = env[:, lo]  # exp(warped envelope - envelope), in place
+            gain *= 1.0 - f
+            gain += env[:, hi] * f
+            gain -= env
+            np.exp(gain, out=gain)
+            out = np.fft.irfft(spec * gain, n=n_fft, axis=1)[:, :cfg.win_length]
+            out *= win
+            add_frames(y, out, hop, first)
+        add_frames(wsum, np.broadcast_to(win ** 2, frames.shape), hop, first)
+        first += len(frames)
+    np.divide(ys, wsum, out=ys, where=wsum > 1e-8)
+    return [AudioClip(y[n_fft:n_fft + n], clip.sample_rate) for y in ys]
 
 
 def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarray:

@@ -617,6 +617,14 @@ def test_extract_rejects_a_wav_with_a_repeated_chunk(tmp_path, capsys, chunk):
     assert f"more than one {chunk!r} chunk" in err
 
 
+def test_extract_names_a_wav_whose_rate_is_zero(tmp_path, capsys):
+    # `read_wav` hands the header's rate to `AudioClip`, which refuses 0
+    wav, out_dir = tmp_path / "rate0.wav", tmp_path / "out"
+    wav.write_bytes(_pcm16_wav(np.zeros(4800, dtype=np.int16), rate=0))
+    err = _assert_rejected(capsys, ["extract", "--in", wav, "--out-dir", out_dir], out_dir)
+    assert err == f"error: {wav}: sample_rate must be a positive integer\n"
+
+
 def _bad_json_document(path, kind):
     if kind == "directory":
         path.mkdir()

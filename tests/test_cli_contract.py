@@ -142,7 +142,8 @@ def _one_fault_wav(channels=1, rate=24_000, bits=16, extra_align=0, cut=0):
     """A 0.3 s 16-bit mono PCM WAV that every reading command takes, but with
     the given fmt fields, its block align `extra_align` bytes above channels x
     bits / 8 and `cut` bytes cut off its data: one fault, which its own check
-    in `read_wav` is the first to refuse."""
+    in `read_wav` is the first to refuse (a zero rate, the `AudioClip` that
+    `read_wav` returns)."""
     data = wav_bytes(sine(220, 0.3))[44:]
     data = data[:len(data) - cut]
     align = channels * bits // 8 + extra_align

@@ -877,6 +877,16 @@ def test_pseudo_embedding_dim_one():
         pseudo_speaker_embedding(7, 0)
 
 
+def test_pseudo_embedding_refuses_a_zero_draw(monkeypatch):
+    class Zeros:
+        def standard_normal(self, dim):
+            return np.zeros(dim)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+    with pytest.raises(InvalidParameterError, match="degenerate zero draw"):
+        pseudo_speaker_embedding(7, 3)
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from svcforge import defaults
 from svcforge.audio import AudioClip
@@ -14,17 +15,16 @@ from svcforge.features import (
     CANONICAL_FRAME_CONFIG,
     FrameConfig,
     a_weight_db,
+    add_frames,
     build_mel_filterbank,
     frame_blocks,
-    frame_signal,
     hz_to_mel,
-    istft,
     mel_loudness,
     mel_to_hz,
     overlap_add,
-    stft,
 )
 from svcforge.pitch import estimate_f0
+from spectrogram import istft, stft
 from synth import sine
 
 CFG = CANONICAL_FRAME_CONFIG
@@ -84,10 +84,11 @@ def test_stft_zero_signal():
 
 
 def test_stft_errors():
+    # the frames of every spectrum come from `frame_blocks`, which refuses these
     with pytest.raises(InvalidParameterError, match="clip at 16000 Hz"):
-        stft(AudioClip(np.zeros(4000), 16000), CFG)
+        frame_blocks(AudioClip(np.zeros(4000), 16000), CFG)
     with pytest.raises(InvalidParameterError, match="window"):
-        stft(AudioClip(np.zeros(CFG.win_length - 1), defaults.SAMPLE_RATE), CFG)
+        frame_blocks(AudioClip(np.zeros(CFG.win_length - 1), defaults.SAMPLE_RATE), CFG)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -181,6 +182,21 @@ def test_overlap_add_matches_per_frame_loop(n_frames, length, hop, extra, seed):
     got = overlap_add(frames, hop, weight, n_samples)
     assert got.shape == (n_samples,)
     assert np.array_equal(got, _reference_overlap_add(frames, hop, weight, n_samples))
+
+
+@given(n_frames=st.integers(1, 40), length=st.integers(1, 64), hop=st.integers(1, 80),
+       block=st.integers(1, 41), seed=st.integers(0, 2**32 - 1))
+def test_add_frames_in_blocks_matches_per_frame_loop(n_frames, length, hop, block, seed):
+    # blocks added in ascending order give each sample its frames in ascending order
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((n_frames, length)) * 10.0 ** rng.integers(-8, 8, length)
+    out = np.zeros((n_frames - 1 + -(-length // hop)) * hop)
+    for first in range(0, n_frames, block):
+        add_frames(out, frames[first:first + block], hop, first)
+    want = np.zeros(out.size)
+    for m in range(n_frames):
+        want[m * hop:m * hop + length] += frames[m]
+    assert np.array_equal(out, want)
 
 
 def test_mel_scale_formula():
@@ -310,7 +326,8 @@ def test_frame_blocks_split_the_frames_in_order():
     blocks = frame_blocks(clip)
     assert [b.shape[0] for b in blocks] == [BLOCK_FRAMES, BLOCK_FRAMES, 37]
     assert all(np.shares_memory(b, clip.samples) for b in blocks)  # views, not copies
-    assert np.array_equal(np.concatenate(blocks), frame_signal(clip, CFG))
+    assert np.array_equal(np.concatenate(blocks),
+                          sliding_window_view(clip.samples, CFG.win_length)[::CFG.hop])
     assert [b.shape[0] for b in frame_blocks(_noisy_tone(BLOCK_FRAMES, 1))] == [BLOCK_FRAMES]
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from svcforge import defaults
 from svcforge.audio import AudioClip, wav_bytes
 from svcforge.cli import main
-from svcforge.features import BLOCK_FRAMES
 from synth import sawtooth, vowel
 
 GOLDEN = {
@@ -132,7 +131,7 @@ GOLDEN = {
 
 
 def _inputs() -> None:
-    n_frames = 2 * BLOCK_FRAMES + 37
+    n_frames = 1061  # two 512-frame analysis blocks and 37 frames, fixed whatever the block
     n = defaults.WIN_LENGTH + (n_frames - 1) * defaults.HOP  # at 24 kHz
     rate = 44100
     long = sawtooth(196.0, n / defaults.SAMPLE_RATE, sample_rate=rate).samples.copy()

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 from math import gcd, log2
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from scipy.signal import freqz, lfilter, welch
 
 from svcforge.audio import AudioClip
 from svcforge.errors import InvalidParameterError
-from svcforge.features import hann, hz_to_mel, istft, mel_to_hz, stft
+from svcforge.features import BLOCK_FRAMES, hann, hz_to_mel, mel_to_hz
 from svcforge.perturb import (
     PerturbConfig,
     formant_shift,
@@ -22,6 +23,7 @@ from svcforge.perturb import (
 )
 from svcforge import defaults, perturb
 from svcforge.pitch import estimate_f0, semitones_to_ratio
+from spectrogram import istft, stft
 from synth import sawtooth, sine, vowel
 
 
@@ -273,10 +275,10 @@ def test_formant_shift_checks_every_ratio_first(monkeypatch, bad, where):
     rhos = [1.1, 0.8, 1.3]
     rhos[where] = bad
 
-    def no_stft(*args):
+    def no_spectrum(*args):
         raise AssertionError("analysis ran before every ratio was checked")
 
-    monkeypatch.setattr(perturb, "stft", no_stft)
+    monkeypatch.setattr(perturb, "spectrum", no_spectrum)
     with pytest.raises(InvalidParameterError):
         formant_shift(vowel(duration_sec=0.2), rhos)
 
@@ -319,6 +321,75 @@ def _reference_formant_shift(clip: AudioClip, rho: float) -> AudioClip:
     new_mag = np.exp(env_warped + resid)
     y = istft(new_mag * np.exp(1j * phase), _FORMANT_FRAMES, len(x))
     return AudioClip(y[n_fft:n_fft + n], clip.sample_rate)
+
+
+def _whole_clip_formant_shift(clip: AudioClip, rhos: list) -> list:
+    """The formant shifter as it was before it ran one block of frames at a
+    time (one spectrogram of the whole padded clip, one `istft` per ratio),
+    kept verbatim as the reference."""
+    RATIO_LO, RATIO_HI = perturb.RATIO_LO, perturb.RATIO_HI
+    _FORMANT_FRAMES = perturb._FORMANT_FRAMES
+    for rho in rhos:
+        if not RATIO_LO <= rho <= RATIO_HI:
+            raise InvalidParameterError(f"rho must be in [0.5, 2], got {rho}")
+    n = clip.samples.size
+    n_fft = _FORMANT_FRAMES.fft_size
+    x = np.concatenate([np.zeros(n_fft), clip.samples, np.zeros(2 * n_fft)])
+    spec = stft(AudioClip(x, clip.sample_rate), _FORMANT_FRAMES)
+
+    qcut = int(round(defaults.FORMANT_QUEFRENCY_CUTOFF_SEC * clip.sample_rate))
+    cep = np.fft.irfft(np.log(np.maximum(np.abs(spec), 1e-10)), n=n_fft, axis=1)
+    cep[:, qcut + 1:n_fft - qcut] = 0.0
+    env = np.fft.rfft(cep, axis=1).real
+
+    n_bins = env.shape[1]
+    out = []
+    for rho in rhos:
+        query = np.arange(n_bins) / rho
+        i0 = np.clip(np.floor(query).astype(int), 0, n_bins - 1)
+        i1 = np.minimum(i0 + 1, n_bins - 1)
+        frac = np.clip(query - i0, 0.0, 1.0)
+        env_warped = env[:, i0] * (1.0 - frac) + env[:, i1] * frac
+        y = istft(spec * np.exp(env_warped - env), _FORMANT_FRAMES, len(x))
+        out.append(AudioClip(y[n_fft:n_fft + n], clip.sample_rate))
+    return out
+
+
+def _formant_clip(n_frames: int, seed: int) -> AudioClip:
+    """Noise whose zero-padded formant analysis has exactly `n_frames` frames."""
+    cfg = perturb._FORMANT_FRAMES
+    n = (n_frames - 1) * cfg.hop + cfg.win_length - 3 * cfg.fft_size
+    return AudioClip(np.random.default_rng(seed).normal(scale=0.1, size=n), 24000)
+
+
+@pytest.mark.parametrize("n_frames", [BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
+                                      2 * BLOCK_FRAMES + 37])
+def test_formant_shift_blocks_equal_the_whole_clip_shifter(n_frames):
+    clip = _formant_clip(n_frames, n_frames)
+    rhos = [0.5, 1.0, 1.39, 2.0]
+    for got, want in zip(formant_shift(clip, rhos), _whole_clip_formant_shift(clip, rhos),
+                         strict=True):
+        assert np.array_equal(got.samples, want.samples)
+
+
+def test_formant_shift_memory_is_bounded_by_the_block():
+    # 3 blocks and 37 frames (16.7 s). The whole-clip shifter held [T, 513]
+    # spectrograms and peaked at 86 MiB. The blocked one holds one
+    # block's working set, at most six [BLOCK_FRAMES, fft_size] float64 arrays
+    # (24 MiB), and four float64 arrays of the padded clip's length (the
+    # padded clip, two outputs, the squared-window sum) with room for two
+    # more (18.5 MiB in all). It read 36 MiB.
+    cfg = perturb._FORMANT_FRAMES
+    clip = _formant_clip(3 * BLOCK_FRAMES + 37, 5)
+    n_padded = clip.samples.size + 3 * cfg.fft_size
+    bound = 6 * BLOCK_FRAMES * cfg.fft_size * 8 + 6 * n_padded * 8
+    tracemalloc.start()
+    try:
+        formant_shift(clip, [0.8, 1.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB >= {bound / 2**20:.1f} MiB"
 
 
 def _pcm16(x):
