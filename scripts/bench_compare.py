@@ -64,13 +64,20 @@ def worsening(parent_median: float, change_median: float, better: str) -> float:
 def verdict(parent: list, change: list, better: str, bound: float) -> str:
     """'worse' beyond the bound; 'better' when the change wins at least nine
     tenths of the pairs and its median beats the parent's by more than the
-    parent's interquartile range; 'within bound' otherwise."""
+    parent's interquartile range; otherwise 'unresolved' when that range,
+    divided by the parent's median, exceeds the bound (the parent's own runs
+    spread too widely to tell) unless every change run beats every parent
+    run, and 'within bound' if not."""
     p, c = quartiles(parent), quartiles(change)
     if worsening(p["median"], c["median"], better) > bound:
         return "worse"
     gap = p["median"] - c["median"] if better == "lower" else c["median"] - p["median"]
     if 10 * wins(parent, change, better) >= 9 * len(parent) and gap > p["q3"] - p["q1"]:
         return "better"
+    beats_every_run = (max(change) < min(parent) if better == "lower"
+                       else min(change) > max(parent))
+    if (p["q3"] - p["q1"]) / p["median"] > bound and not beats_every_run:
+        return "unresolved"
     return "within bound"
 
 

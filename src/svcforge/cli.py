@@ -53,7 +53,7 @@ from .diffusion import (
     toy_dataset,
     train_toy,
 )
-from .errors import FormatError, InvalidParameterError, SvcforgeError
+from .errors import InvalidParameterError, SvcforgeError
 from .features import mel_loudness
 from .metrics import cosine_similarity, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0, lag_range
@@ -107,31 +107,33 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                    help="highest F0 candidate in Hz (default %(default)s)")
 
 
-def _load_clip_at_canonical_rate(path: str) -> AudioClip:
+def _named(path: str, decode):
+    """`decode(path)`; an InvalidParameterError raised in it gains the input's `path` in front."""
     try:
-        return resample(read_wav(path), defaults.SAMPLE_RATE)
-    except InvalidParameterError as exc:  # an unusable rate or sample: named, as read_wav's are
-        raise FormatError(f"{path}: {exc}") from exc
+        return decode(path)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from exc
+
+
+def _load_clip_at_canonical_rate(path: str) -> AudioClip:
+    return resample(read_wav(path), defaults.SAMPLE_RATE)
 
 
 def _analyse_inputs(args, analyse) -> list:
     """`analyse(path, clip, block_map)` of each of `args.inputs`, read and resampled to
-    the canonical rate, in input order; an InvalidParameterError of `analyse` gains the
-    path in front. The flags `_add_analysis_flags` adds are checked first, before any
-    input is read: --jobs, then the F0 range (`pitch.lag_range`). Up to --jobs inputs are
-    analysed at once, and all their frame blocks share one pool of --jobs threads through
-    `block_map`. Input tasks wait on block tasks, never the reverse, so none can deadlock."""
+    the canonical rate, in input order, each `_named` by its path. The flags
+    `_add_analysis_flags` adds are checked first, before any input is read: --jobs, then
+    the F0 range (`pitch.lag_range`). Up to --jobs inputs are analysed at once, and all
+    their frame blocks share one pool of --jobs threads through `block_map`. Input tasks
+    wait on block tasks, never the reverse, so none can deadlock."""
     if args.jobs < 1:
         raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
     lag_range(args.f0_floor, args.f0_ceil)
 
     def analyse_input(path):
-        try:
-            return analyse(path, _load_clip_at_canonical_rate(path), blocks.map)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"{path}: {exc}") from exc
+        return analyse(path, _load_clip_at_canonical_rate(path), blocks.map)
     with ThreadPoolExecutor(args.jobs) as blocks, ThreadPoolExecutor(args.jobs) as inputs:
-        return list(inputs.map(analyse_input, args.inputs))
+        return list(inputs.map(lambda path: _named(path, analyse_input), args.inputs))
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -165,7 +167,7 @@ def _cmd_f0_stats(args) -> tuple:
 
 def _cmd_convert_pitch(args) -> tuple:
     policy = ConversionPolicy(args.scale_sigma, args.quantize_cents, args.policy == "cross-domain")
-    track = F0Track.from_array(read_tensor(args.input))
+    track = _named(args.input, lambda p: F0Track.from_array(read_tensor(p)))
     stats_x = load_stats(args.source_stats)
     stats_y = load_stats(args.target_stats)
     converted = convert_logf0(track, stats_x, stats_y, policy)
@@ -183,7 +185,7 @@ def _cmd_convert_pitch(args) -> tuple:
 
 
 def _cmd_perturb(args) -> tuple:
-    clip = _load_clip_at_canonical_rate(args.input)
+    clip = _named(args.input, _load_clip_at_canonical_rate)
     first, second = random_perturb_pair(clip, PerturbConfig(seed=args.seed))
     return {
         "command": "perturb", "seed": args.seed,
@@ -206,11 +208,12 @@ def _cmd_segment(args) -> tuple:
     if args.mode == "vad":  # each mode checks its flags before it reads its input
         cfg = VadConfig(**_given(**{  # --vad-X sets VadConfig.X
             f.name: getattr(args, f"vad_{f.name}") for f in fields(VadConfig)}))
-        segments = vad_segment(_load_clip_at_canonical_rate(args.input), cfg)
+        segments = vad_segment(_named(args.input, _load_clip_at_canonical_rate), cfg)
     else:
         given = _given(min_rest_sec=args.min_rest_sec, clip_duration=args.clip_duration)
-        rest_note_segment([], **given)  # no notes: checks only the flags
-        segments = rest_note_segment(read_notes(args.notes), **given)
+        rest_note_segment([], **given)  # no notes: checks only the flags, left unnamed
+        notes = read_notes(args.notes)  # its errors name the file and the event
+        segments = _named(args.notes, lambda _: rest_note_segment(notes, **given))
     doc = [asdict(s) for s in segments]
     return {"command": "segment", "mode": args.mode,
             "n_segments": len(segments), "segments": doc,
@@ -303,9 +306,8 @@ def _cmd_eval_cossim(args) -> tuple:
 
 
 def _cmd_eval_f0(args) -> tuple:
-    track_a = F0Track.from_array(read_tensor(args.a))
-    track_b = F0Track.from_array(read_tensor(args.b))
-    return {"command": "eval f0", **f0_metrics(track_a, track_b)}, []
+    a, b = (_named(f, lambda p: F0Track.from_array(read_tensor(p))) for f in (args.a, args.b))
+    return {"command": "eval f0", **f0_metrics(a, b)}, []
 
 
 def _cmd_config_show(args) -> tuple:

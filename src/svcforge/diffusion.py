@@ -564,12 +564,13 @@ def model_files(model: ToyDenoiser, directory: str | os.PathLike) -> list:
 
 def load_model(directory: str | os.PathLike) -> ToyDenoiser:
     """The model whose `model_files(model, directory)` were written. Each
-    `<name>.svcf` is read like any input path and must hold a finite tensor;
-    any index key but num_steps, such as an older index's file map and sizes,
-    is ignored. The sizes are read off the shapes of w1 (hidden rows, dim +
-    2 TIME_FREQS + cond_dim columns), w2 (dim rows) and cln_w_gamma
-    (speaker_dim columns); the tensors must then be exactly the parameters
-    of a model of those sizes. Anything else is a FormatError."""
+    `<name>.svcf` is read like any input path, by `read_tensor`, which also
+    refuses a NaN or an infinity; any index key but num_steps, such as an
+    older index's file map and sizes, is ignored. The sizes are read off the
+    shapes of w1 (hidden rows, dim + 2 TIME_FREQS + cond_dim columns), w2
+    (dim rows) and cln_w_gamma (speaker_dim columns); the tensors must then
+    be exactly the parameters of a model of those sizes. Anything else is a
+    FormatError."""
     d = Path(directory)
     index_path = d / "index.json"
     what = f"model index {index_path}"
@@ -579,9 +580,6 @@ def load_model(directory: str | os.PathLike) -> ToyDenoiser:
         return FormatError(f"bad {what}: {why}")
 
     params = {name: read_tensor(d / f"{name}.svcf").astype(np.float64) for name in PARAM_NAMES}
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise bad(f"{name} has non-finite entries")
     if any(params[n].ndim != 2 for n in ("w1", "w2", "cln_w_gamma")):
         raise bad("w1, w2 and cln_w_gamma must be matrices")
     (hidden, width), (dim, _), (_, speaker_dim) = (

@@ -9,8 +9,9 @@ little-endian):
     dims    u32 * ndim
     data    float32 * prod(dims), row-major
 
-Every value in a written file is finite: NaN, infinities and float64
-values beyond float32's range are rejected before anything is written.
+Every value is finite, both ways: the writer rejects NaN, infinities and
+float64 values beyond float32's range before anything is written, and the
+reader rejects a file whose payload holds a NaN or an infinity.
 
 This module is also the one JSON codec (documents, JSON-lines manifests,
 dataclass records via `json_record`, which reads each field by its declared
@@ -56,7 +57,8 @@ def tensor_bytes(array: np.ndarray, name: str) -> bytes:
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
-    """Read an SVCF file back into a float32 array."""
+    """Read an SVCF file back into a float32 array. A NaN or an infinity in
+    the payload is a FormatError naming the file, as a bad header is."""
     p = Path(path)
     blob = read_bytes(p, "tensor file")
     if len(blob) < 12 or blob[:4] != MAGIC:
@@ -74,9 +76,12 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
             f"{p}: payload is {len(data)} bytes, expected {4 * count}"
         )
     try:
-        return np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+        arr = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
     except ValueError as exc:  # an empty shape numpy cannot hold, e.g. [0, 2^31, 2^31]
         raise FormatError(f"{p}: dims {list(dims)}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{p}: a value is not finite")
+    return arr
 
 
 def atomic_write_files(files) -> None:

@@ -187,6 +187,44 @@ def test_samples_equal_the_whole_array_decode_to_the_bit(tmp_path, tag, bits, ch
     assert got.tobytes() == _reference_samples(data, tag, bits, channels).tobytes()
 
 
+def _stereo(left, right):
+    """A 24 kHz stereo float32 WAV's bytes, and numpy's mean of each frame's pair."""
+    frames = np.stack([left, right], axis=1).astype("<f4")
+    blob = _wav(_fmt_body(3, 2, 32, rate=24000), frames.tobytes())
+    return blob, frames.astype(np.float64).mean(axis=1)
+
+
+@pytest.mark.parametrize("gain", [-1.0, -0.85], ids=["exact", "0.65-percent"])
+def test_anti_phase_stereo_is_refused(tmp_path, gain):
+    p = tmp_path / "anti.wav"
+    x = sine(220, 1.0).samples
+    p.write_bytes(_stereo(x, gain * x)[0])
+    with pytest.raises(FormatError) as exc:
+        read_wav(p)
+    assert str(exc.value) == f"{p}: its stereo channels cancel out in the mono mix"
+
+
+_RNG = np.random.default_rng(11)
+_TONE = sine(220, 1.0).samples
+_NOISE = _RNG.standard_normal((2, 24000)) * 0.1
+
+
+@pytest.mark.parametrize("left, right", [
+    (_TONE, _TONE),  # in phase: the mix keeps all of the energy
+    (_NOISE[0], _NOISE[1]),  # uncorrelated: about half
+    (_TONE, np.zeros(24000)),  # one silent channel: exactly half
+    (np.zeros(24000), np.zeros(24000)),  # silence: nothing to lose
+    (_TONE * 1.1, _TONE * 0.9),  # perfbench's stereo takes
+    (_TONE, _TONE * -0.8),  # nearly anti-phase, but 1.2 % of the mean energy survives
+], ids=["in-phase", "uncorrelated", "one-silent-channel", "all-zero", "1.1-0.9",
+        "anti-phase-at-1.2-percent"])
+def test_stereo_that_keeps_its_energy_reads_to_the_bit(tmp_path, left, right):
+    p = tmp_path / "st.wav"
+    blob, mix = _stereo(left, right)
+    p.write_bytes(blob)
+    assert read_wav(p).samples.tobytes() == mix.tobytes()
+
+
 def test_read_peak_memory_is_a_small_multiple_of_the_samples(tmp_path):
     # 10 s of 48 kHz 24-bit stereo; a decode through [n, 3] int32 arrays peaked at 8.5x
     rng = np.random.default_rng(4)

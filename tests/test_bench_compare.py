@@ -55,6 +55,25 @@ def test_verdicts():
     assert bc.verdict(parent, [p - 4.0 for p in parent], "lower", 0.25) == "within bound"
 
 
+def test_a_parent_that_spreads_wider_than_the_bound_is_unresolved():
+    # quartiles 100 / 200, median 150: an interquartile range of 0.67 medians
+    parent = [100.0] * 5 + [200.0] * 5
+    assert bc.verdict(parent, parent[::-1], "lower", 0.25) == "unresolved"
+    assert bc.verdict(parent, [p * 1.1 for p in parent], "lower", 0.25) == "unresolved"
+    assert bc.verdict(parent, parent[::-1], "higher", 0.25) == "unresolved"
+    # every change run beats every parent run, by less than the range
+    assert bc.verdict(parent, [99.0] * 10, "lower", 0.25) == "within bound"
+    assert bc.verdict(parent, [201.0] * 10, "higher", 0.25) == "within bound"
+    # 'worse' and 'better' keep their rules
+    assert bc.verdict(parent, [p * 1.3 for p in parent], "lower", 0.25) == "worse"
+    assert bc.verdict(parent, [p * 0.3 for p in parent], "lower", 0.25) == "better"
+    # a range of exactly the bound is resolved: 25 / 100
+    even = [87.5, 87.5, 100.0, 112.5, 112.5]
+    assert bc.quartiles(even) == {"q1": 87.5, "median": 100.0, "q3": 112.5}
+    assert bc.verdict(even, even, "lower", 0.25) == "within bound"
+    assert bc.verdict(even, even, "lower", 0.24) == "unresolved"
+
+
 def test_summarize_fixed_records():
     pairs = [
         {"parent": _run(1.70, 480.0, 600.0, 0.80), "change": _run(0.55, 330.0, 400.0, 0.825)},

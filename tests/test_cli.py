@@ -625,6 +625,19 @@ def test_extract_names_a_wav_whose_rate_is_zero(tmp_path, capsys):
     assert err == f"error: {wav}: sample_rate must be a positive integer\n"
 
 
+@pytest.mark.parametrize("command", ["extract", "f0-stats", "perturb", "segment"])
+def test_an_anti_phase_stereo_wav_is_refused_and_named(tmp_path, capsys, command):
+    # 1 s of 220 Hz with the right channel the left one negated: its mix is silence
+    wav, out = tmp_path / "anti.wav", tmp_path / "out"
+    left = np.round(sine(220, 1.0).samples * 32767).astype(np.int16)
+    wav.write_bytes(_pcm16_wav(np.stack([left, -left], axis=1), channels=2))
+    argv = {"extract": ["--out-dir", out], "segment": ["--mode", "vad", "--out", out],
+            "perturb": ["--out-a", out, "--out-b", tmp_path / "b.wav", "--seed", "0"],
+            "f0-stats": ["--speaker-id", "s", "--out", out]}[command]
+    err = _assert_rejected(capsys, [command, "--in", wav, *argv], out, tmp_path / "b.wav")
+    assert err == f"error: {wav}: its stereo channels cancel out in the mono mix\n"
+
+
 def _bad_json_document(path, kind):
     if kind == "directory":
         path.mkdir()
@@ -875,6 +888,46 @@ def test_tensors_with_bad_values_rejected(tmp_path, capsys, command, tensor):
         good.write_bytes(tensor_bytes(np.array([1.0, 0.0], dtype=np.float32), good))
         argv = ["eval", "cossim", "--a", bad, "--b", good]
     _assert_rejected(capsys, argv, out)
+
+
+@pytest.mark.parametrize("case", ["convert-pitch", "eval-f0", "eval-cossim", "ddpm-sample",
+                                  "segment-rest"])
+def test_content_faults_name_their_file_once(tmp_path, capsys, case):
+    out = tmp_path / "out.svcf"
+    stats, good = tmp_path / "stats.json", tmp_path / "good.svcf"
+    _write_stats(stats)
+    good.write_bytes(tensor_bytes(np.array([[220.0, 1.0], [220.0, 1.0]]), good))
+    if case == "convert-pitch":  # a [5, 3] tensor is not an F0 track
+        bad = tmp_path / "wide.svcf"
+        bad.write_bytes(tensor_bytes(np.ones((5, 3)), bad))
+        argv = ["convert-pitch", "--in", bad, "--out", out,
+                "--source-stats", stats, "--target-stats", stats]
+    elif case == "eval-f0":  # a voiced frame at F0 0
+        bad = tmp_path / "zero.svcf"
+        bad.write_bytes(tensor_bytes(np.array([[220.0, 1.0], [0.0, 1.0]]), bad))
+        argv = ["eval", "f0", "--a", good, "--b", bad]
+    elif case == "eval-cossim":
+        bad = tmp_path / "nan.svcf"
+        _write_raw_svcf(bad, np.array([1.0, np.nan]))
+        argv = ["eval", "cossim", "--a", bad, "--b", good]
+    elif case == "ddpm-sample":
+        model_dir = tmp_path / "model"
+        atomic_write_files(model_files(ToyDenoiser(dim=8, cond_dim=11, speaker_dim=4),
+                                       model_dir))
+        bad = model_dir / "w1.svcf"
+        w1 = read_tensor(bad)
+        w1[3, 2] = np.nan
+        _write_raw_svcf(bad, w1)
+        argv = ["ddpm", "sample", "--model-dir", model_dir, "--out", out, "--seed", "0"]
+    else:  # the second note starts before the first ends
+        bad = tmp_path / "notes.json"
+        bad.write_text(json.dumps([{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60},
+                                   {"onset_sec": 0.5, "offset_sec": 2.0, "pitch": 62}]))
+        argv = ["segment", "--mode", "rest", "--notes", bad, "--out", out]
+    before = sorted(tmp_path.rglob("*"))
+    err = _assert_rejected(capsys, argv, out)
+    assert err.startswith(f"error: {bad}: ") and err.count(str(bad)) == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_eval_cossim_rejects_tensors_above_two_dimensions(tmp_path, capsys):
@@ -1347,8 +1400,8 @@ def test_wav_rate_too_fine_to_resample_is_rejected(tmp_path, capsys, command):
     argv = {"extract": ["--out-dir", out], "segment": ["--mode", "vad", "--out", out],
             "perturb": ["--out-a", out, "--out-b", tmp_path / "b.wav", "--seed", "0"],
             "f0-stats": ["--speaker-id", "s", "--out", out]}[command]
-    assert _assert_rejected(capsys, [command, "--in", wav] + argv, out).startswith(
-        f"error: {wav}: ")
+    err = _assert_rejected(capsys, [command, "--in", wav] + argv, out)
+    assert err.startswith(f"error: {wav}: ") and err.count(str(wav)) == 1
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1380,7 +1433,7 @@ def test_analysis_errors_name_their_input(tmp_path, capsys, command, case):
         _too_fine_rate_wav(bad)
     argv = ["--out-dir", out] if command == "extract" else ["--speaker-id", "s", "--out", out]
     err = _assert_rejected(capsys, [command, "--in", good, "--in", bad, *argv], out)
-    assert err.startswith(f"error: {bad}: ")
+    assert err.startswith(f"error: {bad}: ") and err.count(str(bad)) == 1
     assert ("240 samples < one 960-sample window" if case == "short"
             else "cannot resample 1000003 Hz") in err
 

@@ -148,9 +148,21 @@ def _one_fault_wav(channels=1, rate=24_000, bits=16, extra_align=0, cut=0):
     data = data[:len(data) - cut]
     align = channels * bits // 8 + extra_align
     fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * align, align, bits)
+    return _riff(fmt, data)
+
+
+def _riff(fmt, data):
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(data)) + data
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def _anti_phase_wav():
+    """`_one_fault_wav()`'s tone as a well-formed stereo file whose right channel
+    is the left one negated, so that its mono mix is silence."""
+    left = np.frombuffer(wav_bytes(sine(220, 0.3))[44:], dtype="<i2")
+    return _riff(struct.pack("<HHIIHH", 1, 2, 24_000, 96_000, 4, 16),
+                 np.stack([left, -left], axis=1).astype("<i2").tobytes())
 
 
 def _wav_argv(command, wav, work):
@@ -173,6 +185,7 @@ def _wav_argv(command, wav, work):
 @example(drawn=(_one_fault_wav(bits=12), True), command="perturb")
 @example(drawn=(_one_fault_wav(rate=0), True), command="segment")
 @example(drawn=(_one_fault_wav(cut=1), True), command="extract")
+@example(drawn=(_anti_phase_wav(), True), command="extract")
 def test_malformed_wavs_keep_the_contract(drawn, command):
     blob, must_refuse = drawn
     with tempfile.TemporaryDirectory() as tmp:

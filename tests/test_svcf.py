@@ -97,6 +97,17 @@ def test_dims_no_array_can_hold_are_rejected(tmp_path, dims):
         read_tensor(p)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_reader_rejects_non_finite_values(tmp_path, value):
+    # bytes written by hand, since `tensor_bytes` refuses them
+    p = tmp_path / "bad.svcf"
+    p.write_bytes(b"SVCF" + struct.pack("<4I", 1, 2, 2, 2)
+                  + np.array([1.0, 2.0, value, 4.0], dtype="<f4").tobytes())
+    with pytest.raises(FormatError) as exc:
+        read_tensor(p)
+    assert str(exc.value) == f"{p}: a value is not finite"
+
+
 def test_truncated_payload(tmp_path):
     p = tmp_path / "ok.svcf"
     p.write_bytes(tensor_bytes(np.zeros(4, dtype=np.float32), p))
