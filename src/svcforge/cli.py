@@ -55,7 +55,7 @@ from .diffusion import (
 )
 from .errors import InvalidParameterError, SvcforgeError
 from .features import mel_loudness
-from .metrics import cosine_similarity, f0_metrics
+from .metrics import cosine_similarity, embedding_rows, f0_metrics
 from .pitch import F0Track, cents_between, estimate_f0, lag_range
 from .pitchconv import (
     ConversionPolicy,
@@ -299,8 +299,9 @@ def _cmd_ddpm_sample_oracle(args) -> tuple:
 
 
 def _cmd_eval_cossim(args) -> tuple:
-    sims = cosine_similarity(np.atleast_2d(read_tensor(args.a)),
-                             np.atleast_2d(read_tensor(args.b)))
+    a, b = (_named(f, lambda p: embedding_rows(np.atleast_2d(read_tensor(p))))
+            for f in (args.a, args.b))
+    sims = cosine_similarity(a, b)
     return {"command": "eval cossim", "n_pairs": sims.size,
             "cossim": float(np.mean(np.clip(sims, -1.0, 1.0)))}, []
 

@@ -73,17 +73,18 @@ CANONICAL_FRAME_CONFIG = FrameConfig()
 BLOCK_FRAMES = 512
 
 
-def frame_blocks(clip: AudioClip, cfg: FrameConfig = CANONICAL_FRAME_CONFIG) -> list:
+def frame_blocks(clip: AudioClip, cfg: FrameConfig = CANONICAL_FRAME_CONFIG,
+                 rows: int = BLOCK_FRAMES) -> list:
     """The frames of a clip at defaults.SAMPLE_RATE on grid `cfg`, as
-    consecutive read-only views of BLOCK_FRAMES rows of its samples; the
-    last holds the remainder."""
+    consecutive read-only views of `rows` rows of its samples; the last
+    holds the remainder."""
     if clip.sample_rate != defaults.SAMPLE_RATE:
         raise InvalidParameterError(
             f"clip at {clip.sample_rate} Hz, the frame grid wants {defaults.SAMPLE_RATE} Hz"
         )
     cfg.num_frames(clip.samples.size)  # a clip shorter than one window is refused here
     frames = sliding_window_view(clip.samples, cfg.win_length)[::cfg.hop]
-    return [frames[i:i + BLOCK_FRAMES] for i in range(0, frames.shape[0], BLOCK_FRAMES)]
+    return [frames[i:i + rows] for i in range(0, frames.shape[0], rows)]
 
 
 def spectrum(frames: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -134,20 +135,6 @@ def add_frames(out: np.ndarray, frames: np.ndarray, hop: int, first: int = 0) ->
     for c in reversed(range(-(-length // hop))):
         lo, width = c * hop, min(hop, length - c * hop)
         rows[c:c + n_frames, :width] += frames[:, lo:lo + width]
-
-
-def overlap_add(frames: np.ndarray, hop: int, weight: np.ndarray,
-                n_samples: int) -> np.ndarray:
-    """Add frame m of `frames` ([M, L]) at sample m * hop and divide by
-    `weight` ([L]) added the same way, where that sum exceeds 1e-8;
-    uncovered samples stay zero. Returns `n_samples` samples."""
-    n_frames, length = frames.shape
-    n_rows = max(n_frames - 1 + -(-length // hop), -(-n_samples // hop))
-    y, wsum = np.zeros(n_rows * hop), np.zeros(n_rows * hop)
-    add_frames(y, frames, hop)
-    add_frames(wsum, np.broadcast_to(weight, frames.shape), hop)
-    np.divide(y, wsum, out=y, where=wsum > 1e-8)
-    return y[:n_samples]
 
 
 def hz_to_mel(f_hz):

@@ -7,22 +7,31 @@ from .errors import InvalidParameterError
 from .pitch import F0Track, cents_between
 
 
+def embedding_rows(x) -> np.ndarray:
+    """x as float64 rows [N, d] for `cosine_similarity`: finite, at least one row, none
+    all zero (InvalidParameterError otherwise)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise InvalidParameterError(f"cosine similarity needs [N, d] and [M, d] rows, "
+                                    f"got {x.shape}")
+    if x.shape[0] < 1:
+        raise InvalidParameterError("cosine similarity needs at least one row")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("cosine similarity needs finite input")
+    if not np.abs(x).max(axis=1, initial=0.0).all():
+        raise InvalidParameterError("cosine similarity undefined for a zero-norm row")
+    return x
+
+
 def cosine_similarity(a, b) -> np.ndarray:
-    """[N, M] cosine similarities between the rows of finite a [N, d] and b [M, d]: each
+    """[N, M] cosine similarities between the `embedding_rows` a [N, d] and b [M, d]: each
     row divided by its largest magnitude, so its L2 norm neither under- nor overflows, then
-    by that norm; then one matrix product, unclipped. Each side needs a row, none all zero."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    by that norm; then one matrix product, unclipped."""
+    a, b = embedding_rows(a), embedding_rows(b)
+    if a.shape[1] != b.shape[1]:
         raise InvalidParameterError(f"cosine similarity needs [N, d] and [M, d] rows, "
                                     f"got {a.shape} and {b.shape}")
-    if min(a.shape[0], b.shape[0]) < 1:
-        raise InvalidParameterError("cosine similarity needs at least one row on each side")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidParameterError("cosine similarity needs finite input")
-    peak_a, peak_b = np.abs(a).max(axis=1, initial=0.0), np.abs(b).max(axis=1, initial=0.0)
-    if not (peak_a.all() and peak_b.all()):
-        raise InvalidParameterError("cosine similarity undefined for a zero-norm row")
-    a, b = a / peak_a[:, None], b / peak_b[:, None]
+    a, b = a / np.abs(a).max(axis=1)[:, None], b / np.abs(b).max(axis=1)[:, None]
     a /= np.sqrt(np.add.reduce(a * a, axis=1))[:, None]
     b /= np.sqrt(np.add.reduce(b * b, axis=1))[:, None]
     return a @ b.T

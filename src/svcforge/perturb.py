@@ -7,6 +7,7 @@ linguistic content (timing, F0 for formant shift/EQ) intact. Given the same
 seed, `random_perturb_pair` is bit-reproducible.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import defaults
 from .audio import AudioClip, resample
 from .errors import InvalidParameterError
-from .features import FrameConfig, add_frames, frame_blocks, hann, overlap_add, spectrum
+from .features import FrameConfig, add_frames, frame_blocks, hann, spectrum
 from .pitch import semitones_to_ratio
 
 # Formant and pitch ratios are limited to one octave either way.
@@ -127,8 +128,13 @@ def parametric_eq(clip: AudioClip, bands: list) -> AudioClip:
 # synthesis (COLA at this hop), so the rho = 1 path is a clean round trip.
 _FORMANT_FRAMES = FrameConfig(hop=256, win_length=1024, fft_size=1024)
 
+# Frames per formant kernel: a multiple of 16, so the FFT groups rows as it
+# would over the whole clip; small enough that a pair's two threads share
+# even a short clip's blocks.
+_FORMANT_BLOCK = 64
 
-def formant_shift(clip: AudioClip, rhos: list) -> list:
+
+def formant_shift(clip: AudioClip, rhos: list, map=map) -> list:
     """Warp the spectral envelope by each ratio in `rhos` while keeping F0
     and timing; one output clip per ratio, in order.
 
@@ -136,11 +142,16 @@ def formant_shift(clip: AudioClip, rhos: list) -> list:
     (1.25 ms quefrency cutoff) into an envelope, whose frequency axis is
     resampled at f / rho (clamped at the edges); the complex spectrum is
     scaled by exp(warped envelope - envelope) and overlap-added back with
-    the squared window as weight. Every ratio is checked first. The analysis
-    up to the envelope runs once per `frame_blocks` block, whose frames are
-    then added into every ratio's output, so output i equals
-    `formant_shift(clip, [rhos[i]])[0]` and no whole-clip spectrogram is held.
-    The clip must be at the canonical rate (InvalidParameterError otherwise).
+    the squared window as weight. Every ratio is checked first.
+
+    The padded clip is cut into blocks of _FORMANT_BLOCK frames. One kernel
+    per block runs the analysis up to the envelope once and returns every
+    ratio's windowed frames; `map` runs the kernels (a thread pool's `map`
+    runs blocks in parallel), and the blocks are added in ascending order,
+    so each sample sums its frames in one order whichever map runs them.
+    Output i equals `formant_shift(clip, [rhos[i]])[0]` and no whole-clip
+    spectrogram is held. The clip must be at the canonical rate
+    (InvalidParameterError otherwise).
     """
     for rho in rhos:
         if not RATIO_LO <= rho <= RATIO_HI:
@@ -148,22 +159,20 @@ def formant_shift(clip: AudioClip, rhos: list) -> list:
     cfg = _FORMANT_FRAMES
     n, n_fft, hop, win = clip.samples.size, cfg.fft_size, cfg.hop, cfg.window()
     x = np.concatenate([np.zeros(n_fft), clip.samples, np.zeros(2 * n_fft)])
-    blocks = frame_blocks(AudioClip(x, clip.sample_rate), cfg)
+    blocks = frame_blocks(AudioClip(x, clip.sample_rate), cfg, rows=_FORMANT_BLOCK)
     qcut = int(round(defaults.FORMANT_QUEFRENCY_CUTOFF_SEC * clip.sample_rate))
     query = np.arange(cfg.n_bins) / np.array(rhos, dtype=float).reshape(-1, 1)
     i0 = np.clip(np.floor(query).astype(int), 0, cfg.n_bins - 1)
     i1 = np.minimum(i0 + 1, cfg.n_bins - 1)
     frac = np.clip(query - i0, 0.0, 1.0)
 
-    size = -(-x.size // hop) * hop  # the frames end within x
-    ys, wsum = np.zeros((len(rhos), size)), np.zeros(size)
-    first = 0
-    for frames in blocks:
+    def block(frames):
         spec = spectrum(frames, cfg)
         env = np.fft.irfft(np.log(np.maximum(np.abs(spec), 1e-10)), n=n_fft, axis=1)
         env[:, qcut + 1:n_fft - qcut] = 0.0  # the liftered cepstrum, then its envelope
         env = np.fft.rfft(env, axis=1).real
-        for y, lo, hi, f in zip(ys, i0, i1, frac):
+        outs = []
+        for lo, hi, f in zip(i0, i1, frac):
             gain = env[:, lo]  # exp(warped envelope - envelope), in place
             gain *= 1.0 - f
             gain += env[:, hi] * f
@@ -171,11 +180,23 @@ def formant_shift(clip: AudioClip, rhos: list) -> list:
             np.exp(gain, out=gain)
             out = np.fft.irfft(spec * gain, n=n_fft, axis=1)[:, :cfg.win_length]
             out *= win
-            add_frames(y, out, hop, first)
-        add_frames(wsum, np.broadcast_to(win ** 2, frames.shape), hop, first)
-        first += len(frames)
+            outs.append(out)
+        return outs
+
+    size = -(-x.size // hop) * hop  # the frames end within x
+    ys, wsum = np.zeros((len(rhos), size)), np.zeros(size)
+    for k, outs in enumerate(map(block, blocks)):
+        for y, out in zip(ys, outs):
+            add_frames(y, out, hop, k * _FORMANT_BLOCK)
+    n_frames = cfg.num_frames(x.size)
+    add_frames(wsum, np.broadcast_to(win ** 2, (n_frames, cfg.win_length)), hop)
     np.divide(ys, wsum, out=ys, where=wsum > 1e-8)
     return [AudioClip(y[n_fft:n_fft + n], clip.sample_rate) for y in ys]
+
+
+# WSOLA segments gathered, windowed and overlap-added at a time, so a long
+# take's segments are never all held, even by two chains at once.
+_WSOLA_BLOCK = 64
 
 
 def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarray:
@@ -183,6 +204,9 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
 
     25 ms Hann segments at 50% synthesis overlap; each analysis segment may
     slide +/- 7.5 ms to best continue the previous one (cross-correlation).
+    The chosen segments are windowed and added _WSOLA_BLOCK at a time, in
+    ascending order, then divided by the window's overlap-added sum where
+    it exceeds 1e-8.
     """
     seg = int(round(defaults.WSOLA_SEGMENT_SEC * sample_rate))
     search = int(round(defaults.WSOLA_SEARCH_SEC * sample_rate))
@@ -203,8 +227,16 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
             corr = np.correlate(xp[lo:hi + seg], ref, mode="valid")
             start = lo + int(np.argmax(corr))
         pos[m] = prev = start
-    frames = sliding_window_view(xp, seg)[pos] * win
-    return overlap_add(frames, hop, win, target_len)
+    n_rows = max(n_frames - 1 + -(-seg // hop), -(-target_len // hop))
+    y, wsum = np.zeros(n_rows * hop), np.zeros(n_rows * hop)
+    segments = sliding_window_view(xp, seg)
+    for first in range(0, n_frames, _WSOLA_BLOCK):
+        block = segments[pos[first:first + _WSOLA_BLOCK]]
+        block *= win
+        add_frames(y, block, hop, first)
+    add_frames(wsum, np.broadcast_to(win, (n_frames, seg)), hop)
+    np.divide(y, wsum, out=y, where=wsum > 1e-8)
+    return y[:target_len]
 
 
 def pitch_randomize(clip: AudioClip, ratio: float) -> AudioClip:
@@ -239,6 +271,11 @@ def random_perturb_pair(clip: AudioClip, cfg: PerturbConfig) -> tuple:
     ranges and applies formant shift, then pitch randomization, then the EQ.
     Both chains are drawn first; one `formant_shift` call serves both.
     Draw order is fixed, so a given (clip, cfg) pair is bit-reproducible.
+
+    The work runs on two threads: the formant shifter's blocks, then the
+    two chains' pitch randomization and EQ, one chain a thread. Nothing is
+    shared between the chains and the blocks are added in order, so the
+    pair has the same bytes as running each stage one after the other.
     """
     rng = np.random.default_rng(cfg.seed)
     centers = np.geomspace(defaults.EQ_FC_LO_HZ, defaults.EQ_FC_HI_HZ, defaults.EQ_BANDS)
@@ -253,7 +290,11 @@ def random_perturb_pair(clip: AudioClip, cfg: PerturbConfig) -> tuple:
         ]
         return rho, semis, bands
 
+    def finish(shifted, chain):
+        _, semis, bands = chain
+        return parametric_eq(pitch_randomize(shifted, semitones_to_ratio(semis)), bands)
+
     chains = (draw(), draw())
-    shifted = formant_shift(clip, [rho for rho, _, _ in chains])
-    return tuple(parametric_eq(pitch_randomize(out, semitones_to_ratio(semis)), bands)
-                 for out, (_, semis, bands) in zip(shifted, chains))
+    with ThreadPoolExecutor(2) as pool:
+        shifted = formant_shift(clip, [rho for rho, _, _ in chains], map=pool.map)
+        return tuple(pool.map(finish, shifted, chains))

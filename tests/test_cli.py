@@ -938,6 +938,29 @@ def test_eval_cossim_rejects_tensors_above_two_dimensions(tmp_path, capsys):
     _assert_rejected(capsys, ["eval", "cossim", "--a", vec, "--b", cube])
 
 
+@pytest.mark.parametrize("side", ["--a", "--b"])
+@pytest.mark.parametrize("bad", [np.ones((2, 2, 2)), np.array([[1.0, 2.0], [0.0, 0.0]]),
+                                 np.zeros(2), np.zeros((0, 2))],
+                         ids=["3-d", "zero-row", "zero-vector", "no-rows"])
+def test_eval_cossim_names_the_file_at_fault(tmp_path, capsys, side, bad):
+    path, good = tmp_path / "bad.svcf", tmp_path / "good.svcf"
+    path.write_bytes(tensor_bytes(bad.astype(np.float32), path))
+    good.write_bytes(tensor_bytes(np.ones((1, 2), dtype=np.float32), good))
+    files = {"--a": good, "--b": good, side: path}
+    before = sorted(tmp_path.rglob("*"))
+    err = _assert_rejected(capsys, ["eval", "cossim", "--a", files["--a"], "--b", files["--b"]])
+    assert err.startswith(f"error: {path}: ") and err.count(str(path)) == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_eval_cossim_width_mismatch_names_neither_file(tmp_path, capsys):
+    a, b = tmp_path / "a.svcf", tmp_path / "b.svcf"
+    a.write_bytes(tensor_bytes(np.ones((1, 2), dtype=np.float32), a))
+    b.write_bytes(tensor_bytes(np.ones((1, 3), dtype=np.float32), b))
+    err = _assert_rejected(capsys, ["eval", "cossim", "--a", a, "--b", b])
+    assert err.startswith("error: cosine similarity needs [N, d] and [M, d] rows"), err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("f0_hz", [[220.0, 221.0], [800.0, 801.0]],
                          ids=["underflow", "overflow"])

@@ -21,10 +21,9 @@ from svcforge.features import (
     hz_to_mel,
     mel_loudness,
     mel_to_hz,
-    overlap_add,
 )
 from svcforge.pitch import estimate_f0
-from spectrogram import istft, stft
+from spectrogram import istft, overlap_add, stft
 from synth import sine
 
 CFG = CANONICAL_FRAME_CONFIG

@@ -2,6 +2,7 @@ import hashlib
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd, log2
 from pathlib import Path
 
@@ -362,8 +363,11 @@ def _formant_clip(n_frames: int, seed: int) -> AudioClip:
     return AudioClip(np.random.default_rng(seed).normal(scale=0.1, size=n), 24000)
 
 
-@pytest.mark.parametrize("n_frames", [BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
-                                      2 * BLOCK_FRAMES + 37])
+_FB = perturb._FORMANT_BLOCK
+
+
+@pytest.mark.parametrize("n_frames", [_FB - 1, _FB, _FB + 1, BLOCK_FRAMES - 1, BLOCK_FRAMES,
+                                      BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 37])
 def test_formant_shift_blocks_equal_the_whole_clip_shifter(n_frames):
     clip = _formant_clip(n_frames, n_frames)
     rhos = [0.5, 1.0, 1.39, 2.0]
@@ -372,17 +376,31 @@ def test_formant_shift_blocks_equal_the_whole_clip_shifter(n_frames):
         assert np.array_equal(got.samples, want.samples)
 
 
+@pytest.mark.parametrize("n_frames", [_FB - 1, _FB, _FB + 1, 2 * _FB + 37, BLOCK_FRAMES + _FB + 5])
+def test_formant_shift_map_gives_the_same_bytes(n_frames):
+    # a pool's map runs the blocks out of order and at once; the sums are not reordered
+    clip = _formant_clip(n_frames, n_frames)
+    rhos = [0.5, 1.0, 1.39, 2.0]
+    with ThreadPoolExecutor(2) as pool:
+        got = formant_shift(clip, rhos, map=pool.map)
+        assert formant_shift(clip, [], map=pool.map) == []
+    for a, b in zip(got, formant_shift(clip, rhos), strict=True):
+        assert np.array_equal(a.samples, b.samples)
+
+
 def test_formant_shift_memory_is_bounded_by_the_block():
-    # 3 blocks and 37 frames (16.7 s). The whole-clip shifter held [T, 513]
-    # spectrograms and peaked at 86 MiB. The blocked one holds one
-    # block's working set, at most six [BLOCK_FRAMES, fft_size] float64 arrays
-    # (24 MiB), and four float64 arrays of the padded clip's length (the
-    # padded clip, two outputs, the squared-window sum) with room for two
-    # more (18.5 MiB in all). It read 36 MiB.
+    # 3 canonical blocks and 37 frames (16.7 s). The whole-clip shifter held
+    # [T, 513] spectrograms and peaked at 86 MiB; run over blocks of
+    # BLOCK_FRAMES frames it read 36 MiB. Over blocks of _FORMANT_BLOCK
+    # frames it holds one block's working set, at most twelve
+    # [_FORMANT_BLOCK, fft_size] float64 arrays (6 MiB), and four float64
+    # arrays of the padded clip's length (the padded clip, two outputs, the
+    # squared-window sum) with room for two more (18.5 MiB in all). It read
+    # 16 MiB.
     cfg = perturb._FORMANT_FRAMES
     clip = _formant_clip(3 * BLOCK_FRAMES + 37, 5)
     n_padded = clip.samples.size + 3 * cfg.fft_size
-    bound = 6 * BLOCK_FRAMES * cfg.fft_size * 8 + 6 * n_padded * 8
+    bound = 12 * _FB * cfg.fft_size * 8 + 6 * n_padded * 8
     tracemalloc.start()
     try:
         formant_shift(clip, [0.8, 1.3])
@@ -491,6 +509,21 @@ def test_wsola_matches_per_frame_reference_at_other_rates(n, ratio, sample_rate)
     _check_wsola(n, ratio, sample_rate)
 
 
+def test_pitch_randomize_memory_is_bounded_by_the_wsola_block():
+    # 15 s of noise, n samples, at ratio 1.3: the resampled clip and its
+    # padded copy (2n / 1.3), the output and its weight sum (2n) and one
+    # block of _WSOLA_BLOCK segments, 3.8n in all. Before the segments went
+    # in blocks, all of them were held twice over (4n more) and it read 5.7n.
+    clip = AudioClip(np.random.default_rng(0).normal(scale=0.1, size=15 * 24000), 24000)
+    tracemalloc.start()
+    try:
+        pitch_randomize(clip, 1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * clip.samples.nbytes, f"peak {peak / clip.samples.nbytes:.2f}n"
+
+
 def test_pitch_randomize_validation():
     with pytest.raises(InvalidParameterError):
         pitch_randomize(sine(220, 0.2), 2.4)
@@ -559,6 +592,33 @@ def test_pair_golden_digest(name, seed):
     for out in random_perturb_pair(_PAIR_CLIPS[name](), PerturbConfig(seed=seed)):
         h.update(out.samples.astype("<f8").tobytes())
     assert h.hexdigest() == _PAIR_DIGESTS[name, seed]
+
+
+def _serial_pair(clip, seed):
+    """The pair's documented draws, then one `formant_shift` and each chain
+    in turn, on one thread."""
+    rng = np.random.default_rng(seed)
+    chains = []
+    for _ in range(2):
+        rho = rng.uniform(defaults.FORMANT_RATIO_LO, defaults.FORMANT_RATIO_HI)
+        semis = rng.uniform(defaults.PITCH_SEMITONE_LO, defaults.PITCH_SEMITONE_HI)
+        bands = [(fc, rng.uniform(defaults.EQ_Q_LO, defaults.EQ_Q_HI),
+                  rng.uniform(defaults.EQ_GAIN_LO_DB, defaults.EQ_GAIN_HI_DB))
+                 for fc in _EQ_CENTERS]
+        chains.append((rho, semis, bands))
+    shifted = formant_shift(clip, [rho for rho, _, _ in chains])
+    return [parametric_eq(pitch_randomize(out, semitones_to_ratio(semis)), bands)
+            for out, (_, semis, bands) in zip(shifted, chains)]
+
+
+@pytest.mark.parametrize("seconds", [0.05, 0.6, 4.0])
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_pair_equals_the_serial_composition(seconds, seed):
+    clip = AudioClip(np.random.default_rng(seed).normal(scale=0.1, size=int(seconds * 24000)),
+                     24000)
+    for got, want in zip(random_perturb_pair(clip, PerturbConfig(seed=seed)),
+                         _serial_pair(clip, seed), strict=True):
+        assert np.array_equal(got.samples, want.samples)
 
 
 def test_pair_reads_its_ranges_from_the_defaults_table(monkeypatch):
