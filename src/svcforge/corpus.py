@@ -40,6 +40,8 @@ class ManifestEntry:
     def __post_init__(self):
         if self.duration_sec <= 0:
             raise InvalidParameterError(f"{self.id}: duration must be positive")
+        if self.sample_rate <= 0:
+            raise InvalidParameterError(f"{self.id}: sample rate must be positive")
         if self.kind not in _KINDS:
             raise InvalidParameterError(
                 f"{self.id}: kind must be one of {_KINDS}, got {self.kind!r}"
@@ -170,8 +172,8 @@ def vad_segment(clip: AudioClip, cfg: VadConfig = VadConfig()) -> list:
         floor = np.float64(10.0) ** (cfg.energy_floor_dbfs / 20.0)
     edges = np.flatnonzero(np.diff(np.concatenate(([False], rms > floor, [False]))))
     # active frame runs, bridged across inactive gaps shorter than the hangover
-    # (a float: a hangover too long for an int bridges every gap)
-    hang_frames = np.ceil(cfg.hangover_ms / cfg.frame_ms)
+    # in the frames as cut (a float: a hangover too long for an int bridges every gap)
+    hang_frames = np.ceil(cfg.hangover_ms * clip.sample_rate / (1000.0 * frame))
     runs = _join(edges.reshape(-1, 2).tolist(), lambda gap: gap < hang_frames)
 
     frame_sec = frame / clip.sample_rate

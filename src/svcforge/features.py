@@ -8,10 +8,10 @@ with every other and no caller passes a grid or a filterbank;
 Framing is non-centered (no padding): T = 1 + (n - win) // hop.
 
 Every clip is split into blocks of BLOCK_FRAMES frames (`frame_blocks`) and
-analysed one block at a time, with `add_frames` the one overlap-add of a
-resynthesis, so memory stays bounded by a few blocks however long the
-clip is. `mel_loudness` and `pitch.estimate_f0` run their per-block kernels
-through a `map` the caller passes, which a thread pool spreads over cores.
+analysed one block at a time, with `overlap_add` the one resynthesis rule,
+so memory stays bounded by a few blocks however long the clip is.
+`mel_loudness` and `pitch.estimate_f0` run their per-block kernels through
+a `map` the caller passes, which a thread pool spreads over cores.
 """
 
 from dataclasses import dataclass
@@ -125,16 +125,30 @@ def mel_loudness(clip: AudioClip, map=map) -> tuple:
 
 
 def add_frames(out: np.ndarray, frames: np.ndarray, hop: int, first: int = 0) -> None:
-    """Add frame m of `frames` ([M, L]) into `out`, a contiguous buffer a
-    whole number of hops long, at sample (first + m) * hop. Slab c (columns
-    c * hop to (c + 1) * hop) of every frame is added at once, in descending
-    c, so each sample gets its frames in ascending m, as from a per-frame
-    loop, and calls in ascending `first` keep that order."""
-    n_frames, length = frames.shape
-    rows = out.reshape(-1, hop)[first:]
+    """Add frame m of `frames` ([..., M, L]) into `out` ([..., N], N a whole
+    number of hops) at sample (first + m) * hop, leading axes stacked. Slab
+    c (columns c * hop to (c + 1) * hop) of every frame is added at once, in
+    descending c, so each sample gets its frames in ascending m, as from a
+    per-frame loop, and calls in ascending `first` keep that order."""
+    n_frames, length = frames.shape[-2:]
+    rows = out.reshape(out.shape[:-1] + (out.shape[-1] // hop, hop))[..., first:, :]
     for c in reversed(range(-(-length // hop))):
         lo, width = c * hop, min(hop, length - c * hop)
-        rows[c:c + n_frames, :width] += frames[:, lo:lo + width]
+        rows[..., c:c + n_frames, :width] += frames[..., lo:lo + width]
+
+
+def overlap_add(blocks, hop: int, weight: np.ndarray, shape) -> np.ndarray:
+    """Add the [..., M, L] frame blocks in order, one after another, into
+    zeros of `shape` ([..., N]; see `add_frames`), and divide by `weight`
+    ([L]) added the same way where that sum exceeds 1e-8."""
+    out, first = np.zeros(shape), 0
+    for frames in blocks:
+        add_frames(out, frames, hop, first)
+        first += frames.shape[-2]
+    wsum = np.zeros(out.shape[-1])
+    add_frames(wsum, np.broadcast_to(weight, (first, weight.size)), hop)
+    np.divide(out, wsum, out=out, where=wsum > 1e-8)
+    return out
 
 
 def hz_to_mel(f_hz):

@@ -1,6 +1,6 @@
 """Information-perturbation transforms: formant shift, pitch randomization,
-and a parametric equalizer, plus the seeded pair generator that feeds the
-contrastive objective.
+and a parametric equalizer, plus the seeded pair generator, which applies
+two independently drawn chains of all three to one clip.
 
 All three transforms alter speaker-correlated acoustics while leaving the
 linguistic content (timing, F0 for formant shift/EQ) intact. Given the same
@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import defaults
 from .audio import AudioClip, resample
 from .errors import InvalidParameterError
-from .features import FrameConfig, add_frames, frame_blocks, hann, spectrum
+from .features import FrameConfig, frame_blocks, hann, overlap_add, spectrum
 from .pitch import semitones_to_ratio
 
 # Formant and pitch ratios are limited to one octave either way.
@@ -147,8 +147,7 @@ def formant_shift(clip: AudioClip, rhos: list, map=map) -> list:
     The padded clip is cut into blocks of _FORMANT_BLOCK frames. One kernel
     per block runs the analysis up to the envelope once and returns every
     ratio's windowed frames; `map` runs the kernels (a thread pool's `map`
-    runs blocks in parallel), and the blocks are added in ascending order,
-    so each sample sums its frames in one order whichever map runs them.
+    runs blocks in parallel), and `overlap_add` adds them in block order.
     Output i equals `formant_shift(clip, [rhos[i]])[0]` and no whole-clip
     spectrogram is held. The clip must be at the canonical rate
     (InvalidParameterError otherwise).
@@ -171,26 +170,18 @@ def formant_shift(clip: AudioClip, rhos: list, map=map) -> list:
         env = np.fft.irfft(np.log(np.maximum(np.abs(spec), 1e-10)), n=n_fft, axis=1)
         env[:, qcut + 1:n_fft - qcut] = 0.0  # the liftered cepstrum, then its envelope
         env = np.fft.rfft(env, axis=1).real
-        outs = []
-        for lo, hi, f in zip(i0, i1, frac):
+        outs = np.empty((len(rhos),) + frames.shape)
+        for out, lo, hi, f in zip(outs, i0, i1, frac):
             gain = env[:, lo]  # exp(warped envelope - envelope), in place
             gain *= 1.0 - f
             gain += env[:, hi] * f
             gain -= env
             np.exp(gain, out=gain)
-            out = np.fft.irfft(spec * gain, n=n_fft, axis=1)[:, :cfg.win_length]
-            out *= win
-            outs.append(out)
+            np.multiply(np.fft.irfft(spec * gain, n=n_fft)[:, :cfg.win_length], win, out=out)
         return outs
 
     size = -(-x.size // hop) * hop  # the frames end within x
-    ys, wsum = np.zeros((len(rhos), size)), np.zeros(size)
-    for k, outs in enumerate(map(block, blocks)):
-        for y, out in zip(ys, outs):
-            add_frames(y, out, hop, k * _FORMANT_BLOCK)
-    n_frames = cfg.num_frames(x.size)
-    add_frames(wsum, np.broadcast_to(win ** 2, (n_frames, cfg.win_length)), hop)
-    np.divide(ys, wsum, out=ys, where=wsum > 1e-8)
+    ys = overlap_add(map(block, blocks), hop, win ** 2, (len(rhos), size))
     return [AudioClip(y[n_fft:n_fft + n], clip.sample_rate) for y in ys]
 
 
@@ -204,9 +195,8 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
 
     25 ms Hann segments at 50% synthesis overlap; each analysis segment may
     slide +/- 7.5 ms to best continue the previous one (cross-correlation).
-    The chosen segments are windowed and added _WSOLA_BLOCK at a time, in
-    ascending order, then divided by the window's overlap-added sum where
-    it exceeds 1e-8.
+    The chosen segments are windowed _WSOLA_BLOCK at a time for
+    `overlap_add`, with the window as weight.
     """
     seg = int(round(defaults.WSOLA_SEGMENT_SEC * sample_rate))
     search = int(round(defaults.WSOLA_SEARCH_SEC * sample_rate))
@@ -228,15 +218,10 @@ def _wsola_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarr
             start = lo + int(np.argmax(corr))
         pos[m] = prev = start
     n_rows = max(n_frames - 1 + -(-seg // hop), -(-target_len // hop))
-    y, wsum = np.zeros(n_rows * hop), np.zeros(n_rows * hop)
     segments = sliding_window_view(xp, seg)
-    for first in range(0, n_frames, _WSOLA_BLOCK):
-        block = segments[pos[first:first + _WSOLA_BLOCK]]
-        block *= win
-        add_frames(y, block, hop, first)
-    add_frames(wsum, np.broadcast_to(win, (n_frames, seg)), hop)
-    np.divide(y, wsum, out=y, where=wsum > 1e-8)
-    return y[:target_len]
+    blocks = (segments[pos[i:i + _WSOLA_BLOCK]] for i in range(0, n_frames, _WSOLA_BLOCK))
+    windowed = (np.multiply(block, win, out=block) for block in blocks)
+    return overlap_add(windowed, hop, win, n_rows * hop)[:target_len]
 
 
 def pitch_randomize(clip: AudioClip, ratio: float) -> AudioClip:

@@ -991,6 +991,10 @@ _GOOD_NOTE = '{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60}'
      "manifest {doc}:3", "speaker must be a JSON string, got None"),
     ("manifest", _MANIFEST_LINE % "1" + (_MANIFEST_LINE % "-1").replace('"x"', '"y"', 1),
      "manifest {doc}:2", "y: duration must be positive"),
+    ("manifest", _MANIFEST_LINE % "1" + (_MANIFEST_LINE % "1").replace('"x"', '"y"', 1)
+     .replace("24000", "-44100"), "manifest {doc}:2", "y: sample rate must be positive"),
+    ("manifest", (_MANIFEST_LINE % "1").replace("24000", "0"),
+     "manifest {doc}:1", "x: sample rate must be positive"),
     ("notes", f'[{_GOOD_NOTE}, {{"onset_sec": 1.0, "offset_sec": 2.0, "pitch": 1.5}}]',
      "note event {doc}[1]", "pitch must be a JSON integer, got 1.5"),
     ("notes", f'[{{"onset_sec": 1.0, "offset_sec": 1.0}}, {_GOOD_NOTE}]',
@@ -1001,8 +1005,8 @@ _GOOD_NOTE = '{"onset_sec": 0.0, "offset_sec": 1.0, "pitch": 60}'
      "stats file {doc}", "std_log_f0 must be >= 0"),
     ("stats", '{"speaker_id": "s", "mean_log_f0": 5.4, "std_log_f0": 0.1, "n_voiced_frames": 0}',
      "stats file {doc}", "need at least one voiced frame"),
-], ids=["manifest-field", "manifest-check", "notes-field", "notes-check", "spec-field",
-        "stats-check", "stats-no-voiced-frame"])
+], ids=["manifest-field", "manifest-check", "manifest-negative-rate", "manifest-zero-rate",
+        "notes-field", "notes-check", "spec-field", "stats-check", "stats-no-voiced-frame"])
 def test_record_errors_name_the_file_and_the_line_or_index(tmp_path, capsys, case, text,
                                                             place, message):
     doc, out = tmp_path / f"{case}.json", tmp_path / "out"

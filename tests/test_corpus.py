@@ -134,6 +134,20 @@ def test_vad_bridges_short_dips():
     assert len(segments) == 1
 
 
+@pytest.mark.parametrize("frame_ms", [0.01, 0.03, 0.1, 1.0, 30.0])
+def test_vad_hangover_counts_the_frames_it_uses(frame_ms):
+    # at 0.01 ms a frame rounds to one sample, 2.4 times the nominal frame;
+    # the 300 ms hangover still bridges 300 ms, not 0.5 s gaps
+    sr = 24000
+    burst = sine(440, 0.6, amplitude=0.2).samples
+    x = np.concatenate([burst, np.zeros(sr // 2), burst])
+    segments = vad_segment(AudioClip(x, sr), VadConfig(frame_ms=frame_ms))
+    assert len(segments) == 2
+    (a, b), (c, d) = [(s.start_sec, s.end_sec) for s in segments]
+    for got, want in [(a, 0.0), (b, 0.6), (c, 1.1), (d, 1.7)]:
+        assert abs(got - want) <= 0.03
+
+
 def test_vad_drops_short_blips():
     sr = 24000
     blip = sine(440, 0.1, amplitude=0.2).samples  # 100 ms < 200 ms minimum
@@ -280,7 +294,7 @@ def _reference_vad_segment(clip, cfg=VadConfig()):
     active = rms > floor
 
     # bridge short inactive runs between active frames
-    hang_frames = int(np.ceil(cfg.hangover_ms / cfg.frame_ms))
+    hang_frames = int(np.ceil(cfg.hangover_ms * clip.sample_rate / (1000.0 * frame)))
     runs = _reference_runs(active)
     for start, stop, value in runs:
         if not value and start > 0 and stop < n_frames \

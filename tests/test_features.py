@@ -21,9 +21,10 @@ from svcforge.features import (
     hz_to_mel,
     mel_loudness,
     mel_to_hz,
+    overlap_add,
 )
 from svcforge.pitch import estimate_f0
-from spectrogram import istft, overlap_add, stft
+from spectrogram import istft, stft
 from synth import sine
 
 CFG = CANONICAL_FRAME_CONFIG
@@ -143,15 +144,16 @@ def test_overlap_add_weights_and_gaps():
     frames = np.array([[2.0, 2.0], [4.0, 4.0], [6.0, 6.0]])
     weight = np.array([1.0, 1.0])
     # hop 1: overlapping frames are averaged
-    assert np.array_equal(overlap_add(frames, 1, weight, 4), [2.0, 3.0, 5.0, 6.0])
-    # hop 3: the samples between frames stay zero; output is cut or padded
-    assert np.array_equal(overlap_add(frames, 3, weight, 9),
+    assert np.array_equal(overlap_add([frames], 1, weight, 4), [2.0, 3.0, 5.0, 6.0])
+    # hop 3: the samples between frames and past the last stay zero
+    assert np.array_equal(overlap_add([frames], 3, weight, 9),
                           [2.0, 2.0, 0.0, 4.0, 4.0, 0.0, 6.0, 6.0, 0.0])
-    assert np.array_equal(overlap_add(frames, 3, weight, 11)[8:], [0.0, 0.0, 0.0])
-    assert np.array_equal(overlap_add(frames, 3, weight, 2), [2.0, 2.0])
+    assert np.array_equal(overlap_add([frames], 3, weight, 15)[8:], np.zeros(7))
     # a weight sum at or below 1e-8 leaves the summed frames undivided
-    assert np.array_equal(overlap_add(frames[:1], 1, np.array([0.5, 1e-9]), 2),
+    assert np.array_equal(overlap_add([frames[:1]], 1, np.array([0.5, 1e-9]), 2),
                           [4.0, 2.0])
+    # no rows in the stack: an empty result of the asked shape
+    assert overlap_add([np.zeros((0, 3, 2))], 3, weight, (0, 9)).shape == (0, 9)
 
 
 def _reference_overlap_add(frames, hop, weight, n_samples):
@@ -168,19 +170,52 @@ def _reference_overlap_add(frames, hop, weight, n_samples):
     return y[:n_samples]
 
 
-@given(n_frames=st.integers(1, 40), length=st.integers(1, 64), hop=st.integers(1, 80),
-       extra=st.integers(-64, 200), seed=st.integers(0, 2**32 - 1))
-def test_overlap_add_matches_per_frame_loop(n_frames, length, hop, extra, seed):
-    rng = np.random.default_rng(seed)
+def _random_frames(rng, n_frames, length):
+    """Frames spanning 16 decades, and weights of which about a third sit
+    at or below the 1e-8 floor."""
     frames = rng.standard_normal((n_frames, length)) * 10.0 ** rng.integers(-8, 8, length)
-    # about a third of the weights sit at or below the 1e-8 floor
     weight = np.where(rng.random(length) < 1 / 3, rng.choice([0.0, 1e-9, 1e-8], length),
                       3.0 * rng.random(length))
-    covered = (n_frames - 1) * hop + length
-    n_samples = max(0, covered + extra)
-    got = overlap_add(frames, hop, weight, n_samples)
-    assert got.shape == (n_samples,)
-    assert np.array_equal(got, _reference_overlap_add(frames, hop, weight, n_samples))
+    return frames, weight
+
+
+def _covering_size(n_frames, length, hop):
+    """The fewest samples, a whole number of hops, that hold every frame."""
+    return (n_frames - 1 + -(-length // hop)) * hop
+
+
+@given(n_frames=st.integers(1, 40), length=st.integers(1, 64), hop=st.integers(1, 80),
+       extra_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_overlap_add_matches_per_frame_loop(n_frames, length, hop, extra_rows, seed):
+    frames, weight = _random_frames(np.random.default_rng(seed), n_frames, length)
+    size = _covering_size(n_frames, length, hop) + extra_rows * hop
+    got = overlap_add([frames], hop, weight, size)
+    assert got.shape == (size,)
+    assert np.array_equal(got, _reference_overlap_add(frames, hop, weight, size))
+
+
+@pytest.mark.parametrize("hop", [13, 60], ids=["overlapping", "gaps"])
+def test_overlap_add_bytes_do_not_depend_on_the_block_split(hop):
+    n_frames, length = 150, 50
+    frames, weight = _random_frames(np.random.default_rng(hop), n_frames, length)
+    size = _covering_size(n_frames, length, hop)
+    want = _reference_overlap_add(frames, hop, weight, size)
+    for rows in (1, 7, 64, n_frames):
+        blocks = (frames[i:i + rows] for i in range(0, n_frames, rows))
+        assert np.array_equal(overlap_add(blocks, hop, weight, size), want), rows
+
+
+def test_overlap_add_stacks_rows_like_single_row_calls():
+    n_rows, n_frames, length, hop = 3, 100, 40, 16
+    rng = np.random.default_rng(3)
+    stacked = rng.standard_normal((n_rows, n_frames, length))
+    weight = _random_frames(rng, 1, length)[1]
+    size = _covering_size(n_frames, length, hop)
+    got = overlap_add((stacked[:, i:i + 7] for i in range(0, n_frames, 7)), hop, weight,
+                      (n_rows, size))
+    assert got.shape == (n_rows, size)
+    for frames, row in zip(stacked, got):
+        assert np.array_equal(row, overlap_add([frames], hop, weight, size))
 
 
 @given(n_frames=st.integers(1, 40), length=st.integers(1, 64), hop=st.integers(1, 80),
